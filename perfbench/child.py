@@ -6,10 +6,13 @@ The parent pins the BLAS thread count in this process's environment before
 numpy is imported. The spec lists call kinds (one CLI command each). Calls
 run one at a time, a closed loop with one client. With a count per kind,
 each kind runs that many times in list order. Otherwise the kinds are
-interleaved until --seconds is spent: the next call is of the kind that has
-used the least of its time share, so every kind samples the whole run, and
-each kind makes at least its least number of calls. Results, and spans when
-traced, are written into the work directory when the run ends.
+interleaved in a fixed order: each kind has a number of calls per cycle,
+and the next call is of the kind that is least far through its cycle, the
+kind listed first on a tie. So every kind samples the whole run, and every
+run makes its calls in the same order. The run makes at least its fewest
+whole cycles, then goes on until --seconds is spent, skipping a kind whose
+next call would, at that kind's mean time so far, end later. Results, and
+spans when traced, are written into the work directory when the run ends.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def schedule(kinds, spent, done, seconds, start):
+def schedule(kinds, spent, done, seconds, cycles, start):
     """Yield the index of the kind to call next; see the module docstring."""
     if seconds is None:
         for n, kind in enumerate(kinds):
@@ -37,14 +40,16 @@ def schedule(kinds, spent, done, seconds, start):
                 yield n
         return
     while True:
-        short = [n for n, kind in enumerate(kinds) if done[n] < kind["min"]]
         # the first kind goes first: later kinds may use its output
-        n = min(short or range(len(kinds)), key=lambda n: (spent[n] / kinds[n]["share"], n))
-        if not short:
-            expected = spent[n] / done[n]
-            if time.perf_counter() - start + expected > seconds:
-                return
-        yield n
+        order = sorted(range(len(kinds)), key=lambda n: (done[n] / kinds[n]["per_cycle"], n))
+        if done[order[0]] < cycles * kinds[order[0]]["per_cycle"]:
+            yield order[0]
+            continue
+        left = seconds - (time.perf_counter() - start)
+        fits = [n for n in order if spent[n] / done[n] <= left]
+        if not fits:
+            return
+        yield fits[0]
 
 
 def main(spec_path: str) -> int:
@@ -65,7 +70,7 @@ def main(spec_path: str) -> int:
     done = [0] * len(kinds)
     calls = []
     start = time.perf_counter()
-    for n in schedule(kinds, spent, done, spec.get("seconds"), start):
+    for n in schedule(kinds, spent, done, spec["seconds"], spec["cycles"], start):
         kind = kinds[n]
         i = done[n]
         argv = [a.replace("{i}", str(i)) for a in kind["argv"]]

@@ -33,6 +33,17 @@ def id_ranks(ids: list[str]) -> np.ndarray:
     return ranks
 
 
+def validation_ids(query_ids: list[str], train_ratio: float, seed: int) -> set[str]:
+    """The held-out query ids of `embadapt train --val-ratio train_ratio --seed seed`.
+
+    The split is by query id: the sorted ids in a seeded random permutation,
+    the first round(n * train_ratio) of them train, the rest validate.
+    """
+    qids = sorted(query_ids)
+    perm = np.random.default_rng(seed).permutation(len(qids))
+    return {qids[i] for i in perm[int(round(len(qids) * train_ratio)):]}
+
+
 def top_k(scores: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((ranks, -scores))[:k]
 

@@ -29,31 +29,48 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import re  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 TAG = "synthetic-v1"
-CHILD_TIMEOUT_S = 150
+# A child may outlast --seconds by its fewest cycles; this bounds that.
+CHILD_MARGIN_S = 120
 
-# (n_queries, n_corpus, dim) and extra `embadapt train` flags; None = no training.
-# Patience equals the iteration budget, so every train call does the same work.
+
+class Workload(NamedTuple):
+    shape: tuple[int, int, int]  # n_queries, n_corpus, dim
+    # `embadapt train` --val-ratio (the train share of the queries), --eval-every
+    # and --max-iters; None when the workload does no training
+    train: tuple[float, int, int] | None
+    kinds: dict[str, int]  # call kind -> calls per cycle
+    cycles: int  # the fewest whole cycles a run makes
+
+
+# train-m validates 400 queries at iterations 0 and 10, so validation is most
+# of train. train-l validates 4 queries at iterations 0 and 100, so its
+# validation (an adapter pass over the corpus and one sort per query) is a
+# small share of train. Patience equals the iteration budget, so every train
+# call does the same work. train-l's corpus is 100k, not 200k: every search
+# and transform reads the whole corpus, and at 200k a run has room for too few
+# of them to give a steady median.
 WORKLOADS = {
-    "train-m": ((2000, 20000, 128),
-                ["--eval-every", "10", "--max-iters", "20", "--patience", "20"]),
-    "train-l": ((2000, 200000, 64),
-                ["--val-ratio", "0.98", "--eval-every", "150", "--max-iters", "150",
-                 "--patience", "150"]),
-    "infer": ((1000, 20000, 384), None),
+    "train-m": Workload((2000, 20000, 128), (0.8, 10, 10),
+                        {"main": 1, "search": 8, "transform": 4}, 3),
+    "train-l": Workload((2000, 100000, 64), (0.998, 100, 100),
+                        {"main": 1, "search": 4, "transform": 4}, 2),
+    "infer": Workload((1000, 20000, 384), None,
+                      {"main": 1, "search": 5, "transform": 3}, 2),
 }
-SETUP_REPS = 5
+# set-up repeats at least this often and for at least this long; setup_s is the median
+SETUP_REPS, SETUP_MIN_S = 5, 2.0
 N_VECTORS = 32  # distinct query vectors cycled through by the search loop
-# Share of --seconds per call kind, and the fewest calls of each kind.
-KINDS = (("main", 0.55, 2), ("search", 0.25, 9), ("transform", 0.2, 3))
 TRACE_ROUND = {"main": 1, "search": 5, "transform": 1}
 
 
@@ -67,10 +84,10 @@ def generate(workload: str, seed: int):
     from synth import planted_task
     from embadapt import init_adapter
 
-    (n_q, n_c, dim), train_flags = WORKLOADS[workload]
+    n_q, n_c, dim = WORKLOADS[workload].shape
     q, c, rels = planted_task(n_queries=n_q, n_corpus=n_c, dim=dim, seed=seed)
     model = None
-    if train_flags is None:
+    if WORKLOADS[workload].train is None:
         # a fixed checkpoint: seeded non-zero output layer, so it is not the identity
         model = init_adapter(dim, seed=seed, encoder_tag=TAG)
         rng = np.random.default_rng(seed)
@@ -103,8 +120,8 @@ def set_up(work: Path, q, c, rels, model) -> float:
 
 def call_kinds(workload: str, seed: int, work: Path) -> dict[str, dict]:
     files = {k: str(work / k) for k in ("queries.sadp", "corpus.sadp", "qrels.tsv")}
-    train_flags = WORKLOADS[workload][1]
-    if train_flags is None:
+    train = WORKLOADS[workload].train
+    if train is None:
         model = str(work / "fixed.sadc")
         main = {"kind": "evaluate", "outputs": [],
                 "argv": ["evaluate", "--queries", files["queries.sadp"], "--corpus",
@@ -116,7 +133,9 @@ def call_kinds(workload: str, seed: int, work: Path) -> dict[str, dict]:
         main = {"kind": "train", "outputs": [out, out + ".log.jsonl"],
                 "argv": ["train", "--queries", files["queries.sadp"], "--corpus",
                          files["corpus.sadp"], "--qrels", files["qrels.tsv"], "--out", out,
-                         "--seed", str(seed)] + train_flags}
+                         "--seed", str(seed), "--val-ratio", str(train[0]),
+                         "--eval-every", str(train[1]), "--max-iters", str(train[2]),
+                         "--patience", str(train[2])]}
     transformed = str(work / "transformed.sadp")
     return {
         "main": main,
@@ -130,24 +149,27 @@ def call_kinds(workload: str, seed: int, work: Path) -> dict[str, dict]:
 
 
 def run_child(work: Path, name: str, kinds: list[dict], vectors: list[str],
-              trace: bool, seconds: float | None = None) -> dict:
+              trace: bool, seconds: float | None = None, cycles: int = 0) -> dict:
     spec = {"src": str(ROOT / "src"), "dir": str(work), "name": name, "trace": trace,
-            "kinds": kinds, "vectors": vectors, "seconds": seconds}
+            "kinds": kinds, "vectors": vectors, "seconds": seconds, "cycles": cycles}
     spec_path = work / f"{name}.spec.json"
     spec_path.write_text(json.dumps(spec))
     proc = subprocess.run([sys.executable, str(HERE / "child.py"), str(spec_path)],
                           env={**os.environ, **THREADS}, capture_output=True, text=True,
-                          timeout=CHILD_TIMEOUT_S)
+                          timeout=(seconds or 0) + CHILD_MARGIN_S)
     result_path = work / f"{name}.json"
     if proc.returncode != 0 or not result_path.exists():
         raise RuntimeError(f"{name} child exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(result_path.read_text())
 
 
-def reported_ndcg(stdout: str, label: str) -> float | None:
-    """The nDCG that `embadapt train` prints on its `<label> validation` line."""
-    found = re.search(rf"{label} validation nDCG@10: ([0-9.]+)", stdout)
-    return float(found[1]) if found else None
+def train_report(stdout: str) -> tuple[float, float, int] | None:
+    """(zero-shot nDCG, best nDCG, best iteration) as `embadapt train` prints them."""
+    zero = re.search(r"zero-shot validation nDCG@10: ([0-9.]+)", stdout)
+    best = re.search(r"best validation nDCG@10: ([0-9.]+) at iteration ([0-9]+)", stdout)
+    if zero is None or best is None:
+        return None
+    return float(zero[1]), float(best[1]), int(best[2])
 
 
 def evaluate_report(stdout: str) -> dict:
@@ -167,7 +189,8 @@ def search_lines(stdout: str) -> list[tuple[str, float]] | None:
         return None
 
 
-def check_calls(workload: str, work: Path, q, c, rels, calls: list[dict]) -> list[bool]:
+def check_calls(workload: str, seed: int, work: Path, q, c, rels,
+                calls: list[dict]) -> list[bool]:
     """Correctness of each call against the numpy reference; True = passed."""
     import numpy as np
     import reference as ref
@@ -181,12 +204,9 @@ def check_calls(workload: str, work: Path, q, c, rels, calls: list[dict]) -> lis
         shas = call["files"]
         if shas != firsts.setdefault(call["kind"], shas) or None in shas:
             ok[n] = False
-        if call["kind"] == "train" and ok[n]:
-            zero = reported_ndcg(call["stdout"], "zero-shot")
-            best = reported_ndcg(call["stdout"], "best")
-            ok[n] = zero is not None and best is not None and best >= zero
 
-    model_path = work / ("fixed.sadc" if WORKLOADS[workload][1] is None else "train0.sadc")
+    train = WORKLOADS[workload].train
+    model_path = work / ("fixed.sadc" if train is None else "train0.sadc")
     try:
         model = load_checkpoint(str(model_path))
     except (EmbAdaptError, OSError, ValueError):
@@ -197,13 +217,32 @@ def check_calls(workload: str, work: Path, q, c, rels, calls: list[dict]) -> lis
     index = {cid: j for j, cid in enumerate(cids)}
     grades = {qid: rels.positives_for(qid) for qid in rels.query_ids}
     mean_ref = None
+    val_ref = None
     transform_ok = None
     search_scores: dict[str, np.ndarray] = {}
     for n, call in enumerate(calls):
         if not ok[n]:
             continue
         kind = call["kind"]
-        if kind == "evaluate":
+        if kind == "train":
+            if val_ref is None:
+                # zero-shot is the raw embeddings (the adapter starts as the identity);
+                # best is the checkpoint that train wrote
+                val = ref.validation_ids(rels.query_ids, train[0], seed)
+                rows = [i for i, qid in enumerate(q.ids) if qid in val]
+                val_qids = [q.ids[i] for i in rows]
+                raw = np.asarray(q.vectors[rows], dtype=np.float64)
+                val_ref = (
+                    ref.mean_ndcg(ref.cosine(raw, np.asarray(c.vectors, dtype=np.float64)),
+                                  val_qids, cids, grades, k=10),
+                    ref.mean_ndcg(ref.cosine(ref.adapt(model, raw, "query"), adapted_c),
+                                  val_qids, cids, grades, k=10))
+            reported = train_report(call["stdout"])
+            # printed to 5 decimals; training must beat zero-shot at some iteration
+            ok[n] = (reported is not None and reported[2] > 0
+                     and abs(reported[0] - val_ref[0]) <= 5e-6 + 1e-9
+                     and abs(reported[1] - val_ref[1]) <= 5e-6 + 1e-9)
+        elif kind == "evaluate":
             if mean_ref is None:
                 scores = ref.cosine(ref.adapt(model, q.vectors, "query"), adapted_c)
                 mean_ref = ref.mean_ndcg(scores, q.ids, cids, grades, k=10)
@@ -272,6 +311,9 @@ def main() -> int:
             return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+    # on SIGTERM, unwind: subprocess.run kills and waits for the child, and the
+    # work directory is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     work = ROOT / ".perfbench" / f"{args.workload}-{args.seed}-{os.getpid()}"
     work.mkdir(parents=True)
     try:
@@ -286,7 +328,9 @@ def main() -> int:
 
 def run(args, work: Path) -> int:
     q, c, rels, model, vectors = generate(args.workload, args.seed)
-    setup_times = [set_up(work, q, c, rels, model) for _ in range(SETUP_REPS)]
+    setup_times: list[float] = []
+    while len(setup_times) < SETUP_REPS or sum(setup_times) < SETUP_MIN_S:
+        setup_times.append(set_up(work, q, c, rels, model))
     env = environment(args.seed, work)
     argv = call_kinds(args.workload, args.seed, work)
 
@@ -298,20 +342,21 @@ def run(args, work: Path) -> int:
         tracer.install()
         set_up(work, q, c, rels, model)
         setup_spans = list(tracer.spans)
-        round_kinds = [{**argv[name], "count": TRACE_ROUND[name]} for name, _, _ in KINDS]
+        round_kinds = [{**argv[name], "count": TRACE_ROUND[name]} for name in TRACE_ROUND]
         plain = run_child(work, "plain", round_kinds, vectors, trace=False)
         traced = run_child(work, "traced", round_kinds, vectors, trace=True)
         calls = plain["calls"] + traced["calls"]
     else:
-        timed_kinds = [{**argv[name], "share": share, "min": least}
-                       for name, share, least in KINDS]
+        workload = WORKLOADS[args.workload]
+        timed_kinds = [{**argv[name], "per_cycle": per_cycle}
+                       for name, per_cycle in workload.kinds.items()]
         plain = run_child(work, "plain", timed_kinds, vectors, trace=False,
-                          seconds=args.seconds)
+                          seconds=args.seconds, cycles=workload.cycles)
         calls = plain["calls"]
     for call in calls:
         if call["kind"] == "search":
             call["vector"] = vectors[call["i"] % len(vectors)]
-    ok = check_calls(args.workload, work, q, c, rels, calls)
+    ok = check_calls(args.workload, args.seed, work, q, c, rels, calls)
     failed = ok.count(False)
 
     by_kind: dict[str, list[dict]] = {}
@@ -331,10 +376,10 @@ def run(args, work: Path) -> int:
 
     print(f"embadapt benchmark: workload {args.workload}, seed {args.seed}, "
           f"{'traced round' if args.trace else f'{args.seconds:g} s closed loop, one client'}")
-    lines = [report_line("setup_s", end_to_end["setup_s"], "s", SETUP_REPS)]
+    lines = [report_line("setup_s", end_to_end["setup_s"], "s", len(setup_times))]
     if main_kind == "train":
-        best = [b for b in (reported_ndcg(call["stdout"], "best") for call in by_kind["train"])
-                if b is not None]
+        best = [r[1] for r in map(train_report, (call["stdout"] for call in by_kind["train"]))
+                if r is not None]
         lines.append(report_line("train_s", end_to_end["main_s"], "s", len(main_s)))
         if best:
             lines.append(report_line("val_ndcg", max(best), "nDCG@10", len(best)))
