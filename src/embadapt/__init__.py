@@ -11,10 +11,8 @@ from .adapter import (
 )
 from .config import TrainConfig
 from .data import (
-    CorpusSet,
     EmbeddingTable,
     ItemSet,
-    QuerySet,
     RelevanceSet,
     TextItem,
     ValidationSummary,
@@ -53,13 +51,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdapterModel",
     "BatchScores",
-    "CorpusSet",
     "EmbeddingTable",
     "EncoderEndpointConfig",
     "ItemSet",
     "LossWeights",
     "MlpParams",
-    "QuerySet",
     "RankedList",
     "RelevanceSet",
     "RetrievalReport",

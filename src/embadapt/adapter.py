@@ -72,22 +72,26 @@ def init_mlp(dim: int, hidden: int, rng: np.random.Generator) -> MlpParams:
     return MlpParams(w1, b1, w2, b2)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """x: (n, d) -> (n, d); float64 math over float32 parameters."""
-    hidden = np.tanh(x @ params.w1.astype(np.float64) + params.b1)
-    return hidden @ params.w2.astype(np.float64) + params.b2
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x: (n, d) float64 -> (mlp(x), tanh activations); float64 math over
+    float32 parameters. The activations are the tape that mlp_grad consumes."""
+    hidden = x @ params.w1.astype(np.float64)
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    out = hidden @ params.w2.astype(np.float64)
+    out += params.b2
+    return out, hidden
 
 
 def mlp_grad(
-    params: MlpParams, x: np.ndarray, upstream: np.ndarray
+    params: MlpParams, x: np.ndarray, hidden: np.ndarray, upstream: np.ndarray
 ) -> tuple[MlpParams, np.ndarray]:
-    """Gradients of sum(upstream * mlp_forward(params, x)).
+    """Gradients of sum(upstream * mlp_forward(params, x)[0]).
 
-    Returns (parameter gradients, gradient w.r.t. x), both float32.
+    hidden is the activation tape that mlp_forward returned for x.
+    Returns (parameter gradients, gradient w.r.t. x), both float64.
     """
-    x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    hidden = np.tanh(x @ params.w1.astype(np.float64) + params.b1)
     d_w2 = hidden.T @ upstream
     d_b2 = upstream.sum(axis=0)
     d_hidden = (upstream @ params.w2.T) * (1.0 - hidden * hidden)
@@ -182,51 +186,52 @@ def init_adapter(
     )
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    # parameters are stored float32; forward/backward math runs in float64
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"input has shape {x.shape}, expected (*, {dim})")
-    return x, single
+def transform_forward(
+    model: AdapterModel, x: np.ndarray, which: str = "query"
+) -> tuple[np.ndarray, np.ndarray]:
+    """x: (n, d) float64 -> (adapted embeddings, tanh activations of the network)."""
+    out, hidden = mlp_forward(model.params_for(which), x)
+    if model.use_skip:
+        out += x
+    return out, hidden
 
 
 def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.ndarray:
-    """Adapted embedding: x + mlp(x) with skip, mlp(x) without."""
-    batch, single = _as_batch(x, model.dim)
-    out = mlp_forward(model.params_for(which), batch)
-    if model.use_skip:
-        out = batch + out
-    return out[0] if single else out
+    """Adapted embedding: x + mlp(x) with skip, mlp(x) without.
+
+    x is one vector (d,) or a batch (n, d); the result has the same shape.
+    """
+    # parameters are stored float32; forward/backward math runs in float64
+    x = np.asarray(x, dtype=np.float64)
+    batch = x[None, :] if x.ndim == 1 else x
+    if batch.ndim != 2 or batch.shape[1] != model.dim:
+        raise ValueError(f"input has shape {x.shape}, expected (*, {model.dim})")
+    out, _ = transform_forward(model, batch, which)
+    return out[0] if x.ndim == 1 else out
 
 
 def transform_grad(
     model: AdapterModel,
     x: np.ndarray,
+    hidden: np.ndarray,
     upstream: np.ndarray,
     which: str = "query",
 ) -> tuple[MlpParams, np.ndarray]:
-    """Gradients of sum(upstream * transform(model, x, which)).
+    """Gradients of sum(upstream * transform(model, x, which)) for a batch x.
 
+    hidden is the activation tape that transform_forward returned for x.
     Returns (gradients for the selected network, gradient w.r.t. x).
     """
-    batch, single = _as_batch(x, model.dim)
-    up, up_single = _as_batch(upstream, model.dim)
-    if batch.shape != up.shape:
-        raise ValueError("x and upstream shapes disagree")
-    grads, d_x = mlp_grad(model.params_for(which), batch, up)
+    grads, d_x = mlp_grad(model.params_for(which), x, hidden, upstream)
     if model.use_skip:
-        d_x = d_x + up
-    return grads, (d_x[0] if single else d_x)
+        d_x += upstream
+    return grads, d_x
 
 
 def predict_query(model: AdapterModel, adapted_corpus: np.ndarray) -> np.ndarray:
-    """Predictor network forward pass (no skip connection)."""
-    batch, single = _as_batch(adapted_corpus, model.dim)
-    out = mlp_forward(model.p_params, batch)
-    return out[0] if single else out
+    """Predictor network forward pass (no skip connection), (n, d) -> (n, d)."""
+    out, _ = mlp_forward(model.p_params, np.asarray(adapted_corpus, dtype=np.float64))
+    return out
 
 
 def _write_str(f, s: str) -> None:

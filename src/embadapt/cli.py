@@ -13,7 +13,7 @@ import numpy as np
 
 from .adapter import load_checkpoint, save_checkpoint, transform
 from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig
-from .data import EmbeddingTable, split_train_val, validate_dataset
+from .data import EmbeddingTable, split_train_val
 from .errors import EmbAdaptError
 from .evaluation import evaluate, rank_candidates, score_all
 from .io import (
@@ -239,6 +239,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with '-' as an option, so a vector
+    # whose first component is negative is attached to its flag
+    if "--vector" in argv[:-1]:
+        i = argv.index("--vector")
+        argv[i : i + 2] = [f"--vector={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-LOSS_VARIANTS = ("search-adaptor", "sigmoid-ce", "contrastive", "softmax-ce", "ranknet")
+from .objectives import LOSS_VARIANTS
+
 GAIN_MODES = ("standard", "paper-literal")
 
 

@@ -52,10 +52,6 @@ class ItemSet:
         return [item.id for item in self._items]
 
 
-QuerySet = ItemSet
-CorpusSet = ItemSet
-
-
 class RelevanceSet:
     """Sparse positive relevance triplets (query_id, corpus_id, grade).
 
@@ -177,7 +173,7 @@ class ValidationSummary:
 
 
 def validate_dataset(
-    queries: QuerySet, corpus: CorpusSet, rels: RelevanceSet
+    queries: ItemSet, corpus: ItemSet, rels: RelevanceSet
 ) -> ValidationSummary:
     """Cross-check ids and count positives; dangling ids are reported, not raised."""
     dangling_q, dangling_c = [], []

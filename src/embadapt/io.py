@@ -105,7 +105,11 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 def _read_str(f: BinaryIO, what: str) -> str:
     (n,) = struct.unpack("<H", _read_exact(f, 2, what))
-    return _read_exact(f, n, what).decode("utf-8")
+    raw = _read_exact(f, n, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -131,6 +135,10 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
         if version != EMBEDDING_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         encoder_tag = _read_str(f, "encoder tag")
+        # each record holds at least a 2-byte id length and 4 * dim bytes
+        if f.tell() + count * (2 + 4 * dim) > os.fstat(f.fileno()).st_size:
+            raise FormatError(f"{path}: truncated file, header claims {count} "
+                              f"records of {dim} floats")
         ids: list[str] = []
         vectors = np.empty((count, dim), dtype=np.float32)
         for i in range(count):

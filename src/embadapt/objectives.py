@@ -7,14 +7,13 @@ matrices only; the trainer chains them through the adapter networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 NORM_EPS = 1e-12
 # Temperature for the sigmoid / contrastive alternative losses.
 VARIANT_TEMPERATURE = 0.05
-
-RANK_VARIANTS = ("search-adaptor", "sigmoid-ce", "contrastive", "softmax-ce", "ranknet")
 
 
 @dataclass
@@ -60,12 +59,8 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; tanh saturates, so it cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(x / 2))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -79,56 +74,57 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of x scaled to unit length, their norms floored at NORM_EPS, and
+    the mask of rows whose norm is below NORM_EPS."""
+    x = np.asarray(x, dtype=np.float64)
+    norm = np.linalg.norm(x, axis=1)
+    safe = np.maximum(norm, NORM_EPS)
+    return x / safe[:, None], safe, norm < NORM_EPS
+
+
 def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarity matrix, (n_q, n_c), float64.
 
     Rows/columns with near-zero norm score 0 against everything.
     """
-    q = np.asarray(q, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1)
-    cn = np.linalg.norm(c, axis=1)
-    q_unit = q / np.maximum(qn, NORM_EPS)[:, None]
-    c_unit = c / np.maximum(cn, NORM_EPS)[:, None]
+    q_unit, _, q_deg = _unit_rows(q)
+    c_unit, _, c_deg = _unit_rows(c)
     scores = q_unit @ c_unit.T
-    scores[qn < NORM_EPS, :] = 0.0
-    scores[:, cn < NORM_EPS] = 0.0
-    return np.clip(scores, -1.0, 1.0)
+    scores[q_deg, :] = 0.0
+    scores[:, c_deg] = 0.0
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def cosine_scores_backward(
-    q: np.ndarray, c: np.ndarray, grad_scores: np.ndarray
+    q: np.ndarray, c: np.ndarray, scores: np.ndarray, grad_scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_scores * cosine_scores(q, c)) w.r.t. q and c."""
-    q = np.asarray(q, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    """Gradients of sum(grad_scores * cosine_scores(q, c)) w.r.t. q and c.
+
+    scores is the matrix that cosine_scores(q, c) returned.
+    """
+    q_unit, q_norm, q_deg = _unit_rows(q)
+    c_unit, c_norm, c_deg = _unit_rows(c)
+    # degenerate rows score 0 against everything, so they pass no gradient
+    q_unit[q_deg] = 0.0
+    c_unit[c_deg] = 0.0
     g = np.asarray(grad_scores, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1)
-    cn = np.linalg.norm(c, axis=1)
-    q_deg = qn < NORM_EPS
-    c_deg = cn < NORM_EPS
-    qn_safe = np.maximum(qn, NORM_EPS)
-    cn_safe = np.maximum(cn, NORM_EPS)
-    q_unit = q / qn_safe[:, None]
-    c_unit = c / cn_safe[:, None]
-    scores = q_unit @ c_unit.T
-    g = g.copy()
-    g[q_deg, :] = 0.0
-    g[:, c_deg] = 0.0
+    gs = g * scores
     # d s_ij / d q_i = (c_unit_j - s_ij * q_unit_i) / |q_i|
-    grad_q = (g @ c_unit - (g * scores).sum(axis=1, keepdims=True) * q_unit) / qn_safe[:, None]
-    grad_c = (g.T @ q_unit - (g * scores).sum(axis=0)[:, None] * c_unit) / cn_safe[:, None]
+    grad_q = (g @ c_unit - gs.sum(axis=1)[:, None] * q_unit) / q_norm[:, None]
+    grad_c = (g.T @ q_unit - gs.sum(axis=0)[:, None] * c_unit) / c_norm[:, None]
     grad_q[q_deg, :] = 0.0
     grad_c[c_deg, :] = 0.0
     return grad_q, grad_c
 
 
-def ranking_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
-    """Grade-gap weighted pairwise softplus loss.
+def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, np.ndarray]:
+    """Pairwise softplus loss, the one kernel for the pairwise variants.
 
     For each query, every candidate pair (j, k) with y_j > y_k contributes
-    (y_j - y_k) * softplus(s_k - s_j). Returns the summed loss and its
-    gradient w.r.t. the score matrix.
+    w_jk * softplus(s_k - s_j), where w_jk is the grade gap y_j - y_k
+    (Search-Adaptor) or 1 with gap_weighted=False (RankNet). Returns the
+    summed loss and its gradient w.r.t. the score matrix.
     """
     s, y = batch.scores, batch.grades
     total = 0.0
@@ -136,16 +132,13 @@ def ranking_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
     for i in range(batch.n_q):
         yi, si = y[i], s[i]
         y_min = yi.min() if yi.size else 0.0
+        # rows j that can out-grade someone; each has at least one active pair
         rows = np.nonzero(yi > y_min)[0]
         if rows.size == 0:
             continue
-        # (j, k) pairs restricted to rows j that can out-grade someone.
         gap = yi[rows, None] - yi[None, :]
-        active = gap > 0
-        if not np.any(active):
-            continue
+        w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
         margin = si[None, :] - si[rows, None]  # s_k - s_j
-        w = np.where(active, gap, 0.0)
         total += float(np.sum(w * softplus(margin)))
         g = w * sigmoid(margin)  # d/d margin
         grad[i] += g.sum(axis=0)  # + d margin / d s_k
@@ -153,26 +146,17 @@ def ranking_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
     return total, grad
 
 
-def ranknet_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
-    """Pairwise softplus without the grade-gap weight."""
-    s, y = batch.scores, batch.grades
-    total = 0.0
-    grad = np.zeros_like(s)
-    for i in range(batch.n_q):
-        yi, si = y[i], s[i]
-        y_min = yi.min() if yi.size else 0.0
-        rows = np.nonzero(yi > y_min)[0]
-        if rows.size == 0:
-            continue
-        active = (yi[rows, None] - yi[None, :]) > 0
-        if not np.any(active):
-            continue
-        margin = si[None, :] - si[rows, None]
-        w = active.astype(np.float64)
-        total += float(np.sum(w * softplus(margin)))
-        g = w * sigmoid(margin)
-        grad[i] += g.sum(axis=0)
-        grad[i, rows] -= g.sum(axis=1)
+def listwise_loss(batch: BatchScores, temperature: float = 1.0) -> tuple[float, np.ndarray]:
+    """Per-query softmax cross-entropy of s / temperature against the grade
+    distribution y / sum(y); queries without positive grade mass add nothing."""
+    s = batch.scores / temperature
+    y = batch.grades
+    mass = y.sum(axis=1, keepdims=True)
+    target = y / np.where(mass > 0, mass, 1.0)
+    z = s - s.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    total = float(-np.sum(target * log_probs))
+    grad = np.where(mass > 0, np.exp(log_probs) - target, 0.0) / temperature
     return total, grad
 
 
@@ -186,49 +170,15 @@ def sigmoid_ce_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
     return total, grad
 
 
-def contrastive_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
-    """Per-query softmax cross-entropy with positives as targets (temp 0.05)."""
-    s = batch.scores / VARIANT_TEMPERATURE
-    y = batch.grades
-    total = 0.0
-    grad = np.zeros_like(s)
-    for i in range(batch.n_q):
-        pos_mass = y[i].sum()
-        if pos_mass <= 0:
-            continue
-        target = y[i] / pos_mass
-        z = s[i] - s[i].max()
-        log_probs = z - np.log(np.sum(np.exp(z)))
-        total += float(-np.sum(target * log_probs))
-        grad[i] = (np.exp(log_probs) - target) / VARIANT_TEMPERATURE
-    return total, grad
-
-
-def softmax_ce_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
-    """Listwise cross-entropy between the grade distribution and score softmax."""
-    s = batch.scores
-    y = batch.grades
-    total = 0.0
-    grad = np.zeros_like(s)
-    for i in range(batch.n_q):
-        pos_mass = y[i].sum()
-        if pos_mass <= 0:
-            continue
-        target = y[i] / pos_mass
-        z = s[i] - s[i].max()
-        log_probs = z - np.log(np.sum(np.exp(z)))
-        total += float(-np.sum(target * log_probs))
-        grad[i] = np.exp(log_probs) - target
-    return total, grad
-
-
 _RANK_LOSSES = {
     "search-adaptor": ranking_loss,
-    "ranknet": ranknet_loss,
     "sigmoid-ce": sigmoid_ce_loss,
-    "contrastive": contrastive_loss,
-    "softmax-ce": softmax_ce_loss,
+    "contrastive": partial(listwise_loss, temperature=VARIANT_TEMPERATURE),
+    "softmax-ce": listwise_loss,
+    "ranknet": partial(ranking_loss, gap_weighted=False),
 }
+# The loss variants that TrainConfig and the CLI accept.
+LOSS_VARIANTS = tuple(_RANK_LOSSES)
 
 
 def rank_loss(batch: BatchScores, variant: str = "search-adaptor") -> tuple[float, np.ndarray]:
@@ -302,9 +252,9 @@ class TotalLoss:
     recovery_value: float
     prediction_value: float
     grad_scores: np.ndarray
-    grad_adapted_q: np.ndarray | None  # recovery + prediction parts, pre-weighted
-    grad_adapted_c: np.ndarray | None  # recovery part, pre-weighted
-    grad_predicted_q: np.ndarray | None  # prediction part, pre-weighted
+    grad_adapted_q: np.ndarray  # recovery + prediction parts, pre-weighted
+    grad_adapted_c: np.ndarray  # recovery part, pre-weighted
+    grad_predicted_q: np.ndarray  # prediction part, pre-weighted
 
     @property
     def components(self) -> dict[str, float]:
@@ -320,38 +270,20 @@ def total_loss(
     batch: BatchScores,
     weights: LossWeights,
     variant: str = "search-adaptor",
-    recovery_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    prediction_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    *,
+    recovery_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    prediction_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> TotalLoss:
     """Combined objective: rank term + alpha * recovery + beta * prediction.
 
-    Non-default variants replace only the rank term; the regularizers are
-    unchanged. Embedding-space gradients come back pre-multiplied by their
-    weights; grad_scores is the raw rank-term gradient.
+    recovery_inputs are recovery_loss's arguments and prediction_inputs are
+    prediction_loss's. Non-default variants replace only the rank term; the
+    regularizers are unchanged. Embedding-space gradients come back
+    pre-multiplied by their weights; grad_scores is the raw rank-term gradient.
     """
     rank_value, grad_scores = rank_loss(batch, variant)
-
-    recovery_value = 0.0
-    grad_aq = None
-    grad_ac = None
-    if recovery_inputs is not None:
-        recovery_value, (g_aq, g_ac) = recovery_loss(*recovery_inputs)
-        grad_aq = weights.alpha * g_aq
-        grad_ac = weights.alpha * g_ac
-
-    prediction_value = 0.0
-    grad_pred = None
-    if prediction_inputs is not None:
-        adapted_q, predicted_q, pair_query_idx, pair_grades = prediction_inputs
-        prediction_value, g_q, g_pred = prediction_loss(
-            adapted_q, predicted_q, pair_query_idx, pair_grades
-        )
-        if grad_aq is None:
-            grad_aq = weights.beta * g_q
-        else:
-            grad_aq = grad_aq + weights.beta * g_q
-        grad_pred = weights.beta * g_pred
-
+    recovery_value, (g_aq, g_ac) = recovery_loss(*recovery_inputs)
+    prediction_value, g_q, g_pred = prediction_loss(*prediction_inputs)
     value = rank_value + weights.alpha * recovery_value + weights.beta * prediction_value
     return TotalLoss(
         value=value,
@@ -359,7 +291,7 @@ def total_loss(
         recovery_value=recovery_value,
         prediction_value=prediction_value,
         grad_scores=grad_scores,
-        grad_adapted_q=grad_aq,
-        grad_adapted_c=grad_ac,
-        grad_predicted_q=grad_pred,
+        grad_adapted_q=weights.alpha * g_aq + weights.beta * g_q,
+        grad_adapted_c=weights.alpha * g_ac,
+        grad_predicted_q=weights.beta * g_pred,
     )

@@ -11,11 +11,10 @@ import numpy as np
 
 from .adapter import (
     AdapterModel,
-    MlpParams,
     init_adapter,
+    mlp_forward,
     mlp_grad,
-    predict_query,
-    transform,
+    transform_forward,
     transform_grad,
 )
 from .config import TrainConfig
@@ -155,19 +154,21 @@ def loss_and_param_grads(
 
     Returns (TotalLoss, flat gradient list aligned with model.trainable()).
     The chain is: losses -> score/embedding gradients -> adapter and
-    predictor parameter gradients.
+    predictor parameter gradients. Each backward step reuses the activations
+    and scores of its forward step.
     """
     q_orig = np.asarray(q_orig, dtype=np.float64)
     c_orig = np.asarray(c_orig, dtype=np.float64)
-    adapted_q = transform(model, q_orig, "query")
-    adapted_c = transform(model, c_orig, "corpus")
+    adapted_q, hidden_q = transform_forward(model, q_orig, "query")
+    adapted_c, hidden_c = transform_forward(model, c_orig, "corpus")
     scores = cosine_scores(adapted_q, adapted_c)
     batch = BatchScores(scores=scores, grades=grades)
 
     pair_query_idx = np.asarray(pair_query_idx, dtype=np.intp)
     pair_corpus_idx = np.asarray(pair_corpus_idx, dtype=np.intp)
     pair_grades = np.asarray(grades, dtype=np.float64)[pair_query_idx, pair_corpus_idx]
-    predicted = predict_query(model, adapted_c[pair_corpus_idx])
+    pred_in = adapted_c[pair_corpus_idx]
+    predicted, hidden_p = mlp_forward(model.p_params, pred_in)
 
     loss = total_loss(
         batch,
@@ -177,36 +178,20 @@ def loss_and_param_grads(
         prediction_inputs=(adapted_q, predicted, pair_query_idx, pair_grades),
     )
 
-    grad_aq, grad_ac = cosine_scores_backward(adapted_q, adapted_c, loss.grad_scores)
-    if loss.grad_adapted_q is not None:
-        grad_aq = grad_aq + loss.grad_adapted_q
-    if loss.grad_adapted_c is not None:
-        grad_ac = grad_ac + loss.grad_adapted_c
+    grad_aq, grad_ac = cosine_scores_backward(adapted_q, adapted_c, scores, loss.grad_scores)
+    grad_aq += loss.grad_adapted_q
+    grad_ac += loss.grad_adapted_c
     # Predictor backward: its input gradient flows into the adapted corpus rows.
-    p_grads, d_pred_in = mlp_grad(
-        model.p_params,
-        adapted_c[pair_corpus_idx],
-        loss.grad_predicted_q,
-    )
+    p_grads, d_pred_in = mlp_grad(model.p_params, pred_in, hidden_p, loss.grad_predicted_q)
     np.add.at(grad_ac, pair_corpus_idx, d_pred_in)
 
-    f_query_grads, _ = transform_grad(model, q_orig, grad_aq, "query")
-    f_corpus_grads, _ = transform_grad(model, c_orig, grad_ac, "corpus")
-
-    grads: list[np.ndarray] = []
-    for name, _ in model.trainable():
-        if name == "f":
-            if model.separate_adapters:
-                grads.extend(f_query_grads.arrays())
-            else:
-                grads.extend(
-                    a + b for a, b in zip(f_query_grads.arrays(), f_corpus_grads.arrays())
-                )
-        elif name == "p":
-            grads.extend(p_grads.arrays())
-        elif name == "f_corpus":
-            grads.extend(f_corpus_grads.arrays())
-    return loss, grads
+    f_query_grads, _ = transform_grad(model, q_orig, hidden_q, grad_aq, "query")
+    f_corpus_grads, _ = transform_grad(model, c_orig, hidden_c, grad_ac, "corpus")
+    # same order as model.trainable(): f, p, then f_corpus if it exists
+    if model.separate_adapters:
+        return loss, f_query_grads.arrays() + p_grads.arrays() + f_corpus_grads.arrays()
+    f_grads = [a + b for a, b in zip(f_query_grads.arrays(), f_corpus_grads.arrays())]
+    return loss, f_grads + p_grads.arrays()
 
 
 def _check_finite(loss) -> None:

@@ -12,7 +12,7 @@ from embadapt import (
     transform,
     transform_grad,
 )
-from embadapt.adapter import mlp_forward, mlp_grad, MlpParams
+from embadapt.adapter import mlp_forward, mlp_grad, transform_forward, MlpParams
 from embadapt.errors import FormatError, TagMismatchError
 
 REL_TOL = 1e-4
@@ -90,15 +90,19 @@ class TestTransform:
 class TestTransformGrad:
     def test_zero_upstream_zero_grads(self):
         model = init_adapter(4, 3, seed=1)
-        grads, d_x = transform_grad(model, np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32))
+        x = np.ones((1, 4))
+        _, hidden = transform_forward(model, x)
+        grads, d_x = transform_grad(model, x, hidden, np.zeros((1, 4), dtype=np.float32))
         for g in grads.arrays():
             assert np.all(g == 0.0)
         assert np.all(d_x == 0.0)
 
     def test_input_grad_is_upstream_at_init(self):
         model = init_adapter(4, 3, seed=1)
-        upstream = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
-        _, d_x = transform_grad(model, np.ones(4, dtype=np.float32), upstream)
+        upstream = np.array([[1.0, -2.0, 0.5, 3.0]], dtype=np.float32)
+        x = np.ones((1, 4))
+        _, hidden = transform_forward(model, x)
+        _, d_x = transform_grad(model, x, hidden, upstream)
         assert np.array_equal(d_x, upstream)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -114,9 +118,9 @@ class TestTransformGrad:
         x = rng.standard_normal((n, d))
         upstream = rng.standard_normal((n, d))
 
-        grads, d_x = transform_grad(
-            model, x.astype(np.float32), upstream.astype(np.float32)
-        )
+        x32 = x.astype(np.float32)
+        _, hidden = transform_forward(model, x32)
+        grads, d_x = transform_grad(model, x32, hidden, upstream.astype(np.float32))
 
         params64 = [a.astype(np.float64) for a in model.f_params.arrays()]
         x64 = x.copy()

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from embadapt import EmbeddingTable, read_embeddings, write_embeddings
+from embadapt import (
+    EmbeddingTable, rank_candidates, read_embeddings, score_all, write_embeddings,
+)
 from embadapt.cli import main
 from embadapt.data import TextItem
 
@@ -187,6 +189,23 @@ class TestSearchCommand:
         assert [r[0] for r in rows] == ["a", "b"]
         assert float(rows[0][1]) == pytest.approx(1.0)
         assert float(rows[1][1]) == pytest.approx(0.6)
+
+    def test_vector_with_negative_first_component(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable([f"c{i}" for i in range(20)],
+                               rng.standard_normal((20, 4)).astype(np.float32), "t")
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(table, cp)
+        vector = "-0.1,0.2,-0.7,0.4"
+        rc = main(["search", "--corpus", cp, "--vector", vector, "--k", "5"])
+        assert rc == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        query = np.array([[float(x) for x in vector.split(",")]], dtype=np.float32)
+        scores = score_all(EmbeddingTable(["q"], query, "t"), table)
+        expected = rank_candidates(table.ids, scores[0], 5)
+        assert [r[0] for r in rows] == [cid for cid, _ in expected]
+        assert [float(r[1]) for r in rows] == pytest.approx(
+            [score for _, score in expected], abs=1e-6)
 
     def test_requires_exactly_one_query_source(self, tmp_path, capsys):
         cp = str(tmp_path / "c.sadp")

@@ -1,4 +1,5 @@
 import json
+import struct
 import threading
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestEmbeddingFile:
         write_embeddings(random_table(rng, n=2), path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
+            read_embeddings(path)
+
+    def test_header_larger_than_file_refused_before_allocating(self, tmp_path):
+        # 20 bytes whose header claims 2^40 records of 2^20 floats
+        path = tmp_path / "huge.sadp"
+        path.write_bytes(b"SADP" + struct.pack("<HQI", 1, 2**40, 2**20) + b"\x00\x00")
+        with pytest.raises(FormatError, match="truncated"):
+            read_embeddings(path)
+
+    def test_non_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "bad_id.sadp"
+        header = b"SADP" + struct.pack("<HQI", 1, 1, 1) + struct.pack("<H", 0)
+        path.write_bytes(header + struct.pack("<H", 1) + b"\xff" + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="UTF-8"):
             read_embeddings(path)
 
     def test_empty_table_refused(self, tmp_path):

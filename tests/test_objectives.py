@@ -5,7 +5,7 @@ import pytest
 
 from embadapt import BatchScores, LossWeights, cosine_similarity
 from embadapt.objectives import (
-    RANK_VARIANTS,
+    LOSS_VARIANTS,
     cosine_scores,
     cosine_scores_backward,
     prediction_loss,
@@ -37,6 +37,25 @@ def brute_force_ranking_loss(scores, grades):
                     total += (grades[i, j] - grades[i, k]) * math.log1p(
                         math.exp(scores[i, k] - scores[i, j])
                     )
+    return total
+
+
+def brute_force_variant_loss(variant, scores, grades):
+    """Independent oracle for the non-default variants: literal per-query sums."""
+    tau = 0.05
+    total = 0.0
+    for s, y in zip(scores.tolist(), grades.tolist()):
+        if variant == "ranknet":
+            total += sum(math.log1p(math.exp(sk - sj))
+                         for sj, yj in zip(s, y) for sk, yk in zip(s, y) if yj > yk)
+        elif variant == "sigmoid-ce":
+            # -log sigmoid(s / tau) for a positive, -log(1 - sigmoid(s / tau)) otherwise
+            total += sum(math.log1p(math.exp(-sj / tau if yj > 0 else sj / tau))
+                         for sj, yj in zip(s, y))
+        elif sum(y) > 0:  # softmax-ce (temperature 1) and contrastive (tau)
+            t = tau if variant == "contrastive" else 1.0
+            log_z = math.log(sum(math.exp(sj / t) for sj in s))
+            total -= sum(yj / sum(y) * (sj / t - log_z) for sj, yj in zip(s, y))
     return total
 
 
@@ -85,7 +104,7 @@ class TestCosine:
         q = rng.standard_normal((3, 4))
         c = rng.standard_normal((4, 4))
         g = rng.standard_normal((3, 4))
-        grad_q, grad_c = cosine_scores_backward(q, c, g)
+        grad_q, grad_c = cosine_scores_backward(q, c, cosine_scores(q, c), g)
 
         def objective():
             return float(np.sum(g * cosine_scores(q, c)))
@@ -144,7 +163,7 @@ class TestRankingLoss:
         assert grad[0, 0] < 0
         assert grad[0, 1] > 0
 
-    @pytest.mark.parametrize("variant", RANK_VARIANTS)
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_match_fd(self, variant, seed):
         rng = np.random.default_rng(seed)
@@ -160,6 +179,19 @@ class TestRankingLoss:
             minus = rank_loss(BatchScores(s, batch.grades), variant)[0]
             flat[idx] = orig
             assert fd_close(float(grad.ravel()[idx]), (plus - minus) / (2 * FD_STEP))
+
+    @pytest.mark.parametrize("variant", ["ranknet", "softmax-ce", "contrastive", "sigmoid-ce"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_variant_matches_brute_force_oracle(self, variant, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng)
+        # one row with no positive grade, one where all grades are equal
+        grades = np.vstack([batch.grades, np.zeros(batch.n_c), np.full(batch.n_c, 2.0)])
+        scores = np.vstack([batch.scores, rng.uniform(-1, 1, size=(2, batch.n_c))])
+        value, _ = rank_loss(BatchScores(scores=scores, grades=grades), variant)
+        assert value == pytest.approx(
+            brute_force_variant_loss(variant, scores, grades), rel=1e-9, abs=1e-9
+        )
 
     def test_ranknet_coincides_for_unit_gap(self):
         batch = BatchScores(scores=np.array([[0.3, -0.2]]), grades=np.array([[1.0, 0.0]]))
