@@ -15,7 +15,7 @@ from .adapter import load_checkpoint, save_checkpoint, transform
 from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig
 from .data import EmbeddingTable, split_train_val
 from .errors import EmbAdaptError
-from .evaluation import evaluate, rank_candidates, score_all
+from .evaluation import evaluate, ranked_lists
 from .io import (
     EncoderEndpointConfig,
     fetch_embeddings,
@@ -223,8 +223,8 @@ def cmd_search(args) -> int:
             f"query dim {query.shape[0]} does not match corpus dim {c_table.dim}"
         )
     q_table = EmbeddingTable(["q"], query[None, :], c_table.encoder_tag)
-    scores = score_all(q_table, c_table, model, force=args.force)
-    for cid, score in rank_candidates(c_table.ids, scores[0], args.k):
+    [ranked] = ranked_lists(q_table, c_table, model, k=args.k, force=args.force)
+    for cid, score in ranked.entries:
         print(f"{cid}\t{score:.6f}")
     return 0
 

@@ -1,9 +1,10 @@
-"""Brute-force cosine retrieval and nDCG@k evaluation."""
+"""Exact cosine retrieval with streaming top-k, and nDCG@k evaluation."""
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,10 @@ import numpy as np
 from .adapter import AdapterModel, transform
 from .data import EmbeddingTable, RelevanceSet
 from .errors import DataError
-from .objectives import cosine_scores
+from .objectives import cosine_scores, unit_rows
+
+# float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
+SCORE_BLOCK_BYTES = 32 << 20
 
 
 @dataclass
@@ -50,16 +54,13 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def score_all(
+def _adapted_vectors(
     q_table: EmbeddingTable,
     c_table: EmbeddingTable,
-    model: AdapterModel | None = None,
-    force: bool = False,
-) -> np.ndarray:
-    """Dense (n_q, n_c) cosine score matrix, optionally on adapted embeddings.
-
-    The corpus is transformed once and reused for every query.
-    """
+    model: AdapterModel | None,
+    force: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Query and corpus vectors, adapted by model when one is given."""
     if q_table.dim != c_table.dim:
         raise DataError(
             f"query dim {q_table.dim} != corpus dim {c_table.dim}"
@@ -71,18 +72,78 @@ def score_all(
         model.check_tag(c_table, force)
         q_vecs = transform(model, q_vecs, "query")
         c_vecs = transform(model, c_vecs, "corpus")
-    return cosine_scores(q_vecs, c_vecs)
+    return q_vecs, c_vecs
+
+
+def score_all(
+    q_table: EmbeddingTable,
+    c_table: EmbeddingTable,
+    model: AdapterModel | None = None,
+    force: bool = False,
+) -> np.ndarray:
+    """Dense (n_q, n_c) cosine score matrix, optionally on adapted embeddings.
+
+    The corpus is transformed once and reused for every query.
+    """
+    return cosine_scores(*_adapted_vectors(q_table, c_table, model, force))
+
+
+def _check_k(k: int | None) -> None:
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def rank_candidates(
     corpus_ids: list[str], scores: np.ndarray, k: int | None = None
 ) -> list[tuple[str, float]]:
-    """Order candidates by descending score, ties broken by ascending id."""
-    ids = np.asarray(corpus_ids)
-    order = np.lexsort((ids, -scores))
-    if k is not None:
-        order = order[:k]
-    return [(str(ids[i]), float(scores[i])) for i in order]
+    """Top k candidates by descending score, ties broken by ascending id.
+
+    Equal to the first k of np.lexsort((ids, -scores)) for finite scores, with
+    ids compared in Python string order. Only the candidates scoring at least
+    the k-th largest score are sorted, so every tie at the k-th position is
+    ordered by id. k=None returns the full order.
+    """
+    _check_k(k)
+    scores = np.asarray(scores)
+    n = len(scores)
+    if k is None or k >= n:
+        kept = np.arange(n)
+    else:
+        kth = np.partition(scores, n - k)[n - k]
+        kept = np.flatnonzero(scores >= kth)
+    pairs = sorted(
+        zip(scores[kept].tolist(), kept.tolist()),
+        key=lambda p: (-p[0], corpus_ids[p[1]]),
+    )
+    return [(corpus_ids[i], s) for s, i in pairs[:k]]
+
+
+def _score_blocks(
+    q_table: EmbeddingTable,
+    c_table: EmbeddingTable,
+    model: AdapterModel | None,
+    force: bool,
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Cosine scores of consecutive query blocks against the whole corpus.
+
+    Yields (query ids, scores) with scores of shape (block, n_c), equal to the
+    matching rows of score_all. The corpus is adapted and normalised once per
+    call; each block holds at most SCORE_BLOCK_BYTES of scores (one query at
+    least), so memory grows with the corpus size, not with n_q * n_c.
+    """
+    q_vecs, c_vecs = _adapted_vectors(q_table, c_table, model, force)
+    q_unit, _, q_deg = unit_rows(q_vecs)
+    c_unit, _, c_deg = unit_rows(c_vecs)
+    qids = q_table.ids
+    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
+    for lo in range(0, len(qids), block):
+        hi = lo + block
+        # the arithmetic of cosine_scores, on unit rows computed once
+        scores = q_unit[lo:hi] @ c_unit.T
+        scores[q_deg[lo:hi], :] = 0.0
+        scores[:, c_deg] = 0.0
+        np.clip(scores, -1.0, 1.0, out=scores)
+        yield qids[lo:hi], scores
 
 
 def ranked_lists(
@@ -92,11 +153,12 @@ def ranked_lists(
     k: int | None = None,
     force: bool = False,
 ) -> list[RankedList]:
-    scores = score_all(q_table, c_table, model, force)
+    _check_k(k)
     cids = c_table.ids
     return [
-        RankedList(qid, rank_candidates(cids, scores[i], k))
-        for i, qid in enumerate(q_table.ids)
+        RankedList(qid, rank_candidates(cids, row, k))
+        for qids, scores in _score_blocks(q_table, c_table, model, force)
+        for qid, row in zip(qids, scores)
     ]
 
 
@@ -154,17 +216,18 @@ def evaluate(
     force: bool = False,
 ) -> RetrievalReport:
     """Mean nDCG@k over every query in q_table with at least one positive."""
-    scores = score_all(q_table, c_table, model, force)
+    _check_k(k)
     cids = c_table.ids
     per_query: dict[str, float] = {}
     n_skipped = 0
-    for i, qid in enumerate(q_table.ids):
-        grades = rels.positives_for(qid)
-        if not grades:
-            n_skipped += 1
-            continue
-        ranked = rank_candidates(cids, scores[i], k)
-        per_query[qid] = ndcg_at_k(ranked, grades, k, gain)
+    for qids, scores in _score_blocks(q_table, c_table, model, force):
+        for qid, row in zip(qids, scores):
+            grades = rels.positives_for(qid)
+            if not grades:
+                n_skipped += 1
+                continue
+            ranked = rank_candidates(cids, row, k)
+            per_query[qid] = ndcg_at_k(ranked, grades, k, gain)
     if not per_query:
         raise DataError("no evaluable query: every query lacks positive grades")
     mean = float(np.mean(list(per_query.values())))

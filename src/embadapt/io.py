@@ -192,6 +192,14 @@ def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"}
 
 
+def _retry_after_seconds(resp) -> float | None:
+    """An integer Retry-After header in seconds, capped at BACKOFF_CAP_SECONDS."""
+    value = resp.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(BACKOFF_CAP_SECONDS, float(value))
+
+
 def _fetch_batch(
     session,
     cfg: EncoderEndpointConfig,
@@ -199,14 +207,22 @@ def _fetch_batch(
     texts: list[str],
     start: int,
 ) -> list[list[float]]:
+    """Embed one batch, retrying only failures that can succeed on retry.
+
+    Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
+    are retried with exponential backoff, or after an integer Retry-After;
+    any other 4xx raises FetchError at once.
+    """
+    span = f"batch [{start}:{start + len(texts)}]"
     last_error: Exception | None = None
+    delay: float | None = None  # the Retry-After of the last response, if any
     for attempt in range(cfg.retry_limit + 1):
         if attempt > 0:
-            delay = min(
-                BACKOFF_CAP_SECONDS,
-                cfg.backoff_base_seconds * (2 ** (attempt - 1)),
-            )
-            time.sleep(delay * (0.5 + random.random()))
+            if delay is None:
+                backoff = cfg.backoff_base_seconds * (2 ** (attempt - 1))
+                delay = min(BACKOFF_CAP_SECONDS, backoff) * (0.5 + random.random())
+            time.sleep(delay)
+            delay = None
         try:
             resp = session.post(
                 cfg.base_url,
@@ -214,19 +230,27 @@ def _fetch_batch(
                 headers=headers,
                 timeout=cfg.timeout_seconds,
             )
-            resp.raise_for_status()
-            payload = resp.json()
-            embeddings = payload[cfg.response_field]
-            if len(embeddings) != len(texts):
-                raise FetchError(
-                    f"endpoint returned {len(embeddings)} vectors for {len(texts)} texts"
-                )
-            return embeddings
-        except Exception as exc:  # noqa: BLE001 - any failure is retryable
+        except Exception as exc:  # noqa: BLE001 - timeouts and connection errors
+            last_error = exc
+            continue
+        status = resp.status_code
+        if status >= 400:
+            if status < 500 and status not in (408, 429):
+                raise FetchError(f"{span} refused with HTTP {status}, not retried")
+            last_error = FetchError(f"HTTP {status}")
+            delay = _retry_after_seconds(resp)
+            continue
+        try:
+            embeddings = resp.json()[cfg.response_field]
+            if len(embeddings) == len(texts):
+                return embeddings
+            last_error = FetchError(
+                f"endpoint returned {len(embeddings)} vectors for {len(texts)} texts"
+            )
+        except (ValueError, KeyError, TypeError) as exc:  # a malformed body may be transient
             last_error = exc
     raise FetchError(
-        f"batch [{start}:{start + len(texts)}] failed after "
-        f"{cfg.retry_limit + 1} attempts: {last_error}"
+        f"{span} failed after {cfg.retry_limit + 1} attempts: {last_error}"
     )
 
 

@@ -161,6 +161,15 @@ class TestEvaluateCommand:
         staged = json.loads(capsys.readouterr().out)
         assert staged["mean_ndcg"] == pytest.approx(direct["mean_ndcg"], abs=1e-6)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_one(self, tmp_path, capsys, k):
+        qp, cp, rp = write_task(tmp_path)
+        assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--k", k]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: k must be >= 1" in err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         rc = main(["evaluate", "--queries", str(tmp_path / "nope.sadp"),
@@ -206,6 +215,15 @@ class TestSearchCommand:
         assert [r[0] for r in rows] == [cid for cid, _ in expected]
         assert [float(r[1]) for r in rows] == pytest.approx(
             [score for _, score in expected], abs=1e-6)
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_one(self, tmp_path, capsys, k):
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(EmbeddingTable(["a", "b"], np.eye(2, dtype=np.float32), "t"), cp)
+        assert main(["search", "--corpus", cp, "--vector", "1,0", "--k", k]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: k must be >= 1" in err
 
     def test_requires_exactly_one_query_source(self, tmp_path, capsys):
         cp = str(tmp_path / "c.sadp")

@@ -11,8 +11,11 @@ from embadapt import (
     ndcg_at_k,
     score_all,
 )
+from embadapt import evaluation
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import RankedList, rank_candidates, ranked_lists
+
+from synth import planted_task
 
 
 def table(ids, vecs, tag="enc"):
@@ -65,6 +68,39 @@ class TestScoreAll:
     def test_k_capping(self):
         entries = rank_candidates(["c1", "c2"], np.array([0.5, 0.9]), k=3)
         assert len(entries) == 2
+
+
+class TestTopK:
+    def test_matches_lexsort_oracle_with_ties(self):
+        # scores rounded to 2 decimals put runs of ties across the k-th position
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            ids = [f"doc{int(rng.integers(0, 4))}-{i:03d}" for i in rng.permutation(n)]
+            scores = np.round(rng.uniform(-0.1, 0.1, n), 2)
+            expected = np.lexsort((np.array(ids), -scores))
+            for k in (1, 10, n - 1, n, n + 5, None):
+                got = rank_candidates(ids, scores, k)
+                assert got == [(ids[i], float(scores[i])) for i in expected[:k]]
+
+    def test_returns_the_callers_ids(self):
+        # NumPy's U dtype drops trailing NULs, which would return the id "a"
+        entries = rank_candidates(["a\x00", "b"], np.array([0.9, 0.1]), 2)
+        assert entries == [("a\x00", 0.9), ("b", 0.1)]
+        q = table(["q"], [[1.0, 0.0]])
+        c = table(["b", "a\x00"], [[0.0, 1.0], [1.0, 0.0]])
+        assert [cid for cid, _ in ranked_lists(q, c)[0].entries] == ["a\x00", "b"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_candidates(["c1", "c2"], np.array([0.5, 0.9]), k)
+        q = table(["q"], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ranked_lists(q, table(["c"], [[1.0, 0.0]]), k=k)
+        # checked before any scoring: the dim mismatch is never reached
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(q, table(["c"], [[1.0, 0.0, 0.0]]), RelevanceSet([("q", "c", 1.0)]), k=k)
 
 
 class TestNdcg:
@@ -167,6 +203,38 @@ class TestEvaluate:
         with_model = evaluate(q, c, rels, model)
         without = evaluate(q, c, rels)
         assert with_model.per_query_ndcg == without.per_query_ndcg
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_blocked_equals_brute_force(self, monkeypatch, block):
+        # more queries than one block, tied corpus rows, graded and missing
+        # positives: every per-query nDCG equals a full sort of score_all
+        n_q, n_c, k = block + 37, 60, 5
+        q, base, _ = planted_task(n_queries=n_q, n_corpus=n_c, dim=8, seed=3)
+        rng = np.random.default_rng(5)
+        rows = base.vectors[rng.integers(0, 20, n_c)]
+        c = EmbeddingTable([f"c{int(rng.integers(0, 3))}{i}" for i in range(n_c)],
+                           rows, base.encoder_tag)
+        triplets = [(qid, c.ids[j], float(rng.integers(1, 3)))
+                    for qid in q.ids[:-3] for j in rng.choice(n_c, 3, replace=False)]
+        rels = RelevanceSet(triplets)
+        model = init_adapter(8, 8, seed=2, encoder_tag=base.encoder_tag)
+        model.f_params.w2 = rng.standard_normal((8, 8)).astype(np.float32)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * n_c * block)
+
+        report = evaluate(q, c, rels, model, k=k)
+        scores = score_all(q, c, model)
+        cids = np.array(c.ids)
+        expected = {}
+        for i, qid in enumerate(q.ids[:-3]):
+            order = np.lexsort((cids, -scores[i]))
+            ranked = [(cids[j], float(scores[i, j])) for j in order]
+            expected[qid] = ndcg_at_k(ranked, rels.positives_for(qid), k)
+        assert report.per_query_ndcg == expected
+        assert report.n_skipped == 3
+        lists = ranked_lists(q, c, model, k=k)
+        assert [r.query_id for r in lists] == q.ids
+        for r, row in zip(lists, scores):
+            assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
 
     def test_report_serialization(self):
         q = table(["q1"], [[1.0, 0.0]])

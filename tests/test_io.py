@@ -16,6 +16,7 @@ from embadapt import (
     write_embeddings,
 )
 from embadapt.errors import FetchError, FormatError
+from embadapt.io import BACKOFF_CAP_SECONDS
 
 
 class TestLoadJsonlItems:
@@ -138,9 +139,10 @@ class TestEmbeddingFile:
 
 
 class FakeResponse:
-    def __init__(self, payload, status=200):
+    def __init__(self, payload, status=200, headers=None):
         self._payload = payload
         self.status_code = status
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -153,9 +155,12 @@ class FakeResponse:
 class FakeSession:
     """Deterministic stand-in for requests.Session."""
 
-    def __init__(self, dim=4, fail_first=0, dim_by_batch=None):
+    def __init__(self, dim=4, fail_first=0, dim_by_batch=None, fail_status=503,
+                 fail_headers=None):
         self.dim = dim
         self.fail_first = fail_first
+        self.fail_status = fail_status
+        self.fail_headers = fail_headers
         self.dim_by_batch = dim_by_batch
         self.calls = []
         self._lock = threading.Lock()
@@ -166,7 +171,7 @@ class FakeSession:
             self.calls.append(json["texts"])
             if self.fail_first > 0:
                 self.fail_first -= 1
-                return FakeResponse({}, status=503)
+                return FakeResponse({}, self.fail_status, self.fail_headers)
         dim = self.dim if self.dim_by_batch is None else self.dim_by_batch[batch_no]
         vectors = [[float(len(t))] * dim for t in json["texts"]]
         return FakeResponse({"embeddings": vectors})
@@ -221,6 +226,35 @@ class TestFetchEmbeddings:
             session=session,
         )
         assert len(table) == 30
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_error_not_retried(self, status):
+        session = FakeSession(fail_first=100, fail_status=status)
+        with pytest.raises(FetchError, match=rf"\[0:10\].*HTTP {status}"):
+            fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+        assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_retryable_status_retried(self, status):
+        session = FakeSession(fail_first=1, fail_status=status)
+        table = fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+        assert len(table) == 10
+        assert len(session.calls) == 2
+
+    @pytest.mark.parametrize(
+        "header, slept", [("7", 7.0), ("1000", BACKOFF_CAP_SECONDS), ("soon", None)]
+    )
+    def test_retry_after_honoured_and_capped(self, monkeypatch, header, slept):
+        sleeps = []
+        monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
+        session = FakeSession(fail_first=1, fail_status=429,
+                              fail_headers={"Retry-After": header})
+        fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+        assert len(sleeps) == 1
+        if slept is None:  # not an integer: exponential backoff with jitter
+            assert 0.0005 <= sleeps[0] <= 0.0015
+        else:
+            assert sleeps[0] == slept
 
     def test_exhausted_retries_name_batch_range(self):
         session = FakeSession(fail_first=100)
