@@ -12,7 +12,7 @@ import numpy as np
 from .adapter import AdapterModel, transform
 from .data import EmbeddingTable, RelevanceSet
 from .errors import DataError
-from .objectives import cosine_scores, unit_rows
+from .objectives import cosine_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
 SCORE_BLOCK_BYTES = 32 << 20
@@ -127,23 +127,16 @@ def _score_blocks(
     """Cosine scores of consecutive query blocks against the whole corpus.
 
     Yields (query ids, scores) with scores of shape (block, n_c), equal to the
-    matching rows of score_all. The corpus is adapted and normalised once per
-    call; each block holds at most SCORE_BLOCK_BYTES of scores (one query at
-    least), so memory grows with the corpus size, not with n_q * n_c.
+    matching rows of score_all. The corpus is adapted once per call; each
+    block holds at most SCORE_BLOCK_BYTES of scores (one query at least), so
+    memory grows with the corpus size, not with n_q * n_c.
     """
     q_vecs, c_vecs = _adapted_vectors(q_table, c_table, model, force)
-    q_unit, _, q_deg = unit_rows(q_vecs)
-    c_unit, _, c_deg = unit_rows(c_vecs)
     qids = q_table.ids
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
     for lo in range(0, len(qids), block):
         hi = lo + block
-        # the arithmetic of cosine_scores, on unit rows computed once
-        scores = q_unit[lo:hi] @ c_unit.T
-        scores[q_deg[lo:hi], :] = 0.0
-        scores[:, c_deg] = 0.0
-        np.clip(scores, -1.0, 1.0, out=scores)
-        yield qids[lo:hi], scores
+        yield qids[lo:hi], cosine_scores(q_vecs[lo:hi], c_vecs)
 
 
 def ranked_lists(

@@ -74,7 +74,7 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of x scaled to unit length, their norms floored at NORM_EPS, and
     the mask of rows whose norm is below NORM_EPS."""
     x = np.asarray(x, dtype=np.float64)
@@ -88,8 +88,8 @@ def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Rows/columns with near-zero norm score 0 against everything.
     """
-    q_unit, _, q_deg = unit_rows(q)
-    c_unit, _, c_deg = unit_rows(c)
+    q_unit, _, q_deg = _unit_rows(q)
+    c_unit, _, c_deg = _unit_rows(c)
     scores = q_unit @ c_unit.T
     scores[q_deg, :] = 0.0
     scores[:, c_deg] = 0.0
@@ -103,8 +103,8 @@ def cosine_scores_backward(
 
     scores is the matrix that cosine_scores(q, c) returned.
     """
-    q_unit, q_norm, q_deg = unit_rows(q)
-    c_unit, c_norm, c_deg = unit_rows(c)
+    q_unit, q_norm, q_deg = _unit_rows(q)
+    c_unit, c_norm, c_deg = _unit_rows(c)
     # degenerate rows score 0 against everything, so they pass no gradient
     q_unit[q_deg] = 0.0
     c_unit[c_deg] = 0.0
