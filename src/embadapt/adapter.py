@@ -9,6 +9,7 @@ never uses a skip connection.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -280,16 +281,28 @@ def load_checkpoint(path: str) -> AdapterModel:
         off += n
         return out
 
-    def take_str() -> str:
+    def take_str(what: str) -> str:
         (n,) = struct.unpack("<I", take(4))
-        return take(n).decode("utf-8")
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not valid UTF-8: {exc}") from None
 
     (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, flags = struct.unpack("<IIB", take(9))
-    encoder_tag = take_str()
-    config = TrainConfig.from_dict(json.loads(take_str()))
+    encoder_tag = take_str("encoder tag")
+    try:
+        config_dict = json.loads(take_str("config"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: config is not valid JSON: {exc}") from None
+    if not isinstance(config_dict, dict):
+        raise FormatError(f"{path}: config is not a JSON object")
+    try:
+        config = TrainConfig.from_dict(config_dict)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid config: {exc}") from None
     use_skip = bool(flags & 1)
     separate = bool(flags & 2)
 
@@ -297,7 +310,7 @@ def load_checkpoint(path: str) -> AdapterModel:
         shapes = [(dim, hidden), (hidden,), (hidden, dim), (dim,)]
         arrays = []
         for shape in shapes:
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             arrays.append(
                 np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy()
             )

@@ -4,20 +4,28 @@ File formats:
   - queries.jsonl / corpus.jsonl: one object per line, BEIR-style
     {"_id": ..., "text": ..., "title": ...}.
   - qrels.tsv: query-id<TAB>corpus-id<TAB>score, optional header row.
-  - *.sadp: binary embedding table, little-endian, see EMBEDDING_MAGIC.
+  - *.sadp: binary embedding table, little-endian. Version 2, the only one
+    written: magic b"SADP", header <HQI (version, count, dim), the encoder
+    tag as a u16 byte length plus UTF-8 bytes, then three blocks: count u16
+    id lengths, all UTF-8 id bytes, and a contiguous count x dim <f4 vector
+    block; last, a u32 CRC32 over everything after the magic. Ids and the
+    tag are at most 65535 bytes each. Version 1 (one u16-prefixed id and one
+    vector per record, no checksum) is still read, never written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import struct
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 import requests
@@ -26,31 +34,46 @@ from .data import EmbeddingTable, ItemSet, RelevanceSet, TextItem
 from .errors import FetchError, FormatError
 
 EMBEDDING_MAGIC = b"SADP"
-EMBEDDING_VERSION = 1
+EMBEDDING_VERSION = 2
 BACKOFF_CAP_SECONDS = 60.0
+
+
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) pairs of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise FormatError naming the line: they decode
+    to lone surrogates, which no valid UTF-8 produces and encode() refuses.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
 
 
 def load_jsonl_items(path: str | Path) -> ItemSet:
     """Load a BEIR-style jsonl file of items, preserving file order."""
     items: list[TextItem] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "_id" not in obj:
-                raise FormatError(f"{path}:{lineno}: object missing '_id'")
-            items.append(
-                TextItem(
-                    id=str(obj["_id"]),
-                    text=str(obj.get("text", "")),
-                    title=str(obj["title"]) if obj.get("title") is not None else None,
-                )
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "_id" not in obj:
+            raise FormatError(f"{path}:{lineno}: object missing '_id'")
+        items.append(
+            TextItem(
+                id=str(obj["_id"]),
+                text=str(obj.get("text", "")),
+                title=str(obj["title"]) if obj.get("title") is not None else None,
             )
+        )
     try:
         return ItemSet(items)
     except Exception as exc:
@@ -60,40 +83,40 @@ def load_jsonl_items(path: str | Path) -> ItemSet:
 def load_qrels_tsv(path: str | Path) -> RelevanceSet:
     """Load TSV relevance judgments; zero-score rows are implicit negatives."""
     triplets: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            qid, cid, raw_score = parts
-            try:
-                score = float(raw_score)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise FormatError(
-                    f"{path}:{lineno}: non-numeric score {raw_score!r}"
-                ) from None
-            if score == 0.0:
-                continue
-            triplets.append((qid, cid, score))
+    for lineno, line in _text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        qid, cid, raw_score = parts
+        try:
+            score = float(raw_score)
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise FormatError(
+                f"{path}:{lineno}: non-numeric score {raw_score!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: non-finite score {raw_score!r}")
+        if score == 0.0:
+            continue
+        triplets.append((qid, cid, score))
     try:
         return RelevanceSet(triplets)
     except Exception as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _write_str(f: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise FormatError("string too long for format")
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
+def _decode_str(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -103,55 +126,113 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return raw
 
 
-def _read_str(f: BinaryIO, what: str) -> str:
-    (n,) = struct.unpack("<H", _read_exact(f, 2, what))
-    raw = _read_exact(f, n, what)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} is not valid UTF-8: {exc}") from None
-
-
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Persist an embedding table; round-trips bit-exactly via read_embeddings."""
+    """Persist an embedding table as .sadp v2, one write per block.
+
+    Round-trips bit-exactly via read_embeddings.
+    """
     if len(table) == 0:
         raise FormatError("refusing to write an empty embedding table")
+    encoded = [s.encode("utf-8") for s in (table.encoder_tag, *table.ids)]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    if lengths.max() > 0xFFFF:
+        longest = encoded[int(lengths.argmax())]
+        raise FormatError(f"string {longest[:40]!r}... is {len(longest)} bytes, "
+                          "over the format's limit of 65535")
+    tag = encoded[0]
+    vectors = np.ascontiguousarray(table.vectors, dtype="<f4")
+    blocks = (
+        struct.pack("<HQIH", EMBEDDING_VERSION, len(table), table.dim, len(tag)) + tag,
+        lengths[1:].astype("<u2"),
+        b"".join(encoded[1:]),
+        memoryview(vectors).cast("B"),
+    )
+    crc = 0
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<HQI", EMBEDDING_VERSION, len(table), table.dim))
-        _write_str(f, table.encoder_tag)
-        vectors = table.vectors
-        for i, item_id in enumerate(table.ids):
-            _write_str(f, item_id)
-            f.write(vectors[i].astype("<f4").tobytes())
+        for block in blocks:
+            f.write(block)
+            crc = zlib.crc32(block, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a .sadp v1 or v2 file; any malformed input raises FormatError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != EMBEDDING_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        version, count, dim = struct.unpack("<HQI", _read_exact(f, 14, "header"))
-        if version != EMBEDDING_VERSION:
+        header = _read_exact(f, 16, "header")
+        version, count, dim, tag_len = struct.unpack("<HQIH", header)
+        if version not in (1, EMBEDDING_VERSION):
             raise FormatError(f"{path}: unsupported version {version}")
-        encoder_tag = _read_str(f, "encoder tag")
+        raw_tag = _read_exact(f, tag_len, "encoder tag")
+        encoder_tag = _decode_str(raw_tag, "encoder tag")
         # each record holds at least a 2-byte id length and 4 * dim bytes
-        if f.tell() + count * (2 + 4 * dim) > os.fstat(f.fileno()).st_size:
+        if f.tell() + count * (2 + 4 * dim) > size:
             raise FormatError(f"{path}: truncated file, header claims {count} "
                               f"records of {dim} floats")
-        ids: list[str] = []
-        vectors = np.empty((count, dim), dtype=np.float32)
-        for i in range(count):
-            ids.append(_read_str(f, f"record {i} id"))
-            raw = _read_exact(f, 4 * dim, f"record {i} vector")
-            vectors[i] = np.frombuffer(raw, dtype="<f4")
-        trailing = f.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after {count} records")
+        if version == 1:
+            ids, vectors = _read_v1_records(f, path, count, dim)
+        else:
+            crc = zlib.crc32(raw_tag, zlib.crc32(header))
+            ids, vectors = _read_v2_blocks(f, path, count, dim, size, crc)
     try:
         return EmbeddingTable(ids, vectors, encoder_tag)
     except Exception as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _read_v1_records(
+    f: BinaryIO, path: str | Path, count: int, dim: int
+) -> tuple[list[str], np.ndarray]:
+    """v1 (read-only): one u16-prefixed id and one <f4 vector per record."""
+    ids: list[str] = []
+    vectors = np.empty((count, dim), dtype=np.float32)
+    for i in range(count):
+        (n,) = struct.unpack("<H", _read_exact(f, 2, f"record {i} id"))
+        ids.append(_decode_str(_read_exact(f, n, f"record {i} id"), f"record {i} id"))
+        raw = _read_exact(f, 4 * dim, f"record {i} vector")
+        vectors[i] = np.frombuffer(raw, dtype="<f4")
+    if f.read(1):
+        raise FormatError(f"{path}: trailing bytes after {count} records")
+    return ids, vectors
+
+
+def _read_v2_blocks(
+    f: BinaryIO, path: str | Path, count: int, dim: int, size: int, crc: int
+) -> tuple[list[str], np.ndarray]:
+    """v2: id lengths, id bytes and vectors as three blocks, then a CRC32.
+
+    The caller has checked count * (2 + 4 * dim) against the file size.
+    """
+    raw_lengths = _read_exact(f, 2 * count, "id lengths")
+    crc = zlib.crc32(raw_lengths, crc)
+    lengths = np.frombuffer(raw_lengths, dtype="<u2")
+    offsets = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
+    id_bytes = offsets[-1]
+    expected = f.tell() + id_bytes + 4 * count * dim + 4
+    if size < expected:
+        raise FormatError(f"{path}: truncated file, {size} bytes where the "
+                          f"id lengths imply {expected}")
+    if size > expected:
+        raise FormatError(f"{path}: trailing bytes after {count} records")
+    raw_ids = _read_exact(f, id_bytes, "ids")
+    crc = zlib.crc32(raw_ids, crc)
+    try:
+        ids = [raw_ids[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: an id is not valid UTF-8: {exc}") from None
+    vectors = np.empty((count, dim), dtype="<f4")
+    block = vectors.reshape(-1).view(np.uint8)  # readinto fills the table in place
+    if f.readinto(block) != len(block):
+        raise FormatError(f"{path}: truncated file while reading vectors")
+    crc = zlib.crc32(block, crc)
+    (stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
+    if stored != crc:
+        raise FormatError(f"{path}: checksum mismatch, embedding file corrupted")
+    return ids, vectors
 
 
 @dataclass

@@ -251,12 +251,13 @@ def train(
     weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta)
     rng = np.random.default_rng(cfg.seed)
 
+    corpus_ids = c_table.ids  # a fresh copy per access, so read it once
     val_q_table = q_table.subset(val_qids)
     val_c_table = c_table
     if cfg.val_corpus_sample is not None and cfg.val_corpus_sample < len(c_table):
         # keep every positive of the validation split, fill with random corpus
         keep = {cid for q in val_qids for cid in val_rels.positives_for(q)}
-        pool = [cid for cid in c_table.ids if cid not in keep]
+        pool = [cid for cid in corpus_ids if cid not in keep]
         n_fill = max(0, cfg.val_corpus_sample - len(keep))
         fill = [pool[i] for i in rng.choice(len(pool), size=min(n_fill, len(pool)), replace=False)]
         val_c_table = c_table.subset(sorted(keep) + fill)
@@ -285,7 +286,7 @@ def train(
         del schedule[: cfg.batch_size]
 
         candidates, grades = make_batch(
-            train_rels, batch_qids, c_table.ids, cfg.neg_subsample_ratio, rng
+            train_rels, batch_qids, corpus_ids, cfg.neg_subsample_ratio, rng
         )
         q_orig = q_table.rows_for(batch_qids)
         c_orig = c_table.rows_for(candidates)

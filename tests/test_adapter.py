@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -200,6 +203,35 @@ class TestCheckpoint:
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="checksum|truncated"):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def hand_built(tag: bytes, config: bytes, dim=2, hidden=3) -> bytes:
+        """A version 1 checkpoint with a correct CRC32 around the given fields."""
+        n_params = 2 * (2 * dim * hidden + hidden + dim)  # f and p, no f_corpus
+        payload = (struct.pack("<HIIB", 1, dim, hidden, 1)
+                   + struct.pack("<I", len(tag)) + tag
+                   + struct.pack("<I", len(config)) + config
+                   + np.zeros(n_params, dtype="<f4").tobytes())
+        return b"SADC" + payload + struct.pack("<I", zlib.crc32(payload))
+
+    def test_hand_built_payload_loads(self, tmp_path):
+        path = tmp_path / "m.sadc"
+        config = json.dumps(TrainConfig(seed=7).to_dict()).encode()
+        path.write_bytes(self.hand_built(b"enc", config))
+        loaded = load_checkpoint(str(path))
+        assert (loaded.dim, loaded.hidden, loaded.encoder_tag) == (2, 3, "enc")
+        assert loaded.config_snapshot == TrainConfig(seed=7)
+
+    @pytest.mark.parametrize("tag, config, message", [
+        (b"enc-\xff", b"{}", "encoder tag is not valid UTF-8"),
+        (b"enc", b'{"seed": 1', "config is not valid JSON"),
+        (b"enc", b"[1, 2]", "config is not a JSON object"),
+    ], ids=["tag-not-utf8", "config-not-json", "config-not-object"])
+    def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, message):
+        path = tmp_path / "m.sadc"
+        path.write_bytes(self.hand_built(tag, config))
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
 
     def test_tag_mismatch_refused_unless_forced(self, tmp_path):

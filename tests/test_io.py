@@ -1,18 +1,27 @@
 import json
 import struct
+import tempfile
 import threading
+import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embadapt import (
     EmbeddingTable,
     EncoderEndpointConfig,
     TextItem,
+    TrainConfig,
     fetch_embeddings,
+    init_adapter,
+    load_checkpoint,
     load_jsonl_items,
     load_qrels_tsv,
     read_embeddings,
+    save_checkpoint,
     write_embeddings,
 )
 from embadapt.errors import FetchError, FormatError
@@ -50,6 +59,12 @@ class TestLoadJsonlItems:
         path.write_text("")
         assert len(load_jsonl_items(path)) == 0
 
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"_id":"q1","text":"ok"}\n{"_id":"q2","text":"\xff"}\n')
+        with pytest.raises(FormatError, match=r"bad\.jsonl:2: not valid UTF-8"):
+            load_jsonl_items(path)
+
 
 class TestLoadQrelsTsv:
     def test_rows_mapped_and_zero_dropped(self, tmp_path):
@@ -78,10 +93,49 @@ class TestLoadQrelsTsv:
         with pytest.raises(FormatError, match=":2"):
             load_qrels_tsv(path)
 
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        # line 2 is valid UTF-8 beyond ASCII, line 3 has a stray 0xff
+        path.write_bytes(b"q1\tc1\t1\nq\xc3\xa9\tc2\t1\nq3\tc\xff\t1\n")
+        with pytest.raises(FormatError, match=r"qrels\.tsv:3: not valid UTF-8"):
+            load_qrels_tsv(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\tc1\t1\nq2\tc2\t{score}\n")
+        with pytest.raises(FormatError, match=":2: non-finite score"):
+            load_qrels_tsv(path)
+
 
 def random_table(rng, n=3, dim=4, tag="enc-v1"):
     vecs = rng.standard_normal((n, dim)).astype(np.float32)
     return EmbeddingTable([f"id{i}" for i in range(n)], vecs, tag)
+
+
+def write_embeddings_v1(table, path):
+    """The version 1 writer, which the package no longer has: one
+    u16-prefixed id and one <f4 vector per record, no checksum."""
+
+    def write_str(f, s):
+        raw = s.encode("utf-8")
+        f.write(struct.pack("<H", len(raw)))
+        f.write(raw)
+
+    with open(path, "wb") as f:
+        f.write(b"SADP")
+        f.write(struct.pack("<HQI", 1, len(table), table.dim))
+        write_str(f, table.encoder_tag)
+        for i, item_id in enumerate(table.ids):
+            write_str(f, item_id)
+            f.write(table.vectors[i].astype("<f4").tobytes())
+
+
+def awkward_table(tag=""):
+    ids = ["plain", "caf\u00e9", "\u6f22\u5b57", "nul\x00inside", "new\nline", "\U0001f600", "a"]
+    vecs = np.random.default_rng(3).standard_normal((len(ids), 5)).astype(np.float32)
+    vecs[0] = [0.0, -0.0, np.finfo(np.float32).tiny, np.finfo(np.float32).max, 1e-45]
+    return EmbeddingTable(ids, vecs, tag)
 
 
 class TestEmbeddingFile:
@@ -136,6 +190,81 @@ class TestEmbeddingFile:
         empty = EmbeddingTable([], np.zeros((0, 4), dtype=np.float32))
         with pytest.raises(FormatError, match="empty"):
             write_embeddings(empty, tmp_path / "e.sadp")
+
+
+class TestEmbeddingFileV2:
+    def test_round_trip_bit_exact_awkward_ids_and_empty_tag(self, tmp_path):
+        table = awkward_table()
+        path = tmp_path / "t.sadp"
+        write_embeddings(table, path)
+        loaded = read_embeddings(path)
+        assert loaded.ids == table.ids
+        assert loaded.encoder_tag == ""
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_layout(self, tmp_path):
+        table = EmbeddingTable(["a", "\u00e9"], np.array([[1.0], [2.0]], np.float32), "t")
+        path = tmp_path / "t.sadp"
+        write_embeddings(table, path)
+        body = (struct.pack("<HQIH", 2, 2, 1, 1) + b"t" + struct.pack("<2H", 1, 2)
+                + b"a\xc3\xa9" + struct.pack("<2f", 1.0, 2.0))
+        assert path.read_bytes() == b"SADP" + body + struct.pack("<I", zlib.crc32(body))
+
+    def test_v1_file_still_read(self, tmp_path):
+        table = awkward_table(tag="enc-\u00e9")
+        path = tmp_path / "old.sadp"
+        write_embeddings_v1(table, path)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 1)
+        loaded = read_embeddings(path)
+        assert loaded.ids == table.ids
+        assert loaded.encoder_tag == table.encoder_tag
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_flipped_vector_byte_fails_checksum(self, tmp_path):
+        path = tmp_path / "t.sadp"
+        write_embeddings(random_table(np.random.default_rng(4), n=5, dim=8), path)
+        data = bytearray(path.read_bytes())
+        data[-4 - 4 * 8 * 2] ^= 0x01  # a low mantissa bit, inside the vector block
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="checksum"):
+            read_embeddings(path)
+
+    def test_id_lengths_past_end_of_file_are_truncation(self, tmp_path):
+        path = tmp_path / "t.sadp"
+        write_embeddings(random_table(np.random.default_rng(5), n=2, dim=2), path)
+        data = bytearray(path.read_bytes())
+        lengths_at = 4 + 16 + len("enc-v1")
+        data[lengths_at : lengths_at + 2] = struct.pack("<H", 500)
+        path.write_bytes(bytes(data))
+        # refused from the file size, before the id bytes are read
+        with pytest.raises(FormatError, match="truncated file, .* id lengths imply"):
+            read_embeddings(path)
+
+    def test_huge_count_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.sadp"
+        path.write_bytes(b"SADP" + struct.pack("<HQIH", 2, 2**40, 4, 0) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unknown_version_refused(self, tmp_path):
+        path = tmp_path / "v3.sadp"
+        path.write_bytes(b"SADP" + struct.pack("<HQIH", 3, 1, 1, 0) + b"\x00" * 10)
+        with pytest.raises(FormatError, match="unsupported version 3"):
+            read_embeddings(path)
+
+    def test_overlong_id_refused_on_write(self, tmp_path):
+        table = EmbeddingTable(["x" * 65536], np.ones((1, 2), np.float32))
+        with pytest.raises(FormatError, match="65535"):
+            write_embeddings(table, tmp_path / "t.sadp")
+        ok = EmbeddingTable(["\u00e9" * 32767 + "x"], np.ones((1, 2), np.float32))
+        write_embeddings(ok, tmp_path / "t.sadp")
+        assert read_embeddings(tmp_path / "t.sadp").ids == ok.ids
 
 
 class FakeResponse:
@@ -278,3 +407,86 @@ class TestFetchEmbeddings:
         path.write_text(json.dumps({"base_url": "http://e/", "max_batch": 7}))
         cfg = EncoderEndpointConfig.from_json_file(path)
         assert cfg.max_batch == 7
+
+
+FUZZ = settings(deadline=None, max_examples=150, database=None)
+
+
+def _valid_files():
+    """Valid v1 and v2 .sadp files and a valid .sadc, as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table = awkward_table(tag="enc")
+        write_embeddings(table, tmp / "v2.sadp")
+        write_embeddings_v1(table, tmp / "v1.sadp")
+        model = init_adapter(3, 2, seed=0, encoder_tag="enc", config=TrainConfig(seed=3))
+        save_checkpoint(model, str(tmp / "m.sadc"))
+        return {name: (tmp / name).read_bytes() for name in ("v1.sadp", "v2.sadp", "m.sadc")}
+
+
+VALID = _valid_files()
+SADP = ("v1.sadp", "v2.sadp")
+
+
+def parses_or_format_error(reader, data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz"
+        path.write_bytes(data)
+        try:
+            reader(str(path))
+        except FormatError:
+            pass
+
+
+@st.composite
+def truncated(draw, names):
+    data = VALID[draw(st.sampled_from(names))]
+    return data[: draw(st.integers(0, len(data) - 1))]
+
+
+@st.composite
+def byte_flipped(draw, names):
+    data = bytearray(VALID[draw(st.sampled_from(names))])
+    data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@st.composite
+def crc_valid_flipped_checkpoint(draw):
+    """A one-byte flip inside the checkpoint payload, with the CRC32 redone,
+    so the parser behind the checksum sees it."""
+    payload = bytearray(VALID["m.sadc"][4:-4])
+    payload[draw(st.integers(0, len(payload) - 1))] ^= draw(st.integers(1, 255))
+    return b"SADC" + bytes(payload) + struct.pack("<I", zlib.crc32(payload))
+
+
+qrels_text = st.lists(
+    st.text(alphabet="qc0123456789.-+eEinfaIN_ \t\r\n\x00é", max_size=30), max_size=8
+).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+class TestReadersFuzz:
+    """Every input either parses or raises FormatError."""
+
+    def test_valid_files_parse(self, tmp_path):
+        for name, data in VALID.items():
+            (tmp_path / name).write_bytes(data)
+        for name in SADP:
+            assert read_embeddings(tmp_path / name).ids == awkward_table().ids
+        assert load_checkpoint(str(tmp_path / "m.sadc")).config_snapshot.seed == 3
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=300), truncated(SADP), byte_flipped(SADP)))
+    def test_read_embeddings(self, data):
+        parses_or_format_error(read_embeddings, data)
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=300), truncated(("m.sadc",)),
+                     byte_flipped(("m.sadc",)), crc_valid_flipped_checkpoint()))
+    def test_load_checkpoint(self, data):
+        parses_or_format_error(load_checkpoint, data)
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=300), qrels_text))
+    def test_load_qrels_tsv(self, data):
+        parses_or_format_error(load_qrels_tsv, data)
