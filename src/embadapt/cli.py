@@ -150,18 +150,6 @@ def cmd_train(args) -> int:
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
     rels = load_qrels_tsv(args.qrels)
-
-    dangling = [
-        (qid, cid)
-        for qid, cid, _ in rels.triplets
-        if qid not in q_table or cid not in c_table
-    ]
-    if dangling:
-        raise EmbAdaptError(
-            f"{len(dangling)} qrels rows reference missing embeddings, "
-            f"first: {dangling[0]}"
-        )
-
     train_rels, val_rels = split_train_val(rels, args.val_ratio, cfg.seed)
     model, report = train(q_table, c_table, train_rels, val_rels, cfg)
 

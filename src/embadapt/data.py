@@ -147,9 +147,12 @@ class EmbeddingTable:
     def vector(self, item_id: str) -> np.ndarray:
         return self._vectors[self._index[item_id]]
 
+    def row_indices(self, item_ids: Sequence[str]) -> np.ndarray:
+        """Row of each id in `vectors`, as an intp array; KeyError for an unknown id."""
+        return np.array([self._index[i] for i in item_ids], dtype=np.intp)
+
     def rows_for(self, item_ids: Sequence[str]) -> np.ndarray:
-        idx = [self._index[i] for i in item_ids]
-        return self._vectors[idx]
+        return self._vectors[self.row_indices(item_ids)]
 
     def subset(self, item_ids: Sequence[str]) -> "EmbeddingTable":
         return EmbeddingTable(list(item_ids), self.rows_for(item_ids), self.encoder_tag)
@@ -192,6 +195,24 @@ def validate_dataset(
         dangling_query_ids=dangling_q,
         dangling_corpus_ids=dangling_c,
     )
+
+
+def check_embeddings(
+    q_table: EmbeddingTable, c_table: EmbeddingTable, *rel_sets: RelevanceSet
+) -> None:
+    """Raise DataError unless every judged query id is in q_table and every
+    judged corpus id, of any grade, is in c_table."""
+    dangling = [
+        (qid, cid)
+        for rels in rel_sets
+        for qid, cid, _ in rels.triplets
+        if qid not in q_table or cid not in c_table
+    ]
+    if dangling:
+        raise DataError(
+            f"{len(dangling)} qrels rows reference missing embeddings, "
+            f"first: {dangling[0]}"
+        )
 
 
 def split_train_val(

@@ -14,6 +14,8 @@ import numpy as np
 NORM_EPS = 1e-12
 # Temperature for the sigmoid / contrastive alternative losses.
 VARIANT_TEMPERATURE = 0.05
+# Largest (queries, r, n_c) block of float64 temporaries ranking_loss builds.
+PAIR_BLOCK_FLOATS = 2**15
 
 
 @dataclass
@@ -125,24 +127,38 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
     w_jk * softplus(s_k - s_j), where w_jk is the grade gap y_j - y_k
     (Search-Adaptor) or 1 with gap_weighted=False (RankNet). Returns the
     summed loss and its gradient w.r.t. the score matrix.
+
+    Queries are grouped by r, the number of candidates graded above the
+    query's lowest grade (the rows j that have at least one active pair), and
+    each group is evaluated on (queries, r, n_c) blocks of at most
+    PAIR_BLOCK_FLOATS elements. Each query's loss is summed over its own
+    (r, n_c) block and the queries are added in order, so the result does not
+    depend on the grouping.
     """
     s, y = batch.scores, batch.grades
-    total = 0.0
+    # inf for a row without candidates, so it has no rows above its floor
+    above = y > np.min(y, axis=1, initial=np.inf, keepdims=True)
+    n_above = above.sum(axis=1)
+    per_query = np.zeros(batch.n_q)
     grad = np.zeros_like(s)
-    for i in range(batch.n_q):
-        yi, si = y[i], s[i]
-        y_min = yi.min() if yi.size else 0.0
-        # rows j that can out-grade someone; each has at least one active pair
-        rows = np.nonzero(yi > y_min)[0]
-        if rows.size == 0:
-            continue
-        gap = yi[rows, None] - yi[None, :]
-        w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
-        margin = si[None, :] - si[rows, None]  # s_k - s_j
-        total += float(np.sum(w * softplus(margin)))
-        g = w * sigmoid(margin)  # d/d margin
-        grad[i] += g.sum(axis=0)  # + d margin / d s_k
-        grad[i, rows] -= g.sum(axis=1)  # - d margin / d s_j
+    for r in np.unique(n_above[n_above > 0]):
+        qs = np.nonzero(n_above == r)[0]
+        rows = (np.flatnonzero(above[qs]) % batch.n_c).reshape(len(qs), r)
+        step = max(1, PAIR_BLOCK_FLOATS // (r * batch.n_c))
+        for b in range(0, len(qs), step):
+            at, rws = qs[b : b + step, None], rows[b : b + step]  # (B, 1), (B, r)
+            gap = y[at, rws][..., None] - y[at]  # (B, r, 1) - (B, 1, n_c)
+            w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
+            margin = s[at] - s[at, rws][..., None]  # s_k - s_j
+            per_query[at[:, 0]] = (w * softplus(margin)).reshape(len(at), -1).sum(axis=1)
+            g = w * sigmoid(margin)  # d/d margin
+            grad[at[:, 0]] = g.sum(axis=1)  # + d margin / d s_k
+            grad[at, rws] -= g.sum(axis=2)  # - d margin / d s_j
+    # one addition per query in query order; np.sum and, from Python 3.12,
+    # sum() would round differently
+    total = 0.0
+    for value in per_query.tolist():
+        total += value
     return total, grad
 
 

@@ -18,7 +18,7 @@ from .adapter import (
     transform_grad,
 )
 from .config import TrainConfig
-from .data import EmbeddingTable, RelevanceSet
+from .data import EmbeddingTable, RelevanceSet, check_embeddings
 from .errors import DataError, TrainingDivergedError
 from .evaluation import evaluate
 from .objectives import (
@@ -76,43 +76,53 @@ class TrainReport:
         )
 
 
+def _pool_rows(excluded_rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Corpus rows at positions `picks` of the pool: every row not in
+    excluded_rows, in row order.
+
+    With the excluded rows sorted as e_0 < e_1 < ..., e_i - i pool rows come
+    before e_i, so pool position p is row p + #{i : e_i - i <= p}. This is
+    O(len(picks) + len(excluded_rows)), independent of the corpus size.
+    """
+    excluded = np.sort(excluded_rows)
+    shift = np.searchsorted(excluded - np.arange(len(excluded)), picks, side="right")
+    return (picks + shift).astype(np.intp, copy=False)
+
+
 def make_batch(
     train_rels: RelevanceSet,
     query_ids: list[str],
-    corpus_ids: list[str],
+    c_table: EmbeddingTable,
     ratio: int,
     rng: np.random.Generator,
-) -> tuple[list[str], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Candidate set for a query batch: all batch positives plus subsampled negatives.
 
-    |negatives| = ratio * |distinct positive ids|, capped at what exists.
-    Returns (candidate corpus ids, dense (n_q, n_cand) float32 grade matrix).
+    |negatives| = ratio * |distinct positive ids|, capped at what exists;
+    they are drawn from the corpus rows that are not batch positives, in
+    O(batch) time. Returns (candidate rows of c_table, positives first in
+    order of first appearance; dense (n_q, n_cand) float32 grade matrix).
     """
-    positive_ids: list[str] = []
-    seen = set()
-    for qid in query_ids:
-        positives = train_rels.positives_for(qid)
-        if not positives:
+    positives = [train_rels.positives_for(qid) for qid in query_ids]
+    column: dict[str, int] = {}  # positive id -> its candidate column
+    for qid, graded in zip(query_ids, positives):
+        if not graded:
             raise DataError(f"query {qid!r} has no positive in the training split")
-        for cid in positives:
-            if cid not in seen:
-                seen.add(cid)
-                positive_ids.append(cid)
-    pool = [cid for cid in corpus_ids if cid not in seen]
-    n_neg = min(ratio * len(positive_ids), len(pool))
-    negatives = (
-        [pool[i] for i in rng.choice(len(pool), size=n_neg, replace=False)]
+        for cid in graded:
+            column.setdefault(cid, len(column))
+    pos_rows = c_table.row_indices(list(column))
+    pool_size = len(c_table) - len(pos_rows)
+    n_neg = min(ratio * len(pos_rows), pool_size)
+    neg_rows = (
+        _pool_rows(pos_rows, rng.choice(pool_size, size=n_neg, replace=False))
         if n_neg > 0
-        else []
+        else np.empty(0, dtype=np.intp)
     )
-    candidates = positive_ids + negatives
-    grades = np.zeros((len(query_ids), len(candidates)), dtype=np.float32)
-    col = {cid: j for j, cid in enumerate(candidates)}
-    for i, qid in enumerate(query_ids):
-        for cid, y in train_rels.grades_for(qid).items():
-            if cid in col:
-                grades[i, col[cid]] = y
-    return candidates, grades
+    grades = np.zeros((len(query_ids), len(pos_rows) + n_neg), dtype=np.float32)
+    for i, graded in enumerate(positives):
+        for cid, y in graded.items():
+            grades[i, column[cid]] = y
+    return np.concatenate([pos_rows, neg_rows]), grades
 
 
 class _AdamState:
@@ -220,16 +230,13 @@ def train(
             f"query tag {q_table.encoder_tag!r} != corpus tag {c_table.encoder_tag!r}"
         )
 
+    check_embeddings(q_table, c_table, train_rels, val_rels)
+
     train_qids = sorted(
-        qid
-        for qid in train_rels.query_ids
-        if train_rels.positives_for(qid) and qid in q_table
+        qid for qid in train_rels.query_ids if train_rels.positives_for(qid)
     )
     if not train_qids:
         raise DataError("training split has no query with a positive relation")
-    for qid, cid, y in train_rels.triplets:
-        if y > 0 and cid not in c_table:
-            raise DataError(f"positive corpus id {cid!r} missing from corpus table")
 
     val_qids = [
         qid
@@ -251,16 +258,18 @@ def train(
     weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta)
     rng = np.random.default_rng(cfg.seed)
 
-    corpus_ids = c_table.ids  # a fresh copy per access, so read it once
     val_q_table = q_table.subset(val_qids)
     val_c_table = c_table
     if cfg.val_corpus_sample is not None and cfg.val_corpus_sample < len(c_table):
         # keep every positive of the validation split, fill with random corpus
-        keep = {cid for q in val_qids for cid in val_rels.positives_for(q)}
-        pool = [cid for cid in corpus_ids if cid not in keep]
-        n_fill = max(0, cfg.val_corpus_sample - len(keep))
-        fill = [pool[i] for i in rng.choice(len(pool), size=min(n_fill, len(pool)), replace=False)]
-        val_c_table = c_table.subset(sorted(keep) + fill)
+        keep = sorted({cid for q in val_qids for cid in val_rels.positives_for(q)})
+        pool_size = len(c_table) - len(keep)
+        n_fill = min(max(0, cfg.val_corpus_sample - len(keep)), pool_size)
+        fill_rows = _pool_rows(
+            c_table.row_indices(keep), rng.choice(pool_size, size=n_fill, replace=False)
+        )
+        corpus_ids = c_table.ids
+        val_c_table = c_table.subset(keep + [corpus_ids[r] for r in fill_rows])
 
     def validate_now() -> float:
         report = evaluate(val_q_table, val_c_table, val_rels, model, k=10, gain=cfg.gain)
@@ -285,11 +294,11 @@ def train(
         batch_qids = schedule[: cfg.batch_size]
         del schedule[: cfg.batch_size]
 
-        candidates, grades = make_batch(
-            train_rels, batch_qids, corpus_ids, cfg.neg_subsample_ratio, rng
+        rows, grades = make_batch(
+            train_rels, batch_qids, c_table, cfg.neg_subsample_ratio, rng
         )
         q_orig = q_table.rows_for(batch_qids)
-        c_orig = c_table.rows_for(candidates)
+        c_orig = c_table.vectors[rows]
         pair_q, pair_c = np.nonzero(grades > 0)
 
         loss, grads = loss_and_param_grads(

@@ -6,6 +6,8 @@ import pytest
 from embadapt import BatchScores, LossWeights, cosine_similarity
 from embadapt.objectives import (
     LOSS_VARIANTS,
+    PAIR_BLOCK_FLOATS,
+    sigmoid,
     cosine_scores,
     cosine_scores_backward,
     prediction_loss,
@@ -57,6 +59,28 @@ def brute_force_variant_loss(variant, scores, grades):
             log_z = math.log(sum(math.exp(sj / t) for sj in s))
             total -= sum(yj / sum(y) * (sj / t - log_z) for sj, yj in zip(s, y))
     return total
+
+
+def per_query_ranking_loss(batch, gap_weighted=True):
+    """The pairwise kernel as one loop iteration per query, kept as the
+    reference that the blocked ranking_loss must equal bit for bit."""
+    s, y = batch.scores, batch.grades
+    total = 0.0
+    grad = np.zeros_like(s)
+    for i in range(batch.n_q):
+        yi, si = y[i], s[i]
+        y_min = yi.min() if yi.size else 0.0
+        rows = np.nonzero(yi > y_min)[0]
+        if rows.size == 0:
+            continue
+        gap = yi[rows, None] - yi[None, :]
+        w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
+        margin = si[None, :] - si[rows, None]
+        total += float(np.sum(w * softplus(margin)))
+        g = w * sigmoid(margin)
+        grad[i] += g.sum(axis=0)
+        grad[i, rows] -= g.sum(axis=1)
+    return total, grad
 
 
 def random_batch(rng, n_q=None, n_c=None):
@@ -146,6 +170,37 @@ class TestRankingLoss:
         assert value == pytest.approx(
             brute_force_ranking_loss(batch.scores, batch.grades), abs=1e-6
         )
+
+    @pytest.mark.parametrize("gap_weighted", [True, False])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocked_kernel_equals_per_query_loop(self, seed, gap_weighted):
+        rng = np.random.default_rng(seed)
+        n_q = int(rng.integers(1, 40))
+        # every fourth case is wide enough that one query spans several blocks
+        n_c = int(rng.integers(PAIR_BLOCK_FLOATS // 4, PAIR_BLOCK_FLOATS // 2)
+                  if seed % 4 == 0 else rng.integers(0, 80))
+        scores = rng.uniform(-1, 1, size=(n_q, n_c))
+        grades = np.zeros((n_q, n_c))
+        for i in range(n_q):
+            # 0-5 graded candidates from three grade levels; some rows get none
+            k = int(rng.integers(0, min(5, n_c) + 1))
+            grades[i, rng.choice(n_c, size=k, replace=False)] = rng.choice([1.0, 2.0, 3.0], k)
+        if seed % 3 == 1:
+            grades += 1.0  # a non-zero grade floor
+        if n_q > 2:
+            grades[-1] = 2.0  # every candidate equally graded
+        batch = BatchScores(scores=scores, grades=grades)
+        value, grad = ranking_loss(batch, gap_weighted)
+        ref_value, ref_grad = per_query_ranking_loss(batch, gap_weighted)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("n_q", [0, 3])
+    def test_no_candidates(self, n_q):
+        batch = BatchScores(scores=np.zeros((n_q, 0)), grades=np.zeros((n_q, 0)))
+        value, grad = ranking_loss(batch)
+        assert value == 0.0
+        assert grad.shape == (n_q, 0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)

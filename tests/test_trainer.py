@@ -36,19 +36,56 @@ def small_dataset(seed=0, n_q=6, n_c=20, dim=8):
     return q, c, rels
 
 
+def scanning_make_batch(train_rels, query_ids, corpus_ids, ratio, rng):
+    """make_batch as it was before O(batch) sampling: the negative pool is a
+    list of every corpus id that is not a batch positive. Kept as the
+    reference for the candidates, grades and RNG stream of make_batch."""
+    positive_ids, seen = [], set()
+    for qid in query_ids:
+        for cid in train_rels.positives_for(qid):
+            if cid not in seen:
+                seen.add(cid)
+                positive_ids.append(cid)
+    pool = [cid for cid in corpus_ids if cid not in seen]
+    n_neg = min(ratio * len(positive_ids), len(pool))
+    negatives = (
+        [pool[i] for i in rng.choice(len(pool), size=n_neg, replace=False)]
+        if n_neg > 0
+        else []
+    )
+    candidates = positive_ids + negatives
+    grades = np.zeros((len(query_ids), len(candidates)), dtype=np.float32)
+    col = {cid: j for j, cid in enumerate(candidates)}
+    for i, qid in enumerate(query_ids):
+        for cid, y in train_rels.grades_for(qid).items():
+            if cid in col:
+                grades[i, col[cid]] = y
+    return candidates, grades
+
+
+def id_table(corpus_ids):
+    return EmbeddingTable(corpus_ids, np.ones((len(corpus_ids), 1), dtype=np.float32))
+
+
+def batch_ids(rels, query_ids, corpus_ids, ratio, rng):
+    """make_batch over a table of corpus_ids, with the rows turned back into ids."""
+    rows, grades = make_batch(rels, query_ids, id_table(corpus_ids), ratio, rng)
+    return [corpus_ids[r] for r in rows], grades
+
+
 class TestMakeBatch:
     def test_candidate_count_with_headroom(self):
         rels = RelevanceSet([("q0", "c0", 1.0), ("q1", "c1", 1.0), ("q1", "c2", 1.0)])
         corpus_ids = [f"c{j}" for j in range(100)]
         rng = np.random.default_rng(0)
-        candidates, grades = make_batch(rels, ["q0", "q1"], corpus_ids, 10, rng)
+        candidates, grades = batch_ids(rels, ["q0", "q1"], corpus_ids, 10, rng)
         assert len(candidates) == 3 + 30
         assert grades.shape == (2, 33)
 
     def test_negatives_capped_at_corpus(self):
         rels = RelevanceSet([("q0", "c0", 1.0), ("q1", "c1", 1.0)])
         rng = np.random.default_rng(0)
-        candidates, _ = make_batch(rels, ["q0", "q1"], ["c0", "c1"], 10, rng)
+        candidates, _ = batch_ids(rels, ["q0", "q1"], ["c0", "c1"], 10, rng)
         assert sorted(candidates) == ["c0", "c1"]
 
     def test_positives_always_included(self):
@@ -56,7 +93,7 @@ class TestMakeBatch:
         corpus_ids = [f"c{j}" for j in range(50)]
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            candidates, grades = make_batch(rels, ["q1", "q3"], corpus_ids, 3, rng)
+            candidates, grades = batch_ids(rels, ["q1", "q3"], corpus_ids, 3, rng)
             assert {"c1", "c3"} <= set(candidates)
             assert grades[0, candidates.index("c1")] == 1.0
             assert grades[1, candidates.index("c3")] == 1.0
@@ -64,22 +101,59 @@ class TestMakeBatch:
     def test_grades_filled_from_rels(self):
         rels = RelevanceSet([("q0", "c0", 2.0), ("q0", "c1", 1.0)])
         rng = np.random.default_rng(1)
-        candidates, grades = make_batch(rels, ["q0"], [f"c{j}" for j in range(10)], 2, rng)
+        candidates, grades = batch_ids(rels, ["q0"], [f"c{j}" for j in range(10)], 2, rng)
         assert grades[0, candidates.index("c0")] == 2.0
         assert grades[0, candidates.index("c1")] == 1.0
 
     def test_query_without_positive_rejected(self):
         rels = RelevanceSet([("q0", "c0", 1.0)])
         with pytest.raises(DataError):
-            make_batch(rels, ["q9"], ["c0", "c1"], 2, np.random.default_rng(0))
+            batch_ids(rels, ["q9"], ["c0", "c1"], 2, np.random.default_rng(0))
 
     def test_deterministic_given_rng_state(self):
         rels = RelevanceSet([(f"q{i}", f"c{i}", 1.0) for i in range(4)])
         corpus_ids = [f"c{j}" for j in range(40)]
-        a = make_batch(rels, ["q0", "q2"], corpus_ids, 5, np.random.default_rng(9))
-        b = make_batch(rels, ["q0", "q2"], corpus_ids, 5, np.random.default_rng(9))
+        a = batch_ids(rels, ["q0", "q2"], corpus_ids, 5, np.random.default_rng(9))
+        b = batch_ids(rels, ["q0", "q2"], corpus_ids, 5, np.random.default_rng(9))
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_pool_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n_c = int(rng.integers(1, 400))
+        corpus_ids = [f"c{j:03d}" for j in rng.permutation(n_c)]
+        n_q = int(rng.integers(1, 12))
+        judged = {}
+        for i in range(n_q):
+            k = int(rng.integers(1, min(4, n_c) + 1))
+            cols = rng.choice(n_c, size=k, replace=False)
+            # multi-positive, graded, shared between queries, and grade-0 judged ids
+            grades = rng.choice([0.0, 1.0, 2.0], size=k)
+            grades[0] = 1.0
+            judged.update({(f"q{i}", corpus_ids[j]): y for j, y in zip(cols, grades)})
+        if seed % 5 == 0:  # positives at the first and last corpus rows
+            judged[("q0", corpus_ids[0])] = 3.0
+            judged[(f"q{n_q - 1}", corpus_ids[-1])] = 2.0
+        rels = RelevanceSet((q, c, y) for (q, c), y in judged.items())
+        query_ids = [f"q{i}" for i in rng.permutation(n_q)]
+        # a ratio of 50 often asks for more negatives than the pool holds
+        ratio = int(rng.choice([1, 3, 10, 50]))
+        old_rng, new_rng = (np.random.default_rng(seed + 1000) for _ in range(2))
+        old_ids, old_grades = scanning_make_batch(rels, query_ids, corpus_ids, ratio, old_rng)
+        new_ids, new_grades = batch_ids(rels, query_ids, corpus_ids, ratio, new_rng)
+        assert new_ids == old_ids
+        assert np.array_equal(new_grades, old_grades)
+        assert new_grades.dtype == old_grades.dtype
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_returns_table_rows(self):
+        rels = RelevanceSet([("q0", "c3", 1.0)])
+        table = id_table([f"c{j}" for j in range(6)])
+        rows, _ = make_batch(rels, ["q0"], table, 2, np.random.default_rng(0))
+        assert rows.dtype == np.intp
+        assert rows[0] == 3
+        assert len(set(rows.tolist())) == 3
 
 
 class TestLossAndParamGrads:
@@ -202,3 +276,60 @@ class TestTrain:
         tr, va = split_train_val(rels, 0.67, seed=0)
         with pytest.raises(DataError):
             train(q, c2, tr, va, TrainConfig(batch_size=4))
+
+    @pytest.mark.parametrize("case", ["train-query", "judged-corpus-id", "val-positive"])
+    def test_dangling_ids_rejected(self, case):
+        q, c, rels = small_dataset()
+        tr, va = split_train_val(rels, 0.67, seed=0)
+        if case == "train-query":  # a training query missing from the query table
+            tr = RelevanceSet(tr.triplets + [("ghost-query", "c0", 1.0)])
+        elif case == "judged-corpus-id":  # a grade-0 judged id missing from the corpus
+            tr = RelevanceSet(tr.triplets + [(tr.query_ids[0], "ghost-doc", 0.0)])
+        else:  # a validation positive missing from the corpus
+            va = RelevanceSet(va.triplets + [(va.query_ids[0], "ghost-doc", 1.0)])
+        with pytest.raises(DataError, match="missing embeddings"):
+            train(q, c, tr, va, TrainConfig(batch_size=4, max_iterations=2, seed=0))
+
+
+class TestValCorpusSample:
+    def sampled_tables(self, monkeypatch, seed, sample=10):
+        """Run train() with val_corpus_sample and return each corpus table
+        that validation saw."""
+        import embadapt.trainer as trainer_module
+
+        seen = []
+
+        def spy(q_table, c_table, *args, **kwargs):
+            seen.append(c_table)
+            return evaluate(q_table, c_table, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "evaluate", spy)
+        q, c, rels = small_dataset(seed=1, n_q=12, n_c=80)
+        tr, va = split_train_val(rels, 0.5, seed=0)
+        cfg = TrainConfig(batch_size=4, max_iterations=3, patience=3, eval_every=1,
+                          seed=seed, val_corpus_sample=sample)
+        train(q, c, tr, va, cfg)
+        return c, va, seen
+
+    def test_sample_keeps_positives_and_size(self, monkeypatch):
+        c, va, seen = self.sampled_tables(monkeypatch, seed=3)
+        assert len(seen) == 4  # iteration 0 and three updates
+        sample = seen[0]
+        assert all(t is sample for t in seen)
+        assert len(sample) == 10
+        positives = {cid for qid in va.query_ids for cid in va.positives_for(qid)}
+        assert positives <= set(sample.ids)
+        assert np.array_equal(sample.vectors, c.rows_for(sample.ids))
+
+    def test_sample_is_seed_deterministic(self, monkeypatch):
+        c, va, first = self.sampled_tables(monkeypatch, seed=3)
+        _, _, again = self.sampled_tables(monkeypatch, seed=3)
+        _, _, other = self.sampled_tables(monkeypatch, seed=4)
+        assert first[0].ids == again[0].ids
+        assert first[0].ids != other[0].ids
+        # the fill is the run's first draw: a pool-scan over the corpus ids
+        # in order, indexed by the seed's first choice() call
+        keep = sorted({cid for qid in va.query_ids for cid in va.positives_for(qid)})
+        pool = [cid for cid in c.ids if cid not in set(keep)]
+        picks = np.random.default_rng(3).choice(len(pool), size=10 - len(keep), replace=False)
+        assert first[0].ids == keep + [pool[i] for i in picks]
