@@ -15,9 +15,7 @@ from .data import (
     ItemSet,
     RelevanceSet,
     TextItem,
-    ValidationSummary,
     split_train_val,
-    validate_dataset,
 )
 from .evaluation import (
     RankedList,
@@ -62,7 +60,6 @@ __all__ = [
     "TextItem",
     "TrainConfig",
     "TrainReport",
-    "ValidationSummary",
     "cosine_similarity",
     "evaluate",
     "fetch_embeddings",
@@ -84,6 +81,5 @@ __all__ = [
     "train",
     "transform",
     "transform_grad",
-    "validate_dataset",
     "write_embeddings",
 ]

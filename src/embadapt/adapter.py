@@ -9,16 +9,15 @@ never uses a skip connection.
 from __future__ import annotations
 
 import json
-import math
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import EmbeddingTable
-from .errors import FormatError, TagMismatchError
+from .errors import TagMismatchError
+from .io import BlockReader, write_blocks
 
 CHECKPOINT_MAGIC = b"SADC"
 CHECKPOINT_VERSION = 1
@@ -235,99 +234,61 @@ def predict_query(model: AdapterModel, adapted_corpus: np.ndarray) -> np.ndarray
     return out
 
 
-def _write_str(f, s: str) -> None:
-    raw = s.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
-
-
 def save_checkpoint(model: AdapterModel, path: str) -> None:
-    import io as _io
-
-    buf = _io.BytesIO()
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
+    tag = model.encoder_tag.encode("utf-8")
+    config = json.dumps(model.config_snapshot.to_dict(), sort_keys=True).encode("utf-8")
     flags = (1 if model.use_skip else 0) | (2 if model.separate_adapters else 0)
-    buf.write(struct.pack("<IIB", model.dim, model.hidden, flags))
-    _write_str(buf, model.encoder_tag)
-    _write_str(buf, json.dumps(model.config_snapshot.to_dict(), sort_keys=True))
+    blocks = [
+        struct.pack("<HIIBI", CHECKPOINT_VERSION, model.dim, model.hidden, flags, len(tag)) + tag,
+        struct.pack("<I", len(config)) + config,
+    ]
     for _, params in model.trainable():
         params.check()
-        for arr in params.arrays():
-            buf.write(arr.astype("<f4").tobytes())
-    payload = buf.getvalue()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        blocks += [np.ascontiguousarray(arr, dtype="<f4") for arr in params.arrays()]
+    write_blocks(path, CHECKPOINT_MAGIC, blocks)
 
 
 def load_checkpoint(path: str) -> AdapterModel:
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {data[:4]!r}")
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated checkpoint")
-    payload, (crc,) = data[4:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FormatError(f"{path}: checksum mismatch, checkpoint corrupted")
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(payload):
-            raise FormatError(f"{path}: truncated checkpoint payload")
-        out = payload[off : off + n]
-        off += n
-        return out
-
-    def take_str(what: str) -> str:
-        (n,) = struct.unpack("<I", take(4))
+        r = BlockReader(f, path, CHECKPOINT_MAGIC)
+        version, dim, hidden, flags, tag_len = r.unpack("<HIIBI", "header")
+        if version != CHECKPOINT_VERSION:
+            raise r.error(f"unsupported checkpoint version {version}")
+        if dim < 1 or hidden < 1:
+            raise r.error(f"dim and hidden must be >= 1, got {dim} and {hidden}")
+        if flags & ~3:
+            raise r.error(f"unknown flag bits {flags:#04x}")
+        (encoder_tag,) = r.strings([tag_len], "encoder tag")
+        (config_text,) = r.strings(r.unpack("<I", "config length"), "config")
         try:
-            return take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {what} is not valid UTF-8: {exc}") from None
-
-    (version,) = struct.unpack("<H", take(2))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    dim, hidden, flags = struct.unpack("<IIB", take(9))
-    encoder_tag = take_str("encoder tag")
-    try:
-        config_dict = json.loads(take_str("config"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: config is not valid JSON: {exc}") from None
-    if not isinstance(config_dict, dict):
-        raise FormatError(f"{path}: config is not a JSON object")
-    try:
-        config = TrainConfig.from_dict(config_dict)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid config: {exc}") from None
-    use_skip = bool(flags & 1)
-    separate = bool(flags & 2)
-
-    def take_params() -> MlpParams:
+            config_dict = json.loads(config_text)
+        except json.JSONDecodeError as exc:
+            raise r.error(f"config is not valid JSON: {exc}") from None
+        if not isinstance(config_dict, dict):
+            raise r.error("config is not a JSON object")
+        try:
+            config = TrainConfig.from_dict(config_dict)
+        except (TypeError, ValueError) as exc:
+            raise r.error(f"invalid config: {exc}") from None
+        separate = bool(flags & 2)
         shapes = [(dim, hidden), (hidden,), (hidden, dim), (dim,)]
-        arrays = []
-        for shape in shapes:
-            n = math.prod(shape)
-            arrays.append(
-                np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy()
-            )
-        return MlpParams(*arrays)
-
-    f_params = take_params()
-    p_params = take_params()
-    f_corpus = take_params() if separate else None
-    if off != len(payload):
-        raise FormatError(f"{path}: trailing bytes in checkpoint payload")
+        nets = []
+        for net in ("f", "p", "f_corpus")[: 2 + separate]:
+            params = MlpParams(*(r.array(shape, f"{net} {name}")
+                                 for name, shape in zip(PARAM_NAMES, shapes)))
+            try:
+                params.check()
+            except ValueError as exc:
+                raise r.error(f"{net} network: {exc}") from None
+            nets.append(params)
+        r.end()
     return AdapterModel(
         dim=dim,
         hidden=hidden,
-        f_params=f_params,
-        p_params=p_params,
-        f_corpus_params=f_corpus,
-        use_skip=use_skip,
+        f_params=nets[0],
+        p_params=nets[1],
+        f_corpus_params=nets[2] if separate else None,
+        use_skip=bool(flags & 1),
         separate_adapters=separate,
         encoder_tag=encoder_tag,
         config_snapshot=config,

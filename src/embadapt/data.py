@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -82,10 +82,6 @@ class RelevanceSet:
     def query_ids(self) -> list[str]:
         return list(self._by_query.keys())
 
-    @property
-    def n_positive(self) -> int:
-        return sum(1 for y in self._grades.values() if y > 0)
-
     def grade(self, query_id: str, corpus_id: str) -> float:
         return self._grades.get((query_id, corpus_id), 0.0)
 
@@ -156,45 +152,6 @@ class EmbeddingTable:
 
     def subset(self, item_ids: Sequence[str]) -> "EmbeddingTable":
         return EmbeddingTable(list(item_ids), self.rows_for(item_ids), self.encoder_tag)
-
-
-@dataclass
-class ValidationSummary:
-    n_queries: int
-    n_corpus: int
-    n_positive: int
-    dangling_query_ids: list[str] = field(default_factory=list)
-    dangling_corpus_ids: list[str] = field(default_factory=list)
-
-    @property
-    def accepted(self) -> bool:
-        return not self.dangling_query_ids and not self.dangling_corpus_ids
-
-    @property
-    def trainable(self) -> bool:
-        return self.accepted and self.n_positive > 0
-
-
-def validate_dataset(
-    queries: ItemSet, corpus: ItemSet, rels: RelevanceSet
-) -> ValidationSummary:
-    """Cross-check ids and count positives; dangling ids are reported, not raised."""
-    dangling_q, dangling_c = [], []
-    seen_q, seen_c = set(), set()
-    for qid, cid, _ in rels.triplets:
-        if qid not in queries and qid not in seen_q:
-            dangling_q.append(qid)
-            seen_q.add(qid)
-        if cid not in corpus and cid not in seen_c:
-            dangling_c.append(cid)
-            seen_c.add(cid)
-    return ValidationSummary(
-        n_queries=len(queries),
-        n_corpus=len(corpus),
-        n_positive=rels.n_positive,
-        dangling_query_ids=dangling_q,
-        dangling_corpus_ids=dangling_c,
-    )
 
 
 def check_embeddings(

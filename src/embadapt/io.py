@@ -4,28 +4,36 @@ File formats:
   - queries.jsonl / corpus.jsonl: one object per line, BEIR-style
     {"_id": ..., "text": ..., "title": ...}.
   - qrels.tsv: query-id<TAB>corpus-id<TAB>score, optional header row.
-  - *.sadp: binary embedding table, little-endian. Version 2, the only one
-    written: magic b"SADP", header <HQI (version, count, dim), the encoder
-    tag as a u16 byte length plus UTF-8 bytes, then three blocks: count u16
-    id lengths, all UTF-8 id bytes, and a contiguous count x dim <f4 vector
-    block; last, a u32 CRC32 over everything after the magic. Ids and the
-    tag are at most 65535 bytes each. Version 1 (one u16-prefixed id and one
-    vector per record, no checksum) is still read, never written.
+  - *.sadp and *.sadc share one little-endian frame, read by BlockReader
+    and written by write_blocks: a 4-byte magic, the body, then a u32 CRC32
+    over everything after the magic.
+  - *.sadp: binary embedding table. Version 2, the only one written: magic
+    b"SADP", header <HQIH (version, count, dim, encoder tag byte length), the
+    UTF-8 tag, then three blocks: count u16 id lengths, all UTF-8 id bytes,
+    and a contiguous count x dim <f4 vector block. Ids and the tag are at
+    most 65535 bytes each. Version 1 (one u16-prefixed id and one vector per
+    record, no checksum) is still read, never written.
+  - *.sadc (adapter.py): checkpoint, version 1. Magic b"SADC", header <HIIB
+    (version, dim, hidden, flags: 1 skip, 2 separate adapters), the encoder
+    tag and the config JSON each as a u32 byte length plus UTF-8 bytes, then
+    w1 b1 w2 b2 as <f4 for f, p and, with flag 2, f_corpus.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import random
+import stat
 import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 import requests
@@ -112,18 +120,88 @@ def load_qrels_tsv(path: str | Path) -> RelevanceSet:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _decode_str(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} is not valid UTF-8: {exc}") from None
+class BlockReader:
+    """Reads one framed binary file: a magic, a body, then a u32 CRC32 over
+    every byte after the magic.
+
+    Each read is checked against the bytes left in the file before anything
+    sized by it is allocated, and every byte read after the magic is fed to a
+    running CRC32. Every failure raises FormatError naming the file.
+    """
+
+    def __init__(self, f: BinaryIO, path: str | Path, magic: bytes):
+        self._f = f
+        self.path = path
+        self.crc = 0
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):  # the file size bounds every read
+            raise self.error("not a regular file")
+        self.left = st.st_size - len(magic)
+        head = f.read(len(magic))
+        if head != magic:
+            raise self.error(f"bad magic {head!r}")
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def need(self, n: int, what: str) -> None:
+        if n > self.left:
+            raise self.error(f"truncated file, {self.left} bytes left "
+                             f"for {n} bytes of {what}")
+
+    def read(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        raw = self._f.read(n)
+        if len(raw) != n:
+            raise self.error(f"truncated file while reading {what}")
+        self.left -= n
+        self.crc = zlib.crc32(raw, self.crc)
+        return raw
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def strings(self, lengths: Iterable[int], what: str) -> list[str]:
+        """UTF-8 strings of the given byte lengths, stored back to back."""
+        offsets = [0, *itertools.accumulate(lengths)]
+        raw = self.read(offsets[-1], what)
+        try:
+            return [raw[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not valid UTF-8: {exc}") from None
+
+    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A fresh <f4 array of the given shape, filled in place by one read."""
+        self.need(4 * math.prod(shape), what)
+        out = np.empty(shape, dtype="<f4")
+        block = out.reshape(-1).view(np.uint8)
+        if self._f.readinto(block) != len(block):
+            raise self.error(f"truncated file while reading {what}")
+        self.left -= len(block)
+        self.crc = zlib.crc32(block, self.crc)
+        return out
+
+    def end(self, checksum: bool = True) -> None:
+        """Check the stored CRC32, unless the format has none, and refuse
+        trailing bytes."""
+        if checksum:
+            crc = self.crc  # the sum before the stored value is read into it
+            (stored,) = self.unpack("<I", "checksum")
+            if stored != crc:
+                raise self.error("checksum mismatch, file corrupted")
+        if self.left:
+            raise self.error(f"{self.left} trailing bytes")
 
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return raw
+def write_blocks(path: str | Path, magic: bytes, blocks: Iterable) -> None:
+    """Write the magic, each bytes-like block and a u32 CRC32 over the blocks."""
+    crc = 0
+    with open(path, "wb") as f:
+        f.write(magic)
+        for block in blocks:
+            f.write(block)
+            crc = zlib.crc32(block, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -141,98 +219,38 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
                           "over the format's limit of 65535")
     tag = encoded[0]
     vectors = np.ascontiguousarray(table.vectors, dtype="<f4")
-    blocks = (
+    write_blocks(path, EMBEDDING_MAGIC, (
         struct.pack("<HQIH", EMBEDDING_VERSION, len(table), table.dim, len(tag)) + tag,
         lengths[1:].astype("<u2"),
         b"".join(encoded[1:]),
         memoryview(vectors).cast("B"),
-    )
-    crc = 0
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        for block in blocks:
-            f.write(block)
-            crc = zlib.crc32(block, crc)
-        f.write(struct.pack("<I", crc))
+    ))
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
     """Read a .sadp v1 or v2 file; any malformed input raises FormatError."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        magic = f.read(4)
-        if magic != EMBEDDING_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        header = _read_exact(f, 16, "header")
-        version, count, dim, tag_len = struct.unpack("<HQIH", header)
+        r = BlockReader(f, path, EMBEDDING_MAGIC)
+        version, count, dim, tag_len = r.unpack("<HQIH", "header")
         if version not in (1, EMBEDDING_VERSION):
-            raise FormatError(f"{path}: unsupported version {version}")
-        raw_tag = _read_exact(f, tag_len, "encoder tag")
-        encoder_tag = _decode_str(raw_tag, "encoder tag")
-        # each record holds at least a 2-byte id length and 4 * dim bytes
-        if f.tell() + count * (2 + 4 * dim) > size:
-            raise FormatError(f"{path}: truncated file, header claims {count} "
-                              f"records of {dim} floats")
-        if version == 1:
-            ids, vectors = _read_v1_records(f, path, count, dim)
+            raise r.error(f"unsupported version {version}")
+        (encoder_tag,) = r.strings([tag_len], "encoder tag")
+        if version == 1:  # one u16-prefixed id and one vector per record
+            r.need(count * (2 + 4 * dim), f"{count} records of {dim} floats")
+            ids = []
+            vectors = np.empty((count, dim), dtype="<f4")
+            for i in range(count):
+                ids += r.strings(r.unpack("<H", "id length"), f"record {i} id")
+                vectors[i] = np.frombuffer(r.read(4 * dim, f"record {i} vector"), "<f4")
         else:
-            crc = zlib.crc32(raw_tag, zlib.crc32(header))
-            ids, vectors = _read_v2_blocks(f, path, count, dim, size, crc)
+            lengths = np.frombuffer(r.read(2 * count, "id lengths"), dtype="<u2")
+            ids = r.strings(lengths.tolist(), "ids the id lengths imply")
+            vectors = r.array((count, dim), "vectors")
+        r.end(checksum=version > 1)
     try:
         return EmbeddingTable(ids, vectors, encoder_tag)
     except Exception as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def _read_v1_records(
-    f: BinaryIO, path: str | Path, count: int, dim: int
-) -> tuple[list[str], np.ndarray]:
-    """v1 (read-only): one u16-prefixed id and one <f4 vector per record."""
-    ids: list[str] = []
-    vectors = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        (n,) = struct.unpack("<H", _read_exact(f, 2, f"record {i} id"))
-        ids.append(_decode_str(_read_exact(f, n, f"record {i} id"), f"record {i} id"))
-        raw = _read_exact(f, 4 * dim, f"record {i} vector")
-        vectors[i] = np.frombuffer(raw, dtype="<f4")
-    if f.read(1):
-        raise FormatError(f"{path}: trailing bytes after {count} records")
-    return ids, vectors
-
-
-def _read_v2_blocks(
-    f: BinaryIO, path: str | Path, count: int, dim: int, size: int, crc: int
-) -> tuple[list[str], np.ndarray]:
-    """v2: id lengths, id bytes and vectors as three blocks, then a CRC32.
-
-    The caller has checked count * (2 + 4 * dim) against the file size.
-    """
-    raw_lengths = _read_exact(f, 2 * count, "id lengths")
-    crc = zlib.crc32(raw_lengths, crc)
-    lengths = np.frombuffer(raw_lengths, dtype="<u2")
-    offsets = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
-    id_bytes = offsets[-1]
-    expected = f.tell() + id_bytes + 4 * count * dim + 4
-    if size < expected:
-        raise FormatError(f"{path}: truncated file, {size} bytes where the "
-                          f"id lengths imply {expected}")
-    if size > expected:
-        raise FormatError(f"{path}: trailing bytes after {count} records")
-    raw_ids = _read_exact(f, id_bytes, "ids")
-    crc = zlib.crc32(raw_ids, crc)
-    try:
-        ids = [raw_ids[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: an id is not valid UTF-8: {exc}") from None
-    vectors = np.empty((count, dim), dtype="<f4")
-    block = vectors.reshape(-1).view(np.uint8)  # readinto fills the table in place
-    if f.readinto(block) != len(block):
-        raise FormatError(f"{path}: truncated file while reading vectors")
-    crc = zlib.crc32(block, crc)
-    (stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
-    if stored != crc:
-        raise FormatError(f"{path}: checksum mismatch, embedding file corrupted")
-    return ids, vectors
 
 
 @dataclass

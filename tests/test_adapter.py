@@ -206,13 +206,17 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @staticmethod
-    def hand_built(tag: bytes, config: bytes, dim=2, hidden=3) -> bytes:
-        """A version 1 checkpoint with a correct CRC32 around the given fields."""
-        n_params = 2 * (2 * dim * hidden + hidden + dim)  # f and p, no f_corpus
-        payload = (struct.pack("<HIIB", 1, dim, hidden, 1)
+    def hand_built(tag: bytes, config: bytes, dim=2, hidden=3, flags=1, fill=0.0) -> bytes:
+        """A version 1 checkpoint with a correct CRC32 around the given fields.
+
+        fill is a scalar or the parameters in file order: w1 b1 w2 b2 for f,
+        p and, when flag 2 is set, f_corpus."""
+        n_nets = 3 if flags & 2 else 2
+        n_params = n_nets * (2 * dim * hidden + hidden + dim)
+        payload = (struct.pack("<HIIB", 1, dim, hidden, flags)
                    + struct.pack("<I", len(tag)) + tag
                    + struct.pack("<I", len(config)) + config
-                   + np.zeros(n_params, dtype="<f4").tobytes())
+                   + (np.zeros(n_params, dtype="<f4") + fill).astype("<f4").tobytes())
         return b"SADC" + payload + struct.pack("<I", zlib.crc32(payload))
 
     def test_hand_built_payload_loads(self, tmp_path):
@@ -223,14 +227,36 @@ class TestCheckpoint:
         assert (loaded.dim, loaded.hidden, loaded.encoder_tag) == (2, 3, "enc")
         assert loaded.config_snapshot == TrainConfig(seed=7)
 
-    @pytest.mark.parametrize("tag, config, message", [
-        (b"enc-\xff", b"{}", "encoder tag is not valid UTF-8"),
-        (b"enc", b'{"seed": 1', "config is not valid JSON"),
-        (b"enc", b"[1, 2]", "config is not a JSON object"),
-    ], ids=["tag-not-utf8", "config-not-json", "config-not-object"])
-    def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, message):
+    @pytest.mark.parametrize("model", [
+        trained_like_model(),
+        init_adapter(3, 5, seed=2, separate_adapters=True, use_skip=False, encoder_tag=""),
+    ], ids=["shared", "separate-no-skip"])
+    def test_layout(self, tmp_path, model):
         path = tmp_path / "m.sadc"
-        path.write_bytes(self.hand_built(tag, config))
+        save_checkpoint(model, str(path))
+        config = json.dumps(model.config_snapshot.to_dict(), sort_keys=True).encode()
+        params = np.concatenate([a.ravel() for _, net in model.trainable() for a in net.arrays()])
+        flags = int(model.use_skip) | 2 * int(model.separate_adapters)
+        assert path.read_bytes() == self.hand_built(
+            model.encoder_tag.encode(), config, model.dim, model.hidden, flags, params)
+
+    @pytest.mark.parametrize("tag, config, fields, message", [
+        (b"enc-\xff", b"{}", {}, "encoder tag is not valid UTF-8"),
+        (b"enc", b'{"seed": 1', {}, "config is not valid JSON"),
+        (b"enc", b"[1, 2]", {}, "config is not a JSON object"),
+        (b"enc", b"{}", {"fill": np.nan}, "f network: w1 contains non-finite entries"),
+        (b"enc", b"{}", {"fill": np.r_[np.zeros(34), np.inf, np.zeros(16)], "flags": 3},
+         "f_corpus network: w1 contains non-finite"),
+        (b"enc", b"{}", {"dim": 0}, "dim and hidden must be >= 1"),
+        (b"enc", b"{}", {"hidden": 0}, "dim and hidden must be >= 1"),
+        (b"enc", b"{}", {"flags": 0xFF}, "unknown flag bits 0xff"),
+        (b"enc", b"{}", {"flags": 5}, "unknown flag bits 0x05"),
+    ], ids=["tag-not-utf8", "config-not-json", "config-not-object", "nan-weights",
+            "inf-in-f-corpus", "dim-0", "hidden-0", "flags-ff", "flag-bit-4"])
+    def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, fields,
+                                                     message):
+        path = tmp_path / "m.sadc"
+        path.write_bytes(self.hand_built(tag, config, **fields))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
 

@@ -7,7 +7,6 @@ from embadapt import (
     RelevanceSet,
     TextItem,
     split_train_val,
-    validate_dataset,
 )
 from embadapt.errors import DataError
 
@@ -36,7 +35,6 @@ class TestRelevanceSet:
         rels = RelevanceSet([("q1", "c1", 2.0), ("q1", "c2", 1.0)])
         assert rels.grade("q1", "c1") == 2.0
         assert rels.grade("q1", "c9") == 0.0
-        assert rels.n_positive == 2
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(DataError):
@@ -67,41 +65,6 @@ class TestEmbeddingTable:
     def test_ragged_dim_rejected(self):
         with pytest.raises(DataError):
             EmbeddingTable(["a", "b"], np.ones((1, 4), dtype=np.float32))
-
-
-class TestValidateDataset:
-    def test_consistent_toy_set(self):
-        summary = validate_dataset(
-            make_items("q", 2),
-            make_items("c", 3),
-            RelevanceSet([("q1", "c1", 1.0), ("q2", "c3", 1.0)]),
-        )
-        assert summary.n_queries == 2
-        assert summary.n_corpus == 3
-        assert summary.n_positive == 2
-        assert summary.accepted
-
-    def test_dangling_id_reported_not_raised(self):
-        summary = validate_dataset(
-            make_items("q", 2),
-            make_items("c", 3),
-            RelevanceSet([("q9", "c1", 1.0)]),
-        )
-        assert summary.dangling_query_ids == ["q9"]
-        assert not summary.accepted
-
-    def test_empty_rels_accepted_but_untrainable(self):
-        summary = validate_dataset(make_items("q", 2), make_items("c", 3), RelevanceSet([]))
-        assert summary.accepted
-        assert not summary.trainable
-
-    def test_pure(self):
-        args = (
-            make_items("q", 2),
-            make_items("c", 3),
-            RelevanceSet([("q1", "c1", 1.0), ("q8", "c9", 1.0)]),
-        )
-        assert validate_dataset(*args) == validate_dataset(*args)
 
 
 class TestSplitTrainVal:

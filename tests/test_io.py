@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import tempfile
 import threading
@@ -243,14 +244,25 @@ class TestEmbeddingFileV2:
     def test_huge_count_refused_before_allocating(self, tmp_path):
         path = tmp_path / "huge.sadp"
         path.write_bytes(b"SADP" + struct.pack("<HQIH", 2, 2**40, 4, 0) + b"\x00" * 64)
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="truncated"):
-                read_embeddings(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # a CRC-valid checkpoint whose header claims dim = hidden = 2^31 - 1
+        payload = (struct.pack("<HIIBI", 1, 2**31 - 1, 2**31 - 1, 1, 0)
+                   + struct.pack("<I", 2) + b"{}" + b"\x00" * 64)
+        checkpoint = tmp_path / "huge.sadc"
+        checkpoint.write_bytes(b"SADC" + payload + struct.pack("<I", zlib.crc32(payload)))
+        for reader, arg in ((read_embeddings, path), (load_checkpoint, str(checkpoint))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="truncated"):
+                    reader(arg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_non_regular_file_refused(self):
+        for reader in (read_embeddings, load_checkpoint):
+            with pytest.raises(FormatError, match="not a regular file"):
+                reader(os.devnull)
 
     def test_unknown_version_refused(self, tmp_path):
         path = tmp_path / "v3.sadp"
