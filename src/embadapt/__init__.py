@@ -35,7 +35,6 @@ from .io import (
 )
 from .objectives import (
     BatchScores,
-    LossWeights,
     cosine_similarity,
     prediction_loss,
     ranking_loss,
@@ -52,7 +51,6 @@ __all__ = [
     "EmbeddingTable",
     "EncoderEndpointConfig",
     "ItemSet",
-    "LossWeights",
     "MlpParams",
     "RankedList",
     "RelevanceSet",

@@ -45,9 +45,6 @@ class MlpParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(*(a.copy() for a in self.arrays()))
-
     def check(self) -> None:
         d, h = self.dim, self.hidden
         shapes = [(d, h), (h,), (h, d), (d,)]
@@ -103,21 +100,27 @@ def mlp_grad(
 
 @dataclass
 class AdapterModel:
-    dim: int
-    hidden: int
+    """The adaptation network f, the predictor p and, with separate adapters,
+    a corpus-side adaptation network; their arrays fix the model's shape."""
+
     f_params: MlpParams
     p_params: MlpParams
     f_corpus_params: MlpParams | None = None
     use_skip: bool = True
-    separate_adapters: bool = False
     encoder_tag: str = ""
     config_snapshot: TrainConfig = field(default_factory=TrainConfig)
 
-    def __post_init__(self):
-        if self.separate_adapters and self.f_corpus_params is None:
-            raise ValueError("separate_adapters=True requires f_corpus_params")
-        if not self.separate_adapters:
-            self.f_corpus_params = None
+    @property
+    def dim(self) -> int:
+        return self.f_params.dim
+
+    @property
+    def hidden(self) -> int:
+        return self.f_params.hidden
+
+    @property
+    def separate_adapters(self) -> bool:
+        return self.f_corpus_params is not None
 
     def params_for(self, which: str) -> MlpParams:
         if which == "query" or not self.separate_adapters:
@@ -141,19 +144,6 @@ class AdapterModel:
                 f"table tag {table.encoder_tag!r} (use force to override)"
             )
 
-    def copy(self) -> "AdapterModel":
-        return AdapterModel(
-            dim=self.dim,
-            hidden=self.hidden,
-            f_params=self.f_params.copy(),
-            p_params=self.p_params.copy(),
-            f_corpus_params=self.f_corpus_params.copy() if self.separate_adapters else None,
-            use_skip=self.use_skip,
-            separate_adapters=self.separate_adapters,
-            encoder_tag=self.encoder_tag,
-            config_snapshot=self.config_snapshot,
-        )
-
 
 def init_adapter(
     dim: int,
@@ -174,13 +164,10 @@ def init_adapter(
     p_params = init_mlp(dim, hidden, rng)
     f_corpus = init_mlp(dim, hidden, rng) if separate_adapters else None
     return AdapterModel(
-        dim=dim,
-        hidden=hidden,
         f_params=f_params,
         p_params=p_params,
         f_corpus_params=f_corpus,
         use_skip=use_skip,
-        separate_adapters=separate_adapters,
         encoder_tag=encoder_tag,
         config_snapshot=config if config is not None else TrainConfig(),
     )
@@ -266,6 +253,8 @@ def load_checkpoint(path: str) -> AdapterModel:
             raise r.error(f"config is not valid JSON: {exc}") from None
         if not isinstance(config_dict, dict):
             raise r.error("config is not a JSON object")
+        # older checkpoints store val_corpus_sample, which only shaped training-time validation
+        config_dict.pop("val_corpus_sample", None)
         try:
             config = TrainConfig.from_dict(config_dict)
         except (TypeError, ValueError) as exc:
@@ -283,13 +272,10 @@ def load_checkpoint(path: str) -> AdapterModel:
             nets.append(params)
         r.end()
     return AdapterModel(
-        dim=dim,
-        hidden=hidden,
         f_params=nets[0],
         p_params=nets[1],
         f_corpus_params=nets[2] if separate else None,
         use_skip=bool(flags & 1),
-        separate_adapters=separate,
         encoder_tag=encoder_tag,
         config_snapshot=config,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 
 from .adapter import load_checkpoint, save_checkpoint, transform
 from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig
-from .data import EmbeddingTable, split_train_val
+from .data import EmbeddingTable, TextItem, split_train_val
 from .errors import EmbAdaptError
 from .evaluation import evaluate, ranked_lists
 from .io import (
@@ -65,16 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument("--beta", type=float)
     p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--max-iters", type=int)
+    p_train.add_argument("--max-iters", dest="max_iterations", type=int)
     p_train.add_argument("--patience", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--neg-ratio", type=int)
+    p_train.add_argument("--lr", dest="learning_rate", type=float)
+    p_train.add_argument("--neg-ratio", dest="neg_subsample_ratio", type=int)
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--eval-every", type=int)
     p_train.add_argument("--loss-variant", choices=LOSS_VARIANTS)
-    p_train.add_argument("--no-skip", action="store_true")
-    p_train.add_argument("--separate-adapters", action="store_true")
+    p_train.add_argument("--no-skip", dest="use_skip", action="store_const", const=False)
+    p_train.add_argument("--separate-adapters", action="store_const", const=True)
     p_train.add_argument("--gain", choices=GAIN_MODES)
 
     p_tf = sub.add_parser("transform", help="apply a checkpoint to an embedding file")
@@ -117,31 +118,17 @@ def cmd_embed(args) -> int:
 
 
 def _effective_config(args) -> TrainConfig:
+    """The --config file's TrainConfig, each flag given overriding the field
+    that is its dest."""
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             base = json.load(f)
-    flag_map = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "batch_size": args.batch_size,
-        "max_iterations": args.max_iters,
-        "patience": args.patience,
-        "learning_rate": args.lr,
-        "neg_subsample_ratio": args.neg_ratio,
-        "hidden": args.hidden,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "loss_variant": args.loss_variant,
-        "gain": args.gain,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            base[key] = value
-    if args.no_skip:
-        base["use_skip"] = False
-    if args.separate_adapters:
-        base["separate_adapters"] = True
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    for f in dataclasses.fields(TrainConfig):
+        if getattr(args, f.name) is not None:
+            base[f.name] = getattr(args, f.name)
     return TrainConfig.from_dict(base)
 
 
@@ -199,18 +186,16 @@ def cmd_search(args) -> int:
         raise EmbAdaptError("search requires exactly one of --vector or --text")
     if args.vector is not None:
         query = np.array([float(x) for x in args.vector.split(",")], dtype=np.float32)
+        q_table = EmbeddingTable(["q"], query[None, :], c_table.encoder_tag)
     else:
         if not args.endpoint_config:
             raise EmbAdaptError("--text requires --endpoint-config")
         cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
-        from .data import TextItem
-
-        query = fetch_embeddings([TextItem(id="q", text=args.text)], cfg).vector("q")
-    if query.shape[0] != c_table.dim:
+        q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
+    if q_table.dim != c_table.dim:
         raise EmbAdaptError(
-            f"query dim {query.shape[0]} does not match corpus dim {c_table.dim}"
+            f"query dim {q_table.dim} does not match corpus dim {c_table.dim}"
         )
-    q_table = EmbeddingTable(["q"], query[None, :], c_table.encoder_tag)
     [ranked] = ranked_lists(q_table, c_table, model, k=args.k, force=args.force)
     for cid, score in ranked.entries:
         print(f"{cid}\t{score:.6f}")

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .objectives import LOSS_VARIANTS
 
 GAIN_MODES = ("standard", "paper-literal")
+# a field's annotation -> the types its value may have; a bool is an int, so
+# only a bool field accepts one
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -26,12 +30,21 @@ class TrainConfig:
     separate_adapters: bool = False
     loss_variant: str = "search-adaptor"
     gain: str = "standard"
-    # None evaluates validation queries against the full corpus; an integer
-    # subsamples the corpus during training-time validation (escape hatch for
-    # very large corpora).
-    val_corpus_sample: int | None = None
+
+    def _check_types(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if (isinstance(value, bool) != (kind == "bool")
+                    or not isinstance(value, _FIELD_TYPES[kind])
+                    or (kind == "float" and not math.isfinite(value))):
+                finite = "finite " if kind == "float" else ""
+                raise ValueError(f"{f.name} must be {finite}{f.type}, got {value!r}")
 
     def validate(self) -> None:
+        self._check_types()
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.max_iterations < 1:

@@ -102,7 +102,12 @@ class EmbeddingTable:
     """id-indexed dense float32 vectors from a frozen encoder."""
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray, encoder_tag: str = ""):
-        vectors = np.asarray(vectors, dtype=np.float32)
+        # keep an array that asarray has just made, or a read-only one that owns
+        # its memory (read_embeddings returns one); copy any other array once,
+        # so that a caller's later writes do not reach the table
+        array = np.asarray(vectors, dtype=np.float32)
+        copy = not array.flags.owndata or (array is vectors and array.flags.writeable)
+        vectors = array.copy() if copy else array
         if vectors.ndim != 2:
             raise DataError("vectors must be a 2-D array")
         if len(ids) != vectors.shape[0]:
@@ -117,7 +122,7 @@ class EmbeddingTable:
             if item_id in self._index:
                 raise DataError(f"duplicate embedding id: {item_id!r}")
             self._index[item_id] = i
-        self._vectors = vectors.copy()
+        self._vectors = vectors
         self._vectors.flags.writeable = False
         self.encoder_tag = encoder_tag
 

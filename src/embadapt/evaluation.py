@@ -11,7 +11,7 @@ import numpy as np
 
 from .adapter import AdapterModel, transform
 from .data import EmbeddingTable, RelevanceSet
-from .errors import DataError
+from .errors import DataError, TagMismatchError
 from .objectives import cosine_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
@@ -60,10 +60,17 @@ def _adapted_vectors(
     model: AdapterModel | None,
     force: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Query and corpus vectors, adapted by model when one is given."""
+    """Query and corpus vectors, adapted by model when one is given.
+
+    Tables from different encoders are refused unless force is set."""
     if q_table.dim != c_table.dim:
         raise DataError(
             f"query dim {q_table.dim} != corpus dim {c_table.dim}"
+        )
+    if not force and q_table.encoder_tag != c_table.encoder_tag:
+        raise TagMismatchError(
+            f"query tag {q_table.encoder_tag!r} does not match corpus tag "
+            f"{c_table.encoder_tag!r} (use force to override)"
         )
     q_vecs = q_table.vectors
     c_vecs = c_table.vectors

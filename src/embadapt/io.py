@@ -247,6 +247,7 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
             ids = r.strings(lengths.tolist(), "ids the id lengths imply")
             vectors = r.array((count, dim), "vectors")
         r.end(checksum=version > 1)
+    vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     try:
         return EmbeddingTable(ids, vectors, encoder_tag)
     except Exception as exc:

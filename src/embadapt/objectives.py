@@ -44,16 +44,6 @@ class BatchScores:
         return self.scores.shape[1]
 
 
-@dataclass
-class LossWeights:
-    alpha: float = 0.1  # recovery weight
-    beta: float = 0.01  # prediction weight
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be non-negative")
-
-
 def softplus(x: np.ndarray) -> np.ndarray:
     """Overflow-safe log(1 + e^x)."""
     x = np.asarray(x, dtype=np.float64)
@@ -284,30 +274,32 @@ class TotalLoss:
 
 def total_loss(
     batch: BatchScores,
-    weights: LossWeights,
-    variant: str = "search-adaptor",
+    variant: str,
     *,
+    alpha: float,
+    beta: float,
     recovery_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     prediction_inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> TotalLoss:
     """Combined objective: rank term + alpha * recovery + beta * prediction.
 
+    alpha and beta are TrainConfig's loss weights, which it checks.
     recovery_inputs are recovery_loss's arguments and prediction_inputs are
-    prediction_loss's. Non-default variants replace only the rank term; the
+    prediction_loss's. The variant selects only the rank term; the
     regularizers are unchanged. Embedding-space gradients come back
     pre-multiplied by their weights; grad_scores is the raw rank-term gradient.
     """
     rank_value, grad_scores = rank_loss(batch, variant)
     recovery_value, (g_aq, g_ac) = recovery_loss(*recovery_inputs)
     prediction_value, g_q, g_pred = prediction_loss(*prediction_inputs)
-    value = rank_value + weights.alpha * recovery_value + weights.beta * prediction_value
+    value = rank_value + alpha * recovery_value + beta * prediction_value
     return TotalLoss(
         value=value,
         rank_value=rank_value,
         recovery_value=recovery_value,
         prediction_value=prediction_value,
         grad_scores=grad_scores,
-        grad_adapted_q=weights.alpha * g_aq + weights.beta * g_q,
-        grad_adapted_c=weights.alpha * g_ac,
-        grad_predicted_q=weights.beta * g_pred,
+        grad_adapted_q=alpha * g_aq + beta * g_q,
+        grad_adapted_c=alpha * g_ac,
+        grad_predicted_q=beta * g_pred,
     )

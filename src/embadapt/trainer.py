@@ -23,7 +23,6 @@ from .errors import DataError, TrainingDivergedError
 from .evaluation import evaluate
 from .objectives import (
     BatchScores,
-    LossWeights,
     cosine_scores,
     cosine_scores_backward,
     total_loss,
@@ -157,10 +156,9 @@ def loss_and_param_grads(
     grades: np.ndarray,
     pair_query_idx: np.ndarray,
     pair_corpus_idx: np.ndarray,
-    weights: LossWeights,
-    variant: str = "search-adaptor",
+    cfg: TrainConfig,
 ):
-    """Forward + backward for one batch.
+    """Forward + backward for one batch, with cfg's loss weights and variant.
 
     Returns (TotalLoss, flat gradient list aligned with model.trainable()).
     The chain is: losses -> score/embedding gradients -> adapter and
@@ -182,8 +180,9 @@ def loss_and_param_grads(
 
     loss = total_loss(
         batch,
-        weights,
-        variant,
+        cfg.loss_variant,
+        alpha=cfg.alpha,
+        beta=cfg.beta,
         recovery_inputs=(adapted_q, q_orig, adapted_c, c_orig),
         prediction_inputs=(adapted_q, predicted, pair_query_idx, pair_grades),
     )
@@ -255,24 +254,11 @@ def train(
         encoder_tag=q_table.encoder_tag,
         config=cfg,
     )
-    weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta)
     rng = np.random.default_rng(cfg.seed)
-
     val_q_table = q_table.subset(val_qids)
-    val_c_table = c_table
-    if cfg.val_corpus_sample is not None and cfg.val_corpus_sample < len(c_table):
-        # keep every positive of the validation split, fill with random corpus
-        keep = sorted({cid for q in val_qids for cid in val_rels.positives_for(q)})
-        pool_size = len(c_table) - len(keep)
-        n_fill = min(max(0, cfg.val_corpus_sample - len(keep)), pool_size)
-        fill_rows = _pool_rows(
-            c_table.row_indices(keep), rng.choice(pool_size, size=n_fill, replace=False)
-        )
-        corpus_ids = c_table.ids
-        val_c_table = c_table.subset(keep + [corpus_ids[r] for r in fill_rows])
 
     def validate_now() -> float:
-        report = evaluate(val_q_table, val_c_table, val_rels, model, k=10, gain=cfg.gain)
+        report = evaluate(val_q_table, c_table, val_rels, model, k=10, gain=cfg.gain)
         return report.mean_ndcg
 
     report = TrainReport()
@@ -301,9 +287,7 @@ def train(
         c_orig = c_table.vectors[rows]
         pair_q, pair_c = np.nonzero(grades > 0)
 
-        loss, grads = loss_and_param_grads(
-            model, q_orig, c_orig, grades, pair_q, pair_c, weights, cfg.loss_variant
-        )
+        loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, pair_q, pair_c, cfg)
         _check_finite(loss)
         adam.step(flat_params, grads, cfg.learning_rate)
 

@@ -18,7 +18,6 @@ from embadapt import (
     rank_candidates,
     BatchScores,
     EmbeddingTable,
-    LossWeights,
     RelevanceSet,
     TrainConfig,
     evaluate,
@@ -100,13 +99,13 @@ class TestCriterion2GradientCorrectness:
             grades = rng.choice([0.0, 0.0, 1.0, 2.0], size=(n_q, n_c))
             grades[0, 0] = 1.0
             pq, pc = np.nonzero(grades > 0)
-            weights = LossWeights(alpha=0.1, beta=0.01)
+            cfg = TrainConfig(alpha=0.1, beta=0.01)
 
             def objective():
-                loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, weights)
+                loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
                 return loss.value
 
-            _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, weights)
+            _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
             for p_arr, g_arr in zip(_flatten_trainable(model), grads):
                 p64 = p_arr.astype(np.float64)
                 for idx in range(p_arr.size):
@@ -182,7 +181,9 @@ class TestCriterion4LossFixtures:
         combined = total_loss(
             BatchScores(scores=np.array([[0.0, margin]]),
                         grades=np.array([[1.0, 0.0]])),
-            LossWeights(alpha=0.1, beta=0.01),
+            "search-adaptor",
+            alpha=0.1,
+            beta=0.01,
             recovery_inputs=(aq, oq, ac, ac),
             prediction_inputs=(aq, np.array([[0.5, 0.5]]), [0], [1.0]),
         )

@@ -227,6 +227,17 @@ class TestCheckpoint:
         assert (loaded.dim, loaded.hidden, loaded.encoder_tag) == (2, 3, "enc")
         assert loaded.config_snapshot == TrainConfig(seed=7)
 
+    @pytest.mark.parametrize("stored", [None, 5000])
+    def test_removed_val_corpus_sample_key_is_dropped(self, tmp_path, stored):
+        path = tmp_path / "m.sadc"
+        config = dict(TrainConfig(seed=7).to_dict(), val_corpus_sample=stored)
+        params = np.arange(2 * (2 * 2 * 3 + 3 + 2), dtype=np.float32) / 10
+        path.write_bytes(self.hand_built(b"enc", json.dumps(config).encode(), fill=params))
+        loaded = load_checkpoint(str(path))
+        assert loaded.config_snapshot == TrainConfig(seed=7)
+        flat = np.concatenate([a.ravel() for _, net in loaded.trainable() for a in net.arrays()])
+        assert np.array_equal(flat, params)
+
     @pytest.mark.parametrize("model", [
         trained_like_model(),
         init_adapter(3, 5, seed=2, separate_adapters=True, use_skip=False, encoder_tag=""),
@@ -244,6 +255,7 @@ class TestCheckpoint:
         (b"enc-\xff", b"{}", {}, "encoder tag is not valid UTF-8"),
         (b"enc", b'{"seed": 1', {}, "config is not valid JSON"),
         (b"enc", b"[1, 2]", {}, "config is not a JSON object"),
+        (b"enc", b'{"use_skip": "no"}', {}, "invalid config: use_skip must be bool"),
         (b"enc", b"{}", {"fill": np.nan}, "f network: w1 contains non-finite entries"),
         (b"enc", b"{}", {"fill": np.r_[np.zeros(34), np.inf, np.zeros(16)], "flags": 3},
          "f_corpus network: w1 contains non-finite"),
@@ -251,7 +263,8 @@ class TestCheckpoint:
         (b"enc", b"{}", {"hidden": 0}, "dim and hidden must be >= 1"),
         (b"enc", b"{}", {"flags": 0xFF}, "unknown flag bits 0xff"),
         (b"enc", b"{}", {"flags": 5}, "unknown flag bits 0x05"),
-    ], ids=["tag-not-utf8", "config-not-json", "config-not-object", "nan-weights",
+    ], ids=["tag-not-utf8", "config-not-json", "config-not-object", "config-bad-type",
+            "nan-weights",
             "inf-in-f-corpus", "dim-0", "hidden-0", "flags-ff", "flag-bit-4"])
     def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, fields,
                                                      message):

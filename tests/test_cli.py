@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from embadapt import (
-    EmbeddingTable, rank_candidates, read_embeddings, score_all, write_embeddings,
+    EmbeddingTable, TrainConfig, rank_candidates, read_embeddings, score_all,
+    write_embeddings,
 )
-from embadapt.cli import main
+from embadapt.cli import _build_parser, _effective_config, main
 from embadapt.data import TextItem
 
 from synth import planted_task
@@ -71,6 +72,42 @@ class TestTrainCommand:
         assert effective["alpha"] == 0.25
         # --batch-size flag was given too, so the file value for it is shadowed
         assert effective["batch_size"] == 16
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_every_field_has_one_flag(self, tmp_path, with_config):
+        # every flag at a non-default value, over a --config file that sets
+        # every field to its default
+        extra = []
+        if with_config:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(TrainConfig().to_dict()))
+            extra = ["--config", str(cfg_file)]
+        args = _build_parser().parse_args([
+            "train", "--queries", "q", "--corpus", "c", "--qrels", "r", "--out", "o",
+            "--alpha", "0.5", "--beta", "0.5", "--batch-size", "7", "--max-iters", "9",
+            "--patience", "11", "--lr", "0.01", "--neg-ratio", "3", "--hidden", "5",
+            "--seed", "4", "--eval-every", "2", "--loss-variant", "ranknet",
+            "--no-skip", "--separate-adapters", "--gain", "paper-literal", *extra,
+        ])
+        effective = _effective_config(args).to_dict()
+        default = TrainConfig().to_dict()
+        assert [k for k in default if effective[k] == default[k]] == []
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"batch_size": 1.5}', "batch_size must be int"),
+        ('{"val_corpus_sample": null}', "unknown config keys: ['val_corpus_sample']"),
+    ], ids=["list", "float-batch-size", "removed-key"])
+    def test_bad_config_file_exits_one(self, tmp_path, capsys, content, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(content)
+        qp, cp, rp = write_task(tmp_path)
+        out = tmp_path / "m.sadc"
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", str(out), "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_dangling_qrels_rejected(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
@@ -170,6 +207,13 @@ class TestEvaluateCommand:
         assert out == ""
         assert "error: k must be >= 1" in err
 
+    def test_tables_from_different_encoders_exit_one(self, tmp_path, capsys):
+        qp, cp, rp = write_task(tmp_path)
+        q = read_embeddings(qp)
+        write_embeddings(EmbeddingTable(q.ids, q.vectors, "enc-other"), qp)
+        assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp]) == 1
+        assert "enc-other" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         rc = main(["evaluate", "--queries", str(tmp_path / "nope.sadp"),
@@ -236,6 +280,30 @@ class TestSearchCommand:
         write_embeddings(EmbeddingTable(["a"], np.eye(1, 3, dtype=np.float32), "t"), cp)
         assert main(["search", "--corpus", cp, "--vector", "1,0"]) == 1
         assert "does not match" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_text_query_keeps_its_encoder_tag(self, tmp_path, capsys, monkeypatch, force):
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(EmbeddingTable(["a", "b"], np.eye(2, dtype=np.float32), "enc-b"), cp)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": "https://encoder.example/embed",
+                                        "encoder_tag": "enc-a"}))
+
+        def fake_fetch(items, cfg, session=None):
+            return EmbeddingTable([it.id for it in items],
+                                  np.array([[0.0, 1.0]], dtype=np.float32), cfg.encoder_tag)
+
+        monkeypatch.setattr("embadapt.cli.fetch_embeddings", fake_fetch)
+        rc = main(["search", "--corpus", cp, "--text", "hello",
+                   "--endpoint-config", str(endpoint), *(["--force"] * force)])
+        out, err = capsys.readouterr()
+        if force:
+            assert rc == 0
+            assert out.splitlines()[0].split("\t")[0] == "b"
+        else:
+            assert rc == 1
+            assert "'enc-a'" in err and "'enc-b'" in err
 
 
 class TestEmbedCommand:

@@ -58,6 +58,13 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.vectors[0, 0] = 2.0
 
+    def test_callers_writable_array_is_copied(self):
+        vecs = np.ones((2, 3), dtype=np.float32)
+        table = EmbeddingTable(["a", "b"], vecs)
+        vecs[0, 0] = 5.0
+        assert table.vector("a")[0] == 1.0
+        assert vecs.flags.writeable
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             EmbeddingTable(["a"], np.array([[1.0, np.nan]], dtype=np.float32))

@@ -236,6 +236,17 @@ class TestEvaluate:
         for r, row in zip(lists, scores):
             assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
 
+    def test_tables_from_different_encoders_refused_unless_forced(self):
+        q = table(["q1"], [[1.0, 0.0]], tag="enc-a")
+        c = table(["c1"], [[1.0, 0.0]], tag="enc-b")
+        rels = RelevanceSet([("q1", "c1", 1.0)])
+        with pytest.raises(TagMismatchError, match="enc-a"):
+            evaluate(q, c, rels)
+        with pytest.raises(TagMismatchError, match="enc-a"):
+            ranked_lists(q, c)
+        assert evaluate(q, c, rels, force=True).mean_ndcg == 1.0
+        assert ranked_lists(q, c, force=True)[0].entries[0][0] == "c1"
+
     def test_report_serialization(self):
         q = table(["q1"], [[1.0, 0.0]])
         c = table(["c1"], [[1.0, 0.0]])

@@ -259,6 +259,21 @@ class TestEmbeddingFileV2:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    def test_read_holds_one_copy_of_the_vectors(self, tmp_path):
+        n, dim = 20_000, 256
+        path = tmp_path / "big.sadp"
+        vectors = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
+        write_embeddings(EmbeddingTable([f"d{i}" for i in range(n)], vectors, "t"), path)
+        del vectors
+        tracemalloc.start()
+        try:
+            table = read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.vectors.shape == (n, dim)
+        assert peak < 1.5 * (4 * n * dim)
+
     def test_non_regular_file_refused(self):
         for reader in (read_embeddings, load_checkpoint):
             with pytest.raises(FormatError, match="not a regular file"):

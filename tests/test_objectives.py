@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from embadapt import BatchScores, LossWeights, cosine_similarity
+from embadapt import BatchScores, cosine_similarity
 from embadapt.objectives import (
     LOSS_VARIANTS,
     PAIR_BLOCK_FLOATS,
@@ -341,7 +341,9 @@ class TestTotalLoss:
         ac = rng.standard_normal((batch.n_c, 3))
         out = total_loss(
             batch,
-            LossWeights(alpha=0.0, beta=0.0),
+            "search-adaptor",
+            alpha=0.0,
+            beta=0.0,
             recovery_inputs=(aq, aq * 2, ac, ac * 2),
             prediction_inputs=(aq, aq[[0]], [0], [1.0]),
         )
@@ -360,7 +362,9 @@ class TestTotalLoss:
         pred = np.array([[0.5, 0.5]])  # grade-1 pair, L1 error 1.0
         out = total_loss(
             batch,
-            LossWeights(alpha=0.1, beta=0.01),
+            "search-adaptor",
+            alpha=0.1,
+            beta=0.01,
             recovery_inputs=(aq, oq, ac, ac),
             prediction_inputs=(aq, pred, [0], [1.0]),
         )
@@ -378,8 +382,8 @@ class TestTotalLoss:
             recovery_inputs=(aq, aq * 1.5, ac, ac * 0.5),
             prediction_inputs=(aq, aq[[0]] * 0.3, [0], [2.0]),
         )
-        base = total_loss(batch, LossWeights(), "search-adaptor", **kwargs)
-        alt = total_loss(batch, LossWeights(), "ranknet", **kwargs)
+        base = total_loss(batch, "search-adaptor", alpha=0.1, beta=0.01, **kwargs)
+        alt = total_loss(batch, "ranknet", alpha=0.1, beta=0.01, **kwargs)
         assert alt.recovery_value == pytest.approx(base.recovery_value, rel=1e-12)
         assert alt.prediction_value == pytest.approx(base.prediction_value, rel=1e-12)
         assert alt.rank_value == pytest.approx(rank_loss(batch, "ranknet")[0], rel=1e-12)

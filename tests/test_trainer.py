@@ -5,7 +5,6 @@ import pytest
 
 from embadapt import (
     EmbeddingTable,
-    LossWeights,
     RelevanceSet,
     TrainConfig,
     evaluate,
@@ -172,13 +171,13 @@ class TestLossAndParamGrads:
         grades = rng.choice([0.0, 0.0, 1.0, 2.0], size=(n_q, n_c))
         grades[0, 0] = 1.0  # at least one positive pair
         pq, pc = np.nonzero(grades > 0)
-        weights = LossWeights(alpha=0.1, beta=0.01)
+        cfg = TrainConfig(alpha=0.1, beta=0.01)
 
         def objective():
-            loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, weights)
+            loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
             return loss.value
 
-        _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, weights)
+        _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
         flat_params = _flatten_trainable(model)
         for p_arr, g_arr in zip(flat_params, grads):
             p64 = p_arr.astype(np.float64)
@@ -291,45 +290,26 @@ class TestTrain:
             train(q, c, tr, va, TrainConfig(batch_size=4, max_iterations=2, seed=0))
 
 
-class TestValCorpusSample:
-    def sampled_tables(self, monkeypatch, seed, sample=10):
-        """Run train() with val_corpus_sample and return each corpus table
-        that validation saw."""
-        import embadapt.trainer as trainer_module
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 1.5),  # int: an int
+        ("seed", True),  # int: not a bool
+        ("hidden", "4"),  # int | None: an int or None
+        ("alpha", "0.1"),  # float: a float or an int
+        ("beta", False),  # float: not a bool
+        ("learning_rate", float("nan")),  # float: finite
+        ("alpha", float("inf")),
+        ("use_skip", "no"),  # bool: exactly a bool
+        ("separate_adapters", 1),
+        ("gain", None),  # str: exactly a str
+    ])
+    def test_wrongly_typed_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig.from_dict({field: value})
 
-        seen = []
-
-        def spy(q_table, c_table, *args, **kwargs):
-            seen.append(c_table)
-            return evaluate(q_table, c_table, *args, **kwargs)
-
-        monkeypatch.setattr(trainer_module, "evaluate", spy)
-        q, c, rels = small_dataset(seed=1, n_q=12, n_c=80)
-        tr, va = split_train_val(rels, 0.5, seed=0)
-        cfg = TrainConfig(batch_size=4, max_iterations=3, patience=3, eval_every=1,
-                          seed=seed, val_corpus_sample=sample)
-        train(q, c, tr, va, cfg)
-        return c, va, seen
-
-    def test_sample_keeps_positives_and_size(self, monkeypatch):
-        c, va, seen = self.sampled_tables(monkeypatch, seed=3)
-        assert len(seen) == 4  # iteration 0 and three updates
-        sample = seen[0]
-        assert all(t is sample for t in seen)
-        assert len(sample) == 10
-        positives = {cid for qid in va.query_ids for cid in va.positives_for(qid)}
-        assert positives <= set(sample.ids)
-        assert np.array_equal(sample.vectors, c.rows_for(sample.ids))
-
-    def test_sample_is_seed_deterministic(self, monkeypatch):
-        c, va, first = self.sampled_tables(monkeypatch, seed=3)
-        _, _, again = self.sampled_tables(monkeypatch, seed=3)
-        _, _, other = self.sampled_tables(monkeypatch, seed=4)
-        assert first[0].ids == again[0].ids
-        assert first[0].ids != other[0].ids
-        # the fill is the run's first draw: a pool-scan over the corpus ids
-        # in order, indexed by the seed's first choice() call
-        keep = sorted({cid for qid in va.query_ids for cid in va.positives_for(qid)})
-        pool = [cid for cid in c.ids if cid not in set(keep)]
-        picks = np.random.default_rng(3).choice(len(pool), size=10 - len(keep), replace=False)
-        assert first[0].ids == keep + [pool[i] for i in picks]
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", None), ("hidden", 4), ("alpha", 1), ("learning_rate", 0.5),
+        ("use_skip", False), ("loss_variant", "ranknet"),
+    ])
+    def test_value_of_its_type_accepted(self, field, value):
+        assert getattr(TrainConfig.from_dict({field: value}), field) == value
