@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .data import EmbeddingTable
-from .errors import TagMismatchError
 from .io import BlockReader, write_blocks
 
 CHECKPOINT_MAGIC = b"SADC"
@@ -135,15 +133,6 @@ class AdapterModel:
             nets.append(("f_corpus", self.f_corpus_params))
         return nets
 
-    def check_tag(self, table: EmbeddingTable, force: bool = False) -> None:
-        if force:
-            return
-        if self.encoder_tag != table.encoder_tag:
-            raise TagMismatchError(
-                f"model encoder tag {self.encoder_tag!r} does not match "
-                f"table tag {table.encoder_tag!r} (use force to override)"
-            )
-
 
 def init_adapter(
     dim: int,
@@ -229,8 +218,11 @@ def save_checkpoint(model: AdapterModel, path: str) -> None:
         struct.pack("<HIIBI", CHECKPOINT_VERSION, model.dim, model.hidden, flags, len(tag)) + tag,
         struct.pack("<I", len(config)) + config,
     ]
-    for _, params in model.trainable():
+    for net, params in model.trainable():
         params.check()
+        if (params.dim, params.hidden) != (model.dim, model.hidden):
+            raise ValueError(f"{net} network is {params.dim}x{params.hidden}, "
+                             f"f is {model.dim}x{model.hidden}")
         blocks += [np.ascontiguousarray(arr, dtype="<f4") for arr in params.arrays()]
     write_blocks(path, CHECKPOINT_MAGIC, blocks)
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import load_checkpoint, save_checkpoint, transform
-from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig
-from .data import EmbeddingTable, TextItem, split_train_val
+from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig, check_keys
+from .data import EmbeddingTable, TextItem, check_compatible, split_train_val
 from .errors import EmbAdaptError
 from .evaluation import evaluate, ranked_lists
 from .io import (
@@ -123,9 +123,7 @@ def _effective_config(args) -> TrainConfig:
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            base = json.load(f)
-        if not isinstance(base, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+            base = check_keys(TrainConfig, json.load(f))
     for f in dataclasses.fields(TrainConfig):
         if getattr(args, f.name) is not None:
             base[f.name] = getattr(args, f.name)
@@ -157,7 +155,7 @@ def cmd_train(args) -> int:
 def cmd_transform(args) -> int:
     table = read_embeddings(args.infile)
     model = load_checkpoint(args.model)
-    model.check_tag(table, args.force)
+    check_compatible({"input": table}, model, args.force)
     adapted = transform(model, table.vectors, args.which)
     out_table = EmbeddingTable(table.ids, adapted, table.encoder_tag)
     _atomic_write(args.out, lambda tmp: write_embeddings(out_table, tmp))
@@ -192,10 +190,6 @@ def cmd_search(args) -> int:
             raise EmbAdaptError("--text requires --endpoint-config")
         cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
         q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
-    if q_table.dim != c_table.dim:
-        raise EmbAdaptError(
-            f"query dim {q_table.dim} does not match corpus dim {c_table.dim}"
-        )
     [ranked] = ranked_lists(q_table, c_table, model, k=args.k, force=args.force)
     for cid, score in ranked.entries:
         print(f"{cid}\t{score:.6f}")

@@ -14,6 +14,36 @@ GAIN_MODES = ("standard", "paper-literal")
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def check_field_types(config) -> None:
+    """Raise ValueError unless each field of the dataclass instance holds a
+    value of its annotated type; a float field must also be finite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        if (isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, _FIELD_TYPES[kind])
+                or (kind == "float" and not math.isfinite(value))):
+            finite = "finite " if kind == "float" else ""
+            raise ValueError(f"{f.name} must be {finite}{f.type}, got {value!r}")
+
+
+def check_keys(cls, d) -> dict:
+    """Return d after checking that it is a JSON object naming only fields of
+    the dataclass cls, and every field without a default; else ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
+    return d
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 128
@@ -31,20 +61,8 @@ class TrainConfig:
     loss_variant: str = "search-adaptor"
     gain: str = "standard"
 
-    def _check_types(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            if value is None and optional:
-                continue
-            if (isinstance(value, bool) != (kind == "bool")
-                    or not isinstance(value, _FIELD_TYPES[kind])
-                    or (kind == "float" and not math.isfinite(value))):
-                finite = "finite " if kind == "float" else ""
-                raise ValueError(f"{f.name} must be {finite}{f.type}, got {value!r}")
-
     def validate(self) -> None:
-        self._check_types()
+        check_field_types(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.max_iterations < 1:
@@ -71,10 +89,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
+        cfg = cls(**check_keys(cls, d))
         cfg.validate()
         return cfg

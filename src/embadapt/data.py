@@ -7,7 +7,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, TagMismatchError
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,20 @@ def check_embeddings(
             f"{len(dangling)} qrels rows reference missing embeddings, "
             f"first: {dangling[0]}"
         )
+
+
+def check_compatible(
+    tables: dict[str, EmbeddingTable], model=None, force: bool = False
+) -> None:
+    """Raise DataError unless the named tables, and the model when one is
+    given, share one dim, and TagMismatchError unless they share one encoder
+    tag or force is set. The model is read only through `dim` and `encoder_tag`."""
+    sides = {**tables, **({"model": model} if model is not None else {})}
+    for attr, error, forced in (("dim", DataError, False),
+                                ("encoder_tag", TagMismatchError, force)):
+        if not forced and len({getattr(side, attr) for side in sides.values()}) > 1:
+            listed = ", ".join(f"{name} {getattr(side, attr)!r}" for name, side in sides.items())
+            raise error(f"{attr.replace('_', ' ')} does not match: {listed}")
 
 
 def split_train_val(

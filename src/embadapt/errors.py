@@ -14,7 +14,7 @@ class FormatError(EmbAdaptError):
 
 
 class TagMismatchError(EmbAdaptError):
-    """Encoder tag of a model does not match the embedding table."""
+    """Embedding tables or a model come from encoders with different tags."""
 
 
 class FetchError(EmbAdaptError):

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import AdapterModel, transform
-from .data import EmbeddingTable, RelevanceSet
-from .errors import DataError, TagMismatchError
+from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
+from .errors import DataError
 from .objectives import cosine_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
@@ -62,24 +62,12 @@ def _adapted_vectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Query and corpus vectors, adapted by model when one is given.
 
-    Tables from different encoders are refused unless force is set."""
-    if q_table.dim != c_table.dim:
-        raise DataError(
-            f"query dim {q_table.dim} != corpus dim {c_table.dim}"
-        )
-    if not force and q_table.encoder_tag != c_table.encoder_tag:
-        raise TagMismatchError(
-            f"query tag {q_table.encoder_tag!r} does not match corpus tag "
-            f"{c_table.encoder_tag!r} (use force to override)"
-        )
-    q_vecs = q_table.vectors
-    c_vecs = c_table.vectors
-    if model is not None:
-        model.check_tag(q_table, force)
-        model.check_tag(c_table, force)
-        q_vecs = transform(model, q_vecs, "query")
-        c_vecs = transform(model, c_vecs, "corpus")
-    return q_vecs, c_vecs
+    Tables and a model from different encoders are refused unless force is
+    set (see check_compatible)."""
+    check_compatible({"query": q_table, "corpus": c_table}, model, force)
+    if model is None:
+        return q_table.vectors, c_table.vectors
+    return transform(model, q_table.vectors, "query"), transform(model, c_table.vectors, "corpus")
 
 
 def score_all(
@@ -215,8 +203,10 @@ def evaluate(
     gain: str = "standard",
     force: bool = False,
 ) -> RetrievalReport:
-    """Mean nDCG@k over every query in q_table with at least one positive."""
+    """Mean nDCG@k over every query in q_table with at least one positive;
+    each qrels row of a query in q_table must name embeddings that exist."""
     _check_k(k)
+    check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
     cids = c_table.ids
     per_query: dict[str, float] = {}
     n_skipped = 0

@@ -38,6 +38,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 import requests
 
+from .config import check_field_types, check_keys
 from .data import EmbeddingTable, ItemSet, RelevanceSet, TextItem
 from .errors import FetchError, FormatError
 
@@ -268,6 +269,7 @@ class EncoderEndpointConfig:
     backoff_base_seconds: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_concurrent_requests < 1:
@@ -278,7 +280,7 @@ class EncoderEndpointConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EncoderEndpointConfig":
         with open(path, "r", encoding="utf-8") as f:
-            return cls(**json.load(f))
+            return cls(**check_keys(cls, json.load(f)))
 
 
 def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:

@@ -18,7 +18,7 @@ from .adapter import (
     transform_grad,
 )
 from .config import TrainConfig
-from .data import EmbeddingTable, RelevanceSet, check_embeddings
+from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError, TrainingDivergedError
 from .evaluation import evaluate
 from .objectives import (
@@ -222,13 +222,7 @@ def train(
     always a selectable checkpoint.
     """
     cfg.validate()
-    if q_table.dim != c_table.dim:
-        raise DataError("query and corpus embedding dimensions disagree")
-    if q_table.encoder_tag != c_table.encoder_tag:
-        raise DataError(
-            f"query tag {q_table.encoder_tag!r} != corpus tag {c_table.encoder_tag!r}"
-        )
-
+    check_compatible({"query": q_table, "corpus": c_table})
     check_embeddings(q_table, c_table, train_rels, val_rels)
 
     train_qids = sorted(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from embadapt import (
-    EmbeddingTable,
     TrainConfig,
     init_adapter,
     load_checkpoint,
@@ -16,7 +15,7 @@ from embadapt import (
     transform_grad,
 )
 from embadapt.adapter import mlp_forward, mlp_grad, transform_forward, MlpParams
-from embadapt.errors import FormatError, TagMismatchError
+from embadapt.errors import FormatError
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
@@ -189,6 +188,16 @@ class TestCheckpoint:
         assert not loaded.use_skip
         assert np.array_equal(loaded.f_corpus_params.w1, model.f_corpus_params.w1)
 
+    @pytest.mark.parametrize("net", ["p", "f_corpus"])
+    def test_save_refuses_networks_of_another_shape(self, tmp_path, net):
+        model = init_adapter(4, 3, seed=1, separate_adapters=True)
+        other = init_adapter(4, 5, seed=2, separate_adapters=True)
+        setattr(model, f"{net}_params", getattr(other, f"{net}_params"))
+        path = tmp_path / "m.sadc"
+        with pytest.raises(ValueError, match=f"{net} network is 4x5, f is 4x3"):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.sadc"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -272,10 +281,3 @@ class TestCheckpoint:
         path.write_bytes(self.hand_built(tag, config, **fields))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
-
-    def test_tag_mismatch_refused_unless_forced(self, tmp_path):
-        model = self.trained_like_model()
-        table = EmbeddingTable(["a"], np.ones((1, 6), dtype=np.float32), "enc-b")
-        with pytest.raises(TagMismatchError):
-            model.check_tag(table)
-        model.check_tag(table, force=True)

@@ -14,6 +14,9 @@ from embadapt.data import TextItem
 from synth import planted_task
 
 
+ENDPOINT_URL = "https://encoder.example/embed"
+
+
 def write_task(tmp_path, n_queries=24, n_corpus=80, seed=0):
     q, c, rels = planted_task(n_queries=n_queries, n_corpus=n_corpus, seed=seed)
     qp, cp, rp = tmp_path / "q.sadp", tmp_path / "c.sadp", tmp_path / "rels.tsv"
@@ -214,6 +217,15 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp]) == 1
         assert "enc-other" in capsys.readouterr().err
 
+    def test_dangling_positive_exits_one(self, tmp_path, capsys):
+        qp, cp, rp = write_task(tmp_path)
+        with open(rp, "a", encoding="utf-8") as f:
+            f.write(f"{read_embeddings(qp).ids[0]}\tzz\t1\n")
+        assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "missing embeddings" in err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         rc = main(["evaluate", "--queries", str(tmp_path / "nope.sadp"),
@@ -333,3 +345,29 @@ class TestEmbedCommand:
         assert table.ids == ["a", "b"]
         assert table.encoder_tag == "fake-v1"
         assert "wrote 2 embeddings" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config, message", [
+        ({"base_url": ENDPOINT_URL, "bogus": 1}, "unknown config keys: ['bogus']"),
+        ([ENDPOINT_URL], "config must be a JSON object, got list"),
+        ({"base_url": ENDPOINT_URL, "max_batch": "10"}, "max_batch must be int, got '10'"),
+        ({"base_url": ENDPOINT_URL, "timeout_seconds": float("nan")},
+         "timeout_seconds must be finite float, got nan"),
+        ({"encoder_tag": "enc"}, "missing config keys: ['base_url']"),
+    ], ids=["unknown-key", "json-list", "wrong-type", "nan-timeout", "no-base-url"])
+    def test_bad_endpoint_config_exits_one(self, tmp_path, capsys, monkeypatch, config,
+                                           message):
+        items_path = tmp_path / "items.jsonl"
+        items_path.write_text('{"_id": "a", "text": "first"}\n')
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps(config))
+
+        def no_fetch(items, cfg, session=None):
+            raise AssertionError("a refused config must not reach the encoder")
+
+        monkeypatch.setattr("embadapt.cli.fetch_embeddings", no_fetch)
+        out = tmp_path / "emb.sadp"
+        rc = main(["embed", "--items", str(items_path),
+                   "--endpoint-config", str(endpoint), "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()

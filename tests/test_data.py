@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,17 @@ from embadapt import (
     ItemSet,
     RelevanceSet,
     TextItem,
+    TrainConfig,
+    evaluate,
+    init_adapter,
+    save_checkpoint,
     split_train_val,
+    train,
+    write_embeddings,
 )
-from embadapt.errors import DataError
+from embadapt.cli import _COMMANDS, _build_parser
+from embadapt.errors import DataError, TagMismatchError
+from embadapt.evaluation import ranked_lists
 
 
 def make_items(prefix, n):
@@ -117,3 +127,95 @@ class TestSplitTrainVal:
             split_train_val(self.rels_for(10), 0.01, seed=0)
         with pytest.raises(DataError):
             split_train_val(self.rels_for(10), 1.5, seed=0)
+
+
+def run_command(argv):
+    """A CLI command with its error raised, not turned into exit status 1."""
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
+
+
+def cli_search(tmp_path, monkeypatch, q, c, model, force):
+    cp, mp, endpoint = tmp_path / "c.sadp", tmp_path / "m.sadc", tmp_path / "endpoint.json"
+    write_embeddings(c, cp)
+    save_checkpoint(model, str(mp))
+    endpoint.write_text(json.dumps({"base_url": "https://encoder.example/embed"}))
+    monkeypatch.setattr("embadapt.cli.fetch_embeddings", lambda items, cfg: q.subset(["q1"]))
+    return run_command(["search", "--corpus", str(cp), "--model", str(mp), "--text", "q",
+                        "--endpoint-config", str(endpoint), *["--force"] * force])
+
+
+def cli_transform(tmp_path, monkeypatch, q, c, model, force):
+    qp, mp = tmp_path / "q.sadp", tmp_path / "m.sadc"
+    write_embeddings(q, qp)
+    save_checkpoint(model, str(mp))
+    return run_command(["transform", "--in", str(qp), "--model", str(mp),
+                        "--out", str(tmp_path / "out.sadp"), *["--force"] * force])
+
+
+RELS = RelevanceSet([("q1", "c1", 1.0), ("q2", "c2", 1.0)])
+
+
+def lib_train(tmp_path, monkeypatch, q, c, model, force):
+    tr, va = split_train_val(RELS, 0.5, seed=0)
+    return train(q, c, tr, va, TrainConfig(batch_size=1, max_iterations=1, eval_every=1))
+
+
+def lib_evaluate(tmp_path, monkeypatch, q, c, model, force):
+    return evaluate(q, c, RELS, model, force=force)
+
+
+def lib_ranked_lists(tmp_path, monkeypatch, q, c, model, force):
+    return ranked_lists(q, c, model, force=force)
+
+
+TABLE_CASES, MODEL_CASES = ("table-dim", "table-tag"), ("model-dim", "model-tag")
+# entry point -> (call, its first side's name, the mismatches it can meet, takes force)
+ENTRY_POINTS = {
+    "train": (lib_train, "query", TABLE_CASES, False),
+    "evaluate": (lib_evaluate, "query", TABLE_CASES + MODEL_CASES, True),
+    "ranked_lists": (lib_ranked_lists, "query", TABLE_CASES + MODEL_CASES, True),
+    "cli-search": (cli_search, "query", TABLE_CASES + MODEL_CASES, True),
+    "cli-transform": (cli_transform, "input", MODEL_CASES, True),
+}
+MISMATCH_CASES = [
+    pytest.param(entry, case, force, id=f"{entry}-{case}-{'forced' if force else 'unforced'}")
+    for entry, (_, _, cases, takes_force) in ENTRY_POINTS.items()
+    for case in cases
+    for force in (False, True)[: 1 + takes_force]
+]
+
+
+class TestCompatibilityRule:
+    """Every entry point refuses tables and a model of different dims with
+    DataError, and of different encoder tags with TagMismatchError unless forced."""
+
+    @staticmethod
+    def sides(case):
+        """Query, corpus and model of dim 2 and tag 'enc-a', except that the
+        side the case names has dim 3 or tag 'enc-b'."""
+        c_dim = 3 if case == "table-dim" else 2
+        q = EmbeddingTable(["q1", "q2"], np.eye(2, dtype=np.float32), "enc-a")
+        c = EmbeddingTable(["c1", "c2", "c3"], np.eye(3, c_dim, dtype=np.float32),
+                           "enc-b" if case == "table-tag" else "enc-a")
+        model = init_adapter(3 if case == "model-dim" else 2, seed=0,
+                             encoder_tag="enc-b" if case == "model-tag" else "enc-a")
+        return q, c, model
+
+    @pytest.mark.parametrize("entry, case, force", MISMATCH_CASES)
+    def test_mismatch(self, tmp_path, monkeypatch, entry, case, force):
+        call, first, _, _ = ENTRY_POINTS[entry]
+        q, c, model = self.sides(case)
+        if force and case.endswith("tag"):
+            call(tmp_path, monkeypatch, q, c, model, force)
+            return
+        kind = case.split("-")[1]
+        error, ours, theirs = ((DataError, 2, 3) if kind == "dim"
+                               else (TagMismatchError, "enc-a", "enc-b"))
+        other = "corpus" if case.startswith("table") else "model"
+        label = "dim" if kind == "dim" else "encoder tag"
+        with pytest.raises(error, match=f"^{label} does not match: ") as info:
+            call(tmp_path, monkeypatch, q, c, model, force)
+        message = str(info.value)
+        assert f"{first} {ours!r}" in message and f"{other} {theirs!r}" in message
+        assert "force" not in message

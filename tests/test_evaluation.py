@@ -194,6 +194,14 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(q, c, RelevanceSet([]))
 
+    def test_dangling_positive_of_a_scored_query_refused(self):
+        q = table(["q1"], [[1.0, 0.0]])
+        c = table(["c1"], [[1.0, 0.0]])
+        with pytest.raises(DataError, match="missing embeddings"):
+            evaluate(q, c, RelevanceSet([("q1", "c1", 1.0), ("q1", "zz", 1.0)]))
+        # a qrels file may judge more queries than the query table holds
+        assert evaluate(q, c, RelevanceSet([("q1", "c1", 1.0), ("q9", "zz", 1.0)])).mean_ndcg == 1.0
+
     def test_zero_init_model_bit_identical(self):
         rng = np.random.default_rng(2)
         q = table(["q1", "q2"], rng.standard_normal((2, 6)))

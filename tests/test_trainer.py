@@ -12,7 +12,7 @@ from embadapt import (
     split_train_val,
     train,
 )
-from embadapt.errors import DataError, TrainingDivergedError
+from embadapt.errors import DataError, TagMismatchError, TrainingDivergedError
 from embadapt.trainer import loss_and_param_grads, _flatten_trainable
 from embadapt.adapter import init_adapter
 
@@ -273,7 +273,7 @@ class TestTrain:
         q, c, rels = small_dataset()
         c2 = EmbeddingTable(c.ids, c.vectors, "other")
         tr, va = split_train_val(rels, 0.67, seed=0)
-        with pytest.raises(DataError):
+        with pytest.raises(TagMismatchError, match="encoder tag does not match"):
             train(q, c2, tr, va, TrainConfig(batch_size=4))
 
     @pytest.mark.parametrize("case", ["train-query", "judged-corpus-id", "val-positive"])
