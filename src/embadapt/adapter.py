@@ -21,6 +21,9 @@ CHECKPOINT_MAGIC = b"SADC"
 CHECKPOINT_VERSION = 1
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+# float64 bytes of one row block of the widest layer, in transform and in the
+# evaluation's pass over each side: 341 rows at d=384, 2048 rows at d=64
+ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -107,6 +110,7 @@ class AdapterModel:
     use_skip: bool = True
     encoder_tag: str = ""
     config_snapshot: TrainConfig = field(default_factory=TrainConfig)
+    checkpoint_crc: int | None = None  # the CRC32 of the .sadc file it was loaded from
 
     @property
     def dim(self) -> int:
@@ -172,17 +176,43 @@ def transform_forward(
     return out, hidden
 
 
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices covering n rows in ceil(n / B) blocks whose sizes
+    differ by at most one, where B rows of `width` float64 columns fill
+    ROW_BLOCK_BYTES.
+
+    The blocks are near-equal, not B rows and a short remainder: OpenBLAS
+    runs a GEMM of one or a few rows with other kernels, which round
+    differently from the kernel that the whole matrix gets.
+    """
+    per_block = max(1, ROW_BLOCK_BYTES // (8 * width))
+    count = max(1, -(-n // per_block))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def is_identity(model: AdapterModel, which: str) -> bool:
+    """True when transform(model, x, which) equals x: the skip connection is
+    on and the side's output layer is all zero, as init_adapter leaves it."""
+    params = model.params_for(which)
+    return model.use_skip and not params.w2.any() and not params.b2.any()
+
+
 def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.ndarray:
     """Adapted embedding: x + mlp(x) with skip, mlp(x) without.
 
-    x is one vector (d,) or a batch (n, d); the result has the same shape.
+    x is one vector (d,) or a batch (n, d); the result has the same shape,
+    float64. The batch runs through the network in row blocks (see
+    row_blocks), so the output is the only full-size array built.
     """
-    # parameters are stored float32; forward/backward math runs in float64
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     batch = x[None, :] if x.ndim == 1 else x
     if batch.ndim != 2 or batch.shape[1] != model.dim:
         raise ValueError(f"input has shape {x.shape}, expected (*, {model.dim})")
-    out, _ = transform_forward(model, batch, which)
+    out = np.empty(batch.shape, dtype=np.float64)
+    for rows in row_blocks(len(batch), max(model.dim, model.hidden)):
+        # parameters are stored float32; forward/backward math runs in float64
+        out[rows], _ = transform_forward(model, np.asarray(batch[rows], dtype=np.float64), which)
     return out[0] if x.ndim == 1 else out
 
 
@@ -262,7 +292,7 @@ def load_checkpoint(path: str) -> AdapterModel:
             except ValueError as exc:
                 raise r.error(f"{net} network: {exc}") from None
             nets.append(params)
-        r.end()
+        crc = r.end()
     return AdapterModel(
         f_params=nets[0],
         p_params=nets[1],
@@ -270,4 +300,5 @@ def load_checkpoint(path: str) -> AdapterModel:
         use_skip=bool(flags & 1),
         encoder_tag=encoder_tag,
         config_snapshot=config,
+        checkpoint_crc=crc,
     )

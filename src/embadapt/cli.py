@@ -14,7 +14,14 @@ import numpy as np
 
 from .adapter import load_checkpoint, save_checkpoint, transform
 from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig, check_keys
-from .data import EmbeddingTable, TextItem, check_compatible, split_train_val
+from .data import (
+    EmbeddingTable,
+    TextItem,
+    adapted_tag,
+    as_side,
+    check_compatible,
+    split_train_val,
+)
 from .errors import EmbAdaptError
 from .evaluation import evaluate, ranked_lists
 from .io import (
@@ -157,7 +164,8 @@ def cmd_transform(args) -> int:
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
     adapted = transform(model, table.vectors, args.which)
-    out_table = EmbeddingTable(table.ids, adapted, table.encoder_tag)
+    tag = adapted_tag(table.encoder_tag, args.which, model.checkpoint_crc)
+    out_table = EmbeddingTable(table.ids, adapted, tag)
     _atomic_write(args.out, lambda tmp: write_embeddings(out_table, tmp))
     print(f"wrote {len(out_table)} adapted ({args.which}) embeddings -> {args.out}")
     return 0
@@ -184,7 +192,8 @@ def cmd_search(args) -> int:
         raise EmbAdaptError("search requires exactly one of --vector or --text")
     if args.vector is not None:
         query = np.array([float(x) for x in args.vector.split(",")], dtype=np.float32)
-        q_table = EmbeddingTable(["q"], query[None, :], c_table.encoder_tag)
+        # a vector is taken to be a query in the space of the corpus
+        q_table = EmbeddingTable(["q"], query[None, :], as_side(c_table.encoder_tag, "query"))
     else:
         if not args.endpoint_config:
             raise EmbAdaptError("--text requires --endpoint-config")

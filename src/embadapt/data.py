@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -177,18 +178,65 @@ def check_embeddings(
         )
 
 
+# transform marks the tag of a table it writes with the side it adapted the
+# rows as and the CRC32 of the checkpoint: "<encoder tag>@adapted:corpus:1a2b3c4d"
+_ADAPTED = re.compile(r"(.*)@adapted:(query|corpus):([0-9a-f]{8})", re.DOTALL)
+
+
+def adapted_tag(encoder_tag: str, side: str, checkpoint_crc: int) -> str:
+    """The tag of a table whose rows a checkpoint adapted as `side`."""
+    return f"{encoder_tag}@adapted:{side}:{checkpoint_crc:08x}"
+
+
+def _provenance(tag: str) -> tuple[str, str | None, str | None]:
+    """(encoder tag, side, checkpoint CRC32) of a tag; no side or CRC for a
+    table that transform did not write."""
+    m = _ADAPTED.fullmatch(tag)
+    return (tag, None, None) if m is None else (m[1], m[2], m[3])
+
+
+def as_side(tag: str, side: str) -> str:
+    """tag with the side of its adapted mark, if it has one, set to side."""
+    base, old, crc = _provenance(tag)
+    return tag if old is None else adapted_tag(base, side, int(crc, 16))
+
+
 def check_compatible(
     tables: dict[str, EmbeddingTable], model=None, force: bool = False
 ) -> None:
     """Raise DataError unless the named tables, and the model when one is
-    given, share one dim, and TagMismatchError unless they share one encoder
-    tag or force is set. The model is read only through `dim` and `encoder_tag`."""
+    given, share one dim. The model is read only through `dim` and
+    `encoder_tag`, and is the one that will be applied to the tables.
+
+    Unless force is set, raise TagMismatchError unless:
+    - they share one encoder tag once transform's mark is set aside;
+    - every table carries the same mark: none, or one checkpoint's CRC32;
+    - a table named "query" or "corpus" was adapted as that side, if at all;
+    - no table is adapted when a model is given, which would adapt it twice.
+    """
     sides = {**tables, **({"model": model} if model is not None else {})}
-    for attr, error, forced in (("dim", DataError, False),
-                                ("encoder_tag", TagMismatchError, force)):
-        if not forced and len({getattr(side, attr) for side in sides.values()}) > 1:
-            listed = ", ".join(f"{name} {getattr(side, attr)!r}" for name, side in sides.items())
-            raise error(f"{attr.replace('_', ' ')} does not match: {listed}")
+
+    def listed(attr):
+        return ", ".join(f"{name} {getattr(side, attr)!r}" for name, side in sides.items())
+
+    if len({side.dim for side in sides.values()}) > 1:
+        raise DataError(f"dim does not match: {listed('dim')}")
+    if force:
+        return
+    marks = {name: _provenance(side.encoder_tag) for name, side in sides.items()}
+    if len({base for base, _, _ in marks.values()}) > 1:
+        raise TagMismatchError(f"encoder tag does not match: {listed('encoder_tag')}")
+    if len({marks[name][2] for name in tables}) > 1:
+        raise TagMismatchError(f"tables were not adapted by one checkpoint: "
+                               f"{listed('encoder_tag')}")
+    for name in tables:
+        _, side, crc = marks[name]
+        if side is not None and name in ("query", "corpus") and side != name:
+            raise TagMismatchError(f"{name} table was adapted as {side}: "
+                                   f"{listed('encoder_tag')}")
+        if crc is not None and model is not None:
+            raise TagMismatchError(f"{name} table was already adapted by checkpoint {crc}, "
+                                   f"and a model would adapt it twice: {listed('encoder_tag')}")
 
 
 def split_train_val(

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import AdapterModel, transform
+from .adapter import AdapterModel, is_identity, row_blocks, transform
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
-from .objectives import cosine_scores
+from .objectives import unit_rows, unit_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
 SCORE_BLOCK_BYTES = 32 << 20
@@ -54,20 +54,37 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _adapted_vectors(
+def _unit_side(
+    table: EmbeddingTable, model: AdapterModel | None, which: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table's unit rows and degenerate-row mask (see unit_rows), adapted
+    as the `which` side by model unless it is None or the identity.
+
+    Rows are adapted and normalised in the row blocks of transform, so the
+    float64 unit rows are the only full-size array built.
+    """
+    x = table.vectors
+    adapt = model is not None and not is_identity(model, which)
+    unit = np.empty(x.shape, dtype=np.float64)
+    degenerate = np.empty(len(x), dtype=bool)
+    for rows in row_blocks(len(x), max(x.shape[1], model.hidden) if adapt else x.shape[1]):
+        block = transform(model, x[rows], which) if adapt else x[rows]
+        unit[rows], _, degenerate[rows] = unit_rows(block)
+    return unit, degenerate
+
+
+def _unit_sides(
     q_table: EmbeddingTable,
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Query and corpus vectors, adapted by model when one is given.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """_unit_side of the queries and of the corpus, each computed once.
 
-    Tables and a model from different encoders are refused unless force is
-    set (see check_compatible)."""
+    Tables and a model that check_compatible refuses raise its error unless
+    force is set."""
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    if model is None:
-        return q_table.vectors, c_table.vectors
-    return transform(model, q_table.vectors, "query"), transform(model, c_table.vectors, "corpus")
+    return _unit_side(q_table, model, "query"), _unit_side(c_table, model, "corpus")
 
 
 def score_all(
@@ -78,9 +95,10 @@ def score_all(
 ) -> np.ndarray:
     """Dense (n_q, n_c) cosine score matrix, optionally on adapted embeddings.
 
-    The corpus is transformed once and reused for every query.
+    Each side is adapted and normalised once.
     """
-    return cosine_scores(*_adapted_vectors(q_table, c_table, model, force))
+    (q_unit, q_degenerate), (c_unit, c_degenerate) = _unit_sides(q_table, c_table, model, force)
+    return unit_scores(q_unit, q_degenerate, c_unit, c_degenerate)
 
 
 def _check_k(k: int | None) -> None:
@@ -122,16 +140,17 @@ def _score_blocks(
     """Cosine scores of consecutive query blocks against the whole corpus.
 
     Yields (query ids, scores) with scores of shape (block, n_c), equal to the
-    matching rows of score_all. The corpus is adapted once per call; each
-    block holds at most SCORE_BLOCK_BYTES of scores (one query at least), so
-    memory grows with the corpus size, not with n_q * n_c.
+    matching rows of score_all. Each side is adapted and normalised once per
+    call, and only its unit rows are kept; each block then takes one product
+    with the unit corpus and holds at most SCORE_BLOCK_BYTES of scores (one
+    query at least), so memory grows with the corpus size, not with n_q * n_c.
     """
-    q_vecs, c_vecs = _adapted_vectors(q_table, c_table, model, force)
+    (q_unit, q_degenerate), (c_unit, c_degenerate) = _unit_sides(q_table, c_table, model, force)
     qids = q_table.ids
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
     for lo in range(0, len(qids), block):
         hi = lo + block
-        yield qids[lo:hi], cosine_scores(q_vecs[lo:hi], c_vecs)
+        yield qids[lo:hi], unit_scores(q_unit[lo:hi], q_degenerate[lo:hi], c_unit, c_degenerate)
 
 
 def ranked_lists(

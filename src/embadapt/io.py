@@ -182,16 +182,17 @@ class BlockReader:
         self.crc = zlib.crc32(block, self.crc)
         return out
 
-    def end(self, checksum: bool = True) -> None:
+    def end(self, checksum: bool = True) -> int:
         """Check the stored CRC32, unless the format has none, and refuse
-        trailing bytes."""
+        trailing bytes. Returns the CRC32 of the body."""
+        crc = self.crc  # the sum before the stored value is read into it
         if checksum:
-            crc = self.crc  # the sum before the stored value is read into it
             (stored,) = self.unpack("<I", "checksum")
             if stored != crc:
                 raise self.error("checksum mismatch, file corrupted")
         if self.left:
             raise self.error(f"{self.left} trailing bytes")
+        return crc
 
 
 def write_blocks(path: str | Path, magic: bytes, blocks: Iterable) -> None:
@@ -276,6 +277,10 @@ class EncoderEndpointConfig:
             raise ValueError("max_concurrent_requests must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        if self.timeout_seconds <= 0:
+            raise ValueError("timeout_seconds must be > 0")
+        if self.backoff_base_seconds < 0:
+            raise ValueError("backoff_base_seconds must be >= 0")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EncoderEndpointConfig":

@@ -66,13 +66,26 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of x scaled to unit length, their norms floored at NORM_EPS, and
-    the mask of rows whose norm is below NORM_EPS."""
+    the mask of rows whose norm is below NORM_EPS (degenerate rows). Each
+    row's result depends on that row alone."""
     x = np.asarray(x, dtype=np.float64)
     norm = np.linalg.norm(x, axis=1)
     safe = np.maximum(norm, NORM_EPS)
     return x / safe[:, None], safe, norm < NORM_EPS
+
+
+def unit_scores(
+    q_unit: np.ndarray, q_degenerate: np.ndarray, c_unit: np.ndarray, c_degenerate: np.ndarray
+) -> np.ndarray:
+    """Cosine scores (n_q, n_c) from the unit rows and degenerate-row masks
+    that unit_rows returns: a degenerate row scores 0 against everything, and
+    every score is clipped to [-1, 1]."""
+    scores = q_unit @ c_unit.T
+    scores[q_degenerate, :] = 0.0
+    scores[:, c_degenerate] = 0.0
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -80,12 +93,9 @@ def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Rows/columns with near-zero norm score 0 against everything.
     """
-    q_unit, _, q_deg = _unit_rows(q)
-    c_unit, _, c_deg = _unit_rows(c)
-    scores = q_unit @ c_unit.T
-    scores[q_deg, :] = 0.0
-    scores[:, c_deg] = 0.0
-    return np.clip(scores, -1.0, 1.0, out=scores)
+    q_unit, _, q_degenerate = unit_rows(q)
+    c_unit, _, c_degenerate = unit_rows(c)
+    return unit_scores(q_unit, q_degenerate, c_unit, c_degenerate)
 
 
 def cosine_scores_backward(
@@ -95,8 +105,8 @@ def cosine_scores_backward(
 
     scores is the matrix that cosine_scores(q, c) returned.
     """
-    q_unit, q_norm, q_deg = _unit_rows(q)
-    c_unit, c_norm, c_deg = _unit_rows(c)
+    q_unit, q_norm, q_deg = unit_rows(q)
+    c_unit, c_norm, c_deg = unit_rows(c)
     # degenerate rows score 0 against everything, so they pass no gradient
     q_unit[q_deg] = 0.0
     c_unit[c_deg] = 0.0

@@ -222,7 +222,17 @@ def train(
     always a selectable checkpoint.
     """
     cfg.validate()
-    check_compatible({"query": q_table, "corpus": c_table})
+    model = init_adapter(
+        dim=q_table.dim,
+        hidden=cfg.hidden,
+        seed=cfg.seed,
+        use_skip=cfg.use_skip,
+        separate_adapters=cfg.separate_adapters,
+        encoder_tag=q_table.encoder_tag,
+        config=cfg,
+    )
+    # the model is applied to both tables, so a table transform wrote is refused
+    check_compatible({"query": q_table, "corpus": c_table}, model)
     check_embeddings(q_table, c_table, train_rels, val_rels)
 
     train_qids = sorted(
@@ -239,15 +249,6 @@ def train(
     if not val_qids:
         raise DataError("validation split has no query with a positive relation")
 
-    model = init_adapter(
-        dim=q_table.dim,
-        hidden=cfg.hidden,
-        seed=cfg.seed,
-        use_skip=cfg.use_skip,
-        separate_adapters=cfg.separate_adapters,
-        encoder_tag=q_table.encoder_tag,
-        config=cfg,
-    )
     rng = np.random.default_rng(cfg.seed)
     val_q_table = q_table.subset(val_qids)
 

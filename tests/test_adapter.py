@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,7 +15,8 @@ from embadapt import (
     transform,
     transform_grad,
 )
-from embadapt.adapter import mlp_forward, mlp_grad, transform_forward, MlpParams
+from embadapt import adapter
+from embadapt.adapter import mlp_forward, mlp_grad, row_blocks, transform_forward, MlpParams
 from embadapt.errors import FormatError
 
 REL_TOL = 1e-4
@@ -87,6 +89,29 @@ class TestTransform:
         model = init_adapter(4, 4, seed=0)
         with pytest.raises(ValueError):
             transform(model, np.zeros(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 50, 4097])
+    def test_row_blocks_are_near_equal(self, monkeypatch, n):
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 4)  # 7 rows of width 4
+        blocks = row_blocks(n, 4)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == max(1, math.ceil(n / 7))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 7
+
+    def test_output_is_the_only_full_size_array(self):
+        model = init_adapter(64, 64, seed=0)
+        model.f_params.w2[:] = 0.01
+        x = np.random.default_rng(0).standard_normal((20000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = transform(model, x, "corpus")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert peak < 1.5 * out.nbytes
 
 
 class TestTransformGrad:

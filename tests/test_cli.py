@@ -1,12 +1,13 @@
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
 
 from embadapt import (
-    EmbeddingTable, TrainConfig, rank_candidates, read_embeddings, score_all,
-    write_embeddings,
+    EmbeddingTable, TrainConfig, init_adapter, rank_candidates, read_embeddings,
+    save_checkpoint, score_all, write_embeddings,
 )
 from embadapt.cli import _build_parser, _effective_config, main
 from embadapt.data import TextItem
@@ -147,7 +148,9 @@ class TestTransformCommand:
         expected = transform(model, original.vectors, "query").astype(np.float32)
         assert np.array_equal(adapted.vectors, expected)
         assert adapted.ids == original.ids
-        assert adapted.encoder_tag == original.encoder_tag
+        # the tag records the side and the CRC32 stored at the checkpoint's end
+        crc = zlib.crc32(open(ckpt, "rb").read()[4:-4])
+        assert adapted.encoder_tag == f"{original.encoder_tag}@adapted:query:{crc:08x}"
 
     def test_tag_mismatch_fails_without_force(self, tmp_path, capsys):
         rc, ckpt, (qp, _, _) = run_train(tmp_path)
@@ -164,6 +167,86 @@ class TestTransformCommand:
                    "--out", out, "--force"])
         assert rc == 0
         assert os.path.exists(out)
+
+
+class TestProvenance:
+    """transform marks its output with the side and the checkpoint's CRC32,
+    so an adapted table is never adapted a second time unless forced."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        qp, cp, rp = write_task(tmp_path)
+        tag = read_embeddings(qp).encoder_tag
+        paths = {"q": qp, "c": cp, "rels": rp}
+        for name, seed in (("A", 1), ("B", 2)):
+            model = init_adapter(read_embeddings(qp).dim, seed=seed, encoder_tag=tag)
+            model.f_params.w2[:] = np.random.default_rng(seed).normal(
+                0.0, 0.2, model.f_params.w2.shape)
+            paths[name] = str(tmp_path / f"{name}.sadc")
+            save_checkpoint(model, paths[name])
+        # <input><checkpoint><side>: qAq is the queries adapted by A as queries
+        for name, table, ckpt, side in (("qAq", "q", "A", "query"), ("cAc", "c", "A", "corpus"),
+                                        ("cBc", "c", "B", "corpus"),
+                                        ("qAc", "q", "A", "corpus")):
+            paths[name] = str(tmp_path / f"{name}.sadp")
+            assert main(["transform", "--in", paths[table], "--model", paths[ckpt],
+                         "--which", side, "--out", paths[name]]) == 0
+        return paths
+
+    @staticmethod
+    def evaluate(files, queries, corpus, *extra):
+        return main(["evaluate", "--queries", files[queries], "--corpus", files[corpus],
+                     "--qrels", files["rels"], "--json", *extra])
+
+    def test_tables_adapted_by_one_checkpoint_evaluate_without_model(self, files, capsys):
+        capsys.readouterr()
+        assert self.evaluate(files, "q", "c", "--model", files["A"]) == 0
+        direct = capsys.readouterr().out
+        assert self.evaluate(files, "qAq", "cAc") == 0
+        assert json.loads(capsys.readouterr().out)["mean_ndcg"] == pytest.approx(
+            json.loads(direct)["mean_ndcg"], abs=1e-6)
+
+    @pytest.mark.parametrize("queries, corpus, extra, message", [
+        ("qAq", "cAc", ("--model", "A"), "a model would adapt it twice"),
+        ("q", "c", ("--model", "A"), None),
+        ("qAq", "cBc", (), "not adapted by one checkpoint"),
+        ("q", "cAc", (), "not adapted by one checkpoint"),
+        ("qAc", "cAc", (), "query table was adapted as corpus"),
+    ], ids=["model-on-adapted", "raw-with-model", "two-checkpoints", "one-side-adapted",
+            "wrong-side"])
+    def test_evaluate_refuses_unless_forced(self, files, capsys, queries, corpus, extra,
+                                            message):
+        extra = [files.get(arg, arg) for arg in extra]
+        capsys.readouterr()
+        rc = self.evaluate(files, queries, corpus, *extra)
+        if message is None:
+            assert rc == 0
+            return
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert self.evaluate(files, queries, corpus, *extra, "--force") == 0
+
+    def test_search_and_transform_refuse_a_second_adaptation(self, files, capsys, tmp_path):
+        capsys.readouterr()
+        vector = ",".join(["0.5"] * read_embeddings(files["c"]).dim)
+        search = ["search", "--corpus", files["cAc"], "--vector", vector]
+        assert main(search) == 0  # a vector is taken to be a query adapted by A
+        assert main([*search, "--model", files["A"]]) == 1
+        assert "a model would adapt it twice" in capsys.readouterr().err
+        out = str(tmp_path / "twice.sadp")
+        assert main(["transform", "--in", files["cAc"], "--model", files["A"],
+                     "--which", "corpus", "--out", out]) == 1
+        assert "a model would adapt it twice" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_train_refuses_adapted_tables(self, files, capsys, tmp_path):
+        out = str(tmp_path / "m.sadc")
+        rc = main(["train", "--queries", files["qAq"], "--corpus", files["cAc"],
+                   "--qrels", files["rels"], "--out", out, "--max-iters", "2"])
+        assert rc == 1
+        assert "a model would adapt it twice" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestEvaluateCommand:
@@ -353,7 +436,12 @@ class TestEmbedCommand:
         ({"base_url": ENDPOINT_URL, "timeout_seconds": float("nan")},
          "timeout_seconds must be finite float, got nan"),
         ({"encoder_tag": "enc"}, "missing config keys: ['base_url']"),
-    ], ids=["unknown-key", "json-list", "wrong-type", "nan-timeout", "no-base-url"])
+        ({"base_url": ENDPOINT_URL, "timeout_seconds": 0}, "timeout_seconds must be > 0"),
+        ({"base_url": ENDPOINT_URL, "timeout_seconds": -1.0}, "timeout_seconds must be > 0"),
+        ({"base_url": ENDPOINT_URL, "backoff_base_seconds": -0.5},
+         "backoff_base_seconds must be >= 0"),
+    ], ids=["unknown-key", "json-list", "wrong-type", "nan-timeout", "no-base-url",
+            "zero-timeout", "negative-timeout", "negative-backoff"])
     def test_bad_endpoint_config_exits_one(self, tmp_path, capsys, monkeypatch, config,
                                            message):
         items_path = tmp_path / "items.jsonl"

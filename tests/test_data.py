@@ -17,6 +17,7 @@ from embadapt import (
     write_embeddings,
 )
 from embadapt.cli import _COMMANDS, _build_parser
+from embadapt.data import adapted_tag, as_side, check_compatible
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ranked_lists
 
@@ -219,3 +220,51 @@ class TestCompatibilityRule:
         message = str(info.value)
         assert f"{first} {ours!r}" in message and f"{other} {theirs!r}" in message
         assert "force" not in message
+
+
+class TestProvenanceRule:
+    """check_compatible reads transform's mark on a tag: the side the rows
+    were adapted as and the CRC32 of the checkpoint."""
+
+    @staticmethod
+    def tables(q_tag, c_tag):
+        return {"query": EmbeddingTable(["q1"], np.eye(1, 2, dtype=np.float32), q_tag),
+                "corpus": EmbeddingTable(["c1"], np.eye(1, 2, dtype=np.float32), c_tag)}
+
+    def test_tag_format(self):
+        assert adapted_tag("enc", "corpus", 0x1A2B) == "enc@adapted:corpus:00001a2b"
+        assert as_side("enc@adapted:corpus:00001a2b", "query") == "enc@adapted:query:00001a2b"
+        assert as_side("enc", "query") == "enc"
+
+    @pytest.mark.parametrize("q_tag, c_tag, with_model", [
+        ("enc", "enc", True),
+        (adapted_tag("enc", "query", 7), adapted_tag("enc", "corpus", 7), False),
+    ], ids=["raw-with-model", "adapted-by-one-checkpoint"])
+    def test_accepted(self, q_tag, c_tag, with_model):
+        model = init_adapter(2, encoder_tag="enc") if with_model else None
+        check_compatible(self.tables(q_tag, c_tag), model)
+
+    @pytest.mark.parametrize("q_tag, c_tag, with_model, message", [
+        (adapted_tag("enc", "query", 7), adapted_tag("enc", "corpus", 7), True,
+         "query table was already adapted by checkpoint 00000007"),
+        ("enc", adapted_tag("enc", "corpus", 7), False, "not adapted by one checkpoint"),
+        (adapted_tag("enc", "query", 7), adapted_tag("enc", "corpus", 8), False,
+         "not adapted by one checkpoint"),
+        (adapted_tag("enc", "query", 7), adapted_tag("enc", "query", 7), False,
+         "corpus table was adapted as query"),
+        (adapted_tag("enc-a", "query", 7), adapted_tag("enc-b", "corpus", 7), False,
+         "encoder tag does not match"),
+    ], ids=["model-on-adapted", "one-side-adapted", "two-checkpoints", "wrong-side",
+            "different-encoders"])
+    def test_refused_unless_forced(self, q_tag, c_tag, with_model, message):
+        model = init_adapter(2, encoder_tag="enc") if with_model else None
+        tables = self.tables(q_tag, c_tag)
+        with pytest.raises(TagMismatchError, match=message):
+            check_compatible(tables, model)
+        check_compatible(tables, model, force=True)
+
+    def test_train_refuses_adapted_tables(self):
+        tables = self.tables(adapted_tag("enc", "query", 7), adapted_tag("enc", "corpus", 7))
+        rels = RelevanceSet([("q1", "c1", 1.0)])
+        with pytest.raises(TagMismatchError, match="would adapt it twice"):
+            train(tables["query"], tables["corpus"], rels, rels, TrainConfig())

@@ -11,7 +11,7 @@ from embadapt import (
     ndcg_at_k,
     score_all,
 )
-from embadapt import evaluation
+from embadapt import adapter, evaluation, transform
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import RankedList, rank_candidates, ranked_lists
 
@@ -244,6 +244,22 @@ class TestEvaluate:
         for r, row in zip(lists, scores):
             assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
 
+    def test_identity_model_skips_the_network(self, monkeypatch):
+        q, c, rels = planted_task(n_queries=30, n_corpus=200, dim=8, seed=4)
+        calls = []
+        forward = adapter.mlp_forward
+        monkeypatch.setattr(adapter, "mlp_forward",
+                            lambda params, x: calls.append(len(x)) or forward(params, x))
+        for separate in (False, True):
+            fresh = init_adapter(8, 8, seed=1, separate_adapters=separate,
+                                 encoder_tag=q.encoder_tag)
+            assert evaluate(q, c, rels, fresh).to_json() == evaluate(q, c, rels).to_json()
+        assert calls == []
+        # without the skip connection a zero output layer maps every row to 0
+        no_skip = init_adapter(8, 8, seed=1, use_skip=False, encoder_tag=q.encoder_tag)
+        assert not score_all(q, c, no_skip).any()
+        assert sum(calls) == len(q) + len(c)
+
     def test_tables_from_different_encoders_refused_unless_forced(self):
         q = table(["q1"], [[1.0, 0.0]], tag="enc-a")
         c = table(["c1"], [[1.0, 0.0]], tag="enc-b")
@@ -261,3 +277,51 @@ class TestEvaluate:
         report = evaluate(q, c, RelevanceSet([("q1", "c1", 1.0)]))
         assert '"mean_ndcg": 1.0' in report.to_json()
         assert "mean nDCG@10" in report.to_text()
+
+
+class TestBlockedSidePass:
+    """Each side is adapted and normalised in row blocks; the results do not
+    depend on the block size."""
+
+    @staticmethod
+    def task():
+        # 50 corpus rows, rows 25..49 repeat rows 0..24 under other ids, so
+        # every tie spans two blocks once a block holds fewer than 25 rows
+        q, base, _ = planted_task(n_queries=13, n_corpus=25, dim=8, seed=6)
+        rows = np.concatenate([base.vectors, base.vectors])
+        c = EmbeddingTable([f"d{i % 5}-{i:02d}" for i in range(50)], rows, base.encoder_tag)
+        rng = np.random.default_rng(8)
+        rels = RelevanceSet([(qid, c.ids[j], float(rng.integers(1, 3)))
+                             for qid in q.ids for j in rng.choice(50, 2, replace=False)])
+        model = init_adapter(8, 8, seed=2, encoder_tag=base.encoder_tag)
+        model.f_params.w2 = rng.standard_normal((8, 8)).astype(np.float32)
+        model.f_params.b2 = rng.standard_normal(8).astype(np.float32)
+        return q, c, rels, model
+
+    @staticmethod
+    def outputs(q, c, rels, model):
+        values = [score_all(q, c, model)]
+        if model is not None:
+            values.append(transform(model, c.vectors, "corpus"))
+        return (evaluate(q, c, rels, model, k=5).per_query_ndcg,
+                [[cid for cid, _ in r.entries] for r in ranked_lists(q, c, model, k=20)],
+                *values)
+
+    @pytest.mark.parametrize("with_model", [True, False])
+    def test_small_blocks_equal_one_block(self, monkeypatch, with_model):
+        q, c, rels, model = self.task()
+        model = model if with_model else None
+        one = self.outputs(q, c, rels, model)
+        # 7 rows of 8 float64 per block: 50 rows are 8 blocks of 6 or 7, not
+        # seven blocks of 7 and a 1-row remainder
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)
+        assert [b.stop - b.start for b in adapter.row_blocks(50, 8)] == [6, 6, 6, 7, 6, 6, 6, 7]
+        assert len(adapter.row_blocks(len(q), 8)) == 2
+        many = self.outputs(q, c, rels, model)
+        assert many[0] == one[0]
+        assert many[1] == one[1]
+        for blocked, whole in zip(many[2:], one[2:]):
+            np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+        # the tied rows still score equally, so each tie is ordered by id
+        scores = many[2]
+        assert np.array_equal(scores[:, :25], scores[:, 25:])
