@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -64,6 +65,8 @@ class RelevanceSet:
         self._by_query: dict[str, dict[str, float]] = {}
         for qid, cid, grade in triplets:
             grade = float(grade)
+            if not math.isfinite(grade):
+                raise DataError(f"non-finite grade for ({qid!r}, {cid!r}): {grade}")
             if grade < 0:
                 raise DataError(f"negative grade for ({qid!r}, {cid!r}): {grade}")
             key = (qid, cid)

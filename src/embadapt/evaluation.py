@@ -54,11 +54,9 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _unit_side(
-    table: EmbeddingTable, model: AdapterModel | None, which: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The table's unit rows and degenerate-row mask (see unit_rows), adapted
-    as the `which` side by model unless it is None or the identity.
+def _unit_side(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
+    """The table's unit rows (see unit_rows), adapted as the `which` side by
+    model unless it is None or the identity.
 
     Rows are adapted and normalised in the row blocks of transform, so the
     float64 unit rows are the only full-size array built.
@@ -66,11 +64,9 @@ def _unit_side(
     x = table.vectors
     adapt = model is not None and not is_identity(model, which)
     unit = np.empty(x.shape, dtype=np.float64)
-    degenerate = np.empty(len(x), dtype=bool)
     for rows in row_blocks(len(x), max(x.shape[1], model.hidden) if adapt else x.shape[1]):
-        block = transform(model, x[rows], which) if adapt else x[rows]
-        unit[rows], _, degenerate[rows] = unit_rows(block)
-    return unit, degenerate
+        unit[rows], _ = unit_rows(transform(model, x[rows], which) if adapt else x[rows])
+    return unit
 
 
 def _unit_sides(
@@ -78,7 +74,7 @@ def _unit_sides(
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """_unit_side of the queries and of the corpus, each computed once.
 
     Tables and a model that check_compatible refuses raise its error unless
@@ -97,8 +93,7 @@ def score_all(
 
     Each side is adapted and normalised once.
     """
-    (q_unit, q_degenerate), (c_unit, c_degenerate) = _unit_sides(q_table, c_table, model, force)
-    return unit_scores(q_unit, q_degenerate, c_unit, c_degenerate)
+    return unit_scores(*_unit_sides(q_table, c_table, model, force))
 
 
 def _check_k(k: int | None) -> None:
@@ -145,12 +140,12 @@ def _score_blocks(
     with the unit corpus and holds at most SCORE_BLOCK_BYTES of scores (one
     query at least), so memory grows with the corpus size, not with n_q * n_c.
     """
-    (q_unit, q_degenerate), (c_unit, c_degenerate) = _unit_sides(q_table, c_table, model, force)
+    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
     qids = q_table.ids
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
     for lo in range(0, len(qids), block):
         hi = lo + block
-        yield qids[lo:hi], unit_scores(q_unit[lo:hi], q_degenerate[lo:hi], c_unit, c_degenerate)
+        yield qids[lo:hi], unit_scores(q_unit[lo:hi], c_unit)
 
 
 def ranked_lists(

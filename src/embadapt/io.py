@@ -347,15 +347,20 @@ def _fetch_batch(
             last_error = FetchError(f"HTTP {status}")
             delay = _retry_after_seconds(resp)
             continue
+        # a malformed body may be transient
         try:
             embeddings = resp.json()[cfg.response_field]
-            if len(embeddings) == len(texts):
-                return embeddings
-            last_error = FetchError(
-                f"endpoint returned {len(embeddings)} vectors for {len(texts)} texts"
-            )
-        except (ValueError, KeyError, TypeError) as exc:  # a malformed body may be transient
+        except (ValueError, KeyError, TypeError) as exc:
             last_error = exc
+            continue
+        # JSON numbers only: bool is an int subclass, and str or null are not numbers
+        if (isinstance(embeddings, list) and len(embeddings) == len(texts)
+                and all(isinstance(vec, list) and all(type(x) in (int, float) for x in vec)
+                        for vec in embeddings)):
+            return embeddings
+        last_error = FetchError(
+            f"{cfg.response_field!r} is not {len(texts)} lists of numbers"
+        )
     raise FetchError(
         f"{span} failed after {cfg.retry_limit + 1} attempts: {last_error}"
     )

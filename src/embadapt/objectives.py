@@ -66,25 +66,21 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of x scaled to unit length, their norms floored at NORM_EPS, and
-    the mask of rows whose norm is below NORM_EPS (degenerate rows). Each
-    row's result depends on that row alone."""
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x scaled to unit length, and their norms. A row whose norm is
+    below NORM_EPS (a degenerate row) comes back as a zero unit row, so it
+    scores 0 against everything. Each row's result depends on that row alone."""
     x = np.asarray(x, dtype=np.float64)
     norm = np.linalg.norm(x, axis=1)
-    safe = np.maximum(norm, NORM_EPS)
-    return x / safe[:, None], safe, norm < NORM_EPS
+    unit = x / np.maximum(norm, NORM_EPS)[:, None]
+    unit[norm < NORM_EPS] = 0.0
+    return unit, norm
 
 
-def unit_scores(
-    q_unit: np.ndarray, q_degenerate: np.ndarray, c_unit: np.ndarray, c_degenerate: np.ndarray
-) -> np.ndarray:
-    """Cosine scores (n_q, n_c) from the unit rows and degenerate-row masks
-    that unit_rows returns: a degenerate row scores 0 against everything, and
-    every score is clipped to [-1, 1]."""
+def unit_scores(q_unit: np.ndarray, c_unit: np.ndarray) -> np.ndarray:
+    """Cosine scores (n_q, n_c) from the unit rows that unit_rows returns,
+    clipped to [-1, 1]."""
     scores = q_unit @ c_unit.T
-    scores[q_degenerate, :] = 0.0
-    scores[:, c_degenerate] = 0.0
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
@@ -93,31 +89,31 @@ def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Rows/columns with near-zero norm score 0 against everything.
     """
-    q_unit, _, q_degenerate = unit_rows(q)
-    c_unit, _, c_degenerate = unit_rows(c)
-    return unit_scores(q_unit, q_degenerate, c_unit, c_degenerate)
+    return unit_scores(unit_rows(q)[0], unit_rows(c)[0])
 
 
 def cosine_scores_backward(
-    q: np.ndarray, c: np.ndarray, scores: np.ndarray, grad_scores: np.ndarray
+    q_unit: np.ndarray,
+    q_norm: np.ndarray,
+    c_unit: np.ndarray,
+    c_norm: np.ndarray,
+    scores: np.ndarray,
+    grad_scores: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_scores * cosine_scores(q, c)) w.r.t. q and c.
-
-    scores is the matrix that cosine_scores(q, c) returned.
+    """Gradients of sum(grad_scores * scores) w.r.t. the rows q and c that
+    unit_rows turned into (q_unit, q_norm) and (c_unit, c_norm), where scores
+    is unit_scores(q_unit, c_unit). A degenerate row scores 0 against
+    everything, so its gradient is zero.
     """
-    q_unit, q_norm, q_deg = unit_rows(q)
-    c_unit, c_norm, c_deg = unit_rows(c)
-    # degenerate rows score 0 against everything, so they pass no gradient
-    q_unit[q_deg] = 0.0
-    c_unit[c_deg] = 0.0
     g = np.asarray(grad_scores, dtype=np.float64)
     gs = g * scores
     # d s_ij / d q_i = (c_unit_j - s_ij * q_unit_i) / |q_i|
-    grad_q = (g @ c_unit - gs.sum(axis=1)[:, None] * q_unit) / q_norm[:, None]
-    grad_c = (g.T @ q_unit - gs.sum(axis=0)[:, None] * c_unit) / c_norm[:, None]
-    grad_q[q_deg, :] = 0.0
-    grad_c[c_deg, :] = 0.0
-    return grad_q, grad_c
+    grad_q = g @ c_unit - gs.sum(axis=1)[:, None] * q_unit
+    grad_c = g.T @ q_unit - gs.sum(axis=0)[:, None] * c_unit
+    return tuple(
+        np.divide(grad, norm[:, None], out=np.zeros_like(grad), where=norm[:, None] >= NORM_EPS)
+        for grad, norm in ((grad_q, q_norm), (grad_c, c_norm))
+    )
 
 
 def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, np.ndarray]:

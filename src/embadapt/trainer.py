@@ -23,9 +23,10 @@ from .errors import DataError, TrainingDivergedError
 from .evaluation import evaluate
 from .objectives import (
     BatchScores,
-    cosine_scores,
     cosine_scores_backward,
     total_loss,
+    unit_rows,
+    unit_scores,
 )
 
 ADAM_BETA1 = 0.9
@@ -162,19 +163,20 @@ def loss_and_param_grads(
 
     Returns (TotalLoss, flat gradient list aligned with model.trainable()).
     The chain is: losses -> score/embedding gradients -> adapter and
-    predictor parameter gradients. Each backward step reuses the activations
-    and scores of its forward step.
+    predictor parameter gradients. Each backward step reuses the activations,
+    unit rows, norms and scores of its forward step.
     """
     q_orig = np.asarray(q_orig, dtype=np.float64)
     c_orig = np.asarray(c_orig, dtype=np.float64)
     adapted_q, hidden_q = transform_forward(model, q_orig, "query")
     adapted_c, hidden_c = transform_forward(model, c_orig, "corpus")
-    scores = cosine_scores(adapted_q, adapted_c)
-    batch = BatchScores(scores=scores, grades=grades)
+    q_unit, q_norm = unit_rows(adapted_q)
+    c_unit, c_norm = unit_rows(adapted_c)
+    batch = BatchScores(scores=unit_scores(q_unit, c_unit), grades=grades)
 
     pair_query_idx = np.asarray(pair_query_idx, dtype=np.intp)
     pair_corpus_idx = np.asarray(pair_corpus_idx, dtype=np.intp)
-    pair_grades = np.asarray(grades, dtype=np.float64)[pair_query_idx, pair_corpus_idx]
+    pair_grades = batch.grades[pair_query_idx, pair_corpus_idx]
     pred_in = adapted_c[pair_corpus_idx]
     predicted, hidden_p = mlp_forward(model.p_params, pred_in)
 
@@ -187,7 +189,9 @@ def loss_and_param_grads(
         prediction_inputs=(adapted_q, predicted, pair_query_idx, pair_grades),
     )
 
-    grad_aq, grad_ac = cosine_scores_backward(adapted_q, adapted_c, scores, loss.grad_scores)
+    grad_aq, grad_ac = cosine_scores_backward(
+        q_unit, q_norm, c_unit, c_norm, batch.scores, loss.grad_scores
+    )
     grad_aq += loss.grad_adapted_q
     grad_ac += loss.grad_adapted_c
     # Predictor backward: its input gradient flows into the adapted corpus rows.

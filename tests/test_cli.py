@@ -355,6 +355,18 @@ class TestSearchCommand:
         assert [float(r[1]) for r in rows] == pytest.approx(
             [score for _, score in expected], abs=1e-6)
 
+    def test_zero_vector_scores_positive_zero_in_id_order(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        ids = [f"c{i}" for i in range(20)]
+        table = EmbeddingTable(ids, rng.standard_normal((20, 4)).astype(np.float32), "t")
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(table, cp)
+        rc = main(["search", "--corpus", cp, "--vector", "0,0,0,0", "--k", "5"])
+        assert rc == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [r[0] for r in rows] == sorted(ids)[:5]
+        assert [r[1] for r in rows] == ["0.000000"] * 5
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_one(self, tmp_path, capsys, k):
         cp = str(tmp_path / "c.sadp")

@@ -55,6 +55,20 @@ class TestRelevanceSet:
         with pytest.raises(DataError):
             RelevanceSet([("q1", "c1", -0.5)])
 
+    @pytest.mark.parametrize("grade", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("entry", ["RelevanceSet", "evaluate", "train"])
+    def test_non_finite_grade_rejected(self, grade, entry):
+        """A non-finite grade would make evaluate's mean NaN (invalid JSON) or
+        skip its query; the library refuses it as load_qrels_tsv does."""
+        q = EmbeddingTable(["q1", "q2"], np.eye(2, dtype=np.float32), "t")
+        c = EmbeddingTable(["c1", "c2"], np.eye(2, dtype=np.float32), "t")
+        with pytest.raises(DataError, match=r"non-finite grade for \('q2', 'c2'\)"):
+            rels = RelevanceSet([("q1", "c1", 1.0), ("q2", "c2", grade)])
+            if entry == "evaluate":
+                evaluate(q, c, rels)
+            elif entry == "train":
+                train(q, c, rels, rels, TrainConfig(max_iterations=1))
+
 
 class TestEmbeddingTable:
     def test_lookup_is_bit_exact(self):

@@ -25,6 +25,7 @@ from embadapt import (
     save_checkpoint,
     write_embeddings,
 )
+from embadapt.cli import main
 from embadapt.errors import FetchError, FormatError
 from embadapt.io import BACKOFF_CAP_SECONDS
 
@@ -312,8 +313,9 @@ class FakeSession:
     """Deterministic stand-in for requests.Session."""
 
     def __init__(self, dim=4, fail_first=0, dim_by_batch=None, fail_status=503,
-                 fail_headers=None):
+                 fail_headers=None, body=None):
         self.dim = dim
+        self.body = body  # when set, the "embeddings" field of every response
         self.fail_first = fail_first
         self.fail_status = fail_status
         self.fail_headers = fail_headers
@@ -328,9 +330,14 @@ class FakeSession:
             if self.fail_first > 0:
                 self.fail_first -= 1
                 return FakeResponse({}, self.fail_status, self.fail_headers)
+        if self.body is not None:
+            return FakeResponse({"embeddings": self.body})
         dim = self.dim if self.dim_by_batch is None else self.dim_by_batch[batch_no]
         vectors = [[float(len(t))] * dim for t in json["texts"]]
         return FakeResponse({"embeddings": vectors})
+
+    def close(self):
+        pass
 
 
 def endpoint_cfg(**kw):
@@ -420,6 +427,30 @@ class TestFetchEmbeddings:
                 endpoint_cfg(max_batch=10, retry_limit=1),
                 session=session,
             )
+
+    @pytest.mark.parametrize("body", [
+        [1.0, 2.0], [["1", "2"], ["3", "4"]], [[True, False], [1, 2]], "ab", [[1, None], [2, 3]],
+    ], ids=["flat-numbers", "strings", "booleans", "string", "null"])
+    def test_malformed_embeddings_retried_then_refused(self, body, tmp_path, capsys,
+                                                       monkeypatch):
+        session = FakeSession(body=body)
+        with pytest.raises(FetchError, match=r"\[0:2\] failed after 2 attempts: "
+                                             r"'embeddings' is not 2 lists of numbers"):
+            fetch_embeddings(make_items(2), endpoint_cfg(retry_limit=1), session=session)
+        assert len(session.calls) == 2
+        # the CLI reports it on one error line
+        monkeypatch.setattr("embadapt.io.requests.Session", lambda: FakeSession(body=body))
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"_id": "a", "text": "x"}\n{"_id": "b", "text": "y"}\n')
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": "http://encoder.test/embed",
+                                        "retry_limit": 0}))
+        out = tmp_path / "emb.sadp"
+        rc = main(["embed", "--items", str(items), "--endpoint-config", str(endpoint),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: batch [0:2] failed after 1 attempts" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_auth_env_var(self, monkeypatch):
         cfg = endpoint_cfg(auth_token_env_var="EMB_TOKEN")

@@ -16,6 +16,8 @@ from embadapt.objectives import (
     recovery_loss,
     softplus,
     total_loss,
+    unit_rows,
+    unit_scores,
 )
 
 REL_TOL = 1e-4
@@ -122,20 +124,43 @@ class TestCosine:
             for j in range(5):
                 assert scores[i, j] == pytest.approx(cosine_similarity(q[i], c[j]), abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["query", "corpus"])
+    def test_degenerate_rows_score_positive_zero(self, side):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((5, 4)), rng.standard_normal((6, 4))
+        x[1] = 0.0
+        x[3] = [1e-13, 0.0, 0.0, 0.0]  # norm 1e-13 < NORM_EPS
+        scores = cosine_scores(x, y) if side == "query" else cosine_scores(y, x).T
+        degenerate = np.zeros(scores.shape, dtype=bool)
+        degenerate[[1, 3]] = True
+        assert np.all(scores[degenerate] == 0.0)
+        assert not np.any(np.signbit(scores[degenerate]))
+        for i, j in zip(*np.nonzero(~degenerate)):
+            assert scores[i, j] == pytest.approx(cosine_similarity(x[i], y[j]), abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_backward_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         q = rng.standard_normal((3, 4))
         c = rng.standard_normal((4, 4))
         g = rng.standard_normal((3, 4))
-        grad_q, grad_c = cosine_scores_backward(q, c, cosine_scores(q, c), g)
+        # a degenerate row on each side: it scores 0, so it passes no gradient;
+        # any finite step would lift it above NORM_EPS, so it is not differenced
+        q[1] = 0.0
+        c[2] = 1e-13
+        (q_unit, q_norm), (c_unit, c_norm) = unit_rows(q), unit_rows(c)
+        scores = unit_scores(q_unit, c_unit)
+        grad_q, grad_c = cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, scores, g)
+        assert not np.any(grad_q[1]) and not np.any(grad_c[2])
 
         def objective():
             return float(np.sum(g * cosine_scores(q, c)))
 
-        for arr, grad in ((q, grad_q), (c, grad_c)):
+        for arr, grad, skip in ((q, grad_q, 1), (c, grad_c, 2)):
             flat = arr.ravel()
             for idx in range(flat.size):
+                if idx // arr.shape[1] == skip:
+                    continue
                 orig = flat[idx]
                 flat[idx] = orig + FD_STEP
                 plus = objective()

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import embadapt
 from embadapt import (
     EmbeddingTable,
     RelevanceSet,
@@ -194,6 +195,27 @@ class TestLossAndParamGrads:
                 analytic = float(g_arr.ravel()[idx])
                 denom = max(abs(numeric), ABS_FLOOR / REL_TOL)
                 assert abs(analytic - numeric) <= 2 * (REL_TOL * denom + ABS_FLOOR)
+
+    def test_one_unit_rows_per_side(self, monkeypatch):
+        """The backward reuses the forward's unit rows and norms."""
+        calls = []
+        original = embadapt.objectives.unit_rows
+
+        def counted(x):
+            calls.append(len(x))
+            return original(x)
+
+        for module in vars(embadapt).values():
+            if getattr(module, "unit_rows", None) is original:
+                monkeypatch.setattr(module, "unit_rows", counted)
+        rng = np.random.default_rng(0)
+        model = init_adapter(4, 3, seed=0)
+        q, c = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
+        grades = np.zeros((2, 5))
+        grades[0, 0] = grades[1, 1] = 1.0
+        pq, pc = np.nonzero(grades > 0)
+        loss_and_param_grads(model, q, c, grades, pq, pc, TrainConfig())
+        assert calls == [2, 5]
 
 
 class TestTrain:
