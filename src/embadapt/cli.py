@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_embed(args) -> int:
     items = load_jsonl_items(args.items)
     cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
-    table = fetch_embeddings(list(items), cfg)
+    table = fetch_embeddings(items, cfg)
     _atomic_write(args.out, lambda tmp: write_embeddings(table, tmp))
     print(f"wrote {len(table)} embeddings dim={table.dim} "
           f"encoder_tag={table.encoder_tag!r} -> {args.out}")

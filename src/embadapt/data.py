@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,37 +21,6 @@ class TextItem:
     def __post_init__(self):
         if not self.id:
             raise DataError("item id must be non-empty")
-
-
-class ItemSet:
-    """Ordered collection of TextItems with unique ids.
-
-    Used for both query sets and corpus sets; immutable after construction.
-    """
-
-    def __init__(self, items: Iterable[TextItem]):
-        self._items: tuple[TextItem, ...] = tuple(items)
-        self._by_id: dict[str, TextItem] = {}
-        for item in self._items:
-            if item.id in self._by_id:
-                raise DataError(f"duplicate item id: {item.id!r}")
-            self._by_id[item.id] = item
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[TextItem]:
-        return iter(self._items)
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self._by_id
-
-    def __getitem__(self, item_id: str) -> TextItem:
-        return self._by_id[item_id]
-
-    @property
-    def ids(self) -> list[str]:
-        return [item.id for item in self._items]
 
 
 class RelevanceSet:
@@ -85,12 +54,6 @@ class RelevanceSet:
     @property
     def query_ids(self) -> list[str]:
         return list(self._by_query.keys())
-
-    def grade(self, query_id: str, corpus_id: str) -> float:
-        return self._grades.get((query_id, corpus_id), 0.0)
-
-    def grades_for(self, query_id: str) -> dict[str, float]:
-        return dict(self._by_query.get(query_id, {}))
 
     def positives_for(self, query_id: str) -> dict[str, float]:
         return {c: y for c, y in self._by_query.get(query_id, {}).items() if y > 0}
@@ -148,9 +111,6 @@ class EmbeddingTable:
     def vectors(self) -> np.ndarray:
         """Read-only (n, dim) float32 matrix in insertion order."""
         return self._vectors
-
-    def vector(self, item_id: str) -> np.ndarray:
-        return self._vectors[self._index[item_id]]
 
     def row_indices(self, item_ids: Sequence[str]) -> np.ndarray:
         """Row of each id in `vectors`, as an intp array; KeyError for an unknown id."""

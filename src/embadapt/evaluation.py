@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,16 +33,7 @@ class RetrievalReport:
     n_skipped: int = 0  # queries with no positive grade, excluded from the mean
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "mean_ndcg": self.mean_ndcg,
-                "n_evaluated": self.n_evaluated,
-                "n_skipped": self.n_skipped,
-                "per_query_ndcg": self.per_query_ndcg,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"nDCG@{self.k} over {self.n_evaluated} queries "
@@ -180,7 +171,7 @@ def dcg_at_k(grades_in_rank_order: list[float], k: int, gain: str = "standard") 
 
 
 def ndcg_at_k(
-    ranked: RankedList | list[tuple[str, float]],
+    ranked: list[tuple[str, float]],
     grades: dict[str, float],
     k: int,
     gain: str = "standard",
@@ -192,16 +183,15 @@ def ndcg_at_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries = ranked.entries if isinstance(ranked, RankedList) else ranked
     positives = sorted((y for y in grades.values() if y > 0), reverse=True)
     if not positives:
         raise DataError("nDCG undefined for a query with no positive grade")
-    ranked_grades = [grades.get(cid, 0.0) for cid, _ in entries]
+    ranked_grades = [grades.get(cid, 0.0) for cid, _ in ranked]
     ideal = positives
     if gain == "paper-literal":
         # zero-grade items carry gain 2^0 = 1, so the ideal list pads with
         # zeros up to what the realized ranking could retrieve
-        ideal_len = min(k, max(len(entries), len(positives)))
+        ideal_len = min(k, max(len(ranked), len(positives)))
         ideal = positives + [0.0] * max(0, ideal_len - len(positives))
     dcg = dcg_at_k(ranked_grades, k, gain)
     idcg = dcg_at_k(ideal, k, gain)

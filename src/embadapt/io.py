@@ -39,8 +39,8 @@ import numpy as np
 import requests
 
 from .config import check_field_types, check_keys
-from .data import EmbeddingTable, ItemSet, RelevanceSet, TextItem
-from .errors import FetchError, FormatError
+from .data import EmbeddingTable, RelevanceSet, TextItem
+from .errors import DataError, FetchError, FormatError
 
 EMBEDDING_MAGIC = b"SADP"
 EMBEDDING_VERSION = 2
@@ -63,9 +63,10 @@ def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def load_jsonl_items(path: str | Path) -> ItemSet:
-    """Load a BEIR-style jsonl file of items, preserving file order."""
+def load_jsonl_items(path: str | Path) -> list[TextItem]:
+    """Load a BEIR-style jsonl file of items with unique ids, in file order."""
     items: list[TextItem] = []
+    seen: set[str] = set()
     for lineno, line in _text_lines(path):
         line = line.strip()
         if not line:
@@ -76,17 +77,20 @@ def load_jsonl_items(path: str | Path) -> ItemSet:
             raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict) or "_id" not in obj:
             raise FormatError(f"{path}:{lineno}: object missing '_id'")
+        item_id = str(obj["_id"])
+        if not item_id:
+            raise FormatError(f"{path}:{lineno}: empty '_id'")
+        if item_id in seen:
+            raise FormatError(f"{path}: duplicate item id: {item_id!r}")
+        seen.add(item_id)
         items.append(
             TextItem(
-                id=str(obj["_id"]),
+                id=item_id,
                 text=str(obj.get("text", "")),
                 title=str(obj["title"]) if obj.get("title") is not None else None,
             )
         )
-    try:
-        return ItemSet(items)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return items
 
 
 def load_qrels_tsv(path: str | Path) -> RelevanceSet:
@@ -117,7 +121,7 @@ def load_qrels_tsv(path: str | Path) -> RelevanceSet:
         triplets.append((qid, cid, score))
     try:
         return RelevanceSet(triplets)
-    except Exception as exc:
+    except DataError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -252,7 +256,7 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
     vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     try:
         return EmbeddingTable(ids, vectors, encoder_tag)
-    except Exception as exc:
+    except DataError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -307,14 +311,32 @@ def _retry_after_seconds(resp) -> float | None:
     return min(BACKOFF_CAP_SECONDS, float(value))
 
 
+def _as_vectors(embeddings, n: int) -> np.ndarray | None:
+    """embeddings as an (n, d) float32 array, or None unless it is n lists of
+    d JSON numbers that float32 holds as finite values."""
+    # JSON numbers only: bool is an int subclass, and str or null are not numbers
+    if not (isinstance(embeddings, list) and len(embeddings) == n
+            and all(isinstance(vec, list) and len(vec) == len(embeddings[0])
+                    and all(type(x) in (int, float) for x in vec) for vec in embeddings)):
+        return None
+    try:
+        wide = np.array(embeddings, dtype=np.float64)
+    except OverflowError:  # an int beyond float64
+        return None
+    with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
+        vectors = wide.astype(np.float32)
+    return vectors if np.isfinite(vectors).all() else None
+
+
 def _fetch_batch(
     session,
     cfg: EncoderEndpointConfig,
     headers: dict[str, str],
     texts: list[str],
     start: int,
-) -> list[list[float]]:
-    """Embed one batch, retrying only failures that can succeed on retry.
+) -> np.ndarray:
+    """Embed one batch as an (n, d) float32 array, retrying only failures that
+    can succeed on retry.
 
     Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
     are retried with exponential backoff, or after an integer Retry-After;
@@ -353,14 +375,11 @@ def _fetch_batch(
         except (ValueError, KeyError, TypeError) as exc:
             last_error = exc
             continue
-        # JSON numbers only: bool is an int subclass, and str or null are not numbers
-        if (isinstance(embeddings, list) and len(embeddings) == len(texts)
-                and all(isinstance(vec, list) and all(type(x) in (int, float) for x in vec)
-                        for vec in embeddings)):
-            return embeddings
-        last_error = FetchError(
-            f"{cfg.response_field!r} is not {len(texts)} lists of numbers"
-        )
+        vectors = _as_vectors(embeddings, len(texts))
+        if vectors is not None:
+            return vectors
+        last_error = FetchError(f"{cfg.response_field!r} is not {len(texts)} lists of numbers "
+                                "of one length, finite in float32")
     raise FetchError(
         f"{span} failed after {cfg.retry_limit + 1} attempts: {last_error}"
     )
@@ -397,9 +416,7 @@ def fetch_embeddings(
     finally:
         if owns_session:
             session.close()
-    all_vectors = [vec for batch in results for vec in batch]
-    dims = {len(vec) for vec in all_vectors}
+    dims = {batch.shape[1] for batch in results}
     if len(dims) != 1:
         raise FetchError(f"inconsistent embedding dimensions across batches: {sorted(dims)}")
-    vectors = np.asarray(all_vectors, dtype=np.float32)
-    return EmbeddingTable([it.id for it in items], vectors, cfg.encoder_tag)
+    return EmbeddingTable([it.id for it in items], np.concatenate(results), cfg.encoder_tag)

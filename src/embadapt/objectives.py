@@ -55,17 +55,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(x / 2))
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < NORM_EPS or nv < NORM_EPS:
-        return 0.0
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
-
-
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x scaled to unit length, and their norms. A row whose norm is
     below NORM_EPS (a degenerate row) comes back as a zero unit row, so it

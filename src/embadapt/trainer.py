@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,17 +44,7 @@ class EvalLogEntry:
     val_ndcg: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iteration": self.iteration,
-                "rank_loss": self.rank_loss,
-                "recovery_loss": self.recovery_loss,
-                "prediction_loss": self.prediction_loss,
-                "total_loss": self.total_loss,
-                "val_ndcg": self.val_ndcg,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

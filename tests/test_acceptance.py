@@ -5,7 +5,6 @@ PASS/FAIL lines. Criterion 9 is a soft check by design: it reports the
 observed ordering and warns on violations instead of failing the build.
 """
 
-import json
 import math
 import time
 import warnings
@@ -14,27 +13,22 @@ import numpy as np
 import pytest
 
 from embadapt import (
-    AdapterModel,
-    rank_candidates,
-    BatchScores,
     EmbeddingTable,
-    RelevanceSet,
     TrainConfig,
     evaluate,
     init_adapter,
     load_checkpoint,
-    ndcg_at_k,
-    ranking_loss,
     read_embeddings,
     save_checkpoint,
     split_train_val,
-    total_loss,
     train,
     transform,
     write_embeddings,
 )
 from embadapt.adapter import predict_query
 from embadapt.cli import main as cli_main
+from embadapt.evaluation import ndcg_at_k, rank_candidates
+from embadapt.objectives import BatchScores, ranking_loss, total_loss
 from embadapt.trainer import loss_and_param_grads, _flatten_trainable
 
 from synth import planted_task

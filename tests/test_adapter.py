@@ -13,10 +13,9 @@ from embadapt import (
     load_checkpoint,
     save_checkpoint,
     transform,
-    transform_grad,
 )
 from embadapt import adapter
-from embadapt.adapter import mlp_forward, mlp_grad, row_blocks, transform_forward, MlpParams
+from embadapt.adapter import row_blocks, transform_forward, transform_grad
 from embadapt.errors import FormatError
 
 REL_TOL = 1e-4

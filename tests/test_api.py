@@ -1,0 +1,53 @@
+"""The public surface: the top-level names and the README's library example."""
+
+import re
+from pathlib import Path
+
+import embadapt
+from embadapt import write_embeddings
+
+from synth import planted_task
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+TOP_LEVEL = [
+    "EmbeddingTable",
+    "RelevanceSet",
+    "TrainConfig",
+    "evaluate",
+    "init_adapter",
+    "load_checkpoint",
+    "load_qrels_tsv",
+    "read_embeddings",
+    "save_checkpoint",
+    "split_train_val",
+    "train",
+    "transform",
+    "write_embeddings",
+]
+
+
+def test_top_level_names():
+    assert sorted(embadapt.__all__) == sorted(TOP_LEVEL)
+    for name in TOP_LEVEL:
+        assert callable(getattr(embadapt, name))
+
+
+def library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    [code] = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
+    return code
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    q, c, rels = planted_task(n_queries=30, n_corpus=90, dim=8, seed=0)
+    write_embeddings(q, tmp_path / "queries.sadp")
+    write_embeddings(c, tmp_path / "corpus.sadp")
+    rows = [f"{qid}\t{cid}\t{y:g}\n" for qid, cid, y in rels.triplets]
+    (tmp_path / "train.tsv").write_text("".join(rows[:20]))
+    (tmp_path / "test.tsv").write_text("".join(rows[20:]))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_example(), str(README), "exec"), {})
+    summary, mean = capsys.readouterr().out.splitlines()
+    assert summary.startswith("evaluations=")
+    assert 0.0 < float(mean) <= 1.0

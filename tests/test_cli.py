@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from embadapt import (
-    EmbeddingTable, TrainConfig, init_adapter, rank_candidates, read_embeddings,
-    save_checkpoint, score_all, write_embeddings,
+    EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint,
+    write_embeddings,
 )
 from embadapt.cli import _build_parser, _effective_config, main
-from embadapt.data import TextItem
+from embadapt.evaluation import rank_candidates, score_all
 
 from synth import planted_task
 

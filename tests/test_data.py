@@ -5,9 +5,7 @@ import pytest
 
 from embadapt import (
     EmbeddingTable,
-    ItemSet,
     RelevanceSet,
-    TextItem,
     TrainConfig,
     evaluate,
     init_adapter,
@@ -17,25 +15,31 @@ from embadapt import (
     write_embeddings,
 )
 from embadapt.cli import _COMMANDS, _build_parser
-from embadapt.data import adapted_tag, as_side, check_compatible
-from embadapt.errors import DataError, TagMismatchError
+from embadapt.data import TextItem, adapted_tag, as_side, check_compatible
+from embadapt.errors import DataError, FormatError, TagMismatchError
 from embadapt.evaluation import ranked_lists
-
-
-def make_items(prefix, n):
-    return ItemSet(TextItem(id=f"{prefix}{i}", text=f"text {i}") for i in range(1, n + 1))
+from embadapt.io import load_jsonl_items
 
 
 class TestItemSet:
-    def test_preserves_order_and_lookup(self):
-        items = make_items("q", 3)
-        assert items.ids == ["q1", "q2", "q3"]
-        assert items["q2"].text == "text 2"
+    """An item set is the list load_jsonl_items returns: unique ids, file order."""
 
-    def test_duplicate_id_rejected(self):
-        with pytest.raises(DataError, match="q1"):
-            ItemSet([TextItem(id="q1"), TextItem(id="q1")])
+    def write_items(self, tmp_path, ids):
+        path = tmp_path / "items.jsonl"
+        path.write_text("".join(json.dumps({"_id": i, "text": f"text {i}"}) + "\n" for i in ids))
+        return path
 
+    def test_preserves_order_and_lookup(self, tmp_path):
+        items = load_jsonl_items(self.write_items(tmp_path, ["q3", "q1", "q2"]))
+        assert [item.id for item in items] == ["q3", "q1", "q2"]
+        assert {item.id: item for item in items}["q2"].text == "text q2"
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="q1"):
+            load_jsonl_items(self.write_items(tmp_path, ["q1", "q2", "q1"]))
+
+
+class TestTextItem:
     def test_empty_id_rejected(self):
         with pytest.raises(DataError):
             TextItem(id="")
@@ -43,9 +47,9 @@ class TestItemSet:
 
 class TestRelevanceSet:
     def test_grades_and_implicit_negatives(self):
-        rels = RelevanceSet([("q1", "c1", 2.0), ("q1", "c2", 1.0)])
-        assert rels.grade("q1", "c1") == 2.0
-        assert rels.grade("q1", "c9") == 0.0
+        rels = RelevanceSet([("q1", "c1", 2.0), ("q1", "c2", 1.0), ("q1", "c3", 0.0)])
+        assert rels.positives_for("q1") == {"c1": 2.0, "c2": 1.0}
+        assert rels.positives_for("q9") == {}
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(DataError):
@@ -75,8 +79,8 @@ class TestEmbeddingTable:
         rng = np.random.default_rng(3)
         vecs = rng.standard_normal((5, 8)).astype(np.float32)
         table = EmbeddingTable([f"x{i}" for i in range(5)], vecs, "enc")
-        for i in range(5):
-            assert np.array_equal(table.vector(f"x{i}"), vecs[i])
+        order = [3, 0, 4, 1, 2]
+        assert np.array_equal(table.rows_for([f"x{i}" for i in order]), vecs[order])
 
     def test_vectors_are_read_only(self):
         table = EmbeddingTable(["a"], np.ones((1, 4), dtype=np.float32))
@@ -87,7 +91,7 @@ class TestEmbeddingTable:
         vecs = np.ones((2, 3), dtype=np.float32)
         table = EmbeddingTable(["a", "b"], vecs)
         vecs[0, 0] = 5.0
-        assert table.vector("a")[0] == 1.0
+        assert table.vectors[0, 0] == 1.0
         assert vecs.flags.writeable
 
     def test_non_finite_rejected(self):
@@ -132,8 +136,8 @@ class TestSplitTrainVal:
         )
         train, val = split_train_val(rels, 0.67, seed=0)
         for side in (train, val):
-            for qid in side.query_ids:
-                assert side.grades_for(qid) == rels.grades_for(qid)
+            mine = set(side.query_ids)
+            assert side.triplets == [t for t in rels.triplets if t[0] in mine]
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DataError):

@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from embadapt import (
-    EmbeddingTable,
-    RelevanceSet,
-    evaluate,
-    init_adapter,
-    ndcg_at_k,
-    score_all,
-)
-from embadapt import adapter, evaluation, transform
+from embadapt import EmbeddingTable, RelevanceSet, evaluate, init_adapter, transform
+from embadapt import adapter, evaluation
 from embadapt.errors import DataError, TagMismatchError
-from embadapt.evaluation import RankedList, rank_candidates, ranked_lists
+from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
 
 from synth import planted_task
 

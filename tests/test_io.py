@@ -13,41 +13,46 @@ from hypothesis import given, settings, strategies as st
 
 from embadapt import (
     EmbeddingTable,
-    EncoderEndpointConfig,
-    TextItem,
     TrainConfig,
-    fetch_embeddings,
     init_adapter,
     load_checkpoint,
-    load_jsonl_items,
     load_qrels_tsv,
     read_embeddings,
     save_checkpoint,
     write_embeddings,
 )
 from embadapt.cli import main
+from embadapt.data import TextItem
 from embadapt.errors import FetchError, FormatError
-from embadapt.io import BACKOFF_CAP_SECONDS
+from embadapt.io import (
+    BACKOFF_CAP_SECONDS,
+    EncoderEndpointConfig,
+    fetch_embeddings,
+    load_jsonl_items,
+)
 
 
 class TestLoadJsonlItems:
     def test_basic_mapping(self, tmp_path):
         path = tmp_path / "queries.jsonl"
-        path.write_text('{"_id":"q1","text":"what is x"}\n')
-        items = load_jsonl_items(path)
-        assert items.ids == ["q1"]
-        assert items["q1"].text == "what is x"
-        assert items["q1"].title is None
+        path.write_text('{"_id":"q2","text":"what is x"}\n{"_id":1,"text":"y"}\n')
+        assert load_jsonl_items(path) == [TextItem("q2", "what is x"), TextItem("1", "y")]
 
     def test_title_preserved(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"_id":"c1","text":"body","title":"heading"}\n')
-        assert load_jsonl_items(path)["c1"].title == "heading"
+        assert load_jsonl_items(path)[0].title == "heading"
 
     def test_duplicate_id_names_offender(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"_id":"c1","text":"a"}\n{"_id":"c1","text":"b"}\n')
-        with pytest.raises(FormatError, match="c1"):
+        with pytest.raises(FormatError, match=r"corpus\.jsonl: duplicate item id: 'c1'$"):
+            load_jsonl_items(path)
+
+    def test_empty_id_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"_id":"c1","text":"a"}\n{"_id":"","text":"b"}\n')
+        with pytest.raises(FormatError, match=r"corpus\.jsonl:2: empty '_id'"):
             load_jsonl_items(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -73,21 +78,17 @@ class TestLoadQrelsTsv:
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\tc3\t1\nq1\tc4\t0\n")
         rels = load_qrels_tsv(path)
-        assert rels.grade("q1", "c3") == 1.0
-        assert rels.grade("q1", "c4") == 0.0
-        assert len(rels) == 1
+        assert rels.triplets == [("q1", "c3", 1.0)]
 
     def test_graded_relevance_preserved(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\tc1\t2\nq1\tc2\t1\n")
-        rels = load_qrels_tsv(path)
-        assert rels.grade("q1", "c1") == 2.0
-        assert rels.grade("q1", "c2") == 1.0
+        assert load_qrels_tsv(path).positives_for("q1") == {"c1": 2.0, "c2": 1.0}
 
     def test_header_row_skipped(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("query-id\tcorpus-id\tscore\nq1\tc1\t1\n")
-        assert load_qrels_tsv(path).grade("q1", "c1") == 1.0
+        assert load_qrels_tsv(path).triplets == [("q1", "c1", 1.0)]
 
     def test_non_numeric_score_mid_file(self, tmp_path):
         path = tmp_path / "qrels.tsv"
@@ -369,8 +370,7 @@ class TestFetchEmbeddings:
         items = make_items(37)
         table = fetch_embeddings(items, endpoint_cfg(max_batch=10), session=FakeSession())
         assert table.ids == [it.id for it in items]
-        for it in items:
-            assert table.vector(it.id)[0] == float(len(it.text))
+        assert table.vectors[:, 0].tolist() == [float(len(it.text)) for it in items]
 
     def test_dimension_mismatch_across_batches(self):
         session = FakeSession(dim_by_batch=[768, 512, 768])
@@ -430,7 +430,9 @@ class TestFetchEmbeddings:
 
     @pytest.mark.parametrize("body", [
         [1.0, 2.0], [["1", "2"], ["3", "4"]], [[True, False], [1, 2]], "ab", [[1, None], [2, 3]],
-    ], ids=["flat-numbers", "strings", "booleans", "string", "null"])
+        [[10**400, 1], [1, 2]], [[1e39, 1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]],
+    ], ids=["flat-numbers", "strings", "booleans", "string", "null",
+            "beyond-float64", "beyond-float32", "ragged"])
     def test_malformed_embeddings_retried_then_refused(self, body, tmp_path, capsys,
                                                        monkeypatch):
         session = FakeSession(body=body)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from embadapt import BatchScores, cosine_similarity
 from embadapt.objectives import (
     LOSS_VARIANTS,
+    NORM_EPS,
     PAIR_BLOCK_FLOATS,
+    BatchScores,
     sigmoid,
     cosine_scores,
     cosine_scores_backward,
@@ -28,6 +29,24 @@ FD_STEP = 1e-4
 def fd_close(analytic, numeric):
     denom = max(abs(numeric), ABS_FLOOR / REL_TOL)
     return abs(analytic - numeric) <= REL_TOL * denom + ABS_FLOOR
+
+
+def cosine_similarity(u, v):
+    """Independent oracle: the cosine of one pair of vectors, 0 for a vector
+    of near-zero norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < NORM_EPS or nv < NORM_EPS:
+        return 0.0
+    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+
+
+def pair_cosine(u, v):
+    """cosine_scores of one pair, checked against cosine_similarity."""
+    got = float(cosine_scores(u[None, :], v[None, :])[0, 0])
+    assert got == pytest.approx(cosine_similarity(u, v), abs=1e-12)
+    return got
 
 
 def brute_force_ranking_loss(scores, grades):
@@ -94,27 +113,28 @@ def random_batch(rng, n_q=None, n_c=None):
 
 
 class TestCosine:
+    """The hand cases run through cosine_scores on one pair, which must
+    agree with the per-pair oracle."""
+
     def test_self_similarity(self):
-        assert cosine_similarity(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == pytest.approx(1.0)
+        assert pair_cosine(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_hand_value(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        got = pair_cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_degenerate_norm_guard(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        assert pair_cosine(np.zeros(3), np.ones(3)) == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             u, v = rng.standard_normal(5), rng.standard_normal(5)
             c = rng.uniform(0.1, 100)
-            assert cosine_similarity(c * u, v) == pytest.approx(
-                cosine_similarity(u, v), abs=1e-12
-            )
+            assert pair_cosine(c * u, v) == pytest.approx(pair_cosine(u, v), abs=1e-12)
 
     def test_matrix_agrees_with_pairwise(self):
         rng = np.random.default_rng(1)

@@ -9,13 +9,12 @@ from embadapt import (
     RelevanceSet,
     TrainConfig,
     evaluate,
-    make_batch,
+    init_adapter,
     split_train_val,
     train,
 )
 from embadapt.errors import DataError, TagMismatchError, TrainingDivergedError
-from embadapt.trainer import loss_and_param_grads, _flatten_trainable
-from embadapt.adapter import init_adapter
+from embadapt.trainer import _flatten_trainable, loss_and_param_grads, make_batch
 
 from synth import planted_task
 
@@ -57,7 +56,7 @@ def scanning_make_batch(train_rels, query_ids, corpus_ids, ratio, rng):
     grades = np.zeros((len(query_ids), len(candidates)), dtype=np.float32)
     col = {cid: j for j, cid in enumerate(candidates)}
     for i, qid in enumerate(query_ids):
-        for cid, y in train_rels.grades_for(qid).items():
+        for cid, y in train_rels.positives_for(qid).items():
             if cid in col:
                 grades[i, col[cid]] = y
     return candidates, grades
