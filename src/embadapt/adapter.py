@@ -23,6 +23,7 @@ CHECKPOINT_VERSION = 1
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 # float64 bytes of one row block of the widest layer, in transform and in the
 # evaluation's pass over each side: 341 rows at d=384, 2048 rows at d=64
+# (transform's float32 blocks fill half of it)
 ROW_BLOCK_BYTES = 1 << 20
 
 
@@ -71,12 +72,13 @@ def init_mlp(dim: int, hidden: int, rng: np.random.Generator) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x: (n, d) float64 -> (mlp(x), tanh activations); float64 math over
-    float32 parameters. The activations are the tape that mlp_grad consumes."""
-    hidden = x @ params.w1.astype(np.float64)
+    """x: (n, d) float32 or float64 -> (mlp(x), tanh activations), both in
+    x's dtype: the float32 parameters are cast to it and the math runs in it.
+    The activations are the tape that mlp_grad consumes."""
+    hidden = x @ params.w1.astype(x.dtype, copy=False)
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    out = hidden @ params.w2.astype(np.float64)
+    out = hidden @ params.w2.astype(x.dtype, copy=False)
     out += params.b2
     return out, hidden
 
@@ -169,7 +171,9 @@ def init_adapter(
 def transform_forward(
     model: AdapterModel, x: np.ndarray, which: str = "query"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x: (n, d) float64 -> (adapted embeddings, tanh activations of the network)."""
+    """x: (n, d) float32 or float64 -> (adapted embeddings, tanh activations
+    of the network), in x's dtype (see mlp_forward). Training runs it on
+    float64 rows."""
     out, hidden = mlp_forward(model.params_for(which), x)
     if model.use_skip:
         out += x
@@ -202,17 +206,18 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     """Adapted embedding: x + mlp(x) with skip, mlp(x) without.
 
     x is one vector (d,) or a batch (n, d); the result has the same shape,
-    float64. The batch runs through the network in row blocks (see
-    row_blocks), so the output is the only full-size array built.
+    float32, the dtype of the parameters and of an embedding file. Float64
+    input is rounded to float32 first, and the network runs in float32. The
+    batch runs through the network in row blocks (see row_blocks), so the
+    output is the only full-size array built.
     """
     x = np.asarray(x)
     batch = x[None, :] if x.ndim == 1 else x
     if batch.ndim != 2 or batch.shape[1] != model.dim:
         raise ValueError(f"input has shape {x.shape}, expected (*, {model.dim})")
-    out = np.empty(batch.shape, dtype=np.float64)
+    out = np.empty(batch.shape, dtype=np.float32)
     for rows in row_blocks(len(batch), max(model.dim, model.hidden)):
-        # parameters are stored float32; forward/backward math runs in float64
-        out[rows], _ = transform_forward(model, np.asarray(batch[rows], dtype=np.float64), which)
+        out[rows], _ = transform_forward(model, np.asarray(batch[rows], dtype=np.float32), which)
     return out[0] if x.ndim == 1 else out
 
 

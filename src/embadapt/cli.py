@@ -164,6 +164,7 @@ def cmd_transform(args) -> int:
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
     adapted = transform(model, table.vectors, args.which)
+    adapted.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     tag = adapted_tag(table.encoder_tag, args.which, model.checkpoint_crc)
     out_table = EmbeddingTable(table.ids, adapted, tag)
     _atomic_write(args.out, lambda tmp: write_embeddings(out_table, tmp))

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import AdapterModel, is_identity, row_blocks, transform
+from .adapter import AdapterModel, is_identity, row_blocks, transform, transform_forward
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
 from .objectives import unit_rows, unit_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
 SCORE_BLOCK_BYTES = 32 << 20
+
+# a forward maps (model, rows, side) to the side's adapted rows: transform for
+# search, which scores the rows that transform writes, and _forward64 for
+# evaluate and validation
+Forward = Callable[[AdapterModel, np.ndarray, str], np.ndarray]
 
 
 @dataclass
@@ -45,9 +50,17 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _unit_side(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
+def _forward64(model: AdapterModel, x: np.ndarray, which: str) -> np.ndarray:
+    """The adapted rows in float64, from the forward that training's loss
+    runs, so that nDCG is what the trainer sees."""
+    return transform_forward(model, np.asarray(x, dtype=np.float64), which)[0]
+
+
+def _unit_side(
+    table: EmbeddingTable, model: AdapterModel | None, which: str, forward: Forward
+) -> np.ndarray:
     """The table's unit rows (see unit_rows), adapted as the `which` side by
-    model unless it is None or the identity.
+    forward unless model is None or the identity.
 
     Rows are adapted and normalised in the row blocks of transform, so the
     float64 unit rows are the only full-size array built.
@@ -56,7 +69,7 @@ def _unit_side(table: EmbeddingTable, model: AdapterModel | None, which: str) ->
     adapt = model is not None and not is_identity(model, which)
     unit = np.empty(x.shape, dtype=np.float64)
     for rows in row_blocks(len(x), max(x.shape[1], model.hidden) if adapt else x.shape[1]):
-        unit[rows], _ = unit_rows(transform(model, x[rows], which) if adapt else x[rows])
+        unit[rows], _ = unit_rows(forward(model, x[rows], which) if adapt else x[rows])
     return unit
 
 
@@ -65,13 +78,15 @@ def _unit_sides(
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
+    forward: Forward,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_unit_side of the queries and of the corpus, each computed once.
 
     Tables and a model that check_compatible refuses raise its error unless
     force is set."""
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    return _unit_side(q_table, model, "query"), _unit_side(c_table, model, "corpus")
+    return (_unit_side(q_table, model, "query", forward),
+            _unit_side(c_table, model, "corpus", forward))
 
 
 def score_all(
@@ -82,9 +97,9 @@ def score_all(
 ) -> np.ndarray:
     """Dense (n_q, n_c) cosine score matrix, optionally on adapted embeddings.
 
-    Each side is adapted and normalised once.
+    Each side is adapted in float64, as evaluate adapts it, and normalised once.
     """
-    return unit_scores(*_unit_sides(q_table, c_table, model, force))
+    return unit_scores(*_unit_sides(q_table, c_table, model, force, _forward64))
 
 
 def _check_k(k: int | None) -> None:
@@ -122,16 +137,18 @@ def _score_blocks(
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
+    forward: Forward,
 ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Cosine scores of consecutive query blocks against the whole corpus.
 
-    Yields (query ids, scores) with scores of shape (block, n_c), equal to the
-    matching rows of score_all. Each side is adapted and normalised once per
-    call, and only its unit rows are kept; each block then takes one product
-    with the unit corpus and holds at most SCORE_BLOCK_BYTES of scores (one
-    query at least), so memory grows with the corpus size, not with n_q * n_c.
+    Yields (query ids, scores) with scores of shape (block, n_c); with
+    forward=_forward64 they equal the matching rows of score_all. Each side is
+    adapted and normalised once per call, and only its unit rows are kept;
+    each block then takes one product with the unit corpus and holds at most
+    SCORE_BLOCK_BYTES of scores (one query at least), so memory grows with the
+    corpus size, not with n_q * n_c.
     """
-    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
+    q_unit, c_unit = _unit_sides(q_table, c_table, model, force, forward)
     qids = q_table.ids
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
     for lo in range(0, len(qids), block):
@@ -146,11 +163,14 @@ def ranked_lists(
     k: int | None = None,
     force: bool = False,
 ) -> list[RankedList]:
+    """Top k of each query, the sides adapted by transform: the entries equal
+    those of ranked_lists without a model over the tables that transform
+    writes, bit for bit."""
     _check_k(k)
     cids = c_table.ids
     return [
         RankedList(qid, rank_candidates(cids, row, k))
-        for qids, scores in _score_blocks(q_table, c_table, model, force)
+        for qids, scores in _score_blocks(q_table, c_table, model, force, transform)
         for qid, row in zip(qids, scores)
     ]
 
@@ -214,7 +234,7 @@ def evaluate(
     cids = c_table.ids
     per_query: dict[str, float] = {}
     n_skipped = 0
-    for qids, scores in _score_blocks(q_table, c_table, model, force):
+    for qids, scores in _score_blocks(q_table, c_table, model, force, _forward64):
         for qid, row in zip(qids, scores):
             grades = rels.positives_for(qid)
             if not grades:

@@ -47,3 +47,14 @@ def planted_task(
     c_table = EmbeddingTable(cids, corpus_vecs.astype(np.float32), "synthetic-v1")
     rels = RelevanceSet([(qids[i], cids[i], 1.0) for i in range(n_queries)])
     return q_table, c_table, rels
+
+
+def seeded_output_layers(model, seed: int):
+    """Give each network of an adapter the non-zero output layer that the
+    benchmark's fixed checkpoint gives f (the same draws for f), so the model
+    is not the identity. Returns the model."""
+    rng = np.random.default_rng(seed)
+    for _, params in model.trainable():
+        params.w2[...] = rng.normal(0.0, 0.5 / np.sqrt(params.hidden), params.w2.shape)
+        params.b2[...] = rng.normal(0.0, 0.05, params.b2.shape)
+    return model

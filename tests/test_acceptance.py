@@ -22,10 +22,9 @@ from embadapt import (
     save_checkpoint,
     split_train_val,
     train,
-    transform,
     write_embeddings,
 )
-from embadapt.adapter import predict_query
+from embadapt.adapter import predict_query, transform_forward
 from embadapt.cli import main as cli_main
 from embadapt.evaluation import ndcg_at_k, rank_candidates
 from embadapt.objectives import BatchScores, ranking_loss, total_loss
@@ -66,8 +65,10 @@ class TestCriterion2GradientCorrectness:
         start = time.monotonic()
 
         def residual_signs(model, q, c, pq, pc):
-            aq = transform(model, q, "query")
-            ac = transform(model, c, "corpus")
+            # the float64 forward that loss_and_param_grads runs, so the kinks
+            # found are the objective's own
+            aq, _ = transform_forward(model, q, "query")
+            ac, _ = transform_forward(model, c, "corpus")
             pred = (predict_query(model, ac[pc]) if len(pc)
                     else np.zeros((0, q.shape[1])))
             return np.sign(np.concatenate([

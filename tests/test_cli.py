@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from embadapt import (
-    EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint,
+    EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint, transform,
     write_embeddings,
 )
 from embadapt.cli import _build_parser, _effective_config, main
 from embadapt.evaluation import rank_candidates, score_all
 
-from synth import planted_task
+from synth import planted_task, seeded_output_layers
 
 
 ENDPOINT_URL = "https://encoder.example/embed"
@@ -134,7 +134,7 @@ class TestTrainCommand:
 
 class TestTransformCommand:
     def test_roundtrip_matches_library_transform(self, tmp_path):
-        from embadapt import load_checkpoint, transform
+        from embadapt import load_checkpoint
 
         rc, ckpt, (qp, _, _) = run_train(tmp_path)
         assert rc == 0
@@ -145,12 +145,37 @@ class TestTransformCommand:
         original = read_embeddings(qp)
         adapted = read_embeddings(out)
         model = load_checkpoint(ckpt)
-        expected = transform(model, original.vectors, "query").astype(np.float32)
+        expected = transform(model, original.vectors, "query")
         assert np.array_equal(adapted.vectors, expected)
         assert adapted.ids == original.ids
         # the tag records the side and the CRC32 stored at the checkpoint's end
         crc = zlib.crc32(open(ckpt, "rb").read()[4:-4])
         assert adapted.encoder_tag == f"{original.encoder_tag}@adapted:query:{crc:08x}"
+
+    def test_writes_the_transform_output_without_a_copy(self, tmp_path, monkeypatch):
+        from embadapt import cli
+
+        qp, _, _ = write_task(tmp_path)
+        ckpt = str(tmp_path / "m.sadc")
+        save_checkpoint(seeded_output_layers(init_adapter(32, seed=1, encoder_tag="synthetic-v1"),
+                                             seed=2), ckpt)
+        made, written = [], []
+
+        def transform_and_keep(*args):
+            made.append(transform(*args))
+            return made[-1]
+
+        def keep_and_write(table, path):
+            written.append(table)
+            write_embeddings(table, path)
+
+        monkeypatch.setattr(cli, "transform", transform_and_keep)
+        monkeypatch.setattr(cli, "write_embeddings", keep_and_write)
+        out = str(tmp_path / "out.sadp")
+        assert main(["transform", "--in", qp, "--model", ckpt, "--out", out]) == 0
+        [table] = written
+        assert table.vectors is made[0] and table.vectors.dtype == np.float32
+        assert not table.vectors.flags.writeable
 
     def test_tag_mismatch_fails_without_force(self, tmp_path, capsys):
         rc, ckpt, (qp, _, _) = run_train(tmp_path)
@@ -366,6 +391,35 @@ class TestSearchCommand:
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         assert [r[0] for r in rows] == sorted(ids)[:5]
         assert [r[1] for r in rows] == ["0.000000"] * 5
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_model_search_prints_the_search_over_transformed_files(
+            self, tmp_path, capsys, separate):
+        # search --model scores the rows that transform writes, so both routes
+        # print the same bytes
+        qp, cp, _ = write_task(tmp_path)
+        q = read_embeddings(qp)
+        model = seeded_output_layers(init_adapter(q.dim, seed=1, separate_adapters=separate,
+                                                  encoder_tag=q.encoder_tag), seed=2)
+        ckpt, one = str(tmp_path / "m.sadc"), str(tmp_path / "one.sadp")
+        save_checkpoint(model, ckpt)
+        write_embeddings(EmbeddingTable(["q"], q.vectors[:1], q.encoder_tag), one)
+        qa, ca = str(tmp_path / "qa.sadp"), str(tmp_path / "ca.sadp")
+        assert main(["transform", "--in", one, "--model", ckpt,
+                     "--which", "query", "--out", qa]) == 0
+        assert main(["transform", "--in", cp, "--model", ckpt,
+                     "--which", "corpus", "--out", ca]) == 0
+
+        def vector(path):
+            return ",".join(repr(float(x)) for x in read_embeddings(path).vectors[0])
+
+        capsys.readouterr()
+        assert main(["search", "--corpus", cp, "--model", ckpt,
+                     "--vector", vector(one), "--k", "10"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["search", "--corpus", ca, "--vector", vector(qa), "--k", "10"]) == 0
+        assert capsys.readouterr().out == direct
+        assert len(direct.splitlines()) == 10
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_one(self, tmp_path, capsys, k):

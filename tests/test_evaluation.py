@@ -8,7 +8,7 @@ from embadapt import adapter, evaluation
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
 
-from synth import planted_task
+from synth import planted_task, seeded_output_layers
 
 
 def table(ids, vecs, tag="enc"):
@@ -234,7 +234,10 @@ class TestEvaluate:
         assert report.n_skipped == 3
         lists = ranked_lists(q, c, model, k=k)
         assert [r.query_id for r in lists] == q.ids
-        for r, row in zip(lists, scores):
+        # ranked_lists scores the float32 rows that transform writes
+        served = score_all(table(q.ids, transform(model, q.vectors, "query")),
+                           table(c.ids, transform(model, c.vectors, "corpus")))
+        for r, row in zip(lists, served):
             assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
 
     def test_identity_model_skips_the_network(self, monkeypatch):
@@ -318,3 +321,59 @@ class TestBlockedSidePass:
         # the tied rows still score equally, so each tie is ordered by id
         scores = many[2]
         assert np.array_equal(scores[:, :25], scores[:, 25:])
+
+
+class TestSearchPrecision:
+    """ranked_lists adapts each side with transform, in float32, and scores
+    in float64; evaluate and score_all adapt in float64."""
+
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 24 * 7])
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_model_search_equals_search_over_transformed_tables(
+            self, monkeypatch, separate, block_bytes):
+        # bit for bit: the same ids and the same float64 scores
+        q, c, _ = planted_task(n_queries=30, n_corpus=200, dim=16, seed=7)
+        model = seeded_output_layers(
+            init_adapter(16, 24, seed=3, separate_adapters=separate,
+                         encoder_tag=q.encoder_tag), seed=5)
+        if block_bytes is not None:
+            monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", block_bytes)
+            assert len(adapter.row_blocks(len(c), 24)) > 1
+        adapted_q = table(q.ids, transform(model, q.vectors, "query"), q.encoder_tag)
+        adapted_c = table(c.ids, transform(model, c.vectors, "corpus"), c.encoder_tag)
+
+        def bits(lists):
+            return [(r.query_id, [(cid, s.hex()) for cid, s in r.entries]) for r in lists]
+
+        assert bits(ranked_lists(q, c, model, k=10)) == bits(ranked_lists(adapted_q, adapted_c,
+                                                                          k=10))
+
+    def test_float32_forward_stays_near_float64_at_benchmark_shape(self):
+        # d = hidden = 384 and the fixed checkpoint of the benchmark's infer workload
+        q, c, _ = planted_task(n_queries=32, n_corpus=2000, dim=384, seed=1)
+        model = seeded_output_layers(init_adapter(384, seed=1, encoder_tag=q.encoder_tag), 1)
+        p = model.f_params
+
+        def forward64(x):
+            x = np.asarray(x, dtype=np.float64)
+            w1, b1, w2, b2 = (a.astype(np.float64) for a in p.arrays())
+            return x + np.tanh(x @ w1 + b1) @ w2 + b2
+
+        def unit(x):
+            return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+        adapted_c = forward64(c.vectors)
+        out = transform(model, c.vectors, "corpus")
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - adapted_c)) <= 1e-5
+        scores = unit(forward64(q.vectors)) @ unit(adapted_c).T
+        cids = np.array(c.ids)
+        index = {cid: j for j, cid in enumerate(c.ids)}
+        for r, row in zip(ranked_lists(q, c, model, k=10), scores):
+            reference = np.lexsort((cids, -row))[:10]
+            got = [index[cid] for cid, _ in r.entries]
+            assert len(got) == 10
+            # a swap is allowed only among scores within 1e-6
+            for (_, score), g, j in zip(r.entries, got, reference):
+                assert abs(row[g] - row[j]) <= 1e-6
+                assert abs(score - row[g]) <= 1e-6
