@@ -180,16 +180,16 @@ def transform_forward(
     return out, hidden
 
 
-def row_blocks(n: int, width: int) -> list[slice]:
+def row_blocks(n: int, width: int, budget: int | None = None) -> list[slice]:
     """Consecutive slices covering n rows in ceil(n / B) blocks whose sizes
     differ by at most one, where B rows of `width` float64 columns fill
-    ROW_BLOCK_BYTES.
+    budget bytes, ROW_BLOCK_BYTES by default.
 
     The blocks are near-equal, not B rows and a short remainder: OpenBLAS
     runs a GEMM of one or a few rows with other kernels, which round
     differently from the kernel that the whole matrix gets.
     """
-    per_block = max(1, ROW_BLOCK_BYTES // (8 * width))
+    per_block = max(1, (ROW_BLOCK_BYTES if budget is None else budget) // (8 * width))
     count = max(1, -(-n // per_block))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -227,22 +227,20 @@ def transform_grad(
     hidden: np.ndarray,
     upstream: np.ndarray,
     which: str = "query",
-) -> tuple[MlpParams, np.ndarray]:
-    """Gradients of sum(upstream * transform(model, x, which)) for a batch x.
+) -> MlpParams:
+    """Gradients of sum(upstream * transform(model, x, which)) for a batch x
+    with respect to the selected network's parameters, float64.
 
-    hidden is the activation tape that transform_forward returned for x.
-    Returns (gradients for the selected network, gradient w.r.t. x).
+    hidden is the activation tape that transform_forward returned for x. The
+    skip connection has no parameters, so it adds nothing here.
     """
-    grads, d_x = mlp_grad(model.params_for(which), x, hidden, upstream)
-    if model.use_skip:
-        d_x += upstream
-    return grads, d_x
+    return mlp_grad(model.params_for(which), x, hidden, upstream)[0]
 
 
-def predict_query(model: AdapterModel, adapted_corpus: np.ndarray) -> np.ndarray:
-    """Predictor network forward pass (no skip connection), (n, d) -> (n, d)."""
-    out, _ = mlp_forward(model.p_params, np.asarray(adapted_corpus, dtype=np.float64))
-    return out
+def predict_query(model: AdapterModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictor forward (no skip connection) on adapted corpus rows x:
+    (predicted queries, tanh activations), in x's dtype (see mlp_forward)."""
+    return mlp_forward(model.p_params, x)
 
 
 def save_checkpoint(model: AdapterModel, path: str) -> None:

@@ -7,7 +7,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +35,12 @@ from .trainer import train
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Run writer(tmp_path) then rename; never leaves a partial file behind."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    os.close(fd)
+    """Run writer(tmp_path) then rename; never leaves a partial file behind.
+
+    The temp file is made by open(), so the output gets the mode that open()
+    gives a new file under the umask (mkstemp would give 0600)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    open(tmp, "xb").close()
     try:
         writer(tmp)
         os.replace(tmp, path)

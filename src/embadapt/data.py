@@ -30,7 +30,6 @@ class RelevanceSet:
     """
 
     def __init__(self, triplets: Iterable[tuple[str, str, float]]):
-        self._grades: dict[tuple[str, str], float] = {}
         self._by_query: dict[str, dict[str, float]] = {}
         for qid, cid, grade in triplets:
             grade = float(grade)
@@ -38,18 +37,19 @@ class RelevanceSet:
                 raise DataError(f"non-finite grade for ({qid!r}, {cid!r}): {grade}")
             if grade < 0:
                 raise DataError(f"negative grade for ({qid!r}, {cid!r}): {grade}")
-            key = (qid, cid)
-            if key in self._grades:
+            graded = self._by_query.setdefault(qid, {})
+            if cid in graded:
                 raise DataError(f"duplicate triplet for ({qid!r}, {cid!r})")
-            self._grades[key] = grade
-            self._by_query.setdefault(qid, {})[cid] = grade
+            graded[cid] = grade
 
     def __len__(self) -> int:
-        return len(self._grades)
+        return sum(map(len, self._by_query.values()))
 
     @property
     def triplets(self) -> list[tuple[str, str, float]]:
-        return [(q, c, y) for (q, c), y in self._grades.items()]
+        """Every (query_id, corpus_id, grade), a query's rows together, in
+        order of each query's first row."""
+        return [(q, c, y) for q, graded in self._by_query.items() for c, y in graded.items()]
 
     @property
     def query_ids(self) -> list[str]:
@@ -60,9 +60,7 @@ class RelevanceSet:
 
     def restricted_to(self, query_ids: Iterable[str]) -> "RelevanceSet":
         keep = set(query_ids)
-        return RelevanceSet(
-            (q, c, y) for (q, c), y in self._grades.items() if q in keep
-        )
+        return RelevanceSet((q, c, y) for q, c, y in self.triplets if q in keep)
 
 
 class EmbeddingTable:

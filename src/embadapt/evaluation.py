@@ -141,19 +141,19 @@ def _score_blocks(
 ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Cosine scores of consecutive query blocks against the whole corpus.
 
-    Yields (query ids, scores) with scores of shape (block, n_c); with
-    forward=_forward64 they equal the matching rows of score_all. Each side is
+    Yields (query ids, scores) with scores of shape (block, n_c). Each side is
     adapted and normalised once per call, and only its unit rows are kept;
-    each block then takes one product with the unit corpus and holds at most
-    SCORE_BLOCK_BYTES of scores (one query at least), so memory grows with the
-    corpus size, not with n_q * n_c.
+    each block (see row_blocks) then takes one product with the unit corpus
+    and holds at most SCORE_BLOCK_BYTES of scores (one query at least), so
+    memory grows with the corpus size, not with n_q * n_c. BLAS rounds each
+    product by its shape, so with forward=_forward64 the scores may differ
+    from the matching rows of score_all in the last bits, and the rankings
+    agree up to that rounding.
     """
     q_unit, c_unit = _unit_sides(q_table, c_table, model, force, forward)
     qids = q_table.ids
-    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(c_table))))
-    for lo in range(0, len(qids), block):
-        hi = lo + block
-        yield qids[lo:hi], unit_scores(q_unit[lo:hi], c_unit)
+    for rows in row_blocks(len(qids), max(1, len(c_table)), SCORE_BLOCK_BYTES):
+        yield qids[rows], unit_scores(q_unit[rows], c_unit)
 
 
 def ranked_lists(

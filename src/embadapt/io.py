@@ -28,6 +28,7 @@ import os
 import random
 import stat
 import struct
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -394,7 +395,9 @@ def fetch_embeddings(
 
     Requests are batched at cfg.max_batch, issued with bounded concurrency,
     and retried with exponential backoff. Either a full table is returned or
-    an error is raised; partial results are never surfaced.
+    an error is raised; partial results are never surfaced. Once a batch has
+    failed, no batch that has not started is sent, and the error raised is
+    that of the first failed batch in item order.
     """
     if not items:
         raise FetchError("no items to embed")
@@ -406,12 +409,21 @@ def fetch_embeddings(
         (start, [it.text for it in items[start : start + cfg.max_batch]])
         for start in range(0, len(items), cfg.max_batch)
     ]
+    failed = threading.Event()
+
+    def fetch(texts: list[str], start: int) -> np.ndarray | None:
+        # batches start in item order, so a skipped batch comes after a failed one
+        if failed.is_set():
+            return None
+        try:
+            return _fetch_batch(session, cfg, headers, texts, start)
+        except BaseException:
+            failed.set()
+            raise
+
     try:
         with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
-            futures = [
-                pool.submit(_fetch_batch, session, cfg, headers, texts, start)
-                for start, texts in batches
-            ]
+            futures = [pool.submit(fetch, texts, start) for start, texts in batches]
             results = [fut.result() for fut in futures]
     finally:
         if owns_session:

@@ -12,8 +12,8 @@ import numpy as np
 from .adapter import (
     AdapterModel,
     init_adapter,
-    mlp_forward,
     mlp_grad,
+    predict_query,
     transform_forward,
     transform_grad,
 )
@@ -145,16 +145,15 @@ def loss_and_param_grads(
     q_orig: np.ndarray,
     c_orig: np.ndarray,
     grades: np.ndarray,
-    pair_query_idx: np.ndarray,
-    pair_corpus_idx: np.ndarray,
     cfg: TrainConfig,
 ):
     """Forward + backward for one batch, with cfg's loss weights and variant.
 
-    Returns (TotalLoss, flat gradient list aligned with model.trainable()).
-    The chain is: losses -> score/embedding gradients -> adapter and
-    predictor parameter gradients. Each backward step reuses the activations,
-    unit rows, norms and scores of its forward step.
+    The predictor's pairs are the positive entries of grades. Returns
+    (TotalLoss, flat gradient list aligned with model.trainable()). The chain
+    is: losses -> score/embedding gradients -> adapter and predictor
+    parameter gradients. Each backward step reuses the activations, unit
+    rows, norms and scores of its forward step.
     """
     q_orig = np.asarray(q_orig, dtype=np.float64)
     c_orig = np.asarray(c_orig, dtype=np.float64)
@@ -164,11 +163,10 @@ def loss_and_param_grads(
     c_unit, c_norm = unit_rows(adapted_c)
     batch = BatchScores(scores=unit_scores(q_unit, c_unit), grades=grades)
 
-    pair_query_idx = np.asarray(pair_query_idx, dtype=np.intp)
-    pair_corpus_idx = np.asarray(pair_corpus_idx, dtype=np.intp)
+    pair_query_idx, pair_corpus_idx = np.nonzero(grades > 0)
     pair_grades = batch.grades[pair_query_idx, pair_corpus_idx]
     pred_in = adapted_c[pair_corpus_idx]
-    predicted, hidden_p = mlp_forward(model.p_params, pred_in)
+    predicted, hidden_p = predict_query(model, pred_in)
 
     loss = total_loss(
         batch,
@@ -188,8 +186,8 @@ def loss_and_param_grads(
     p_grads, d_pred_in = mlp_grad(model.p_params, pred_in, hidden_p, loss.grad_predicted_q)
     np.add.at(grad_ac, pair_corpus_idx, d_pred_in)
 
-    f_query_grads, _ = transform_grad(model, q_orig, hidden_q, grad_aq, "query")
-    f_corpus_grads, _ = transform_grad(model, c_orig, hidden_c, grad_ac, "corpus")
+    f_query_grads = transform_grad(model, q_orig, hidden_q, grad_aq, "query")
+    f_corpus_grads = transform_grad(model, c_orig, hidden_c, grad_ac, "corpus")
     # same order as model.trainable(): f, p, then f_corpus if it exists
     if model.separate_adapters:
         return loss, f_query_grads.arrays() + p_grads.arrays() + f_corpus_grads.arrays()
@@ -250,17 +248,13 @@ def train(
         report = evaluate(val_q_table, c_table, val_rels, model, k=10, gain=cfg.gain)
         return report.mean_ndcg
 
-    report = TrainReport()
-    best_val = validate_now()
-    best_iter = 0
-    best_params = [p.copy() for p in _flatten_trainable(model)]
-    report.entries.append(EvalLogEntry(0, None, None, None, None, best_val))
-
+    report = TrainReport(best_val_ndcg=validate_now())
+    report.entries.append(EvalLogEntry(0, None, None, None, None, report.best_val_ndcg))
     flat_params = _flatten_trainable(model)
+    best_params = [p.copy() for p in flat_params]
     adam = _AdamState(flat_params)
     schedule: list[str] = []
 
-    stop_reason = "max-iterations"
     for iteration in range(1, cfg.max_iterations + 1):
         if len(schedule) < cfg.batch_size:
             refill = list(train_qids)
@@ -274,9 +268,8 @@ def train(
         )
         q_orig = q_table.rows_for(batch_qids)
         c_orig = c_table.vectors[rows]
-        pair_q, pair_c = np.nonzero(grades > 0)
 
-        loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, pair_q, pair_c, cfg)
+        loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, cfg)
         _check_finite(loss)
         adam.step(flat_params, grads, cfg.learning_rate)
 
@@ -292,17 +285,14 @@ def train(
                     val_ndcg,
                 )
             )
-            if val_ndcg > best_val:
-                best_val = val_ndcg
-                best_iter = iteration
+            if val_ndcg > report.best_val_ndcg:
+                report.best_val_ndcg = val_ndcg
+                report.best_iteration = iteration
                 best_params = [p.copy() for p in flat_params]
-        if iteration - best_iter >= cfg.patience:
-            stop_reason = "early-stop"
+        if iteration - report.best_iteration >= cfg.patience:
+            report.stop_reason = "early-stop"
             break
 
     for current, best in zip(flat_params, best_params):
         current[...] = best
-    report.best_iteration = best_iter
-    report.best_val_ndcg = best_val
-    report.stop_reason = stop_reason
     return model, report

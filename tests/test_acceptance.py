@@ -69,7 +69,7 @@ class TestCriterion2GradientCorrectness:
             # found are the objective's own
             aq, _ = transform_forward(model, q, "query")
             ac, _ = transform_forward(model, c, "corpus")
-            pred = (predict_query(model, ac[pc]) if len(pc)
+            pred = (predict_query(model, ac[pc])[0] if len(pc)
                     else np.zeros((0, q.shape[1])))
             return np.sign(np.concatenate([
                 (aq - q).ravel(), (ac - c).ravel(), (aq[pq] - pred).ravel(),
@@ -97,10 +97,10 @@ class TestCriterion2GradientCorrectness:
             cfg = TrainConfig(alpha=0.1, beta=0.01)
 
             def objective():
-                loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
+                loss, _ = loss_and_param_grads(model, q, c, grades, cfg)
                 return loss.value
 
-            _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
+            _, grads = loss_and_param_grads(model, q, c, grades, cfg)
             for p_arr, g_arr in zip(_flatten_trainable(model), grads):
                 p64 = p_arr.astype(np.float64)
                 for idx in range(p_arr.size):

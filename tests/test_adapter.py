@@ -119,18 +119,9 @@ class TestTransformGrad:
         model = init_adapter(4, 3, seed=1)
         x = np.ones((1, 4))
         _, hidden = transform_forward(model, x)
-        grads, d_x = transform_grad(model, x, hidden, np.zeros((1, 4), dtype=np.float32))
+        grads = transform_grad(model, x, hidden, np.zeros((1, 4), dtype=np.float32))
         for g in grads.arrays():
             assert np.all(g == 0.0)
-        assert np.all(d_x == 0.0)
-
-    def test_input_grad_is_upstream_at_init(self):
-        model = init_adapter(4, 3, seed=1)
-        upstream = np.array([[1.0, -2.0, 0.5, 3.0]], dtype=np.float32)
-        x = np.ones((1, 4))
-        _, hidden = transform_forward(model, x)
-        _, d_x = transform_grad(model, x, hidden, upstream)
-        assert np.array_equal(d_x, upstream)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -147,16 +138,15 @@ class TestTransformGrad:
 
         x32 = x.astype(np.float32)
         _, hidden = transform_forward(model, x32)
-        grads, d_x = transform_grad(model, x32, hidden, upstream.astype(np.float32))
+        grads = transform_grad(model, x32, hidden, upstream.astype(np.float32))
 
         params64 = [a.astype(np.float64) for a in model.f_params.arrays()]
-        x64 = x.copy()
 
         def objective():
             w1, b1, w2, b2 = params64
-            out = np.tanh(x64 @ w1 + b1) @ w2 + b2
+            out = np.tanh(x @ w1 + b1) @ w2 + b2
             if use_skip:
-                out = x64 + out
+                out = x + out
             return float(np.sum(upstream * out))
 
         def fd(arr, flat_idx):
@@ -172,9 +162,6 @@ class TestTransformGrad:
         for g_arr, p_arr in zip(grads.arrays(), params64):
             for idx in range(p_arr.size):
                 assert fd_close(float(g_arr.ravel()[idx]), fd(p_arr, idx))
-
-        for idx in range(x64.size):
-            assert fd_close(float(d_x.ravel()[idx]), fd(x64, idx))
 
 
 class TestCheckpoint:

@@ -525,3 +525,35 @@ class TestEmbedCommand:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputMode:
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, monkeypatch):
+        """Every file the CLI writes has the mode of a file that open() makes
+        in the same directory, not the 0600 of a mkstemp file."""
+        old_umask = os.umask(0o022)
+        try:
+            rc, ckpt, (qp, cp, rp) = run_train(tmp_path)
+            assert rc == 0
+            transformed = str(tmp_path / "q_adapted.sadp")
+            assert main(["transform", "--in", qp, "--model", ckpt, "--which", "query",
+                         "--out", transformed]) == 0
+            per_query = str(tmp_path / "per_query.tsv")
+            assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                         "--per-query", per_query]) == 0
+            items = tmp_path / "items.jsonl"
+            items.write_text('{"_id": "a", "text": "first"}\n')
+            endpoint = tmp_path / "endpoint.json"
+            endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
+            monkeypatch.setattr("embadapt.cli.fetch_embeddings", lambda items, cfg: (
+                EmbeddingTable(["a"], np.ones((1, 3), dtype=np.float32))))
+            embedded = str(tmp_path / "emb.sadp")
+            assert main(["embed", "--items", str(items), "--endpoint-config", str(endpoint),
+                         "--out", embedded]) == 0
+            reference = tmp_path / "reference"
+            open(reference, "w").close()
+        finally:
+            os.umask(old_umask)
+        mode = reference.stat().st_mode
+        for path in (ckpt, ckpt + ".log.jsonl", transformed, per_query, embedded):
+            assert os.stat(path).st_mode == mode, path

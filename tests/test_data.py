@@ -55,6 +55,20 @@ class TestRelevanceSet:
         with pytest.raises(DataError):
             RelevanceSet([("q1", "c1", 1.0), ("q1", "c1", 2.0)])
 
+    def test_interleaved_rows_are_kept_per_query(self):
+        rels = RelevanceSet([("q1", "c1", 1.0), ("q2", "c1", 2.0), ("q1", "c2", 0.0)])
+        assert len(rels) == 3
+        assert rels.query_ids == ["q1", "q2"]
+        assert rels.positives_for("q1") == {"c1": 1.0}
+        assert rels.positives_for("q2") == {"c1": 2.0}
+        # a query's rows are listed together, the grade-0 row too
+        assert rels.triplets == [("q1", "c1", 1.0), ("q1", "c2", 0.0), ("q2", "c1", 2.0)]
+        only_q1 = rels.restricted_to(["q1", "q9"])
+        assert only_q1.triplets == [("q1", "c1", 1.0), ("q1", "c2", 0.0)]
+        assert len(only_q1) == 2 and only_q1.positives_for("q2") == {}
+        with pytest.raises(DataError, match=r"duplicate triplet for \('q1', 'c2'\)"):
+            RelevanceSet(rels.triplets + [("q1", "c2", 1.0)])
+
     def test_negative_grade_rejected(self):
         with pytest.raises(DataError):
             RelevanceSet([("q1", "c1", -0.5)])

@@ -303,6 +303,25 @@ class TestBlockedSidePass:
                 [[cid for cid, _ in r.entries] for r in ranked_lists(q, c, model, k=20)],
                 *values)
 
+    def test_query_blocks_are_near_equal(self, monkeypatch):
+        # a budget of 39 queries' scores cuts 40 queries into 20 and 20, not
+        # 39 and a 1-row remainder, which BLAS would round differently
+        q, c, rels = planted_task(n_queries=40, n_corpus=50, dim=8, seed=4)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 39)
+        blocks = []
+        original = evaluation.unit_scores
+
+        def counted(q_unit, c_unit):
+            blocks.append(len(q_unit))
+            return original(q_unit, c_unit)
+
+        monkeypatch.setattr(evaluation, "unit_scores", counted)
+        evaluate(q, c, rels)
+        assert blocks == [20, 20]
+        blocks.clear()
+        assert len(ranked_lists(q, c, k=3)) == 40
+        assert blocks == [20, 20]
+
     @pytest.mark.parametrize("with_model", [True, False])
     def test_small_blocks_equal_one_block(self, monkeypatch, with_model):
         q, c, rels, model = self.task()

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -396,6 +397,52 @@ class TestFetchEmbeddings:
         with pytest.raises(FetchError, match=rf"\[0:10\].*HTTP {status}"):
             fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
         assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("status, sent", [(404, 1), (503, 3)])
+    def test_no_batch_sent_after_one_failed(self, status, sent):
+        # one request at a time: batch [0:5] fails, at once (404) or after its
+        # 2 retries (503), and none of the other 9 batches is sent
+        session = FakeSession(fail_first=sent, fail_status=status)
+        with pytest.raises(FetchError, match=rf"\[0:5\].*HTTP {status}"):
+            fetch_embeddings(make_items(50),
+                             endpoint_cfg(max_batch=5, max_concurrent_requests=1),
+                             session=session)
+        assert len(session.calls) == sent
+
+    @pytest.mark.parametrize("failing_call", [0, 7, 60])
+    def test_skipped_batches_never_hide_the_error(self, failing_call):
+        # 16 threads on 200 one-item batches, switching often: the error read
+        # is a failed batch's, never the None of a batch skipped after it
+        class FailOnce(FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                with self._lock:
+                    call = len(self.calls)
+                    self.calls.append(json["texts"])
+                if call == failing_call:
+                    return FakeResponse({}, 404)
+                return FakeResponse({"embeddings": [[1.0] * 4 for _ in json["texts"]]})
+
+        session, raised = FailOnce(), []
+
+        def run():
+            try:
+                fetch_embeddings(make_items(200),
+                                 endpoint_cfg(max_batch=1, max_concurrent_requests=16),
+                                 session=session)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], FetchError), raised
+        assert "refused with HTTP 404" in str(raised[0])
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_retryable_status_retried(self, status):

@@ -170,14 +170,13 @@ class TestLossAndParamGrads:
         c = rng.standard_normal((n_c, d))
         grades = rng.choice([0.0, 0.0, 1.0, 2.0], size=(n_q, n_c))
         grades[0, 0] = 1.0  # at least one positive pair
-        pq, pc = np.nonzero(grades > 0)
         cfg = TrainConfig(alpha=0.1, beta=0.01)
 
         def objective():
-            loss, _ = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
+            loss, _ = loss_and_param_grads(model, q, c, grades, cfg)
             return loss.value
 
-        _, grads = loss_and_param_grads(model, q, c, grades, pq, pc, cfg)
+        _, grads = loss_and_param_grads(model, q, c, grades, cfg)
         flat_params = _flatten_trainable(model)
         for p_arr, g_arr in zip(flat_params, grads):
             p64 = p_arr.astype(np.float64)
@@ -212,9 +211,33 @@ class TestLossAndParamGrads:
         q, c = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
         grades = np.zeros((2, 5))
         grades[0, 0] = grades[1, 1] = 1.0
-        pq, pc = np.nonzero(grades > 0)
-        loss_and_param_grads(model, q, c, grades, pq, pc, TrainConfig())
+        loss_and_param_grads(model, q, c, grades, TrainConfig())
         assert calls == [2, 5]
+
+    def test_one_predictor_forward(self, monkeypatch):
+        """The step runs the predictor once, and only through predict_query."""
+        model = init_adapter(4, 3, seed=0)
+        calls = []
+
+        def counting(name, original):
+            def counted(net, x):
+                calls.append((name, net is model.p_params))
+                return original(net, x)
+            return counted
+
+        for name in ("predict_query", "mlp_forward"):
+            original = getattr(embadapt.adapter, name)
+            for module in vars(embadapt).values():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        rng = np.random.default_rng(0)
+        q, c = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
+        grades = np.zeros((2, 5))
+        grades[0, 0] = grades[1, 1] = grades[1, 3] = 1.0
+        loss_and_param_grads(model, q, c, grades, TrainConfig())
+        assert [name for name, _ in calls].count("predict_query") == 1
+        # the one predictor forward is the one inside predict_query
+        assert calls.count(("mlp_forward", True)) == 1
 
 
 class TestTrain:
