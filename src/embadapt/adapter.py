@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
+from .errors import DataError
 from .io import BlockReader, write_blocks
 
 CHECKPOINT_MAGIC = b"SADC"
@@ -209,15 +210,21 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     float32, the dtype of the parameters and of an embedding file. Float64
     input is rounded to float32 first, and the network runs in float32. The
     batch runs through the network in row blocks (see row_blocks), so the
-    output is the only full-size array built.
+    output is the only full-size array built. An output that is not all
+    finite, as when a finite model overflows float32, raises DataError.
     """
     x = np.asarray(x)
     batch = x[None, :] if x.ndim == 1 else x
     if batch.ndim != 2 or batch.shape[1] != model.dim:
         raise ValueError(f"input has shape {x.shape}, expected (*, {model.dim})")
     out = np.empty(batch.shape, dtype=np.float32)
-    for rows in row_blocks(len(batch), max(model.dim, model.hidden)):
-        out[rows], _ = transform_forward(model, np.asarray(batch[rows], dtype=np.float32), which)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(len(batch), max(model.dim, model.hidden)):
+            out[rows], _ = transform_forward(
+                model, np.asarray(batch[rows], dtype=np.float32), which)
+            # checked while the block is in cache
+            if not np.isfinite(out[rows]).all():
+                raise DataError(f"the adapted {which} embeddings are not all finite in float32")
     return out[0] if x.ndim == 1 else out
 
 

@@ -4,23 +4,18 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import AdapterModel, is_identity, row_blocks, transform, transform_forward
+from .adapter import AdapterModel, is_identity, row_blocks, transform
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
 from .objectives import unit_rows, unit_scores
 
 # float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
 SCORE_BLOCK_BYTES = 32 << 20
-
-# a forward maps (model, rows, side) to the side's adapted rows: transform for
-# search, which scores the rows that transform writes, and _forward64 for
-# evaluate and validation
-Forward = Callable[[AdapterModel, np.ndarray, str], np.ndarray]
 
 
 @dataclass
@@ -50,17 +45,10 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _forward64(model: AdapterModel, x: np.ndarray, which: str) -> np.ndarray:
-    """The adapted rows in float64, from the forward that training's loss
-    runs, so that nDCG is what the trainer sees."""
-    return transform_forward(model, np.asarray(x, dtype=np.float64), which)[0]
-
-
-def _unit_side(
-    table: EmbeddingTable, model: AdapterModel | None, which: str, forward: Forward
-) -> np.ndarray:
+def _unit_side(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
     """The table's unit rows (see unit_rows), adapted as the `which` side by
-    forward unless model is None or the identity.
+    transform unless model is None or the identity: the unit rows of the
+    table that transform writes, bit for bit.
 
     Rows are adapted and normalised in the row blocks of transform, so the
     float64 unit rows are the only full-size array built.
@@ -69,7 +57,7 @@ def _unit_side(
     adapt = model is not None and not is_identity(model, which)
     unit = np.empty(x.shape, dtype=np.float64)
     for rows in row_blocks(len(x), max(x.shape[1], model.hidden) if adapt else x.shape[1]):
-        unit[rows], _ = unit_rows(forward(model, x[rows], which) if adapt else x[rows])
+        unit[rows], _ = unit_rows(transform(model, x[rows], which) if adapt else x[rows])
     return unit
 
 
@@ -78,15 +66,13 @@ def _unit_sides(
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
-    forward: Forward,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_unit_side of the queries and of the corpus, each computed once.
 
     Tables and a model that check_compatible refuses raise its error unless
     force is set."""
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    return (_unit_side(q_table, model, "query", forward),
-            _unit_side(c_table, model, "corpus", forward))
+    return _unit_side(q_table, model, "query"), _unit_side(c_table, model, "corpus")
 
 
 def score_all(
@@ -95,11 +81,9 @@ def score_all(
     model: AdapterModel | None = None,
     force: bool = False,
 ) -> np.ndarray:
-    """Dense (n_q, n_c) cosine score matrix, optionally on adapted embeddings.
-
-    Each side is adapted in float64, as evaluate adapts it, and normalised once.
-    """
-    return unit_scores(*_unit_sides(q_table, c_table, model, force, _forward64))
+    """Dense (n_q, n_c) cosine score matrix, optionally on the sides adapted
+    by transform, each normalised once."""
+    return unit_scores(*_unit_sides(q_table, c_table, model, force))
 
 
 def _check_k(k: int | None) -> None:
@@ -137,7 +121,6 @@ def _score_blocks(
     c_table: EmbeddingTable,
     model: AdapterModel | None,
     force: bool,
-    forward: Forward,
 ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Cosine scores of consecutive query blocks against the whole corpus.
 
@@ -146,11 +129,10 @@ def _score_blocks(
     each block (see row_blocks) then takes one product with the unit corpus
     and holds at most SCORE_BLOCK_BYTES of scores (one query at least), so
     memory grows with the corpus size, not with n_q * n_c. BLAS rounds each
-    product by its shape, so with forward=_forward64 the scores may differ
-    from the matching rows of score_all in the last bits, and the rankings
-    agree up to that rounding.
+    product by its shape, so the scores may differ from the matching rows of
+    score_all in the last bits.
     """
-    q_unit, c_unit = _unit_sides(q_table, c_table, model, force, forward)
+    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
     qids = q_table.ids
     for rows in row_blocks(len(qids), max(1, len(c_table)), SCORE_BLOCK_BYTES):
         yield qids[rows], unit_scores(q_unit[rows], c_unit)
@@ -165,12 +147,12 @@ def ranked_lists(
 ) -> list[RankedList]:
     """Top k of each query, the sides adapted by transform: the entries equal
     those of ranked_lists without a model over the tables that transform
-    writes, bit for bit."""
+    writes, bit for bit, as do evaluate's and score_all's values."""
     _check_k(k)
     cids = c_table.ids
     return [
         RankedList(qid, rank_candidates(cids, row, k))
-        for qids, scores in _score_blocks(q_table, c_table, model, force, transform)
+        for qids, scores in _score_blocks(q_table, c_table, model, force)
         for qid, row in zip(qids, scores)
     ]
 
@@ -228,13 +210,15 @@ def evaluate(
     force: bool = False,
 ) -> RetrievalReport:
     """Mean nDCG@k over every query in q_table with at least one positive;
-    each qrels row of a query in q_table must name embeddings that exist."""
+    each qrels row of a query in q_table must name embeddings that exist.
+    The sides are adapted by transform, so the report equals, bit for bit,
+    evaluate without a model over the tables that transform writes."""
     _check_k(k)
     check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
     cids = c_table.ids
     per_query: dict[str, float] = {}
     n_skipped = 0
-    for qids, scores in _score_blocks(q_table, c_table, model, force, _forward64):
+    for qids, scores in _score_blocks(q_table, c_table, model, force):
         for qid, row in zip(qids, scores):
             grades = rels.positives_for(qid)
             if not grades:

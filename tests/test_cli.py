@@ -1,6 +1,7 @@
 import json
 import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestTrainCommand:
     def test_repeat_runs_byte_identical(self, tmp_path):
         _, out1, _ = run_train(tmp_path, "a.sadc")
         _, out2, _ = run_train(tmp_path, "b.sadc")
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         log1 = (tmp_path / "a.sadc.log.jsonl").read_bytes()
         log2 = (tmp_path / "b.sadc.log.jsonl").read_bytes()
         assert log1 == log2
@@ -149,7 +150,7 @@ class TestTransformCommand:
         assert np.array_equal(adapted.vectors, expected)
         assert adapted.ids == original.ids
         # the tag records the side and the CRC32 stored at the checkpoint's end
-        crc = zlib.crc32(open(ckpt, "rb").read()[4:-4])
+        crc = zlib.crc32(Path(ckpt).read_bytes()[4:-4])
         assert adapted.encoder_tag == f"{original.encoder_tag}@adapted:query:{crc:08x}"
 
     def test_writes_the_transform_output_without_a_copy(self, tmp_path, monkeypatch):
@@ -284,19 +285,21 @@ class TestEvaluateCommand:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["mean_ndcg"] <= 1.0
         assert report["k"] == 10
-        rows = [line.split("\t") for line in open(pq).read().splitlines()]
+        rows = [line.split("\t") for line in Path(pq).read_text().splitlines()]
         assert len(rows) == report["n_evaluated"]
         for qid, value in rows:
             assert report["per_query_ndcg"][qid] == pytest.approx(float(value), abs=1e-6)
 
     def test_model_flag_equals_transform_then_evaluate(self, tmp_path, capsys):
+        # bit for bit: the same --json line and the same --per-query file
         rc, ckpt, (qp, cp, rp) = run_train(tmp_path)
         assert rc == 0
         capsys.readouterr()
+        direct_pq, staged_pq = tmp_path / "direct.tsv", tmp_path / "staged.tsv"
         rc = main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
-                   "--model", ckpt, "--json"])
+                   "--model", ckpt, "--json", "--per-query", str(direct_pq)])
         assert rc == 0
-        direct = json.loads(capsys.readouterr().out)
+        direct = capsys.readouterr().out
 
         qa, ca = str(tmp_path / "qa.sadp"), str(tmp_path / "ca.sadp")
         assert main(["transform", "--in", qp, "--model", ckpt,
@@ -305,9 +308,9 @@ class TestEvaluateCommand:
                      "--which", "corpus", "--out", ca]) == 0
         capsys.readouterr()
         assert main(["evaluate", "--queries", qa, "--corpus", ca, "--qrels", rp,
-                     "--json"]) == 0
-        staged = json.loads(capsys.readouterr().out)
-        assert staged["mean_ndcg"] == pytest.approx(direct["mean_ndcg"], abs=1e-6)
+                     "--json", "--per-query", str(staged_pq)]) == 0
+        assert capsys.readouterr().out == direct
+        assert staged_pq.read_bytes() == direct_pq.read_bytes()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_one(self, tmp_path, capsys, k):
@@ -441,6 +444,19 @@ class TestSearchCommand:
         write_embeddings(EmbeddingTable(["a"], np.eye(1, 3, dtype=np.float32), "t"), cp)
         assert main(["search", "--corpus", cp, "--vector", "1,0"]) == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_model_that_overflows_float32_exits_one(self, tmp_path, capsys):
+        # the checkpoint's parameters are finite, but its float32 output is not
+        cp, ckpt = str(tmp_path / "c.sadp"), str(tmp_path / "m.sadc")
+        write_embeddings(EmbeddingTable(["a", "b", "c"], np.eye(3, 4, dtype=np.float32), "t"), cp)
+        model = init_adapter(4, seed=0, encoder_tag="t")
+        model.f_params.b1[...] = 100.0
+        model.f_params.w2[...] = 1e38
+        save_checkpoint(model, ckpt)
+        assert main(["search", "--corpus", cp, "--model", ckpt, "--vector", "1,0,0,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the adapted query embeddings are not all finite in float32\n"
 
 
     @pytest.mark.parametrize("force", [False, True])

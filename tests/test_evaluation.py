@@ -234,10 +234,7 @@ class TestEvaluate:
         assert report.n_skipped == 3
         lists = ranked_lists(q, c, model, k=k)
         assert [r.query_id for r in lists] == q.ids
-        # ranked_lists scores the float32 rows that transform writes
-        served = score_all(table(q.ids, transform(model, q.vectors, "query")),
-                           table(c.ids, transform(model, c.vectors, "corpus")))
-        for r, row in zip(lists, served):
+        for r, row in zip(lists, scores):
             assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
 
     def test_identity_model_skips_the_network(self, monkeypatch):
@@ -343,15 +340,16 @@ class TestBlockedSidePass:
 
 
 class TestSearchPrecision:
-    """ranked_lists adapts each side with transform, in float32, and scores
-    in float64; evaluate and score_all adapt in float64."""
+    """ranked_lists, evaluate and score_all adapt each side with transform,
+    in float32, and normalise and score in float64; training's loss alone
+    adapts in float64."""
 
     @pytest.mark.parametrize("block_bytes", [None, 8 * 24 * 7])
     @pytest.mark.parametrize("separate", [False, True])
     def test_model_search_equals_search_over_transformed_tables(
             self, monkeypatch, separate, block_bytes):
-        # bit for bit: the same ids and the same float64 scores
-        q, c, _ = planted_task(n_queries=30, n_corpus=200, dim=16, seed=7)
+        # bit for bit: the same ids, the same float64 scores and the same nDCG
+        q, c, rels = planted_task(n_queries=30, n_corpus=200, dim=16, seed=7)
         model = seeded_output_layers(
             init_adapter(16, 24, seed=3, separate_adapters=separate,
                          encoder_tag=q.encoder_tag), seed=5)
@@ -367,9 +365,30 @@ class TestSearchPrecision:
         assert bits(ranked_lists(q, c, model, k=10)) == bits(ranked_lists(adapted_q, adapted_c,
                                                                           k=10))
 
+        def hexes(scores):
+            return [[s.hex() for s in row] for row in scores.tolist()]
+
+        assert hexes(score_all(q, c, model)) == hexes(score_all(adapted_q, adapted_c))
+        assert (evaluate(q, c, rels, model).per_query_ndcg
+                == evaluate(adapted_q, adapted_c, rels).per_query_ndcg)
+
+    def test_model_that_overflows_float32_is_refused(self):
+        # finite parameters, so load_checkpoint accepts them, but every output
+        # column is 4 * 1e38, past the float32 range
+        q = table(["q1"], [[1.0, 0.0, 0.0, 0.0]])
+        c = table(["c1", "c2"], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        model = init_adapter(4, seed=0, encoder_tag="enc")
+        model.f_params.b1[...] = 100.0
+        model.f_params.w2[...] = 1e38
+        rels = RelevanceSet([("q1", "c1", 1.0)])
+        for call in (lambda: transform(model, q.vectors), lambda: ranked_lists(q, c, model),
+                     lambda: evaluate(q, c, rels, model), lambda: score_all(q, c, model)):
+            with pytest.raises(DataError, match="query embeddings are not all finite"):
+                call()
+
     def test_float32_forward_stays_near_float64_at_benchmark_shape(self):
         # d = hidden = 384 and the fixed checkpoint of the benchmark's infer workload
-        q, c, _ = planted_task(n_queries=32, n_corpus=2000, dim=384, seed=1)
+        q, c, rels = planted_task(n_queries=32, n_corpus=2000, dim=384, seed=1)
         model = seeded_output_layers(init_adapter(384, seed=1, encoder_tag=q.encoder_tag), 1)
         p = model.f_params
 
@@ -388,6 +407,11 @@ class TestSearchPrecision:
         scores = unit(forward64(q.vectors)) @ unit(adapted_c).T
         cids = np.array(c.ids)
         index = {cid: j for j, cid in enumerate(c.ids)}
+        # evaluate's nDCG equals the float64 reference's, the benchmark's 1e-9 rule
+        expected = {qid: ndcg_at_k([(cids[j], row[j]) for j in np.lexsort((cids, -row))[:10]],
+                                   rels.positives_for(qid), 10)
+                    for qid, row in zip(q.ids, scores)}
+        assert evaluate(q, c, rels, model).per_query_ndcg == expected
         for r, row in zip(ranked_lists(q, c, model, k=10), scores):
             reference = np.lexsort((cids, -row))[:10]
             got = [index[cid] for cid, _ in r.entries]
