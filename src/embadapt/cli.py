@@ -9,8 +9,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adapter import load_checkpoint, save_checkpoint, transform
 from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig, check_keys
 from .data import (
@@ -25,6 +23,7 @@ from .errors import EmbAdaptError
 from .evaluation import evaluate, ranked_lists
 from .io import (
     EncoderEndpointConfig,
+    _as_vectors,
     fetch_embeddings,
     load_jsonl_items,
     load_qrels_tsv,
@@ -193,9 +192,12 @@ def cmd_search(args) -> int:
     if (args.vector is None) == (args.text is None):
         raise EmbAdaptError("search requires exactly one of --vector or --text")
     if args.vector is not None:
-        query = np.array([float(x) for x in args.vector.split(",")], dtype=np.float32)
+        # the rule of an encoder body: finite in float32, at least one component
+        query = _as_vectors([[float(x) for x in args.vector.split(",")]], 1)
+        if query is None:
+            raise EmbAdaptError("--vector must be numbers that float32 holds as finite values")
         # a vector is taken to be a query in the space of the corpus
-        q_table = EmbeddingTable(["q"], query[None, :], as_side(c_table.encoder_tag, "query"))
+        q_table = EmbeddingTable(["q"], query, as_side(c_table.encoder_tag, "query"))
     else:
         if not args.endpoint_config:
             raise EmbAdaptError("--text requires --endpoint-config")

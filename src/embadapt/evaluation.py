@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -116,28 +115,6 @@ def rank_candidates(
     return [(corpus_ids[i], s) for s, i in pairs[:k]]
 
 
-def _score_blocks(
-    q_table: EmbeddingTable,
-    c_table: EmbeddingTable,
-    model: AdapterModel | None,
-    force: bool,
-) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Cosine scores of consecutive query blocks against the whole corpus.
-
-    Yields (query ids, scores) with scores of shape (block, n_c). Each side is
-    adapted and normalised once per call, and only its unit rows are kept;
-    each block (see row_blocks) then takes one product with the unit corpus
-    and holds at most SCORE_BLOCK_BYTES of scores (one query at least), so
-    memory grows with the corpus size, not with n_q * n_c. BLAS rounds each
-    product by its shape, so the scores may differ from the matching rows of
-    score_all in the last bits.
-    """
-    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
-    qids = q_table.ids
-    for rows in row_blocks(len(qids), max(1, len(c_table)), SCORE_BLOCK_BYTES):
-        yield qids[rows], unit_scores(q_unit[rows], c_unit)
-
-
 def ranked_lists(
     q_table: EmbeddingTable,
     c_table: EmbeddingTable,
@@ -147,13 +124,22 @@ def ranked_lists(
 ) -> list[RankedList]:
     """Top k of each query, the sides adapted by transform: the entries equal
     those of ranked_lists without a model over the tables that transform
-    writes, bit for bit, as do evaluate's and score_all's values."""
+    writes, bit for bit, as do evaluate's and score_all's values.
+
+    Each side is adapted and normalised once per call, and only its unit rows
+    are kept; each query block (see row_blocks) then takes one product with
+    the unit corpus and holds at most SCORE_BLOCK_BYTES of scores (one query
+    at least), so memory grows with the corpus size, not with n_q * n_c. BLAS
+    rounds each product by its shape, so the scores may differ from the
+    matching rows of score_all in the last bits.
+    """
     _check_k(k)
-    cids = c_table.ids
+    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
+    qids, cids = q_table.ids, c_table.ids
     return [
         RankedList(qid, rank_candidates(cids, row, k))
-        for qids, scores in _score_blocks(q_table, c_table, model, force)
-        for qid, row in zip(qids, scores)
+        for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES)
+        for qid, row in zip(qids[rows], unit_scores(q_unit[rows], c_unit))
     ]
 
 
@@ -215,17 +201,14 @@ def evaluate(
     evaluate without a model over the tables that transform writes."""
     _check_k(k)
     check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
-    cids = c_table.ids
     per_query: dict[str, float] = {}
     n_skipped = 0
-    for qids, scores in _score_blocks(q_table, c_table, model, force):
-        for qid, row in zip(qids, scores):
-            grades = rels.positives_for(qid)
-            if not grades:
-                n_skipped += 1
-                continue
-            ranked = rank_candidates(cids, row, k)
-            per_query[qid] = ndcg_at_k(ranked, grades, k, gain)
+    for ranked in ranked_lists(q_table, c_table, model, k, force):
+        grades = rels.positives_for(ranked.query_id)
+        if grades:
+            per_query[ranked.query_id] = ndcg_at_k(ranked.entries, grades, k, gain)
+        else:
+            n_skipped += 1
     if not per_query:
         raise DataError("no evaluable query: every query lacks positive grades")
     mean = float(np.mean(list(per_query.values())))

@@ -78,19 +78,21 @@ def load_jsonl_items(path: str | Path) -> list[TextItem]:
             raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict) or "_id" not in obj:
             raise FormatError(f"{path}:{lineno}: object missing '_id'")
-        item_id = str(obj["_id"])
+        # str() of any other JSON value is a Python repr, such as 'None' or 'False'
+        raw_id, text, title = obj["_id"], obj.get("text", ""), obj.get("title")
+        if type(raw_id) not in (str, int):
+            raise FormatError(f"{path}:{lineno}: '_id' is not a string or an integer")
+        if not isinstance(text, str):
+            raise FormatError(f"{path}:{lineno}: 'text' is not a string")
+        if title is not None and not isinstance(title, str):
+            raise FormatError(f"{path}:{lineno}: 'title' is not a string or null")
+        item_id = str(raw_id)
         if not item_id:
             raise FormatError(f"{path}:{lineno}: empty '_id'")
         if item_id in seen:
             raise FormatError(f"{path}: duplicate item id: {item_id!r}")
         seen.add(item_id)
-        items.append(
-            TextItem(
-                id=item_id,
-                text=str(obj.get("text", "")),
-                title=str(obj["title"]) if obj.get("title") is not None else None,
-            )
-        )
+        items.append(TextItem(id=item_id, text=text, title=title))
     return items
 
 
@@ -314,10 +316,10 @@ def _retry_after_seconds(resp) -> float | None:
 
 def _as_vectors(embeddings, n: int) -> np.ndarray | None:
     """embeddings as an (n, d) float32 array, or None unless it is n lists of
-    d JSON numbers that float32 holds as finite values."""
+    d > 0 JSON numbers that float32 holds as finite values."""
     # JSON numbers only: bool is an int subclass, and str or null are not numbers
     if not (isinstance(embeddings, list) and len(embeddings) == n
-            and all(isinstance(vec, list) and len(vec) == len(embeddings[0])
+            and all(isinstance(vec, list) and 0 < len(vec) == len(embeddings[0])
                     and all(type(x) in (int, float) for x in vec) for vec in embeddings)):
         return None
     try:

@@ -445,6 +445,17 @@ class TestSearchCommand:
         assert main(["search", "--corpus", cp, "--vector", "1,0"]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("component", ["1e39", "nan", "inf"])
+    def test_vector_not_finite_in_float32_exits_one(self, tmp_path, capsys, component):
+        # the rule of an encoder body; 1e39 is refused without an overflow warning
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(EmbeddingTable(["a", "b"], np.eye(2, 4, dtype=np.float32), "t"), cp)
+        assert main(["search", "--corpus", cp, "--vector", f"{component},0,0,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "--vector" in err
+
     def test_model_that_overflows_float32_exits_one(self, tmp_path, capsys):
         # the checkpoint's parameters are finite, but its float32 output is not
         cp, ckpt = str(tmp_path / "c.sadp"), str(tmp_path / "m.sadc")

@@ -236,6 +236,15 @@ class TestEvaluate:
         assert [r.query_id for r in lists] == q.ids
         for r, row in zip(lists, scores):
             assert [cid for cid, _ in r.entries] == list(cids[np.lexsort((cids, -row))[:k]])
+        # evaluate scores exactly the lists that ranked_lists returns, and
+        # skips exactly the queries without a positive
+        skipped = {qid for qid in q.ids if not rels.positives_for(qid)}
+        assert skipped == set(q.ids[-3:])
+        assert set(q.ids) - set(report.per_query_ndcg) == skipped
+        for r in lists:
+            if r.query_id not in skipped:
+                assert report.per_query_ndcg[r.query_id] == ndcg_at_k(
+                    r.entries, rels.positives_for(r.query_id), k)
 
     def test_identity_model_skips_the_network(self, monkeypatch):
         q, c, rels = planted_task(n_queries=30, n_corpus=200, dim=8, seed=4)

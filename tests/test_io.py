@@ -73,6 +73,23 @@ class TestLoadJsonlItems:
         with pytest.raises(FormatError, match=r"bad\.jsonl:2: not valid UTF-8"):
             load_jsonl_items(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"_id": null, "text": "x"}', "_id"),
+        ('{"_id": true, "text": "x"}', "_id"),
+        ('{"_id": 7.0, "text": "x"}', "_id"),
+        ('{"_id": "c2", "text": null}', "text"),
+        ('{"_id": 7, "text": {"a": 1}}', "text"),
+        ('{"_id": "c2", "text": "x", "title": false}', "title"),
+        ('{"_id": "c2", "text": "x", "title": 3}', "title"),
+    ], ids=["null-id", "bool-id", "float-id", "null-text", "object-text",
+            "bool-title", "number-title"])
+    def test_non_string_values_name_file_and_line(self, tmp_path, line, field):
+        # str() would turn these into Python reprs such as 'None' or "{'a': 1}"
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"_id":"c1","text":"a","title":null}\n' + line + "\n")
+        with pytest.raises(FormatError, match=rf"corpus\.jsonl:2: '{field}' is not a string"):
+            load_jsonl_items(path)
+
 
 class TestLoadQrelsTsv:
     def test_rows_mapped_and_zero_dropped(self, tmp_path):
@@ -477,9 +494,9 @@ class TestFetchEmbeddings:
 
     @pytest.mark.parametrize("body", [
         [1.0, 2.0], [["1", "2"], ["3", "4"]], [[True, False], [1, 2]], "ab", [[1, None], [2, 3]],
-        [[10**400, 1], [1, 2]], [[1e39, 1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]],
+        [[10**400, 1], [1, 2]], [[1e39, 1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]], [[], []],
     ], ids=["flat-numbers", "strings", "booleans", "string", "null",
-            "beyond-float64", "beyond-float32", "ragged"])
+            "beyond-float64", "beyond-float32", "ragged", "empty-vectors"])
     def test_malformed_embeddings_retried_then_refused(self, body, tmp_path, capsys,
                                                        monkeypatch):
         session = FakeSession(body=body)
