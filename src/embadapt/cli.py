@@ -193,7 +193,11 @@ def cmd_search(args) -> int:
         raise EmbAdaptError("search requires exactly one of --vector or --text")
     if args.vector is not None:
         # the rule of an encoder body: finite in float32, at least one component
-        query = _as_vectors([[float(x) for x in args.vector.split(",")]], 1)
+        try:
+            values = [float(x) for x in args.vector.split(",")]
+        except ValueError:  # a component that is not a number
+            values = None
+        query = _as_vectors([values], 1)
         if query is None:
             raise EmbAdaptError("--vector must be numbers that float32 holds as finite values")
         # a vector is taken to be a query in the space of the corpus

@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.eval_every < 1 or self.eval_every > self.patience:
             raise ValueError("eval_every must be in [1, patience]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError("hidden width must be positive")
         if self.loss_variant not in LOSS_VARIANTS:

@@ -22,4 +22,4 @@ class FetchError(EmbAdaptError):
 
 
 class TrainingDivergedError(EmbAdaptError):
-    """A loss term became NaN or infinite during training."""
+    """A loss term or a parameter became NaN or infinite during training."""

@@ -1,4 +1,4 @@
-"""Exact cosine retrieval with streaming top-k, and nDCG@k evaluation."""
+"""Exact cosine top-k (float32 screen, float64 rescoring) and nDCG@k evaluation."""
 
 from __future__ import annotations
 
@@ -11,10 +11,16 @@ import numpy as np
 from .adapter import AdapterModel, is_identity, row_blocks, transform
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
-from .objectives import unit_rows, unit_scores
+from .objectives import NORM_EPS, cosine_scores, unit_rows
 
-# float64 scores held per query block: 32 MiB is 209 queries against a 20k corpus
+# screen scores (float32, and their partitioned copy) held per query block: 32 MiB
+# is 209 queries against a 20k corpus; also the float64 unit rows of one
+# rescoring chunk, a side
 SCORE_BLOCK_BYTES = 32 << 20
+# norms whose float32 squares are screened: neither they nor the products
+# with a unit row overflow float32, and gradual underflow stays far below
+# float32 rounding (see screen_bound)
+SCREEN_NORMS = (2.0**-32, 2.0**32)
 
 
 @dataclass
@@ -44,34 +50,12 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _unit_side(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
-    """The table's unit rows (see unit_rows), adapted as the `which` side by
-    transform unless model is None or the identity: the unit rows of the
-    table that transform writes, bit for bit.
-
-    Rows are adapted and normalised in the row blocks of transform, so the
-    float64 unit rows are the only full-size array built.
-    """
-    x = table.vectors
-    adapt = model is not None and not is_identity(model, which)
-    unit = np.empty(x.shape, dtype=np.float64)
-    for rows in row_blocks(len(x), max(x.shape[1], model.hidden) if adapt else x.shape[1]):
-        unit[rows], _ = unit_rows(transform(model, x[rows], which) if adapt else x[rows])
-    return unit
-
-
-def _unit_sides(
-    q_table: EmbeddingTable,
-    c_table: EmbeddingTable,
-    model: AdapterModel | None,
-    force: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_unit_side of the queries and of the corpus, each computed once.
-
-    Tables and a model that check_compatible refuses raise its error unless
-    force is set."""
-    check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    return _unit_side(q_table, model, "query"), _unit_side(c_table, model, "corpus")
+def _rows(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
+    """The float32 rows that transform writes for the `which` side, or the
+    table's own rows, uncopied, when model is None or the identity."""
+    if model is None or is_identity(model, which):
+        return table.vectors
+    return transform(model, table.vectors, which)
 
 
 def score_all(
@@ -80,9 +64,10 @@ def score_all(
     model: AdapterModel | None = None,
     force: bool = False,
 ) -> np.ndarray:
-    """Dense (n_q, n_c) cosine score matrix, optionally on the sides adapted
-    by transform, each normalised once."""
-    return unit_scores(*_unit_sides(q_table, c_table, model, force))
+    """Dense (n_q, n_c) float64 cosine score matrix on the rows of _rows:
+    the dense reference for the top k that ranked_lists returns."""
+    check_compatible({"query": q_table, "corpus": c_table}, model, force)
+    return cosine_scores(_rows(q_table, model, "query"), _rows(c_table, model, "corpus"))
 
 
 def _check_k(k: int | None) -> None:
@@ -115,6 +100,113 @@ def rank_candidates(
     return [(corpus_ids[i], s) for s, i in pairs[:k]]
 
 
+def screen_bound(d: int) -> float:
+    """Largest gap, at dimension d, by which a column the screen drops can
+    trail the k-th screen score and still reach the float64 top k; columns
+    within it of the k-th screen score are rescored (see ranked_lists).
+
+    Let c be the exact cosine of two float32 rows q and x, u = 2**-24 and
+    v = 2**-53 the unit roundoffs of float32 and float64, and
+    g(m, w) = m*w / (1 - m*w) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1). An inner product of length d in any
+    summation order, BLAS included, is x.y + e with |e| <= g(d, w)|x|.|y|;
+    a norm's inverse square root carries a relative error within g(d, w);
+    a product of factors (1 + t_i), each |t_i| <= g(m_i, w), is
+    1 + t with |t| <= g(sum m_i, w). Both errors below are of that form,
+    times sum |q_i x_i| / (|q| |x|) <= 1:
+
+    - The screen score: each side's float32 sum of squares and inverse
+      square root, rounded twice (d + 2 units a side); the unit query
+      component (1); the float32 product with the raw corpus row (d); and
+      the column's scale (1). Only rows whose float32 norm lies in
+      SCREEN_NORMS are screened, and on them gradual underflow adds less
+      than d * 2**-85 < u in all: |screen - c| <= E32 = g(3d + 7, u).
+    - The float64 score (unit_rows, then a float64 dot product): each
+      side's norm, square root and division (d + 2 a side) and the dot
+      product (d); clipping to [-1, 1] only moves it towards c:
+      |score - c| <= E64 = g(3d + 4, v).
+
+    So a screen score is within E = E32 + E64 of its float64 score. If t is
+    the k-th screen score of a query, the k columns at or above t score at
+    least t - E in float64, and a column whose screen score is below
+    t - 2E scores below t - E, strictly below all k of them: it is neither
+    in the float64 top k nor tied with its k-th score. (Degenerate rows
+    screen and score exactly 0; wild rows are not screened, see
+    _screen_side.) The bound is 2E,
+    1.4e-4 at d = 384, 4.7e-5 at d = 128 and 2.4e-5 at d = 64; it is
+    infinite, so that every column is rescored, once g is no longer small.
+    """
+    m32 = (3 * d + 7) * 2.0**-24
+    if m32 >= 0.5:
+        return math.inf
+    m64 = (3 * d + 4) * 2.0**-53
+    return 2.0 * (m32 / (1.0 - m32) + m64 / (1.0 - m64))
+
+
+def _screen_side(
+    table: EmbeddingTable, model: AdapterModel | None, which: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of _rows, their screen scales, and the rows the screen
+    cannot score.
+
+    A row's scale is its float32 inverse norm when that norm lies in
+    SCREEN_NORMS. Any other row takes its norm from unit_rows: a degenerate
+    one (norm below NORM_EPS) has scale 0, so it screens as 0 as it scores;
+    the rest are wild, with scale 0, and are always rescored.
+    """
+    rows = _rows(table, model, which)
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", rows, rows)
+    lo, hi = SCREEN_NORMS
+    tame = (squares >= lo * lo) & (squares <= hi * hi)
+    scale = np.zeros(len(rows), dtype=np.float32)
+    scale[tame] = 1 / np.sqrt(squares[tame])
+    wild = ~tame
+    wild[wild] = unit_rows(rows[wild])[1] >= NORM_EPS
+    return rows, scale, wild
+
+
+def _screen(q_side, c_side, rows: slice, k: int | None) -> np.ndarray:
+    """(queries in rows, corpus) mask of the columns each query rescores:
+    those whose float32 cosine is at least its k-th float32 cosine less
+    screen_bound, each wild column, and every column of a wild query. With
+    no k, or k at least the corpus size, every column."""
+    q_rows, q_scale, q_wild = q_side
+    c_rows, c_scale, c_wild = c_side
+    n_c = len(c_rows)
+    if k is None or k >= n_c:
+        return np.ones((rows.stop - rows.start, n_c), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = (q_rows[rows] * q_scale[rows, None]) @ c_rows.T
+        screen *= c_scale
+    screen[:, c_wild] = -np.inf
+    kth = np.partition(screen, n_c - k, axis=1)[:, n_c - k]
+    # rounded outwards, so each floor is at most kth - screen_bound
+    margin = np.nextafter(np.float32(screen_bound(c_rows.shape[1])), np.float32(np.inf))
+    floor = np.nextafter(kth - margin, np.float32(-np.inf))
+    keep = screen >= floor[:, None]
+    keep[:, c_wild] = True
+    keep[q_wild[rows]] = True
+    return keep
+
+
+def _rescore(q_rows: np.ndarray, c_rows: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Float64 cosine of each pair of rows (q_rows[r], c_rows[j]): both rows
+    normalised by unit_rows, multiplied and summed, then clipped to [-1, 1].
+    A pair's score depends on its two rows alone. r is ascending and takes
+    every value between its ends, so a chunk of pairs normalises each of its
+    query rows once; the chunks' float64 unit rows hold at most
+    SCORE_BLOCK_BYTES a side."""
+    scores = np.empty(len(r))
+    step = max(1, SCORE_BLOCK_BYTES // (8 * q_rows.shape[1]))
+    for lo in range(0, len(r), step):
+        qr, cr = r[lo : lo + step], j[lo : lo + step]
+        pairs = unit_rows(q_rows[qr[0] : qr[-1] + 1])[0][qr - qr[0]]
+        pairs *= unit_rows(c_rows[cr])[0]
+        scores[lo : lo + step] = pairs.sum(axis=1)
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
 def ranked_lists(
     q_table: EmbeddingTable,
     c_table: EmbeddingTable,
@@ -122,25 +214,43 @@ def ranked_lists(
     k: int | None = None,
     force: bool = False,
 ) -> list[RankedList]:
-    """Top k of each query, the sides adapted by transform: the entries equal
-    those of ranked_lists without a model over the tables that transform
-    writes, bit for bit, as do evaluate's and score_all's values.
+    """Top k of each query by float64 cosine, ties broken by ascending id, on
+    the float32 rows that transform writes (or the tables' own rows without
+    a model): the entries equal, bit for bit, those of ranked_lists without
+    a model over the tables that transform writes.
 
-    Each side is adapted and normalised once per call, and only its unit rows
-    are kept; each query block (see row_blocks) then takes one product with
-    the unit corpus and holds at most SCORE_BLOCK_BYTES of scores (one query
-    at least), so memory grows with the corpus size, not with n_q * n_c. BLAS
-    rounds each product by its shape, so the scores may differ from the
-    matching rows of score_all in the last bits.
+    Screen in float32, rescore in float64. Each query block (see row_blocks)
+    takes one float32 product with the corpus rows, scaled to cosines by
+    float32 inverse norms, and one partition for each query's k-th screen
+    score t. Every column whose screen score is at least t - screen_bound(d)
+    survives; screen_bound derives why no other column can be in the float64
+    top k or tie its k-th score. Only the survivors are scored in float64,
+    from their rows normalised as unit_rows does, and rank_candidates orders
+    each query's survivors. The top k is therefore the first k of a float64
+    lexsort of every column, and each score is a float64 product of the two
+    unit rows, which may differ from score_all's matrix product in the last
+    bits.
+
+    No float64 copy of either side is built. A query block holds at most
+    SCORE_BLOCK_BYTES of float32 screen scores and their partitioned copy
+    (one query at least), and the survivors are rescored in chunks of the
+    same size, so memory grows with the corpus size, not with n_q * n_c,
+    even when every column survives, as on a corpus of one repeated row.
     """
     _check_k(k)
-    q_unit, c_unit = _unit_sides(q_table, c_table, model, force)
+    check_compatible({"query": q_table, "corpus": c_table}, model, force)
+    q_side = _screen_side(q_table, model, "query")
+    c_side = _screen_side(c_table, model, "corpus")
     qids, cids = q_table.ids, c_table.ids
-    return [
-        RankedList(qid, rank_candidates(cids, row, k))
-        for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES)
-        for qid, row in zip(qids[rows], unit_scores(q_unit[rows], c_unit))
-    ]
+    lists = []
+    for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES):
+        r, j = divmod(np.flatnonzero(_screen(q_side, c_side, rows, k)), len(cids))
+        scores = _rescore(q_side[0][rows], c_side[0], r, j)
+        ends = np.searchsorted(r, np.arange(1, rows.stop - rows.start + 1)).tolist()
+        for qid, lo, hi in zip(qids[rows], [0] + ends, ends):
+            survivors = [cids[i] for i in j[lo:hi].tolist()]
+            lists.append(RankedList(qid, rank_candidates(survivors, scores[lo:hi], k)))
+    return lists
 
 
 def _gain(y: float, mode: str) -> float:
@@ -197,8 +307,11 @@ def evaluate(
 ) -> RetrievalReport:
     """Mean nDCG@k over every query in q_table with at least one positive;
     each qrels row of a query in q_table must name embeddings that exist.
-    The sides are adapted by transform, so the report equals, bit for bit,
-    evaluate without a model over the tables that transform writes."""
+    Each query's nDCG is taken from its list in ranked_lists: screened in
+    float32, rescored in float64, and equal to the first k of a float64
+    sort of every corpus row (screen_bound says why). The sides are adapted
+    by transform, so the report equals, bit for bit, evaluate without a
+    model over the tables that transform writes."""
     _check_k(k)
     check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
     per_query: dict[str, float] = {}

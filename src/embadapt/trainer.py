@@ -122,15 +122,18 @@ class _AdamState:
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+        """One update in place. A value past the float32 range becomes inf
+        without a warning; train refuses it after the step."""
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, g, m, v in zip(params, grads, self.m, self.v):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def _flatten_trainable(model: AdapterModel) -> list[np.ndarray]:
@@ -199,6 +202,17 @@ def _check_finite(loss) -> None:
     for name, value in loss.components.items():
         if not math.isfinite(value):
             raise TrainingDivergedError(f"{name} loss became {value}")
+
+
+def _check_params(model: AdapterModel, step: int) -> None:
+    """Raise TrainingDivergedError, naming the network and the parameter,
+    unless every parameter is finite after Adam step `step`."""
+    for net, params in model.trainable():
+        try:
+            params.check()
+        except ValueError as exc:
+            raise TrainingDivergedError(
+                f"Adam step {step} made the {net} network diverge: {exc}") from None
 
 
 def train(
@@ -272,6 +286,7 @@ def train(
         loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, cfg)
         _check_finite(loss)
         adam.step(flat_params, grads, cfg.learning_rate)
+        _check_params(model, iteration)
 
         if iteration % cfg.eval_every == 0 or iteration == cfg.max_iterations:
             val_ndcg = validate_now()

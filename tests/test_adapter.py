@@ -277,6 +277,7 @@ class TestCheckpoint:
         (b"enc", b'{"seed": 1', {}, "config is not valid JSON"),
         (b"enc", b"[1, 2]", {}, "config is not a JSON object"),
         (b"enc", b'{"use_skip": "no"}', {}, "invalid config: use_skip must be bool"),
+        (b"enc", b'{"seed": -1}', {}, "invalid config: seed must be non-negative"),
         (b"enc", b"{}", {"fill": np.nan}, "f network: w1 contains non-finite entries"),
         (b"enc", b"{}", {"fill": np.r_[np.zeros(34), np.inf, np.zeros(16)], "flags": 3},
          "f_corpus network: w1 contains non-finite"),
@@ -285,7 +286,7 @@ class TestCheckpoint:
         (b"enc", b"{}", {"flags": 0xFF}, "unknown flag bits 0xff"),
         (b"enc", b"{}", {"flags": 5}, "unknown flag bits 0x05"),
     ], ids=["tag-not-utf8", "config-not-json", "config-not-object", "config-bad-type",
-            "nan-weights",
+            "negative-seed", "nan-weights",
             "inf-in-f-corpus", "dim-0", "hidden-0", "flags-ff", "flag-bit-4"])
     def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, fields,
                                                      message):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import zlib
 from pathlib import Path
 
@@ -102,7 +103,8 @@ class TestTrainCommand:
         ("[1, 2]", "config must be a JSON object"),
         ('{"batch_size": 1.5}', "batch_size must be int"),
         ('{"val_corpus_sample": null}', "unknown config keys: ['val_corpus_sample']"),
-    ], ids=["list", "float-batch-size", "removed-key"])
+        ('{"seed": -1}', "seed must be non-negative"),
+    ], ids=["list", "float-batch-size", "removed-key", "negative-seed"])
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(content)
@@ -113,6 +115,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "error: seed must be non-negative\n"),
+        (["--lr", "1e308"], "error: Adam step 1 made the f network diverge: "
+                            "w1 contains non-finite entries\n"),
+    ], ids=["negative-seed", "overflowing-lr"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, flags, message):
+        qp, cp, rp = write_task(tmp_path)
+        out = tmp_path / "m.sadc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                         "--out", str(out), *flags]) == 1
+        assert capsys.readouterr() == ("", message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
 
     def test_dangling_qrels_rejected(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
@@ -444,6 +461,16 @@ class TestSearchCommand:
         write_embeddings(EmbeddingTable(["a"], np.eye(1, 3, dtype=np.float32), "t"), cp)
         assert main(["search", "--corpus", cp, "--vector", "1,0"]) == 1
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vector", ["abc,0,0,0", "1,,0,0", ""])
+    def test_vector_component_not_a_number_exits_one(self, tmp_path, capsys, vector):
+        cp = str(tmp_path / "c.sadp")
+        write_embeddings(EmbeddingTable(["a", "b"], np.eye(2, 4, dtype=np.float32), "t"), cp)
+        assert main(["search", "--corpus", cp, "--vector", vector]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "--vector" in err
 
     @pytest.mark.parametrize("component", ["1e39", "nan", "inf"])
     def test_vector_not_finite_in_float32_exits_one(self, tmp_path, capsys, component):

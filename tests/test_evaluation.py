@@ -1,18 +1,32 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embadapt import EmbeddingTable, RelevanceSet, evaluate, init_adapter, transform
 from embadapt import adapter, evaluation
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
+from embadapt.objectives import unit_rows
 
 from synth import planted_task, seeded_output_layers
 
 
 def table(ids, vecs, tag="enc"):
     return EmbeddingTable(ids, np.asarray(vecs, dtype=np.float32), tag)
+
+
+def lexsort_oracle(q_rows, c_rows, cids, k):
+    """Each query's float64 top k over every column: both sides normalised by
+    unit_rows, each pair's products summed over d and clipped, then the first
+    k of a lexsort on (id, -score)."""
+    q_unit, c_unit = unit_rows(q_rows)[0], unit_rows(c_rows)[0]
+    scores = np.clip((q_unit[:, None, :] * c_unit[None, :, :]).sum(axis=2), -1.0, 1.0)
+    cids = np.array(cids)
+    return [[(str(cids[j]), float(row[j])) for j in np.lexsort((cids, -row))[:k]]
+            for row in scores]
 
 
 class TestScoreAll:
@@ -315,13 +329,13 @@ class TestBlockedSidePass:
         q, c, rels = planted_task(n_queries=40, n_corpus=50, dim=8, seed=4)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 39)
         blocks = []
-        original = evaluation.unit_scores
+        original = evaluation._screen
 
-        def counted(q_unit, c_unit):
-            blocks.append(len(q_unit))
-            return original(q_unit, c_unit)
+        def counted(q_side, c_side, rows, k):
+            blocks.append(rows.stop - rows.start)
+            return original(q_side, c_side, rows, k)
 
-        monkeypatch.setattr(evaluation, "unit_scores", counted)
+        monkeypatch.setattr(evaluation, "_screen", counted)
         evaluate(q, c, rels)
         assert blocks == [20, 20]
         blocks.clear()
@@ -429,3 +443,87 @@ class TestSearchPrecision:
             for (_, score), g, j in zip(r.entries, got, reference):
                 assert abs(row[g] - row[j]) <= 1e-6
                 assert abs(score - row[g]) <= 1e-6
+
+
+class TestScreen:
+    """ranked_lists screens every column in float32 and rescores in float64
+    only those within screen_bound of each query's k-th screen score."""
+
+    def test_float64_order_wins_over_planted_near_ties(self):
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((1, 16)).astype(np.float32)
+        # 60 rows along q whose cosines differ by about 1e-9, far below float32
+        # resolution, and 40 random rows
+        near = q * rng.uniform(0.5, 2.0, (60, 1)) + 1e-4 * rng.standard_normal((60, 16))
+        rows = np.concatenate([near, rng.standard_normal((40, 16))]).astype(np.float32)
+        ids = [f"c{i:03d}" for i in rng.permutation(100)]
+        expected = lexsort_oracle(q, rows, ids, 10)[0]
+        # float32 cosines, as the screen computes them, put other planted rows
+        # in the top 10
+        screen = (q / np.linalg.norm(q)) @ rows.T / np.linalg.norm(rows, axis=1)
+        assert screen.dtype == np.float32
+        by_screen = {ids[j] for j in np.lexsort((np.array(ids), -screen[0]))[:10]}
+        assert {cid for cid, _ in expected} - by_screen
+        assert ranked_lists(table(["q"], q), table(ids, rows), k=10)[0].entries == expected
+
+    def test_identical_rows_all_survive_in_bounded_memory(self, monkeypatch):
+        n_q, n_c = 400, 500
+        rng = np.random.default_rng(1)
+        q = table([f"q{i:03d}" for i in range(n_q)], rng.standard_normal((n_q, 4)))
+        ids = [f"c{i:04d}" for i in rng.permutation(n_c)]
+        c = table(ids, np.tile(rng.standard_normal((1, 4)), (n_c, 1)))
+        block = 8 * n_c * 8  # 8 queries a block
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
+        kept = []
+        screen = evaluation._screen
+        monkeypatch.setattr(evaluation, "_screen",
+                            lambda *args: kept.append(screen(*args).all()) or screen(*args))
+        ranked_lists(q, c, k=3)
+        assert len(kept) == n_q // 8 and all(kept)
+        monkeypatch.undo()
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            lists = ranked_lists(q, c, k=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for r in lists:
+            assert [cid for cid, _ in r.entries] == sorted(ids)[:3]
+            assert len({s for _, s in r.entries}) == 1
+        # beyond the lists returned: the scores of every pair would take 50
+        # blocks, their float64 unit rows 200
+        assert peak - kept < 12 * block
+
+    @settings(deadline=None, max_examples=40, database=None)
+    @given(st.data())
+    def test_equals_float64_lexsort_oracle(self, data):
+        # few distinct values give duplicate rows, zero rows and exact ties;
+        # 1e-13 rows are degenerate, 1e-11 and 1e20 rows are outside the
+        # screened norms
+        values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, 1e-11, 1e20]),
+                           st.floats(-2.0, 2.0, width=32))
+        d = data.draw(st.integers(1, 4), "d")
+
+        def rows(n):
+            return np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                               min_size=n, max_size=n)), dtype=np.float32)
+
+        q_rows, c_rows = rows(data.draw(st.integers(1, 5), "n_q")), rows(
+            data.draw(st.integers(1, 12), "n_c"))
+        n_c = len(c_rows)
+        k = data.draw(st.sampled_from([k for k in (1, n_c - 1, n_c, n_c + 5) if k >= 1]), "k")
+        model = None
+        if data.draw(st.booleans(), "with model"):
+            model = seeded_output_layers(
+                init_adapter(d, seed=0, separate_adapters=data.draw(st.booleans()),
+                             encoder_tag="enc"), data.draw(st.integers(0, 9), "model seed"))
+            q_adapted = transform(model, q_rows, "query")
+            c_adapted = transform(model, c_rows, "corpus")
+        else:
+            q_adapted, c_adapted = q_rows, c_rows
+        qids = [f"q{i}" for i in range(len(q_rows))]
+        cids = [f"c{i}" for i in data.draw(st.permutations(range(n_c)), "ids")]
+        lists = ranked_lists(table(qids, q_rows), table(cids, c_rows), model, k=k)
+        assert [r.query_id for r in lists] == qids
+        assert [r.entries for r in lists] == lexsort_oracle(q_adapted, c_adapted, cids, k)

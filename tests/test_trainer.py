@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from embadapt import (
     train,
 )
 from embadapt.errors import DataError, TagMismatchError, TrainingDivergedError
+from embadapt import trainer
 from embadapt.trainer import _flatten_trainable, loss_and_param_grads, make_batch
 
 from synth import planted_task
@@ -301,16 +303,36 @@ class TestTrain:
             residuals.append(float(np.abs(adapted - q.vectors).mean()))
         assert residuals[0] > residuals[1] > residuals[2]
 
-    def test_nan_loss_aborts_with_term_name(self):
-        # a learning rate this large overflows the parameters, which turns the
-        # score matrix non-finite; training must stop and name the bad term
+    def test_nan_loss_aborts_with_term_name(self, monkeypatch):
+        # finite parameters keep every loss term finite, so one is made nan
+        # here; training must stop and name the bad term
+        original = trainer.loss_and_param_grads
+
+        def nan_recovery(*args):
+            loss, grads = original(*args)
+            loss.recovery_value = math.nan
+            return loss, grads
+
+        monkeypatch.setattr(trainer, "loss_and_param_grads", nan_recovery)
+        q, c, rels = small_dataset(seed=4)
+        tr, va = split_train_val(rels, 0.67, seed=0)
+        cfg = TrainConfig(batch_size=4, max_iterations=50, patience=50, eval_every=10, seed=0)
+        with pytest.raises(TrainingDivergedError, match="recovery loss became nan"):
+            train(q, c, tr, va, cfg)
+
+    @pytest.mark.parametrize("lr", [1e160, 1e308])
+    def test_parameter_overflow_is_a_divergence(self, lr):
+        # the step overflows the float32 parameters: no numpy warning, and the
+        # error names the network and the parameter
         q, c, rels = small_dataset(seed=4)
         tr, va = split_train_val(rels, 0.67, seed=0)
         cfg = TrainConfig(batch_size=4, max_iterations=50, patience=50, eval_every=10,
-                          seed=0, learning_rate=1e160)
+                          seed=0, learning_rate=lr)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrainingDivergedError, match="loss became"):
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match="Adam step 1 made the f network diverge: w1 contains "
+                                     "non-finite entries"):
                 train(q, c, tr, va, cfg)
 
     def test_tag_mismatch_between_tables(self):
