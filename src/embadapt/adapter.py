@@ -277,8 +277,8 @@ def load_checkpoint(path: str) -> AdapterModel:
             raise r.error(f"dim and hidden must be >= 1, got {dim} and {hidden}")
         if flags & ~3:
             raise r.error(f"unknown flag bits {flags:#04x}")
-        (encoder_tag,) = r.strings([tag_len], "encoder tag")
-        (config_text,) = r.strings(r.unpack("<I", "config length"), "config")
+        encoder_tag = r.string(tag_len, "encoder tag")
+        config_text = r.string(*r.unpack("<I", "config length"), "config")
         try:
             config_dict = json.loads(config_text)
         except json.JSONDecodeError as exc:

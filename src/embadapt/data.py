@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,17 +83,24 @@ class EmbeddingTable:
         if not np.all(np.isfinite(vectors)):
             raise DataError("embedding vectors must be finite")
         self._ids = list(ids)
-        self._index = {}
-        for i, item_id in enumerate(self._ids):
-            if item_id in self._index:
-                raise DataError(f"duplicate embedding id: {item_id!r}")
-            self._index[item_id] = i
+        if len(set(self._ids)) != len(self._ids):
+            seen: set[str] = set()
+            for item_id in self._ids:
+                if item_id in seen:
+                    raise DataError(f"duplicate embedding id: {item_id!r}")
+                seen.add(item_id)
         self._vectors = vectors
         self._vectors.flags.writeable = False
         self.encoder_tag = encoder_tag
 
     def __len__(self) -> int:
         return len(self._ids)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Row of each id, built on the first lookup: ranking and transform
+        never look an id up."""
+        return dict(zip(self._ids, range(len(self._ids))))
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._index

@@ -10,9 +10,10 @@ File formats:
   - *.sadp: binary embedding table. Version 2, the only one written: magic
     b"SADP", header <HQIH (version, count, dim, encoder tag byte length), the
     UTF-8 tag, then three blocks: count u16 id lengths, all UTF-8 id bytes,
-    and a contiguous count x dim <f4 vector block. Ids and the tag are at
-    most 65535 bytes each. Version 1 (one u16-prefixed id and one vector per
-    record, no checksum) is still read, never written.
+    and a contiguous count x dim <f4 vector block. Ids are unique and each
+    is valid UTF-8 on its own. Ids and the tag are at most 65535 bytes each.
+    Version 1 (one u16-prefixed id and one vector per record, no checksum)
+    is still read, never written.
   - *.sadc (adapter.py): checkpoint, version 1. Magic b"SADC", header <HIIB
     (version, dim, hidden, flags: 1 skip, 2 separate adapters), the encoder
     tag and the config JSON each as a u32 byte length plus UTF-8 bytes, then
@@ -21,7 +22,6 @@ File formats:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -64,6 +64,13 @@ def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _utf8(s: str, what: str) -> bytes:
+    try:
+        return s.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise FormatError(f"{what} {s!r} cannot be encoded as UTF-8") from None
+
+
 def load_jsonl_items(path: str | Path) -> list[TextItem]:
     """Load a BEIR-style jsonl file of items with unique ids, in file order."""
     items: list[TextItem] = []
@@ -89,6 +96,7 @@ def load_jsonl_items(path: str | Path) -> list[TextItem]:
         item_id = str(raw_id)
         if not item_id:
             raise FormatError(f"{path}:{lineno}: empty '_id'")
+        _utf8(item_id, f"{path}:{lineno}: '_id'")  # a JSON escape can make a lone surrogate
         if item_id in seen:
             raise FormatError(f"{path}: duplicate item id: {item_id!r}")
         seen.add(item_id)
@@ -169,12 +177,34 @@ class BlockReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
-    def strings(self, lengths: Iterable[int], what: str) -> list[str]:
-        """UTF-8 strings of the given byte lengths, stored back to back."""
-        offsets = [0, *itertools.accumulate(lengths)]
-        raw = self.read(offsets[-1], what)
+    def string(self, n: int, what: str) -> str:
+        """One UTF-8 string of n bytes."""
+        return self._decode(self.read(n, what), what)
+
+    def strings(self, lengths: np.ndarray, what: str) -> list[str]:
+        """UTF-8 strings of the given byte lengths, stored back to back, each
+        valid UTF-8 on its own. The block is decoded and split once, not
+        string by string."""
+        ends = np.cumsum(lengths, dtype=np.int64)
+        if not len(ends):
+            return []
+        raw = self.read(int(ends[-1]), what)
+        text = self._decode(raw, what)
+        starts = ends[:-1]
+        if len(text) != len(raw):  # not ASCII: no string may start inside a character
+            first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
+            split = np.flatnonzero(first & 0xC0 == 0x80)  # a continuation byte
+            if len(split):
+                raise self.error(f"{what} is not valid UTF-8: the string at index "
+                                 f"{int(split[0]) + 1} starts inside a character")
+        # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a surrogate,
+        # so a 0xFF put between the strings decodes to the one U+DCFF there is
+        marked = np.insert(np.frombuffer(raw, dtype=np.uint8), starts, 0xFF).tobytes()
+        return marked.decode("utf-8", "surrogateescape").split("\udcff")
+
+    def _decode(self, raw: bytes, what: str) -> str:
         try:
-            return [raw[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+            return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self.error(f"{what} is not valid UTF-8: {exc}") from None
 
@@ -213,6 +243,12 @@ def write_blocks(path: str | Path, magic: bytes, blocks: Iterable) -> None:
         f.write(struct.pack("<I", crc))
 
 
+def _check_length(raw: bytes) -> None:
+    if len(raw) > 0xFFFF:
+        raise FormatError(f"string {raw[:40]!r}... is {len(raw)} bytes, "
+                          "over the format's limit of 65535")
+
+
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """Persist an embedding table as .sadp v2, one write per block.
 
@@ -220,18 +256,28 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """
     if len(table) == 0:
         raise FormatError("refusing to write an empty embedding table")
-    encoded = [s.encode("utf-8") for s in (table.encoder_tag, *table.ids)]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    tag = _utf8(table.encoder_tag, "encoder tag")
+    _check_length(tag)
+    ids = table.ids
+    text = "".join(ids)
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:  # name the first id that does not encode
+        for item_id in ids:
+            _utf8(item_id, "id")
+        raise
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    if len(raw) != len(text):  # not ASCII: count bytes up to each id's first character
+        ends = np.cumsum(lengths)
+        lead = np.flatnonzero((np.frombuffer(raw, dtype=np.uint8) & 0xC0) != 0x80)
+        lengths = np.diff(np.append(lead, len(raw))[ends], prepend=0)
     if lengths.max() > 0xFFFF:
-        longest = encoded[int(lengths.argmax())]
-        raise FormatError(f"string {longest[:40]!r}... is {len(longest)} bytes, "
-                          "over the format's limit of 65535")
-    tag = encoded[0]
+        _check_length(ids[int(lengths.argmax())].encode("utf-8"))
     vectors = np.ascontiguousarray(table.vectors, dtype="<f4")
     write_blocks(path, EMBEDDING_MAGIC, (
         struct.pack("<HQIH", EMBEDDING_VERSION, len(table), table.dim, len(tag)) + tag,
-        lengths[1:].astype("<u2"),
-        b"".join(encoded[1:]),
+        lengths.astype("<u2"),
+        raw,
         memoryview(vectors).cast("B"),
     ))
 
@@ -243,17 +289,17 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
         version, count, dim, tag_len = r.unpack("<HQIH", "header")
         if version not in (1, EMBEDDING_VERSION):
             raise r.error(f"unsupported version {version}")
-        (encoder_tag,) = r.strings([tag_len], "encoder tag")
+        encoder_tag = r.string(tag_len, "encoder tag")
         if version == 1:  # one u16-prefixed id and one vector per record
             r.need(count * (2 + 4 * dim), f"{count} records of {dim} floats")
             ids = []
             vectors = np.empty((count, dim), dtype="<f4")
             for i in range(count):
-                ids += r.strings(r.unpack("<H", "id length"), f"record {i} id")
+                ids.append(r.string(*r.unpack("<H", "id length"), f"record {i} id"))
                 vectors[i] = np.frombuffer(r.read(4 * dim, f"record {i} vector"), "<f4")
         else:
             lengths = np.frombuffer(r.read(2 * count, "id lengths"), dtype="<u2")
-            ids = r.strings(lengths.tolist(), "ids the id lengths imply")
+            ids = r.strings(lengths, "ids the id lengths imply")
             vectors = r.array((count, dim), "vectors")
         r.end(checksum=version > 1)
     vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied

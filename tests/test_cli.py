@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import warnings
 import zlib
 from pathlib import Path
@@ -370,6 +371,35 @@ class TestEvaluateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDuplicateIds:
+    def test_every_reader_refuses_a_file_with_a_repeated_id(self, tmp_path, capsys):
+        dup = tmp_path / "dup.sadp"
+        ids, dim = ["a", "b", "a"], 3
+        body = (struct.pack("<HQIH", 2, len(ids), dim, 1) + b"t"
+                + struct.pack("<3H", 1, 1, 1) + "".join(ids).encode()
+                + np.eye(len(ids), dim, dtype="<f4").tobytes())
+        dup.write_bytes(b"SADP" + body + struct.pack("<I", zlib.crc32(body)))
+        q = tmp_path / "q.sadp"
+        write_embeddings(EmbeddingTable(["q"], np.ones((1, dim), np.float32), "t"), q)
+        rels, model = tmp_path / "rels.tsv", tmp_path / "m.sadc"
+        rels.write_text("q\ta\t1\n")
+        save_checkpoint(init_adapter(dim, 2, seed=0, encoder_tag="t"), str(model))
+        out = tmp_path / "out"
+        for argv in (["search", "--corpus", str(dup), "--vector", "1,0,0"],
+                     ["search", "--corpus", str(dup), "--model", str(model), "--vector", "1,0,0"],
+                     ["transform", "--in", str(dup), "--model", str(model), "--out", str(out)],
+                     ["evaluate", "--queries", str(q), "--corpus", str(dup), "--qrels", str(rels),
+                      "--per-query", str(out)],
+                     ["evaluate", "--queries", str(dup), "--corpus", str(q), "--qrels", str(rels),
+                      "--model", str(model), "--json"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {dup}: duplicate embedding id: 'a'\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "dup.sadp", "m.sadc", "q.sadp", "rels.tsv"]
+
+
 class TestSearchCommand:
     def test_vector_search_ranks_by_cosine(self, tmp_path, capsys):
         ids = ["a", "b", "c"]
@@ -578,6 +608,26 @@ class TestEmbedCommand:
                    "--endpoint-config", str(endpoint), "--out", str(out)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_id_that_utf8_cannot_encode_refused_before_any_request(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        items_path = tmp_path / "items.jsonl"
+        items_path.write_text('{"_id": "a", "text": "first"}\n{"_id": "\\udfff", "text": "x"}\n')
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
+
+        def no_fetch(items, cfg, session=None):
+            raise AssertionError("refused items must not reach the encoder")
+
+        monkeypatch.setattr("embadapt.cli.fetch_embeddings", no_fetch)
+        out = tmp_path / "emb.sadp"
+        rc = main(["embed", "--items", str(items_path),
+                   "--endpoint-config", str(endpoint), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {items_path}:2: '_id' '\\udfff' cannot be encoded as UTF-8\n")
         assert not out.exists()
 
 

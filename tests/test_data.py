@@ -96,6 +96,23 @@ class TestEmbeddingTable:
         order = [3, 0, 4, 1, 2]
         assert np.array_equal(table.rows_for([f"x{i}" for i in order]), vecs[order])
 
+    def test_lookup_builds_the_index_only_when_asked(self):
+        ids = ["b", "cé", "a", ""]
+        vecs = np.arange(8, dtype=np.float32).reshape(4, 2)
+        table = EmbeddingTable(ids, vecs, "enc")
+        [ranked] = ranked_lists(EmbeddingTable(["q"], vecs[:1], "enc"), table, k=2)
+        assert len(ranked.entries) == 2
+        assert "_index" not in table.__dict__  # ranking never looks an id up
+        assert table.row_indices(["a", "", "b", "cé", "a"]).tolist() == [2, 3, 0, 1, 2]
+        assert "a" in table and "" in table and "d" not in table
+        with pytest.raises(KeyError):
+            table.row_indices(["a", "d"])
+        assert table.ids == ids
+
+    def test_duplicate_id_names_first_repeat(self):
+        with pytest.raises(DataError, match="^duplicate embedding id: 'b'$"):
+            EmbeddingTable(["a", "b", "c", "b", "a"], np.ones((5, 2), np.float32))
+
     def test_vectors_are_read_only(self):
         table = EmbeddingTable(["a"], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import struct
@@ -71,6 +72,14 @@ class TestLoadJsonlItems:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"_id":"q1","text":"ok"}\n{"_id":"q2","text":"\xff"}\n')
         with pytest.raises(FormatError, match=r"bad\.jsonl:2: not valid UTF-8"):
+            load_jsonl_items(path)
+
+    def test_id_that_utf8_cannot_encode_names_file_and_line(self, tmp_path):
+        # a JSON escape of a lone surrogate parses, but no UTF-8 file can hold it
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"_id":"c1","text":"a"}\n{"_id":"c\\ud800","text":"b"}\n')
+        with pytest.raises(FormatError,
+                           match=r"corpus\.jsonl:2: '_id' 'c\\ud800' cannot be encoded as UTF-8"):
             load_jsonl_items(path)
 
     @pytest.mark.parametrize("line, field", [
@@ -150,6 +159,29 @@ def write_embeddings_v1(table, path):
         for i, item_id in enumerate(table.ids):
             write_str(f, item_id)
             f.write(table.vectors[i].astype("<f4").tobytes())
+
+
+def oracle_id_blocks(ids):
+    """The id-length and id blocks of a v2 file, encoded id by id."""
+    encoded = [s.encode("utf-8") for s in ids]
+    return struct.pack(f"<{len(ids)}H", *map(len, encoded)), b"".join(encoded)
+
+
+def oracle_decode_ids(lengths, raw):
+    """The ids of a v2 id block, decoded id by id."""
+    offsets = [0, *itertools.accumulate(lengths)]
+    return [raw[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+
+
+def sadp_v2(ids, vectors, tag=b"", lengths=None, raw=None):
+    """A v2 file with a valid CRC32, from ids encoded by the oracle or from
+    given id-length and id blocks."""
+    if lengths is None:
+        lengths, raw = oracle_id_blocks(ids)
+    vectors = np.asarray(vectors, dtype="<f4")
+    body = (struct.pack("<HQIH", 2, len(vectors), vectors.shape[1], len(tag)) + tag
+            + lengths + raw + vectors.tobytes())
+    return b"SADP" + body + struct.pack("<I", zlib.crc32(body))
 
 
 def awkward_table(tag=""):
@@ -304,6 +336,46 @@ class TestEmbeddingFileV2:
         path.write_bytes(b"SADP" + struct.pack("<HQIH", 3, 1, 1, 0) + b"\x00" * 10)
         with pytest.raises(FormatError, match="unsupported version 3"):
             read_embeddings(path)
+
+    @settings(deadline=None, max_examples=100, database=None)
+    @given(st.lists(st.one_of(st.text(max_size=6),
+                              st.sampled_from(["", "\x00", "\n", "\U0001f600", "\u00e9"])),
+                    min_size=1, max_size=12, unique=True))
+    def test_one_pass_id_blocks_equal_the_per_id_oracle(self, ids):
+        vectors = np.arange(len(ids), dtype=np.float32).reshape(-1, 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.sadp"
+            write_embeddings(EmbeddingTable(ids, vectors, "t"), path)
+            assert path.read_bytes() == sadp_v2(ids, vectors, b"t")
+            loaded = read_embeddings(path).ids
+        lengths, raw = oracle_id_blocks(ids)
+        assert loaded == oracle_decode_ids(struct.unpack(f"<{len(ids)}H", lengths), raw) == ids
+
+    def test_id_that_splits_a_character_refused(self, tmp_path):
+        path = tmp_path / "t.sadp"
+        # the block is valid UTF-8 as a whole, but each id holds half of "\u00e9"
+        path.write_bytes(sadp_v2(None, [[1.0], [2.0]], lengths=struct.pack("<2H", 1, 1),
+                                 raw=b"\xc3\xa9"))
+        with pytest.raises(FormatError, match="not valid UTF-8: the string at index 1 starts "
+                                              "inside a character"):
+            read_embeddings(path)
+
+    def test_duplicate_id_refused(self, tmp_path):
+        path = tmp_path / "t.sadp"
+        path.write_bytes(sadp_v2(["a", "b", "a"], np.ones((3, 2))))
+        with pytest.raises(FormatError, match="duplicate embedding id: 'a'$"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("ids, tag, message", [
+        (["ok", "x\udc80y", "\ud800"], "t", r"id 'x\\udc80y' cannot"),
+        (["ok"], "t\ud83d", r"encoder tag 't\\ud83d' cannot"),
+    ], ids=["id", "tag"])
+    def test_string_that_utf8_cannot_encode_refused_on_write(self, tmp_path, ids, tag,
+                                                             message):
+        table = EmbeddingTable(ids, np.ones((len(ids), 2), np.float32), tag)
+        with pytest.raises(FormatError, match=message + " be encoded as UTF-8"):
+            write_embeddings(table, tmp_path / "t.sadp")
+        assert not (tmp_path / "t.sadp").exists()
 
     def test_overlong_id_refused_on_write(self, tmp_path):
         table = EmbeddingTable(["x" * 65536], np.ones((1, 2), np.float32))
