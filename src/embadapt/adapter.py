@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import DataError
-from .io import BlockReader, write_blocks
+from .io import BlockReader, _utf8, write_blocks
 
 CHECKPOINT_MAGIC = b"SADC"
 CHECKPOINT_VERSION = 1
@@ -90,9 +90,10 @@ def mlp_grad(
     """Gradients of sum(upstream * mlp_forward(params, x)[0]).
 
     hidden is the activation tape that mlp_forward returned for x.
-    Returns (parameter gradients, gradient w.r.t. x), both float64.
+    Returns (parameter gradients, gradient w.r.t. x) in the dtype of hidden
+    and upstream, which a training step takes from its rows: float32 rows
+    give float32 gradients, float64 rows float64 ones.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
     d_w2 = hidden.T @ upstream
     d_b2 = upstream.sum(axis=0)
     d_hidden = (upstream @ params.w2.T) * (1.0 - hidden * hidden)
@@ -173,8 +174,9 @@ def transform_forward(
     model: AdapterModel, x: np.ndarray, which: str = "query"
 ) -> tuple[np.ndarray, np.ndarray]:
     """x: (n, d) float32 or float64 -> (adapted embeddings, tanh activations
-    of the network), in x's dtype (see mlp_forward). Training runs it on
-    float64 rows."""
+    of the network), in x's dtype (see mlp_forward). Training runs it on the
+    dtype that train picks for the step: the tables' float32 rows, or
+    float64 when a component lies outside 2**32."""
     out, hidden = mlp_forward(model.params_for(which), x)
     if model.use_skip:
         out += x
@@ -236,7 +238,8 @@ def transform_grad(
     which: str = "query",
 ) -> MlpParams:
     """Gradients of sum(upstream * transform(model, x, which)) for a batch x
-    with respect to the selected network's parameters, float64.
+    with respect to the selected network's parameters, in the dtype of x's
+    step (see mlp_grad).
 
     hidden is the activation tape that transform_forward returned for x. The
     skip connection has no parameters, so it adds nothing here.
@@ -251,7 +254,7 @@ def predict_query(model: AdapterModel, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def save_checkpoint(model: AdapterModel, path: str) -> None:
-    tag = model.encoder_tag.encode("utf-8")
+    tag = _utf8(model.encoder_tag, "encoder tag")
     config = json.dumps(model.config_snapshot.to_dict(), sort_keys=True).encode("utf-8")
     flags = (1 if model.use_skip else 0) | (2 if model.separate_adapters else 0)
     blocks = [

@@ -163,10 +163,9 @@ def cmd_transform(args) -> int:
     table = read_embeddings(args.infile)
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
-    adapted = transform(model, table.vectors, args.which)
-    adapted.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
+    adapted = transform(model, table.vectors, args.which)  # refuses non-finite rows
     tag = adapted_tag(table.encoder_tag, args.which, model.checkpoint_crc)
-    out_table = EmbeddingTable(table.ids, adapted, tag)
+    out_table = table._with_rows(adapted, tag)  # nothing else holds adapted
     _atomic_write(args.out, lambda tmp: write_embeddings(out_table, tmp))
     print(f"wrote {len(out_table)} adapted ({args.which}) embeddings -> {args.out}")
     return 0

@@ -125,6 +125,19 @@ class EmbeddingTable:
     def rows_for(self, item_ids: Sequence[str]) -> np.ndarray:
         return self._vectors[self.row_indices(item_ids)]
 
+    def _with_rows(self, vectors: np.ndarray, encoder_tag: str) -> "EmbeddingTable":
+        """A table of this table's ids, sharing their checked list, and of
+        `vectors`, kept uncopied and made read-only. Only their dtype and
+        shape are checked: the caller vouches that the rows are finite, as
+        transform's output is, and that nothing else writes to them."""
+        if vectors.dtype != np.float32 or vectors.shape != self._vectors.shape:
+            raise DataError(f"rows {vectors.dtype} {vectors.shape} do not match "
+                            f"the table's float32 {self._vectors.shape}")
+        vectors.flags.writeable = False
+        table = object.__new__(EmbeddingTable)
+        table._ids, table._vectors, table.encoder_tag = self._ids, vectors, encoder_tag
+        return table
+
     def subset(self, item_ids: Sequence[str]) -> "EmbeddingTable":
         return EmbeddingTable(list(item_ids), self.rows_for(item_ids), self.encoder_tag)
 

@@ -162,7 +162,7 @@ def _screen_side(
     scale = np.zeros(len(rows), dtype=np.float32)
     scale[tame] = 1 / np.sqrt(squares[tame])
     wild = ~tame
-    wild[wild] = unit_rows(rows[wild])[1] >= NORM_EPS
+    wild[wild] = unit_rows(rows[wild].astype(np.float64))[1] >= NORM_EPS
     return rows, scale, wild
 
 
@@ -201,8 +201,8 @@ def _rescore(q_rows: np.ndarray, c_rows: np.ndarray, r: np.ndarray, j: np.ndarra
     step = max(1, SCORE_BLOCK_BYTES // (8 * q_rows.shape[1]))
     for lo in range(0, len(r), step):
         qr, cr = r[lo : lo + step], j[lo : lo + step]
-        pairs = unit_rows(q_rows[qr[0] : qr[-1] + 1])[0][qr - qr[0]]
-        pairs *= unit_rows(c_rows[cr])[0]
+        pairs = unit_rows(q_rows[qr[0] : qr[-1] + 1].astype(np.float64))[0][qr - qr[0]]
+        pairs *= unit_rows(c_rows[cr].astype(np.float64))[0]
         scores[lo : lo + step] = pairs.sum(axis=1)
     return np.clip(scores, -1.0, 1.0, out=scores)
 

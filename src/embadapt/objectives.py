@@ -14,20 +14,31 @@ import numpy as np
 NORM_EPS = 1e-12
 # Temperature for the sigmoid / contrastive alternative losses.
 VARIANT_TEMPERATURE = 0.05
-# Largest (queries, r, n_c) block of float64 temporaries ranking_loss builds.
+# Largest (queries, r, n_c) block of temporaries ranking_loss builds, in the
+# scores' dtype.
 PAIR_BLOCK_FLOATS = 2**15
+
+
+def _as_float(x) -> np.ndarray:
+    """x as an array of its own float dtype, uncopied; any other input (ints,
+    bools, lists of numbers) becomes float64. Every function here computes in
+    the dtype this gives its input."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
 
 
 @dataclass
 class BatchScores:
-    """Dense cosine scores and grades over a (query batch, candidate set)."""
+    """Dense cosine scores and grades over a (query batch, candidate set).
+    The grades take the scores' float dtype (see _as_float), so a rank loss
+    computes in it."""
 
     scores: np.ndarray  # (n_q, n_c)
     grades: np.ndarray  # (n_q, n_c), >= 0
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.grades = np.asarray(self.grades, dtype=np.float64)
+        self.scores = _as_float(self.scores)
+        self.grades = np.asarray(self.grades, dtype=self.scores.dtype)
         if self.scores.ndim != 2 or self.scores.shape != self.grades.shape:
             raise ValueError(
                 f"scores {self.scores.shape} and grades {self.grades.shape} disagree"
@@ -46,7 +57,7 @@ class BatchScores:
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """Overflow-safe log(1 + e^x)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float(x)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
@@ -58,11 +69,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x scaled to unit length, and their norms. A row whose norm is
     below NORM_EPS (a degenerate row) comes back as a zero unit row, so it
-    scores 0 against everything. Each row's result depends on that row alone."""
-    x = np.asarray(x, dtype=np.float64)
+    scores 0 against everything; a row whose norm overflows x's dtype comes
+    back NaN, not as the zero that dividing by an infinite norm would give.
+    Each row's result depends on that row alone."""
+    x = _as_float(x)
     norm = np.linalg.norm(x, axis=1)
     unit = x / np.maximum(norm, NORM_EPS)[:, None]
     unit[norm < NORM_EPS] = 0.0
+    unit[norm == np.inf] = np.nan
     return unit, norm
 
 
@@ -78,7 +92,7 @@ def cosine_scores(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Rows/columns with near-zero norm score 0 against everything.
     """
-    return unit_scores(unit_rows(q)[0], unit_rows(c)[0])
+    return unit_scores(*(unit_rows(np.asarray(x, dtype=np.float64))[0] for x in (q, c)))
 
 
 def cosine_scores_backward(
@@ -94,7 +108,7 @@ def cosine_scores_backward(
     is unit_scores(q_unit, c_unit). A degenerate row scores 0 against
     everything, so its gradient is zero.
     """
-    g = np.asarray(grad_scores, dtype=np.float64)
+    g = _as_float(grad_scores)
     gs = g * scores
     # d s_ij / d q_i = (c_unit_j - s_ij * q_unit_i) / |q_i|
     grad_q = g @ c_unit - gs.sum(axis=1)[:, None] * q_unit
@@ -121,6 +135,8 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
     depend on the grouping.
     """
     s, y = batch.scores, batch.grades
+    # w's dtype: np.where of the Python floats 1.0 and 0.0 alone is float64
+    one, zero = s.dtype.type(1), s.dtype.type(0)
     # inf for a row without candidates, so it has no rows above its floor
     above = y > np.min(y, axis=1, initial=np.inf, keepdims=True)
     n_above = above.sum(axis=1)
@@ -133,7 +149,7 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
         for b in range(0, len(qs), step):
             at, rws = qs[b : b + step, None], rows[b : b + step]  # (B, 1), (B, r)
             gap = y[at, rws][..., None] - y[at]  # (B, r, 1) - (B, 1, n_c)
-            w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
+            w = np.where(gap > 0, gap if gap_weighted else one, zero)
             margin = s[at] - s[at, rws][..., None]  # s_k - s_j
             per_query[at[:, 0]] = (w * softplus(margin)).reshape(len(at), -1).sum(axis=1)
             g = w * sigmoid(margin)  # d/d margin
@@ -164,7 +180,7 @@ def listwise_loss(batch: BatchScores, temperature: float = 1.0) -> tuple[float, 
 def sigmoid_ce_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
     """Pointwise binary cross-entropy on sigmoid(s / tau) vs binarized grades."""
     s = batch.scores / VARIANT_TEMPERATURE
-    labels = (batch.grades > 0).astype(np.float64)
+    labels = (batch.grades > 0).astype(s.dtype)
     # BCE with logits: softplus(s) - label * s, summed.
     total = float(np.sum(softplus(s) - labels * s))
     grad = (sigmoid(s) - labels) / VARIANT_TEMPERATURE
@@ -201,10 +217,7 @@ def recovery_loss(
     value = mean_i ||aq_i - q_i||_1 + mean_j ||ac_j - c_j||_1.
     Returns gradients w.r.t. the adapted matrices.
     """
-    aq = np.asarray(adapted_q, dtype=np.float64)
-    oq = np.asarray(orig_q, dtype=np.float64)
-    ac = np.asarray(adapted_c, dtype=np.float64)
-    oc = np.asarray(orig_c, dtype=np.float64)
+    aq, oq, ac, oc = map(_as_float, (adapted_q, orig_q, adapted_c, orig_c))
     if aq.shape != oq.shape or ac.shape != oc.shape:
         raise ValueError("adapted/original shapes disagree")
     n = max(aq.shape[0], 1)
@@ -227,10 +240,8 @@ def prediction_loss(
     to its row in adapted_q. value = sum_p y_p * ||aq_{i(p)} - pred_p||_1 / sum_p y_p.
     Returns (value, grad w.r.t. adapted_q, grad w.r.t. predicted_q).
     """
-    aq = np.asarray(adapted_q, dtype=np.float64)
-    pred = np.asarray(predicted_q, dtype=np.float64)
+    aq, pred, y = map(_as_float, (adapted_q, predicted_q, pair_grades))
     idx = np.asarray(pair_query_idx, dtype=np.intp)
-    y = np.asarray(pair_grades, dtype=np.float64)
     if pred.shape[0] != idx.shape[0] or pred.shape[0] != y.shape[0]:
         raise ValueError("pair arrays disagree in length")
     grad_q = np.zeros_like(aq)

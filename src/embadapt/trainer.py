@@ -20,7 +20,7 @@ from .adapter import (
 from .config import TrainConfig
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError, TrainingDivergedError
-from .evaluation import evaluate
+from .evaluation import SCREEN_NORMS, evaluate
 from .objectives import (
     BatchScores,
     cosine_scores_backward,
@@ -156,10 +156,9 @@ def loss_and_param_grads(
     (TotalLoss, flat gradient list aligned with model.trainable()). The chain
     is: losses -> score/embedding gradients -> adapter and predictor
     parameter gradients. Each backward step reuses the activations, unit
-    rows, norms and scores of its forward step.
+    rows, norms and scores of its forward step. The whole chain computes in
+    the float dtype of q_orig and c_orig, and the gradients come back in it.
     """
-    q_orig = np.asarray(q_orig, dtype=np.float64)
-    c_orig = np.asarray(c_orig, dtype=np.float64)
     adapted_q, hidden_q = transform_forward(model, q_orig, "query")
     adapted_c, hidden_c = transform_forward(model, c_orig, "corpus")
     q_unit, q_norm = unit_rows(adapted_q)
@@ -198,10 +197,10 @@ def loss_and_param_grads(
     return loss, f_grads + p_grads.arrays()
 
 
-def _check_finite(loss) -> None:
+def _check_finite(loss, step: int) -> None:
     for name, value in loss.components.items():
         if not math.isfinite(value):
-            raise TrainingDivergedError(f"{name} loss became {value}")
+            raise TrainingDivergedError(f"step {step}: {name} loss became {value}")
 
 
 def _check_params(model: AdapterModel, step: int) -> None:
@@ -255,6 +254,19 @@ def train(
     if not val_qids:
         raise DataError("validation split has no query with a positive relation")
 
+    # The step computes in its rows' dtype: the tables' float32, unless a
+    # component lies outside 2**32, past which float32 squares of the rows
+    # could overflow; there it takes float64 copies. A float32 step that
+    # overflows all the same makes a loss non-finite, which _check_finite
+    # refuses (unit_rows makes a row whose norm overflows NaN, not zero), or
+    # a gradient non-finite, whose Adam step leaves a parameter non-finite
+    # for _check_params to refuse.
+    hi = SCREEN_NORMS[1]
+    step_dtype = np.float32 if all(
+        -hi <= table.vectors.min(initial=0) and table.vectors.max(initial=0) <= hi
+        for table in (q_table, c_table)
+    ) else np.float64
+
     rng = np.random.default_rng(cfg.seed)
     val_q_table = q_table.subset(val_qids)
 
@@ -280,11 +292,12 @@ def train(
         rows, grades = make_batch(
             train_rels, batch_qids, c_table, cfg.neg_subsample_ratio, rng
         )
-        q_orig = q_table.rows_for(batch_qids)
-        c_orig = c_table.vectors[rows]
+        q_orig = q_table.rows_for(batch_qids).astype(step_dtype, copy=False)
+        c_orig = c_table.vectors[rows].astype(step_dtype, copy=False)
 
-        loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, cfg)
-        _check_finite(loss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_param_grads(model, q_orig, c_orig, grades, cfg)
+        _check_finite(loss, iteration)
         adam.step(flat_params, grads, cfg.learning_rate)
         _check_params(model, iteration)
 

@@ -65,8 +65,8 @@ class TestCriterion2GradientCorrectness:
         start = time.monotonic()
 
         def residual_signs(model, q, c, pq, pc):
-            # the float64 forward that loss_and_param_grads runs, so the kinks
-            # found are the objective's own
+            # the forward that loss_and_param_grads runs, in float64 because
+            # its inputs are, so the kinks found are the objective's own
             aq, _ = transform_forward(model, q, "query")
             ac, _ = transform_forward(model, c, "corpus")
             pred = (predict_query(model, ac[pc])[0] if len(pc)

@@ -210,6 +210,13 @@ class TestCheckpoint:
             save_checkpoint(model, str(path))
         assert not path.exists()
 
+    def test_save_refuses_a_tag_utf8_cannot_encode(self, tmp_path):
+        path = tmp_path / "m.sadc"
+        with pytest.raises(FormatError,
+                           match=r"^encoder tag 't\\udc80' cannot be encoded as UTF-8$"):
+            save_checkpoint(init_adapter(3, 2, seed=0, encoder_tag="t\udc80"), str(path))
+        assert not path.exists()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.sadc"
         path.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -132,6 +132,23 @@ class TestTrainCommand:
         assert capsys.readouterr() == ("", message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
 
+    def test_tag_utf8_cannot_encode_leaves_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # no .sadp file holds such a tag, so the tables get it after reading
+        from embadapt import cli
+
+        def read_with_tag(path):
+            table = read_embeddings(path)
+            return EmbeddingTable(table.ids, table.vectors, "t\udc80")
+
+        monkeypatch.setattr(cli, "read_embeddings", read_with_tag)
+        qp, cp, rp = write_task(tmp_path)
+        out = tmp_path / "m.sadc"
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", str(out), "--max-iters", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: encoder tag 't\\udc80' cannot be encoded as UTF-8\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
+
     def test_dangling_qrels_rejected(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         with open(rp, "a") as f:

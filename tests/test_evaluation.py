@@ -19,10 +19,10 @@ def table(ids, vecs, tag="enc"):
 
 
 def lexsort_oracle(q_rows, c_rows, cids, k):
-    """Each query's float64 top k over every column: both sides normalised by
-    unit_rows, each pair's products summed over d and clipped, then the first
-    k of a lexsort on (id, -score)."""
-    q_unit, c_unit = unit_rows(q_rows)[0], unit_rows(c_rows)[0]
+    """Each query's float64 top k over every column: both sides cast to
+    float64 and normalised by unit_rows, each pair's products summed over d
+    and clipped, then the first k of a lexsort on (id, -score)."""
+    q_unit, c_unit = (unit_rows(np.asarray(x, dtype=np.float64))[0] for x in (q_rows, c_rows))
     scores = np.clip((q_unit[:, None, :] * c_unit[None, :, :]).sum(axis=2), -1.0, 1.0)
     cids = np.array(cids)
     return [[(str(cids[j]), float(row[j])) for j in np.lexsort((cids, -row))[:k]]

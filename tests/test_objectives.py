@@ -432,3 +432,45 @@ class TestTotalLoss:
         assert alt.recovery_value == pytest.approx(base.recovery_value, rel=1e-12)
         assert alt.prediction_value == pytest.approx(base.prediction_value, rel=1e-12)
         assert alt.rank_value == pytest.approx(rank_loss(batch, "ranknet")[0], rel=1e-12)
+
+
+class TestDtype:
+    """Each function computes in its input's float dtype; integer and list
+    inputs become float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_keep_the_input_dtype(self, dtype):
+        rng = np.random.default_rng(2)
+        q = rng.standard_normal((3, 4)).astype(dtype)
+        c = rng.standard_normal((5, 4)).astype(dtype)
+        grades = rng.choice([0, 1, 2], size=(3, 5)).astype(np.float32)
+        grades[:, 0] = 1
+        (q_unit, q_norm), (c_unit, c_norm) = unit_rows(q), unit_rows(c)
+        batch = BatchScores(unit_scores(q_unit, c_unit), grades)
+        arrays = [softplus(q), q_unit, q_norm, batch.scores, batch.grades]
+        for variant in LOSS_VARIANTS:
+            arrays.append(rank_loss(batch, variant)[1])
+        arrays += cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, batch.scores,
+                                         rank_loss(batch)[1])
+        arrays += recovery_loss(q, q * 2, c, c * 2)[1]
+        arrays += prediction_loss(q, c[:2], [0, 2], grades[[0, 2], 0])[1:]
+        assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+        # cosine_scores is the dense float64 reference
+        assert cosine_scores(q, c).dtype == np.float64
+
+    def test_integer_and_list_inputs_become_float64(self):
+        assert softplus([0, 1]).dtype == np.float64
+        assert unit_rows(np.array([[3, 4]]))[0].dtype == np.float64
+        batch = BatchScores([[0.5, -0.5]], np.array([[1, 0]]))
+        assert batch.scores.dtype == batch.grades.dtype == np.float64
+        assert recovery_loss([[1]], [[0]], [[2]], [[0]])[1][0].dtype == np.float64
+
+    def test_a_norm_past_the_dtype_makes_a_nan_row(self):
+        # 1e20 squared overflows float32: dividing by the infinite norm would
+        # make a zero row that scores 0 against everything
+        x = np.array([[1e20, 1e20], [3.0, 4.0]], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            unit, norm = unit_rows(x)
+        assert norm[0] == np.inf and np.isnan(unit[0]).all()
+        assert unit[1].tolist() == [np.float32(0.6), np.float32(0.8)]
+        assert unit_rows(x.astype(np.float64))[0][0].tolist() == pytest.approx([2**-0.5] * 2)

@@ -15,10 +15,11 @@ from embadapt import (
     train,
 )
 from embadapt.errors import DataError, TagMismatchError, TrainingDivergedError
+from embadapt.objectives import LOSS_VARIANTS
 from embadapt import trainer
 from embadapt.trainer import _flatten_trainable, loss_and_param_grads, make_batch
 
-from synth import planted_task
+from synth import planted_task, seeded_output_layers
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
@@ -242,6 +243,94 @@ class TestLossAndParamGrads:
         assert calls.count(("mlp_forward", True)) == 1
 
 
+def spy_on_step(monkeypatch):
+    """Record the dtypes of each step's rows and gradients in train."""
+    seen = []
+    original = trainer.loss_and_param_grads
+
+    def spied(model, q_orig, c_orig, grades, cfg):
+        loss, grads = original(model, q_orig, c_orig, grades, cfg)
+        seen.append((q_orig.dtype, c_orig.dtype, {g.dtype for g in grads}))
+        return loss, grads
+
+    monkeypatch.setattr(trainer, "loss_and_param_grads", spied)
+    return seen
+
+
+class TestStepDtype:
+    """The step computes in its rows' dtype: float32 from train, float64 for
+    float64 rows (criterion 2's finite differences) and for tables whose
+    components lie outside 2**32."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # train-l's batch: 128 queries, 128 positives and 1280 negatives, d = 64
+        q, c, rels = planted_task(n_queries=200, n_corpus=3000, dim=64, seed=3)
+        qids = rels.query_ids[:128]
+        rows, grades = make_batch(rels, qids, c, 10, np.random.default_rng(0))
+        return q.rows_for(qids), c.vectors[rows], grades
+
+    @pytest.mark.parametrize("separate", [False, True])
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_float32_step_matches_float64(self, batch, variant, separate):
+        q32, c32, grades = batch
+        assert q32.shape == (128, 64) and c32.shape == (1408, 64) and grades.shape == (128, 1408)
+        model = seeded_output_layers(init_adapter(64, seed=1, separate_adapters=separate), 5)
+        cfg = TrainConfig(loss_variant=variant)
+        loss32, grads32 = loss_and_param_grads(model, q32, c32, grades, cfg)
+        loss64, grads64 = loss_and_param_grads(
+            model, q32.astype(np.float64), c32.astype(np.float64), grades, cfg)
+        assert {g.dtype for g in grads32} == {np.dtype(np.float32)}
+        assert {g.dtype for g in grads64} == {np.dtype(np.float64)}
+        for g32, g64 in zip(grads32, grads64):
+            assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
+        for name, value in loss64.components.items():
+            assert loss32.components[name] == pytest.approx(value, rel=1e-6)
+
+    def test_train_steps_in_float32(self, monkeypatch):
+        # under numpy 2's promotion rules one float64 scalar in the step
+        # would make every later array float64
+        seen = spy_on_step(monkeypatch)
+        q, c, rels = planted_task(n_queries=40, n_corpus=120, seed=1)
+        tr, va = split_train_val(rels, 0.8, seed=1)
+        for variant in LOSS_VARIANTS:
+            cfg = TrainConfig(seed=1, max_iterations=3, batch_size=16, loss_variant=variant)
+            train(q, c, tr, va, cfg)
+        f32 = np.dtype(np.float32)
+        assert seen == [(f32, f32, {f32})] * 3 * len(LOSS_VARIANTS)
+
+    @pytest.mark.parametrize("component, dtype", [
+        (2.0**32, np.float32),
+        (-(2.0**32), np.float32),
+        (float(np.nextafter(np.float32(2**32), np.float32(np.inf))), np.float64),
+        (float(np.nextafter(np.float32(-(2**32)), np.float32(-np.inf))), np.float64),
+    ], ids=["2^32", "-2^32", "above", "below"])
+    def test_range_picks_the_dtype(self, monkeypatch, component, dtype):
+        seen = spy_on_step(monkeypatch)
+        q, c, rels = small_dataset(seed=1)
+        vectors = c.vectors.copy()
+        vectors[-1, 0] = component  # a row that no query ranks first
+        c = EmbeddingTable(c.ids, vectors, c.encoder_tag)
+        tr, va = split_train_val(rels, 0.67, seed=0)
+        train(q, c, tr, va, TrainConfig(batch_size=4, max_iterations=2, seed=0))
+        assert [rows for rows, _, _ in seen] == [np.dtype(dtype)] * 2
+
+    def test_tables_past_float32_range_train_in_float64(self, monkeypatch):
+        # float32 squares of components near 1e20 overflow; float64 ones do not
+        seen = spy_on_step(monkeypatch)
+        q, c, rels = planted_task(100, 400, 16)
+        q, c = (EmbeddingTable(t.ids, t.vectors * np.float32(1e20), t.encoder_tag)
+                for t in (q, c))
+        tr, va = split_train_val(rels, 0.8, seed=0)
+        cfg = TrainConfig(batch_size=16, max_iterations=30, patience=30, eval_every=10, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = train(q, c, tr, va, cfg)
+        f64 = np.dtype(np.float64)
+        assert seen == [(f64, f64, {f64})] * 30
+        assert [e.iteration for e in report.entries] == [0, 10, 20, 30]
+
+
 class TestTrain:
     def test_iteration_zero_is_zero_shot(self):
         q, c, rels = small_dataset()
@@ -320,19 +409,21 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="recovery loss became nan"):
             train(q, c, tr, va, cfg)
 
-    @pytest.mark.parametrize("lr", [1e160, 1e308])
+    @pytest.mark.parametrize("lr", [1e160, 1e308, 1e20, 1e30])
     def test_parameter_overflow_is_a_divergence(self, lr):
-        # the step overflows the float32 parameters: no numpy warning, and the
-        # error names the network and the parameter
+        # 1e160 and 1e308: step 1 overflows the float32 parameters, and the
+        # error names the network and the parameter. 1e20 and 1e30 leave them
+        # finite, and the float32 step 2 overflows: its loss is NaN, not a
+        # loss over rows zeroed by an infinite norm. No numpy warning either way.
+        message = ("^Adam step 1 made the f network diverge: w1 contains non-finite entries$"
+                   if lr > 1e38 else "^step 2: rank loss became nan$")
         q, c, rels = small_dataset(seed=4)
         tr, va = split_train_val(rels, 0.67, seed=0)
         cfg = TrainConfig(batch_size=4, max_iterations=50, patience=50, eval_every=10,
                           seed=0, learning_rate=lr)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TrainingDivergedError,
-                               match="Adam step 1 made the f network diverge: w1 contains "
-                                     "non-finite entries"):
+            with pytest.raises(TrainingDivergedError, match=message):
                 train(q, c, tr, va, cfg)
 
     def test_tag_mismatch_between_tables(self):
