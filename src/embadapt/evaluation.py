@@ -13,14 +13,16 @@ from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddin
 from .errors import DataError
 from .objectives import NORM_EPS, cosine_scores, unit_rows
 
-# screen scores (float32, and their partitioned copy) held per query block: 32 MiB
-# is 209 queries against a 20k corpus; also the float64 unit rows of one
-# rescoring chunk, a side
+# a query block's budget at 8 bytes a (query, column) pair, which its float32
+# screen scores take half of: 32 MiB is 209 queries against a 20k corpus; also
+# the float64 unit rows of one rescoring chunk, a side
 SCORE_BLOCK_BYTES = 32 << 20
 # norms whose float32 squares are screened: neither they nor the products
 # with a unit row overflow float32, and gradual underflow stays far below
 # float32 rounding (see screen_bound)
 SCREEN_NORMS = (2.0**-32, 2.0**32)
+# strided column groups whose maxima floor each query's screen (see _screen)
+GROUPS = 1024
 
 
 @dataclass
@@ -75,6 +77,33 @@ def _check_k(k: int | None) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _rank(
+    cids: list[str], r: np.ndarray, j: np.ndarray, scores: np.ndarray, k: int | None, n_q: int
+) -> list[list[tuple[str, float]]]:
+    """Each of n_q queries' top k of its candidates (cids[j], score), for the
+    candidate pairs (query r, column j) with those scores: by descending
+    score, ties broken by ascending id in Python string order. k=None keeps
+    every candidate.
+
+    One np.lexsort orders all the pairs by (query, -score, id rank), where
+    the id rank is taken among the columns in j; each query's run is then
+    cut at k.
+    """
+    cols = np.flatnonzero(np.bincount(j, minlength=len(cids)))
+    names = [cids[c] for c in cols.tolist()]
+    id_rank = np.empty(len(cids), dtype=np.intp)
+    id_rank[cols[sorted(range(len(names)), key=names.__getitem__)]] = np.arange(len(cols))
+    order = np.lexsort((id_rank[j], -scores, r))
+    starts = np.searchsorted(r[order], np.arange(n_q))
+    counts = np.diff(starts, append=len(order))
+    if k is not None:
+        order = order[np.arange(len(order)) - np.repeat(starts, counts) < k]
+        counts = np.minimum(counts, k)
+    entries = list(zip([cids[c] for c in j[order].tolist()], scores[order].tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 def rank_candidates(
     corpus_ids: list[str], scores: np.ndarray, k: int | None = None
 ) -> list[tuple[str, float]]:
@@ -82,8 +111,8 @@ def rank_candidates(
 
     Equal to the first k of np.lexsort((ids, -scores)) for finite scores, with
     ids compared in Python string order. Only the candidates scoring at least
-    the k-th largest score are sorted, so every tie at the k-th position is
-    ordered by id. k=None returns the full order.
+    the k-th largest score are ranked (see _rank), so every tie at the k-th
+    position is ordered by id. k=None returns the full order.
     """
     _check_k(k)
     scores = np.asarray(scores)
@@ -93,11 +122,7 @@ def rank_candidates(
     else:
         kth = np.partition(scores, n - k)[n - k]
         kept = np.flatnonzero(scores >= kth)
-    pairs = sorted(
-        zip(scores[kept].tolist(), kept.tolist()),
-        key=lambda p: (-p[0], corpus_ids[p[1]]),
-    )
-    return [(corpus_ids[i], s) for s, i in pairs[:k]]
+    return _rank(corpus_ids, np.zeros(len(kept), dtype=np.intp), kept, scores[kept], k, 1)[0]
 
 
 def screen_bound(d: int) -> float:
@@ -166,28 +191,55 @@ def _screen_side(
     return rows, scale, wild
 
 
-def _screen(q_side, c_side, rows: slice, k: int | None) -> np.ndarray:
-    """(queries in rows, corpus) mask of the columns each query rescores:
-    those whose float32 cosine is at least its k-th float32 cosine less
-    screen_bound, each wild column, and every column of a wild query. With
-    no k, or k at least the corpus size, every column."""
+def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (query, column) pairs that the queries in rows rescore, as two
+    arrays in ascending (query, column) order, with each query counted from
+    rows.start: the columns whose float32 cosine is at least the query's
+    floor, each wild column, and every column of a wild query. With no k, or
+    k at least the corpus size, every column.
+
+    The floor is a lower bound on the k-th screen score t, less
+    screen_bound. Column j < m * G belongs to the strided group j mod G,
+    where G = min(n_c, max(GROUPS, k)) and m = n_c // G; the last
+    n_c - m * G columns stand alone (with m = 1, every column does). The
+    group maxima and the lone columns are screen scores of distinct columns,
+    so the k-th largest of them is at most t, and the floor, that value less
+    screen_bound, keeps a superset of the columns within screen_bound of t:
+    screen_bound's argument still excludes every column dropped. Only the
+    groups whose maximum reaches the floor are searched for survivors, so
+    past the product and the group maxima (an elementwise maximum over m
+    rows of G contiguous scores) the work grows with G and the survivors,
+    not with the block. Wild columns screen as -inf for the floor and
+    survive through it at +inf.
+    """
     q_rows, q_scale, q_wild = q_side
     c_rows, c_scale, c_wild = c_side
-    n_c = len(c_rows)
+    n_q, n_c = rows.stop - rows.start, len(c_rows)
     if k is None or k >= n_c:
-        return np.ones((rows.stop - rows.start, n_c), dtype=bool)
+        return np.divmod(np.arange(n_q * n_c), n_c)
     with np.errstate(over="ignore", invalid="ignore"):
         screen = (q_rows[rows] * q_scale[rows, None]) @ c_rows.T
         screen *= c_scale
-    screen[:, c_wild] = -np.inf
-    kth = np.partition(screen, n_c - k, axis=1)[:, n_c - k]
+    wild = np.flatnonzero(c_wild)
+    screen[:, wild] = -np.inf
+    g = min(n_c, max(GROUPS, k))
+    grouped = n_c // g * g
+    tops = screen[:, :grouped].reshape(n_q, -1, g).max(axis=1)
+    pool = np.concatenate([tops, screen[:, grouped:]], axis=1)
+    kth = np.partition(pool, pool.shape[1] - k, axis=1)[:, pool.shape[1] - k]
     # rounded outwards, so each floor is at most kth - screen_bound
     margin = np.nextafter(np.float32(screen_bound(c_rows.shape[1])), np.float32(np.inf))
     floor = np.nextafter(kth - margin, np.float32(-np.inf))
-    keep = screen >= floor[:, None]
-    keep[:, c_wild] = True
-    keep[q_wild[rows]] = True
-    return keep
+    floor[q_wild[rows]] = -np.inf
+    screen[:, wild] = np.inf
+    tops[:, wild[wild < grouped] % g] = np.inf
+    hit_q, hit_g = np.divmod(np.flatnonzero(tops >= floor[:, None]), g)
+    pairs = (hit_q * n_c + hit_g)[:, None] + np.arange(0, grouped, g)
+    pairs = pairs[screen.reshape(-1)[pairs] >= floor[hit_q, None]]
+    lone_q, lone_j = np.nonzero(screen[:, grouped:] >= floor[:, None])
+    pairs = np.concatenate([pairs, lone_q * n_c + grouped + lone_j])
+    pairs.sort()
+    return np.divmod(pairs, n_c)
 
 
 def _rescore(q_rows: np.ndarray, c_rows: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -221,21 +273,25 @@ def ranked_lists(
 
     Screen in float32, rescore in float64. Each query block (see row_blocks)
     takes one float32 product with the corpus rows, scaled to cosines by
-    float32 inverse norms, and one partition for each query's k-th screen
-    score t. Every column whose screen score is at least t - screen_bound(d)
-    survives; screen_bound derives why no other column can be in the float64
-    top k or tie its k-th score. Only the survivors are scored in float64,
-    from their rows normalised as unit_rows does, and rank_candidates orders
-    each query's survivors. The top k is therefore the first k of a float64
+    float32 inverse norms. Every column whose screen score is at least the
+    query's floor survives; the floor is at most t - screen_bound(d), where
+    t is the query's k-th screen score, and is found from strided group
+    maxima without partitioning the block (see _screen). screen_bound
+    derives why no other column can be in the float64 top k or tie its k-th
+    score. Only the survivors are scored in float64, from their rows
+    normalised as unit_rows does, and one lexsort orders the block's
+    survivors (see _rank). The top k is therefore the first k of a float64
     lexsort of every column, and each score is a float64 product of the two
     unit rows, which may differ from score_all's matrix product in the last
-    bits.
+    bits. A pair's score depends on its two rows alone, so the survivors
+    beyond those within screen_bound of t change no output.
 
     No float64 copy of either side is built. A query block holds at most
-    SCORE_BLOCK_BYTES of float32 screen scores and their partitioned copy
-    (one query at least), and the survivors are rescored in chunks of the
-    same size, so memory grows with the corpus size, not with n_q * n_c,
-    even when every column survives, as on a corpus of one repeated row.
+    SCORE_BLOCK_BYTES of float32 screen scores and survivor indices at 8
+    bytes a pair (one query at least), and the survivors are rescored in
+    chunks of the same size, so memory grows with the corpus size, not with
+    n_q * n_c, even when every column survives, as on a corpus of one
+    repeated row.
     """
     _check_k(k)
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
@@ -244,12 +300,9 @@ def ranked_lists(
     qids, cids = q_table.ids, c_table.ids
     lists = []
     for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES):
-        r, j = divmod(np.flatnonzero(_screen(q_side, c_side, rows, k)), len(cids))
+        r, j = _screen(q_side, c_side, rows, k)
         scores = _rescore(q_side[0][rows], c_side[0], r, j)
-        ends = np.searchsorted(r, np.arange(1, rows.stop - rows.start + 1)).tolist()
-        for qid, lo, hi in zip(qids[rows], [0] + ends, ends):
-            survivors = [cids[i] for i in j[lo:hi].tolist()]
-            lists.append(RankedList(qid, rank_candidates(survivors, scores[lo:hi], k)))
+        lists.extend(map(RankedList, qids[rows], _rank(cids, r, j, scores, k, len(qids[rows]))))
     return lists
 
 

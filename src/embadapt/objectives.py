@@ -135,8 +135,6 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
     depend on the grouping.
     """
     s, y = batch.scores, batch.grades
-    # w's dtype: np.where of the Python floats 1.0 and 0.0 alone is float64
-    one, zero = s.dtype.type(1), s.dtype.type(0)
     # inf for a row without candidates, so it has no rows above its floor
     above = y > np.min(y, axis=1, initial=np.inf, keepdims=True)
     n_above = above.sum(axis=1)
@@ -149,7 +147,7 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
         for b in range(0, len(qs), step):
             at, rws = qs[b : b + step, None], rows[b : b + step]  # (B, 1), (B, r)
             gap = y[at, rws][..., None] - y[at]  # (B, r, 1) - (B, 1, n_c)
-            w = np.where(gap > 0, gap if gap_weighted else one, zero)
+            w = np.maximum(gap, 0) if gap_weighted else (gap > 0).astype(s.dtype)
             margin = s[at] - s[at, rws][..., None]  # s_k - s_j
             per_query[at[:, 0]] = (w * softplus(margin)).reshape(len(at), -1).sum(axis=1)
             g = w * sigmoid(margin)  # d/d margin

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ def _pool_rows(excluded_rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
 
 
 def make_batch(
-    train_rels: RelevanceSet,
+    positives: Mapping[str, dict[str, float]],
     query_ids: list[str],
     c_table: EmbeddingTable,
     ratio: int,
@@ -88,14 +89,16 @@ def make_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate set for a query batch: all batch positives plus subsampled negatives.
 
+    positives maps each training query to its positive grades, as
+    RelevanceSet.positives_for gives them; a query it lacks has none.
     |negatives| = ratio * |distinct positive ids|, capped at what exists;
     they are drawn from the corpus rows that are not batch positives, in
     O(batch) time. Returns (candidate rows of c_table, positives first in
     order of first appearance; dense (n_q, n_cand) float32 grade matrix).
     """
-    positives = [train_rels.positives_for(qid) for qid in query_ids]
+    batch = [positives.get(qid, {}) for qid in query_ids]
     column: dict[str, int] = {}  # positive id -> its candidate column
-    for qid, graded in zip(query_ids, positives):
+    for qid, graded in zip(query_ids, batch):
         if not graded:
             raise DataError(f"query {qid!r} has no positive in the training split")
         for cid in graded:
@@ -109,7 +112,7 @@ def make_batch(
         else np.empty(0, dtype=np.intp)
     )
     grades = np.zeros((len(query_ids), len(pos_rows) + n_neg), dtype=np.float32)
-    for i, graded in enumerate(positives):
+    for i, graded in enumerate(batch):
         for cid, y in graded.items():
             grades[i, column[cid]] = y
     return np.concatenate([pos_rows, neg_rows]), grades
@@ -165,7 +168,7 @@ def loss_and_param_grads(
     c_unit, c_norm = unit_rows(adapted_c)
     batch = BatchScores(scores=unit_scores(q_unit, c_unit), grades=grades)
 
-    pair_query_idx, pair_corpus_idx = np.nonzero(grades > 0)
+    pair_query_idx, pair_corpus_idx = np.divmod(np.flatnonzero(grades > 0), grades.shape[1])
     pair_grades = batch.grades[pair_query_idx, pair_corpus_idx]
     pred_in = adapted_c[pair_corpus_idx]
     predicted, hidden_p = predict_query(model, pred_in)
@@ -240,9 +243,9 @@ def train(
     check_compatible({"query": q_table, "corpus": c_table}, model)
     check_embeddings(q_table, c_table, train_rels, val_rels)
 
-    train_qids = sorted(
-        qid for qid in train_rels.query_ids if train_rels.positives_for(qid)
-    )
+    # each training query's positives, built once for every batch
+    positives = {qid: train_rels.positives_for(qid) for qid in train_rels.query_ids}
+    train_qids = sorted(qid for qid, graded in positives.items() if graded)
     if not train_qids:
         raise DataError("training split has no query with a positive relation")
 
@@ -290,7 +293,7 @@ def train(
         del schedule[: cfg.batch_size]
 
         rows, grades = make_batch(
-            train_rels, batch_qids, c_table, cfg.neg_subsample_ratio, rng
+            positives, batch_qids, c_table, cfg.neg_subsample_ratio, rng
         )
         q_orig = q_table.rows_for(batch_qids).astype(step_dtype, copy=False)
         c_orig = c_table.vectors[rows].astype(step_dtype, copy=False)

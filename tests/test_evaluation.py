@@ -476,8 +476,14 @@ class TestScreen:
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
         kept = []
         screen = evaluation._screen
-        monkeypatch.setattr(evaluation, "_screen",
-                            lambda *args: kept.append(screen(*args).all()) or screen(*args))
+
+        def spy(*args):
+            r, j = screen(*args)
+            # every pair of the block's 8 queries, in (query, column) order
+            kept.append(np.array_equal(r * n_c + j, np.arange(8 * n_c)))
+            return r, j
+
+        monkeypatch.setattr(evaluation, "_screen", spy)
         ranked_lists(q, c, k=3)
         assert len(kept) == n_q // 8 and all(kept)
         monkeypatch.undo()
@@ -527,3 +533,112 @@ class TestScreen:
         lists = ranked_lists(table(qids, q_rows), table(cids, c_rows), model, k=k)
         assert [r.query_id for r in lists] == qids
         assert [r.entries for r in lists] == lexsort_oracle(q_adapted, c_adapted, cids, k)
+
+
+class TestGroupFloor:
+    """_screen floors each query's screen by the k-th largest of its strided
+    group maxima and lone tail columns, and gathers survivors only from the
+    groups whose maximum reaches the floor. With GROUPS at 8, a corpus of 53
+    columns is 8 groups of 6, column j < 48 in group j mod 8, and 5 lone
+    columns. The lists equal the float64 oracle in every case."""
+
+    @pytest.fixture(autouse=True)
+    def eight_groups(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "GROUPS", 8)
+
+    @staticmethod
+    def ranked(q_rows, c_rows, k):
+        """Each query's top k as column numbers, after checking the lists
+        against lexsort_oracle."""
+        cids = [f"c{i:02d}" for i in np.random.default_rng(0).permutation(len(c_rows))]
+        lists = ranked_lists(table([f"q{i}" for i in range(len(q_rows))], q_rows),
+                             table(cids, c_rows), k=k)
+        expected = lexsort_oracle(q_rows, c_rows, cids, k)
+        assert [r.entries for r in lists] == expected
+        return [[cids.index(cid) for cid, _ in entries] for entries in expected]
+
+    @staticmethod
+    def rows(seed, n, d=6):
+        return np.random.default_rng(seed).standard_normal((n, d)).astype(np.float32)
+
+    @staticmethod
+    def along(q, cols, c_rows):
+        # rows along q at growing lengths, each a little off its direction
+        noise = 1e-2 * np.random.default_rng(1).standard_normal((len(cols), q.shape[0]))
+        c_rows[cols] = q * np.arange(1, len(cols) + 1)[:, None] + noise
+
+    def test_top_k_in_one_group(self):
+        q, c = self.rows(0, 3), self.rows(1, 53)
+        self.along(q[0], [3, 11, 19, 27, 35], c)
+        # the group maxima put one of the five in the pool, so the floor
+        # falls below the 4th screen score
+        top = self.ranked(q, c, 4)[0]
+        assert {j % 8 for j in top} == {3}
+
+    def test_top_columns_in_the_tail(self, monkeypatch):
+        q, c = self.rows(2, 3), self.rows(3, 53)
+        self.along(q[0], [48, 49, 50, 51, 52], c)
+        self.along(q[1], [50, 2, 52], c)
+        survivors = []
+        screen = evaluation._screen
+        monkeypatch.setattr(evaluation, "_screen",
+                            lambda *args: survivors.append(screen(*args)) or survivors[-1])
+        top = self.ranked(q, c, 3)
+        assert all(j >= 48 for j in top[0])
+        assert set(top[1]) == {50, 2, 52}
+        # the lone columns are in the pool, so query 0's floor is its 3rd
+        # screen score less the bound, and only its top 3 survive
+        [(r, j)] = survivors
+        assert sorted(j[r == 0].tolist()) == sorted(top[0])
+
+    def test_wild_rows_on_either_side(self):
+        q, c = self.rows(4, 4), self.rows(5, 53)
+        # wild columns in a group and among the lone ones, one too large and
+        # one too small to screen, both along q[0]; a zero row is degenerate
+        c[5], c[50], c[12] = 1e20 * q[0], 1e-11 * q[0], 0.0
+        # a query too small and one too large to screen
+        q[1] *= np.float32(1e-11)
+        q[2] *= np.float32(1e20)
+        top = self.ranked(q, c, 4)
+        assert {5, 50} <= set(top[0])
+
+    @pytest.mark.parametrize("n_c", [1, 8, 12, 15])
+    def test_corpus_smaller_than_two_groups(self, n_c):
+        q, c = self.rows(6, 3), self.rows(7, n_c)
+        for k in {1, 3, max(1, n_c - 1), n_c}:
+            assert [len(t) for t in self.ranked(q, c, k)] == [min(k, n_c)] * 3
+
+    @pytest.mark.parametrize("k", [8, 9, 10, 20, 52])
+    def test_k_at_least_groups(self, k):
+        q, c = self.rows(8, 3), self.rows(9, 53)
+        self.along(q[0], list(range(0, 53, 5)), c)
+        assert [len(t) for t in self.ranked(q, c, k)] == [k] * 3
+
+    def test_ties_at_the_kth_score(self):
+        # three distinct rows repeated over groups and lone columns: each
+        # query's k-th score is tied across many columns, ordered by id
+        base = self.rows(10, 3)
+        c = base[np.random.default_rng(11).integers(0, 3, 53)]
+        q = self.rows(12, 5)
+        for k in (1, 5, 20):
+            self.ranked(q, c, k)
+
+    def test_random_group_counts(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        values = np.array([0.0, 1.0, -1.0, 0.5, 1e-13, 1e-11, 1e20], dtype=np.float32)
+        for _ in range(150):
+            monkeypatch.setattr(evaluation, "GROUPS", int(rng.integers(1, 10)))
+            n_c, d = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+            # few distinct values give ties; some rows are degenerate or wild
+            c = np.where(rng.random((n_c, d)) < 0.3, rng.choice(values, (n_c, d)),
+                         rng.standard_normal((n_c, d))).astype(np.float32)
+            q = np.where(rng.random((4, d)) < 0.1, rng.choice(values, (4, d)),
+                         rng.standard_normal((4, d))).astype(np.float32)
+            self.ranked(q, c, int(rng.integers(1, n_c + 3)))
+
+    def test_default_groups_on_a_corpus_below_two_groups(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "GROUPS", 1024)
+        q, c = self.rows(14, 3, d=4), self.rows(15, 1500, d=4)
+        self.along(q[0], [7, 1031, 1400], c)
+        top = self.ranked(q, c, 10)
+        assert {7, 1031, 1400} <= set(top[0])

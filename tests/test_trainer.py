@@ -65,13 +65,18 @@ def scanning_make_batch(train_rels, query_ids, corpus_ids, ratio, rng):
     return candidates, grades
 
 
+def positives(rels):
+    """make_batch's first argument, as train builds it."""
+    return {qid: rels.positives_for(qid) for qid in rels.query_ids}
+
+
 def id_table(corpus_ids):
     return EmbeddingTable(corpus_ids, np.ones((len(corpus_ids), 1), dtype=np.float32))
 
 
 def batch_ids(rels, query_ids, corpus_ids, ratio, rng):
     """make_batch over a table of corpus_ids, with the rows turned back into ids."""
-    rows, grades = make_batch(rels, query_ids, id_table(corpus_ids), ratio, rng)
+    rows, grades = make_batch(positives(rels), query_ids, id_table(corpus_ids), ratio, rng)
     return [corpus_ids[r] for r in rows], grades
 
 
@@ -152,7 +157,7 @@ class TestMakeBatch:
     def test_returns_table_rows(self):
         rels = RelevanceSet([("q0", "c3", 1.0)])
         table = id_table([f"c{j}" for j in range(6)])
-        rows, _ = make_batch(rels, ["q0"], table, 2, np.random.default_rng(0))
+        rows, _ = make_batch(positives(rels), ["q0"], table, 2, np.random.default_rng(0))
         assert rows.dtype == np.intp
         assert rows[0] == 3
         assert len(set(rows.tolist())) == 3
@@ -267,7 +272,7 @@ class TestStepDtype:
         # train-l's batch: 128 queries, 128 positives and 1280 negatives, d = 64
         q, c, rels = planted_task(n_queries=200, n_corpus=3000, dim=64, seed=3)
         qids = rels.query_ids[:128]
-        rows, grades = make_batch(rels, qids, c, 10, np.random.default_rng(0))
+        rows, grades = make_batch(positives(rels), qids, c, 10, np.random.default_rng(0))
         return q.rows_for(qids), c.vectors[rows], grades
 
     @pytest.mark.parametrize("separate", [False, True])
