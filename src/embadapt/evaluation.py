@@ -89,11 +89,11 @@ def _rank(
     the id rank is taken among the columns in j; each query's run is then
     cut at k.
     """
-    cols = np.flatnonzero(np.bincount(j, minlength=len(cids)))
+    cols, inverse = np.unique(j, return_inverse=True)
     names = [cids[c] for c in cols.tolist()]
-    id_rank = np.empty(len(cids), dtype=np.intp)
-    id_rank[cols[sorted(range(len(names)), key=names.__getitem__)]] = np.arange(len(cols))
-    order = np.lexsort((id_rank[j], -scores, r))
+    id_rank = np.empty(len(cols), dtype=np.intp)
+    id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(cols))
+    order = np.lexsort((id_rank[inverse.reshape(-1)], -scores, r))
     starts = np.searchsorted(r[order], np.arange(n_q))
     counts = np.diff(starts, append=len(order))
     if k is not None:
