@@ -302,7 +302,8 @@ def ranked_lists(
     for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES):
         r, j = _screen(q_side, c_side, rows, k)
         scores = _rescore(q_side[0][rows], c_side[0], r, j)
-        lists.extend(map(RankedList, qids[rows], _rank(cids, r, j, scores, k, len(qids[rows]))))
+        entries = _rank(cids, r, j, scores, k, rows.stop - rows.start)
+        lists.extend(map(RankedList, qids[rows], entries))
     return lists
 
 
