@@ -14,6 +14,11 @@ GAIN_MODES = ("standard", "paper-literal")
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def check_gain(gain: str) -> None:
+    if gain not in GAIN_MODES:
+        raise ValueError(f"unknown gain mode: {gain!r}")
+
+
 def check_field_types(config) -> None:
     """Raise ValueError unless each field of the dataclass instance holds a
     value of its annotated type; a float field must also be finite."""
@@ -83,8 +88,7 @@ class TrainConfig:
             raise ValueError("hidden width must be positive")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant: {self.loss_variant!r}")
-        if self.gain not in GAIN_MODES:
-            raise ValueError(f"unknown gain mode: {self.gain!r}")
+        check_gain(self.gain)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

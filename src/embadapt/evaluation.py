@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import AdapterModel, is_identity, row_blocks, transform
+from .config import check_gain
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
 from .objectives import NORM_EPS, cosine_scores, unit_rows
@@ -72,9 +73,12 @@ def score_all(
     return cosine_scores(_rows(q_table, model, "query"), _rows(c_table, model, "corpus"))
 
 
-def _check_k(k: int | None) -> None:
+def _check_k(k: int | None, n: float = math.inf) -> int | None:
+    """k, or None when k is None or at least n, the number of candidates:
+    a k that keeps them all. ValueError for a k below 1."""
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return None if k is None or k >= n else k
 
 
 def _rank(
@@ -107,22 +111,15 @@ def _rank(
 def rank_candidates(
     corpus_ids: list[str], scores: np.ndarray, k: int | None = None
 ) -> list[tuple[str, float]]:
-    """Top k candidates by descending score, ties broken by ascending id.
-
-    Equal to the first k of np.lexsort((ids, -scores)) for finite scores, with
-    ids compared in Python string order. Only the candidates scoring at least
-    the k-th largest score are ranked (see _rank), so every tie at the k-th
-    position is ordered by id. k=None returns the full order.
+    """Top k candidates by descending score, ties broken by ascending id:
+    the first k of np.lexsort((ids, -scores)) for finite scores, with ids
+    compared in Python string order (see _rank). k=None, or k at least the
+    number of candidates, returns the full order.
     """
-    _check_k(k)
     scores = np.asarray(scores)
     n = len(scores)
-    if k is None or k >= n:
-        kept = np.arange(n)
-    else:
-        kth = np.partition(scores, n - k)[n - k]
-        kept = np.flatnonzero(scores >= kth)
-    return _rank(corpus_ids, np.zeros(len(kept), dtype=np.intp), kept, scores[kept], k, 1)[0]
+    k = _check_k(k, n)
+    return _rank(corpus_ids, np.zeros(n, dtype=np.intp), np.arange(n), scores, k, 1)[0]
 
 
 def screen_bound(d: int) -> float:
@@ -195,8 +192,8 @@ def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.
     """The (query, column) pairs that the queries in rows rescore, as two
     arrays in ascending (query, column) order, with each query counted from
     rows.start: the columns whose float32 cosine is at least the query's
-    floor, each wild column, and every column of a wild query. With no k, or
-    k at least the corpus size, every column.
+    floor, each wild column, and every column of a wild query. With k None,
+    as ranked_lists passes a k at least the corpus size, every column.
 
     The floor is a lower bound on the k-th screen score t, less
     screen_bound. Column j < m * G belongs to the strided group j mod G,
@@ -215,7 +212,7 @@ def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.
     q_rows, q_scale, q_wild = q_side
     c_rows, c_scale, c_wild = c_side
     n_q, n_c = rows.stop - rows.start, len(c_rows)
-    if k is None or k >= n_c:
+    if k is None:
         return np.divmod(np.arange(n_q * n_c), n_c)
     with np.errstate(over="ignore", invalid="ignore"):
         screen = (q_rows[rows] * q_scale[rows, None]) @ c_rows.T
@@ -280,7 +277,8 @@ def ranked_lists(
     derives why no other column can be in the float64 top k or tie its k-th
     score. Only the survivors are scored in float64, from their rows
     normalised as unit_rows does, and one lexsort orders the block's
-    survivors (see _rank). The top k is therefore the first k of a float64
+    survivors (see _rank). k=None, or a k at least the corpus size, ranks
+    every column. The top k is therefore the first k of a float64
     lexsort of every column, and each score is a float64 product of the two
     unit rows, which may differ from score_all's matrix product in the last
     bits. A pair's score depends on its two rows alone, so the survivors
@@ -293,7 +291,7 @@ def ranked_lists(
     n_q * n_c, even when every column survives, as on a corpus of one
     repeated row.
     """
-    _check_k(k)
+    k = _check_k(k, len(c_table.ids))
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
     q_side = _screen_side(q_table, model, "query")
     c_side = _screen_side(c_table, model, "corpus")
@@ -307,46 +305,36 @@ def ranked_lists(
     return lists
 
 
-def _gain(y: float, mode: str) -> float:
-    if mode == "standard":
-        return 2.0**y - 1.0
-    if mode == "paper-literal":
-        return 2.0**y
-    raise ValueError(f"unknown gain mode: {mode!r}")
-
-
-def dcg_at_k(grades_in_rank_order: list[float], k: int, gain: str = "standard") -> float:
-    return sum(
-        _gain(y, gain) / math.log2(rank + 2)
-        for rank, y in enumerate(grades_in_rank_order[:k])
-    )
-
-
 def ndcg_at_k(
     ranked: list[tuple[str, float]],
     grades: dict[str, float],
     k: int,
     gain: str = "standard",
 ) -> float:
-    """nDCG truncated at rank k for one query.
+    """nDCG at rank k for one query, with gain 2^y - 1 ("standard") or 2^y
+    ("paper-literal") and discount log2(rank + 2). grades maps corpus_id ->
+    relevance; missing ids are grade 0. Raises DataError when no grade is
+    positive.
 
-    grades maps corpus_id -> relevance; missing ids are grade 0. Undefined
-    (raises) when the query has no positive grade.
+    The ideal list is the positive grades, descending, padded with zero
+    grades to the ranked list's length: a zero grade gains 1 under
+    paper-literal gain, 0 under standard. Both DCGs are added left to right
+    in one loop, not by sum(), which rounds otherwise from Python 3.12 on.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    positives = sorted((y for y in grades.values() if y > 0), reverse=True)
-    if not positives:
+    _check_k(k)
+    check_gain(gain)
+    ideal = sorted((y for y in grades.values() if y > 0), reverse=True)[:k]
+    if not ideal:
         raise DataError("nDCG undefined for a query with no positive grade")
-    ranked_grades = [grades.get(cid, 0.0) for cid, _ in ranked]
-    ideal = positives
-    if gain == "paper-literal":
-        # zero-grade items carry gain 2^0 = 1, so the ideal list pads with
-        # zeros up to what the realized ranking could retrieve
-        ideal_len = min(k, max(len(ranked), len(positives)))
-        ideal = positives + [0.0] * max(0, ideal_len - len(positives))
-    dcg = dcg_at_k(ranked_grades, k, gain)
-    idcg = dcg_at_k(ideal, k, gain)
+    ranked_grades = [grades.get(cid, 0.0) for cid, _ in ranked[:k]]
+    ideal += [0.0] * (len(ranked_grades) - len(ideal))
+    shift = 1.0 if gain == "standard" else 0.0
+    dcg = idcg = 0.0
+    for rank, y in enumerate(ideal):
+        discount = math.log2(rank + 2)
+        idcg += (2.0**y - shift) / discount
+        if rank < len(ranked_grades):
+            dcg += (2.0 ** ranked_grades[rank] - shift) / discount
     return dcg / idcg
 
 
@@ -367,6 +355,7 @@ def evaluate(
     by transform, so the report equals, bit for bit, evaluate without a
     model over the tables that transform writes."""
     _check_k(k)
+    check_gain(gain)
     check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
     per_query: dict[str, float] = {}
     n_skipped = 0

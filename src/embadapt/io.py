@@ -189,14 +189,14 @@ class BlockReader:
         if not len(ends):
             return []
         raw = self.read(int(ends[-1]), what)
-        text = self._decode(raw, what)
+        self._decode(raw, what)
         starts = ends[:-1]
-        if len(text) != len(raw):  # not ASCII: no string may start inside a character
-            first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
-            split = np.flatnonzero(first & 0xC0 == 0x80)  # a continuation byte
-            if len(split):
-                raise self.error(f"{what} is not valid UTF-8: the string at index "
-                                 f"{int(split[0]) + 1} starts inside a character")
+        # no string may start inside a character, on a continuation byte
+        first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
+        split = np.flatnonzero(first & 0xC0 == 0x80)
+        if len(split):
+            raise self.error(f"{what} is not valid UTF-8: the string at index "
+                             f"{int(split[0]) + 1} starts inside a character")
         # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a surrogate,
         # so a 0xFF put between the strings decodes to the one U+DCFF there is
         marked = np.insert(np.frombuffer(raw, dtype=np.uint8), starts, 0xFF).tobytes()

@@ -356,6 +356,12 @@ class TestEvaluateCommand:
         assert out == ""
         assert "error: k must be >= 1" in err
 
+    def test_k_beyond_int64_ranks_the_whole_corpus(self, tmp_path, capsys):
+        qp, cp, rp = write_task(tmp_path)
+        assert main(["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--k", str(2**64), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 2**64
+
     def test_tables_from_different_encoders_exit_one(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         q = read_embeddings(qp)
@@ -487,6 +493,15 @@ class TestSearchCommand:
         assert main(["search", "--corpus", ca, "--vector", vector(qa), "--k", "10"]) == 0
         assert capsys.readouterr().out == direct
         assert len(direct.splitlines()) == 10
+
+    def test_k_beyond_int64_prints_the_whole_corpus(self, tmp_path, capsys):
+        qp, cp, _ = write_task(tmp_path, n_corpus=80)
+        vector = ",".join(repr(float(x)) for x in read_embeddings(qp).vectors[0])
+        assert main(["search", "--corpus", cp, "--vector", vector, "--k", "80"]) == 0
+        whole = capsys.readouterr().out
+        assert len(whole.splitlines()) == 80
+        assert main(["search", "--corpus", cp, "--vector", vector, "--k", str(2**64)]) == 0
+        assert capsys.readouterr().out == whole
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_one(self, tmp_path, capsys, k):

@@ -86,7 +86,7 @@ class TestTopK:
             ids = [f"doc{int(rng.integers(0, 4))}-{i:03d}" for i in rng.permutation(n)]
             scores = np.round(rng.uniform(-0.1, 0.1, n), 2)
             expected = np.lexsort((np.array(ids), -scores))
-            for k in (1, 10, n - 1, n, n + 5, None):
+            for k in (1, 10, n - 1, n, n + 5, 2**64, None):
                 got = rank_candidates(ids, scores, k)
                 assert got == [(ids[i], float(scores[i])) for i in expected[:k]]
 
@@ -165,6 +165,21 @@ class TestNdcg:
     def test_no_positive_rejected(self):
         with pytest.raises(DataError):
             ndcg_at_k([("c1", 0.5)], {}, k=10)
+
+    def test_adds_left_to_right_on_every_python(self):
+        # Python 3.12's sum() compensates and rounds this case to ...314
+        ranked = [(f"c{i}", 1.0 - i / 10) for i in range(6)]
+        grades = {"c3": 2.0, "c4": 2.0, "c5": 1.0}
+        assert ndcg_at_k(ranked, grades, k=10).hex() == (0.5208427674883315).hex()
+
+    def test_unknown_gain_rejected(self):
+        with pytest.raises(ValueError, match="unknown gain mode: 'bogus'"):
+            ndcg_at_k([("c1", 0.5)], {"c1": 1.0}, k=10, gain="bogus")
+        # evaluate checks it before any scoring: the dim mismatch is never reached
+        q = table(["q"], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="unknown gain mode: 'bogus'"):
+            evaluate(q, table(["c"], [[1.0, 0.0, 0.0]]), RelevanceSet([("q", "c", 1.0)]),
+                     gain="bogus")
 
     def test_paper_literal_gain_differs(self):
         # with 2^y gain, a retrieved zero-grade item still contributes
