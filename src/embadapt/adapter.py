@@ -94,13 +94,22 @@ def mlp_grad(
     and upstream, which a training step takes from its rows: float32 rows
     give float32 gradients, float64 rows float64 ones.
     """
+    grads, d_hidden = _param_grads(params, x, hidden, upstream)
+    return grads, d_hidden @ params.w1.T
+
+
+def _param_grads(
+    params: MlpParams, x: np.ndarray, hidden: np.ndarray, upstream: np.ndarray
+) -> tuple[MlpParams, np.ndarray]:
+    """mlp_grad's parameter gradients, and the gradient w.r.t. the hidden
+    layer's pre-activations, from which mlp_grad takes the input's."""
     d_w2 = hidden.T @ upstream
     d_b2 = upstream.sum(axis=0)
-    d_hidden = (upstream @ params.w2.T) * (1.0 - hidden * hidden)
+    d_hidden = upstream @ params.w2.T
+    d_hidden *= 1.0 - hidden * hidden
     d_w1 = x.T @ d_hidden
     d_b1 = d_hidden.sum(axis=0)
-    d_x = d_hidden @ params.w1.T
-    return MlpParams(d_w1, d_b1, d_w2, d_b2), d_x
+    return MlpParams(d_w1, d_b1, d_w2, d_b2), d_hidden
 
 
 @dataclass
@@ -242,9 +251,10 @@ def transform_grad(
     step (see mlp_grad).
 
     hidden is the activation tape that transform_forward returned for x. The
-    skip connection has no parameters, so it adds nothing here.
+    skip connection has no parameters, so it adds nothing here. The rows x
+    are inputs, not parameters, so no gradient w.r.t. x is computed.
     """
-    return mlp_grad(model.params_for(which), x, hidden, upstream)[0]
+    return _param_grads(model.params_for(which), x, hidden, upstream)[0]
 
 
 def predict_query(model: AdapterModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

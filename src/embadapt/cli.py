@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .adapter import load_checkpoint, save_checkpoint, transform
@@ -33,19 +34,41 @@ from .io import (
 from .trainer import train
 
 
-def _atomic_write(path: str, writer) -> None:
-    """Run writer(tmp_path) then rename; never leaves a partial file behind.
+def _check_output(path: str, flag: str | None = None) -> None:
+    """Refuse an output path that is a directory or whose directory does not
+    exist, naming the flag when one is given."""
+    where = path if flag is None else f"{flag} {path}"
+    if os.path.isdir(path):
+        raise EmbAdaptError(f"{where} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise EmbAdaptError(f"{where}: no such directory {parent}")
 
-    The temp file is made by open(), so the output gets the mode that open()
-    gives a new file under the umask (mkstemp would give 0600)."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
-    open(tmp, "xb").close()
+
+def _atomic_write(*outputs: tuple[str, Callable[[str], object]]) -> None:
+    """Write each (path, writer) output: writer(tmp) fills a temp file beside
+    path, and once every writer has run the temp files are renamed onto
+    their paths. If any step fails, no output and no temp file is left.
+
+    The temp files are made by open(), so each output gets the mode that
+    open() gives a new file under the umask (mkstemp would give 0600)."""
+    for path, _ in outputs:
+        _check_output(path)
+    temps: list[str] = []
+    written: list[str] = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
+        for path, writer in outputs:
+            temps.append(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                      f".tmp-{os.urandom(8).hex()}.part"))
+            open(temps[-1], "xb").close()
+            writer(temps[-1])
+        for tmp, (path, _) in zip(temps, outputs):
+            os.replace(tmp, path)
+            written.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for leftover in temps + written:
+            if os.path.exists(leftover):
+                os.unlink(leftover)
         raise
 
 
@@ -118,7 +141,7 @@ def cmd_embed(args) -> int:
     items = load_jsonl_items(args.items)
     cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
     table = fetch_embeddings(items, cfg)
-    _atomic_write(args.out, lambda tmp: write_embeddings(table, tmp))
+    _atomic_write((args.out, lambda tmp: write_embeddings(table, tmp)))
     print(f"wrote {len(table)} embeddings dim={table.dim} "
           f"encoder_tag={table.encoder_tag!r} -> {args.out}")
     return 0
@@ -130,7 +153,10 @@ def _effective_config(args) -> TrainConfig:
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            base = check_keys(TrainConfig, json.load(f))
+            try:  # not UTF-8 or not JSON (both ValueErrors), or not a config object
+                base = check_keys(TrainConfig, json.load(f))
+            except ValueError as exc:
+                raise EmbAdaptError(f"--config {args.config}: {exc}") from None
     for f in dataclasses.fields(TrainConfig):
         if getattr(args, f.name) is not None:
             base[f.name] = getattr(args, f.name)
@@ -138,6 +164,12 @@ def _effective_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log or args.out + ".log.jsonl"
+    # before any input is read, so a run cannot train and then fail to write
+    _check_output(args.out, "--out")
+    _check_output(log_path, "--log")
+    if os.path.abspath(log_path) == os.path.abspath(args.out):
+        raise EmbAdaptError(f"--log {log_path} is the --out path")
     cfg = _effective_config(args)
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
@@ -145,9 +177,8 @@ def cmd_train(args) -> int:
     train_rels, val_rels = split_train_val(rels, args.val_ratio, cfg.seed)
     model, report = train(q_table, c_table, train_rels, val_rels, cfg)
 
-    log_path = args.log or args.out + ".log.jsonl"
-    _atomic_write(args.out, lambda tmp: save_checkpoint(model, tmp))
-    _atomic_write(log_path, lambda tmp: Path(tmp).write_text(report.to_jsonl()))
+    _atomic_write((args.out, lambda tmp: save_checkpoint(model, tmp)),
+                  (log_path, lambda tmp: Path(tmp).write_text(report.to_jsonl())))
 
     zero_shot = report.entries[0].val_ndcg
     print(f"effective config: {json.dumps(cfg.to_dict(), sort_keys=True)}")
@@ -166,7 +197,7 @@ def cmd_transform(args) -> int:
     adapted = transform(model, table.vectors, args.which)  # refuses non-finite rows
     tag = adapted_tag(table.encoder_tag, args.which, model.checkpoint_crc)
     out_table = table._with_rows(adapted, tag)  # nothing else holds adapted
-    _atomic_write(args.out, lambda tmp: write_embeddings(out_table, tmp))
+    _atomic_write((args.out, lambda tmp: write_embeddings(out_table, tmp)))
     print(f"wrote {len(out_table)} adapted ({args.which}) embeddings -> {args.out}")
     return 0
 
@@ -180,7 +211,8 @@ def cmd_evaluate(args) -> int:
                       gain=args.gain, force=args.force)
     if args.per_query:
         lines = [f"{qid}\t{v:.6f}" for qid, v in sorted(report.per_query_ndcg.items())]
-        _atomic_write(args.per_query, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
+        text = "\n".join(lines) + "\n"
+        _atomic_write((args.per_query, lambda tmp: Path(tmp).write_text(text)))
     print(report.to_json() if args.json else report.to_text())
     return 0
 

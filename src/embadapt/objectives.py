@@ -17,6 +17,9 @@ VARIANT_TEMPERATURE = 0.05
 # Largest (queries, r, n_c) block of temporaries ranking_loss builds, in the
 # scores' dtype.
 PAIR_BLOCK_FLOATS = 2**15
+# softplus_sigmoid clamps its exponent here: e^-40 is below half an ulp of 1
+# in float64 (2^-53), and so in float32
+EXP_CLAMP = 40.0
 
 
 def _as_float(x) -> np.ndarray:
@@ -55,15 +58,21 @@ class BatchScores:
         return self.scores.shape[1]
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe log(1 + e^x)."""
+def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^x) and 1 / (1 + e^-x), the pairwise kernel's loss term and
+    its derivative, from one exponential of x clamped at EXP_CLAMP:
+    e = exp(min(x, EXP_CLAMP)), softplus = max(log1p(e), x), sigmoid =
+    e / (1 + e). Past the clamp both are x and 1 to within e^-EXP_CLAMP,
+    below half an ulp in float32 and float64, so they are exact to rounding
+    for every finite x and cannot overflow; NaN gives NaN."""
     x = _as_float(x)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    e = np.exp(np.minimum(x, EXP_CLAMP))
+    return np.maximum(np.log1p(e), x), e / (1.0 + e)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; tanh saturates, so it cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(x / 2))
+def softplus(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe log(1 + e^x), by softplus_sigmoid's formula."""
+    return softplus_sigmoid(x)[0]
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,23 +109,33 @@ def cosine_scores_backward(
     q_norm: np.ndarray,
     c_unit: np.ndarray,
     c_norm: np.ndarray,
-    scores: np.ndarray,
     grad_scores: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_scores * scores) w.r.t. the rows q and c that
-    unit_rows turned into (q_unit, q_norm) and (c_unit, c_norm), where scores
-    is unit_scores(q_unit, c_unit). A degenerate row scores 0 against
-    everything, so its gradient is zero.
+    """Gradients of sum(grad_scores * unit_scores(q_unit, c_unit)) w.r.t. the
+    rows q and c that unit_rows turned into (q_unit, q_norm) and
+    (c_unit, c_norm). A degenerate row scores 0 against everything, so its
+    gradient is zero.
     """
     g = _as_float(grad_scores)
-    gs = g * scores
-    # d s_ij / d q_i = (c_unit_j - s_ij * q_unit_i) / |q_i|
-    grad_q = g @ c_unit - gs.sum(axis=1)[:, None] * q_unit
-    grad_c = g.T @ q_unit - gs.sum(axis=0)[:, None] * c_unit
-    return tuple(
-        np.divide(grad, norm[:, None], out=np.zeros_like(grad), where=norm[:, None] >= NORM_EPS)
-        for grad, norm in ((grad_q, q_norm), (grad_c, c_norm))
-    )
+    return (_unit_rows_backward(g @ c_unit, q_unit, q_norm),
+            _unit_rows_backward(g.T @ q_unit, c_unit, c_norm))
+
+
+def _unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the rows x that unit_rows turned into (unit, norm),
+    from grad, the gradient w.r.t. unit, overwritten in place:
+    (grad - (grad . unit) unit) / |x| per row, and zero for a degenerate row.
+
+    For the cosine, grad = g @ c_unit and grad . unit of row i is
+    sum_j g_ij s_ij (up to unit_scores' clip, which moves a score only by
+    rounding), so this is d s_ij / d q_i = (c_unit_j - s_ij q_unit_i) / |q_i|
+    summed over j, without an (n_q, n_c) temporary.
+    """
+    grad -= np.einsum("ij,ij->i", grad, unit)[:, None] * unit
+    ok = (norm >= NORM_EPS)[:, None]
+    np.divide(grad, norm[:, None], out=grad, where=ok)
+    np.copyto(grad, 0.0, where=~ok)
+    return grad
 
 
 def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, np.ndarray]:
@@ -149,8 +168,10 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
             gap = y[at, rws][..., None] - y[at]  # (B, r, 1) - (B, 1, n_c)
             w = np.maximum(gap, 0) if gap_weighted else (gap > 0).astype(s.dtype)
             margin = s[at] - s[at, rws][..., None]  # s_k - s_j
-            per_query[at[:, 0]] = (w * softplus(margin)).reshape(len(at), -1).sum(axis=1)
-            g = w * sigmoid(margin)  # d/d margin
+            loss, g = softplus_sigmoid(margin)
+            loss *= w
+            g *= w  # d/d margin
+            per_query[at[:, 0]] = loss.reshape(len(at), -1).sum(axis=1)
             grad[at[:, 0]] = g.sum(axis=1)  # + d margin / d s_k
             grad[at, rws] -= g.sum(axis=2)  # - d margin / d s_j
     # one addition per query in query order; np.sum and, from Python 3.12,
@@ -180,8 +201,9 @@ def sigmoid_ce_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
     s = batch.scores / VARIANT_TEMPERATURE
     labels = (batch.grades > 0).astype(s.dtype)
     # BCE with logits: softplus(s) - label * s, summed.
-    total = float(np.sum(softplus(s) - labels * s))
-    grad = (sigmoid(s) - labels) / VARIANT_TEMPERATURE
+    plus, sig = softplus_sigmoid(s)
+    total = float(np.sum(plus - labels * s))
+    grad = (sig - labels) / VARIANT_TEMPERATURE
     return total, grad
 
 

@@ -159,7 +159,7 @@ def loss_and_param_grads(
     (TotalLoss, flat gradient list aligned with model.trainable()). The chain
     is: losses -> score/embedding gradients -> adapter and predictor
     parameter gradients. Each backward step reuses the activations, unit
-    rows, norms and scores of its forward step. The whole chain computes in
+    rows and norms of its forward step. The whole chain computes in
     the float dtype of q_orig and c_orig, and the gradients come back in it.
     """
     adapted_q, hidden_q = transform_forward(model, q_orig, "query")
@@ -182,9 +182,7 @@ def loss_and_param_grads(
         prediction_inputs=(adapted_q, predicted, pair_query_idx, pair_grades),
     )
 
-    grad_aq, grad_ac = cosine_scores_backward(
-        q_unit, q_norm, c_unit, c_norm, batch.scores, loss.grad_scores
-    )
+    grad_aq, grad_ac = cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, loss.grad_scores)
     grad_aq += loss.grad_adapted_q
     grad_ac += loss.grad_adapted_c
     # Predictor backward: its input gradient flows into the adapted corpus rows.

@@ -32,7 +32,7 @@ from embadapt import (
 from embadapt.adapter import predict_query, transform_forward
 from embadapt.cli import main as cli_main
 from embadapt.evaluation import ndcg_at_k, rank_candidates
-from embadapt.objectives import BatchScores, ranking_loss, total_loss
+from embadapt.objectives import BatchScores, ranking_loss, softplus, total_loss
 from embadapt.trainer import loss_and_param_grads, _flatten_trainable
 
 from synth import planted_task
@@ -165,6 +165,30 @@ class TestCriterion3RankingLossOracle:
         verdict(3, True,
                 f"batched ranking loss equals brute-force triple sum on 100 "
                 f"instances (worst abs diff {worst:.2e} <= 1e-6)")
+
+    @pytest.mark.parametrize("dtype, big", [(np.float64, 1e3), (np.float64, 1e30),
+                                            (np.float32, 1e3)])
+    def test_margins_beyond_the_exponent_clamp(self, dtype, big):
+        # every margin is 0, +-big or +-2 big, far past the kernel's clamp of e^margin
+        scores = np.array([[-big, big, big, -big], [big, -big, 0.0, big]], dtype=dtype)
+        grades = np.array([[2.0, 0.0, 1.0, 0.0], [1.0, 0.0, 3.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = ranking_loss(BatchScores(scores=scores, grades=grades))
+        assert value == pytest.approx(
+            brute_force_ranking_loss(scores.astype(np.float64), grades), rel=1e-7)
+        assert np.isfinite(grad).all()
+
+        def one_pair(s_relevant, s_other):
+            pair = BatchScores(scores=np.array([[s_relevant, s_other]], dtype=dtype),
+                               grades=np.array([[1.0, 0.0]]))
+            return ranking_loss(pair)
+
+        for margin in (1000.0, -1000.0):
+            value, grad = one_pair(0.0, margin)
+            assert value == softplus(np.array(margin, dtype)) == max(margin, 0.0)
+            # the margin's sigmoid is 1 or 0 exactly
+            assert grad.tolist() == [[-float(margin > 0), float(margin > 0)]]
 
 
 class TestCriterion4LossFixtures:

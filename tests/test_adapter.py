@@ -15,7 +15,7 @@ from embadapt import (
     transform,
 )
 from embadapt import adapter
-from embadapt.adapter import row_blocks, transform_forward, transform_grad
+from embadapt.adapter import mlp_grad, row_blocks, transform_forward, transform_grad
 from embadapt.errors import FormatError
 
 REL_TOL = 1e-4
@@ -115,6 +115,22 @@ class TestTransform:
 
 
 class TestTransformGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_mlp_grad_bit_for_bit(self, dtype):
+        model = init_adapter(6, 5, seed=3, separate_adapters=True)
+        rng = np.random.default_rng(3)
+        for _, params in model.trainable():
+            params.w2[:] = 0.3 * rng.standard_normal(params.w2.shape)
+        x = rng.standard_normal((9, 6)).astype(dtype)
+        upstream = rng.standard_normal((9, 6)).astype(dtype)
+        for which in ("query", "corpus"):
+            _, hidden = transform_forward(model, x, which)
+            grads = transform_grad(model, x, hidden, upstream, which)
+            expect, _ = mlp_grad(model.params_for(which), x, hidden, upstream)
+            for got, want in zip(grads.arrays(), expect.arrays()):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+
     def test_zero_upstream_zero_grads(self):
         model = init_adapter(4, 3, seed=1)
         x = np.ones((1, 4))

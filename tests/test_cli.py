@@ -149,6 +149,67 @@ class TestTrainCommand:
             "", "error: encoder tag 't\\udc80' cannot be encoded as UTF-8\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
 
+    @pytest.mark.parametrize("content, reason", [
+        ("alpha = 0.5\n", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "config must be a JSON object, got list"),
+        ('"alpha"', "config must be a JSON object, got str"),
+    ], ids=["not-json", "json-list", "json-string"])
+    def test_config_error_names_the_flag_and_the_file(self, tmp_path, capsys, content,
+                                                      reason):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(content)
+        qp, cp, rp = write_task(tmp_path)
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", str(tmp_path / "m.sadc"), "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr() == ("", f"error: --config {cfg_file}: {reason}\n")
+
+    @pytest.mark.parametrize("flag, target, reason", [
+        ("--out", "a-dir", "is a directory"),
+        ("--log", "a-dir", "is a directory"),
+        ("--out", "missing/m.sadc", ": no such directory {parent}"),
+        ("--log", "missing/log.jsonl", ": no such directory {parent}"),
+        ("--log", "m.sadc", "is the --out path"),
+    ], ids=["out-dir", "log-dir", "out-missing-parent", "log-missing-parent", "log-is-out"])
+    def test_unwritable_output_refused_before_reading_inputs(
+            self, tmp_path, capsys, monkeypatch, flag, target, reason):
+        def no_read(path):
+            raise AssertionError("inputs must not be read before the outputs are checked")
+
+        monkeypatch.setattr("embadapt.cli.read_embeddings", no_read)
+        qp, cp, rp = write_task(tmp_path)
+        (tmp_path / "a-dir").mkdir()
+        path = str(tmp_path / target)
+        outputs = {"--out": str(tmp_path / "m.sadc"), "--log": str(tmp_path / "m.log"),
+                   flag: path}
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", outputs["--out"], "--log", outputs["--log"]]) == 1
+        sep = "" if reason.startswith(":") else " "
+        reason = reason.format(parent=tmp_path / "missing")
+        assert capsys.readouterr() == ("", f"error: {flag} {path}{sep}{reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-dir", "c.sadp", "q.sadp", "rels.tsv"]
+
+    def test_default_log_path_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        qp, cp, rp = write_task(tmp_path)
+        out = tmp_path / "m.sadc"
+        Path(f"{out}.log.jsonl").mkdir()
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: --log {out}.log.jsonl is a directory\n")
+        assert not out.exists()
+
+    def test_failed_log_write_leaves_neither_output(self, tmp_path, capsys, monkeypatch):
+        def full_disk(report):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("embadapt.trainer.TrainReport.to_jsonl", full_disk)
+        qp, cp, rp = write_task(tmp_path)
+        out = tmp_path / "m.sadc"
+        assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                     "--out", str(out), "--max-iters", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
+
     def test_dangling_qrels_rejected(self, tmp_path, capsys):
         qp, cp, rp = write_task(tmp_path)
         with open(rp, "a") as f:
@@ -661,6 +722,35 @@ class TestEmbedCommand:
         assert capsys.readouterr().err == (
             f"error: {items_path}:2: '_id' '\\udfff' cannot be encoded as UTF-8\n")
         assert not out.exists()
+
+
+class TestOutputIsADirectory:
+    @pytest.mark.parametrize("command", ["transform", "evaluate", "embed"])
+    def test_error_names_the_path_and_leaves_no_temp_file(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        rc, ckpt, (qp, cp, rp) = run_train(tmp_path)
+        assert rc == 0
+        target = tmp_path / "a-dir"
+        target.mkdir()
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"_id": "a", "text": "first"}\n')
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
+        monkeypatch.setattr("embadapt.cli.fetch_embeddings", lambda items, cfg: (
+            EmbeddingTable(["a"], np.ones((1, 3), dtype=np.float32))))
+        argv = {
+            "transform": ["transform", "--in", qp, "--model", ckpt, "--out", str(target)],
+            "evaluate": ["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                         "--per-query", str(target)],
+            "embed": ["embed", "--items", str(items), "--endpoint-config", str(endpoint),
+                      "--out", str(target)],
+        }[command]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {target} is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(target.iterdir()) == []
 
 
 class TestOutputMode:

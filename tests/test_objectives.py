@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from embadapt.objectives import (
     NORM_EPS,
     PAIR_BLOCK_FLOATS,
     BatchScores,
-    sigmoid,
     cosine_scores,
     cosine_scores_backward,
     prediction_loss,
@@ -16,6 +16,7 @@ from embadapt.objectives import (
     ranking_loss,
     recovery_loss,
     softplus,
+    softplus_sigmoid,
     total_loss,
     unit_rows,
     unit_scores,
@@ -84,7 +85,8 @@ def brute_force_variant_loss(variant, scores, grades):
 
 def per_query_ranking_loss(batch, gap_weighted=True):
     """The pairwise kernel as one loop iteration per query, kept as the
-    reference that the blocked ranking_loss must equal bit for bit."""
+    reference that the blocked ranking_loss must equal bit for bit. It calls
+    the kernel's elementwise helper, so it checks the blocking alone."""
     s, y = batch.scores, batch.grades
     total = 0.0
     grad = np.zeros_like(s)
@@ -97,8 +99,10 @@ def per_query_ranking_loss(batch, gap_weighted=True):
         gap = yi[rows, None] - yi[None, :]
         w = np.where(gap > 0, gap if gap_weighted else 1.0, 0.0)
         margin = si[None, :] - si[rows, None]
-        total += float(np.sum(w * softplus(margin)))
-        g = w * sigmoid(margin)
+        loss, g = softplus_sigmoid(margin)
+        loss *= w
+        g *= w
+        total += float(np.sum(loss))
         grad[i] += g.sum(axis=0)
         grad[i, rows] -= g.sum(axis=1)
     return total, grad
@@ -169,8 +173,7 @@ class TestCosine:
         q[1] = 0.0
         c[2] = 1e-13
         (q_unit, q_norm), (c_unit, c_norm) = unit_rows(q), unit_rows(c)
-        scores = unit_scores(q_unit, c_unit)
-        grad_q, grad_c = cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, scores, g)
+        grad_q, grad_c = cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, g)
         assert not np.any(grad_q[1]) and not np.any(grad_c[2])
 
         def objective():
@@ -304,9 +307,39 @@ class TestRankingLoss:
         with pytest.raises(ValueError, match="variant"):
             rank_loss(batch, "nope")
 
-    def test_softplus_overflow_safe(self):
-        assert softplus(np.array([1000.0]))[0] == pytest.approx(1000.0)
-        assert softplus(np.array([-1000.0]))[0] == 0.0
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_overflow_safe(self, dtype):
+        x = np.array([1000.0, -1000.0, 40.5, -40.5, 0.0, np.inf, -np.inf], dtype)
+        plus, sig = softplus_sigmoid(x)
+        assert plus.tolist() == [1000.0, 0.0, np.float32(40.5) if dtype == np.float32 else 40.5,
+                                 pytest.approx(math.exp(-40.5), rel=1e-6),
+                                 pytest.approx(math.log(2), rel=1e-7), np.inf, 0.0]
+        assert sig.tolist() == [1.0, 0.0, 1.0, pytest.approx(math.exp(-40.5), rel=1e-6),
+                                0.5, 1.0, 0.0]
+        assert np.array_equal(softplus(x), plus)
+        assert plus.dtype == sig.dtype == np.dtype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_exponential_is_exact_to_rounding(self, dtype):
+        # against math.log1p / math.exp in double precision, each side of the clamp
+        x = np.concatenate([np.linspace(-60, 60, 2401), [-39.99, 39.99, 40.0, 40.01]])
+        x = x.astype(dtype)
+        plus, sig = softplus_sigmoid(x)
+        exact_plus = [max(v, 0.0) + math.log1p(math.exp(-abs(v))) for v in x.tolist()]
+        exact_sig = [1 / (1 + math.exp(-v)) for v in x.tolist()]
+        tol = 4 * np.finfo(dtype).eps
+        assert plus.tolist() == pytest.approx(exact_plus, rel=tol, abs=1e-300)
+        assert sig.tolist() == pytest.approx(exact_sig, rel=tol, abs=1e-300)
+
+    def test_nan_scores_give_a_nan_loss_without_a_warning(self):
+        scores = np.array([[0.5, np.nan, 0.1], [0.2, 0.3, 0.4]])
+        grades = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for variant in ("search-adaptor", "ranknet", "sigmoid-ce"):
+                value, grad = rank_loss(BatchScores(scores, grades), variant)
+                assert math.isnan(value)
+                assert np.isnan(grad[0]).any() and not np.isnan(grad[1]).any()
 
 
 class TestRecoveryLoss:
@@ -450,8 +483,7 @@ class TestDtype:
         arrays = [softplus(q), q_unit, q_norm, batch.scores, batch.grades]
         for variant in LOSS_VARIANTS:
             arrays.append(rank_loss(batch, variant)[1])
-        arrays += cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, batch.scores,
-                                         rank_loss(batch)[1])
+        arrays += cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, rank_loss(batch)[1])
         arrays += recovery_loss(q, q * 2, c, c * 2)[1]
         arrays += prediction_loss(q, c[:2], [0, 2], grades[[0, 2], 0])[1:]
         assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
