@@ -163,15 +163,15 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.sadc"), "--config", str(cfg_file)]) == 1
         assert capsys.readouterr() == ("", f"error: --config {cfg_file}: {reason}\n")
 
-    @pytest.mark.parametrize("flag, target, reason", [
-        ("--out", "a-dir", "is a directory"),
-        ("--log", "a-dir", "is a directory"),
-        ("--out", "missing/m.sadc", ": no such directory {parent}"),
-        ("--log", "missing/log.jsonl", ": no such directory {parent}"),
-        ("--log", "m.sadc", "is the --out path"),
+    @pytest.mark.parametrize("flag, target, message", [
+        ("--out", "a-dir", "{flag} {path} is a directory"),
+        ("--log", "a-dir", "{flag} {path} is a directory"),
+        ("--out", "missing/m.sadc", "{flag} {path}: no such directory {parent}"),
+        ("--log", "missing/log.jsonl", "{flag} {path}: no such directory {parent}"),
+        ("--log", "m.sadc", "{flag} {path} is the --out path"),
     ], ids=["out-dir", "log-dir", "out-missing-parent", "log-missing-parent", "log-is-out"])
     def test_unwritable_output_refused_before_reading_inputs(
-            self, tmp_path, capsys, monkeypatch, flag, target, reason):
+            self, tmp_path, capsys, monkeypatch, flag, target, message):
         def no_read(path):
             raise AssertionError("inputs must not be read before the outputs are checked")
 
@@ -183,9 +183,8 @@ class TestTrainCommand:
                    flag: path}
         assert main(["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
                      "--out", outputs["--out"], "--log", outputs["--log"]]) == 1
-        sep = "" if reason.startswith(":") else " "
-        reason = reason.format(parent=tmp_path / "missing")
-        assert capsys.readouterr() == ("", f"error: {flag} {path}{sep}{reason}\n")
+        message = message.format(flag=flag, path=path, parent=tmp_path / "missing")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a-dir", "c.sadp", "q.sadp", "rels.tsv"]
 
