@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TrainConfig
-from .errors import DataError
+from .config import TrainConfig, from_json
+from .errors import DataError, FormatError
 from .io import BlockReader, _utf8, write_blocks
 
 CHECKPOINT_MAGIC = b"SADC"
@@ -293,16 +293,9 @@ def load_checkpoint(path: str) -> AdapterModel:
         encoder_tag = r.string(tag_len, "encoder tag")
         config_text = r.string(*r.unpack("<I", "config length"), "config")
         try:
-            config_dict = json.loads(config_text)
-        except json.JSONDecodeError as exc:
-            raise r.error(f"config is not valid JSON: {exc}") from None
-        if not isinstance(config_dict, dict):
-            raise r.error("config is not a JSON object")
-        # older checkpoints store val_corpus_sample, which only shaped training-time validation
-        config_dict.pop("val_corpus_sample", None)
-        try:
-            config = TrainConfig.from_dict(config_dict)
-        except (TypeError, ValueError) as exc:
+            # older checkpoints store val_corpus_sample, which only shaped training-time validation
+            config = from_json(TrainConfig, config_text, retired=("val_corpus_sample",))
+        except (FormatError, ValueError) as exc:
             raise r.error(f"invalid config: {exc}") from None
         separate = bool(flags & 2)
         shapes = [(dim, hidden), (hidden,), (hidden, dim), (dim,)]

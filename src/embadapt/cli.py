@@ -11,7 +11,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from .adapter import load_checkpoint, save_checkpoint, transform
-from .config import GAIN_MODES, LOSS_VARIANTS, TrainConfig, check_keys
+from .config import GAIN_MODES, LOSS_VARIANTS, EncoderEndpointConfig, TrainConfig, from_json
 from .data import (
     EmbeddingTable,
     TextItem,
@@ -20,10 +20,9 @@ from .data import (
     check_compatible,
     split_train_val,
 )
-from .errors import EmbAdaptError
+from .errors import EmbAdaptError, FormatError
 from .evaluation import evaluate, ranked_lists
 from .io import (
-    EncoderEndpointConfig,
     _as_vectors,
     fetch_embeddings,
     load_jsonl_items,
@@ -50,10 +49,9 @@ def _atomic_write(*outputs: tuple[str, Callable[[str], object]]) -> None:
     path, and once every writer has run the temp files are renamed onto
     their paths. If any step fails, no output and no temp file is left.
 
-    The temp files are made by open(), so each output gets the mode that
-    open() gives a new file under the umask (mkstemp would give 0600)."""
-    for path, _ in outputs:
-        _check_output(path)
+    The caller has checked each path with _check_output before reading its
+    inputs. The temp files are made by open(), so each output gets the mode
+    that open() gives a new file under the umask (mkstemp would give 0600)."""
     temps: list[str] = []
     written: list[str] = []
     try:
@@ -137,9 +135,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_settings(cls, flag: str, path: str, **overrides):
+    """from_json(cls, <the UTF-8 file at path>, **overrides); a fault of the
+    file, not of a value, is reported as `<flag> <path>: <reason>`."""
+    try:
+        return from_json(cls, Path(path).read_text(encoding="utf-8"), **overrides)
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
+        # an OSError's strerror, since its message repeats the path
+        raise EmbAdaptError(f"{flag} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def cmd_embed(args) -> int:
+    # every check comes before the paid requests
+    _check_output(args.out)
+    cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
     items = load_jsonl_items(args.items)
-    cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
     table = fetch_embeddings(items, cfg)
     _atomic_write((args.out, lambda tmp: write_embeddings(table, tmp)))
     print(f"wrote {len(table)} embeddings dim={table.dim} "
@@ -149,18 +159,12 @@ def cmd_embed(args) -> int:
 
 def _effective_config(args) -> TrainConfig:
     """The --config file's TrainConfig, each flag given overriding the field
-    that is its dest."""
-    base: dict = {}
+    that is its dest before the fields are checked."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+             if getattr(args, f.name) is not None}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            try:  # not UTF-8 or not JSON (both ValueErrors), or not a config object
-                base = check_keys(TrainConfig, json.load(f))
-            except ValueError as exc:
-                raise EmbAdaptError(f"--config {args.config}: {exc}") from None
-    for f in dataclasses.fields(TrainConfig):
-        if getattr(args, f.name) is not None:
-            base[f.name] = getattr(args, f.name)
-    return TrainConfig.from_dict(base)
+        return _read_settings(TrainConfig, "--config", args.config, **flags)
+    return TrainConfig(**flags)
 
 
 def cmd_train(args) -> int:
@@ -191,6 +195,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _check_output(args.out)
     table = read_embeddings(args.infile)
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
@@ -203,6 +208,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.per_query:
+        _check_output(args.per_query)
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
     rels = load_qrels_tsv(args.qrels)
@@ -218,8 +225,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    c_table = read_embeddings(args.corpus)
-    model = load_checkpoint(args.model) if args.model else None
     if (args.vector is None) == (args.text is None):
         raise EmbAdaptError("search requires exactly one of --vector or --text")
     if args.vector is not None:
@@ -231,12 +236,16 @@ def cmd_search(args) -> int:
         query = _as_vectors([values], 1)
         if query is None:
             raise EmbAdaptError("--vector must be numbers that float32 holds as finite values")
+    elif not args.endpoint_config:
+        raise EmbAdaptError("--text requires --endpoint-config")
+    else:
+        cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
+    c_table = read_embeddings(args.corpus)
+    model = load_checkpoint(args.model) if args.model else None
+    if args.vector is not None:
         # a vector is taken to be a query in the space of the corpus
         q_table = EmbeddingTable(["q"], query, as_side(c_table.encoder_tag, "query"))
-    else:
-        if not args.endpoint_config:
-            raise EmbAdaptError("--text requires --endpoint-config")
-        cfg = EncoderEndpointConfig.from_json_file(args.endpoint_config)
+    else:  # the paid request comes after every local input has been read
         q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
     [ranked] = ranked_lists(q_table, c_table, model, k=args.k, force=args.force)
     for cid, score in ranked.entries:

@@ -1,11 +1,14 @@
-"""Training configuration shared by the adapter, trainer, and CLI."""
+"""Settings: the training config and the encoder endpoint config, each checked
+when it is built, and from_json, the one reader that builds either from JSON."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
+from .errors import FormatError
 from .objectives import LOSS_VARIANTS
 
 GAIN_MODES = ("standard", "paper-literal")
@@ -34,22 +37,31 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be {finite}{f.type}, got {value!r}")
 
 
-def check_keys(cls, d) -> dict:
-    """Return d after checking that it is a JSON object naming only fields of
-    the dataclass cls, and every field without a default; else ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+def from_json(cls, text: str, retired: tuple[str, ...] = (), **overrides):
+    """The settings dataclass cls built from the JSON object in text, less the
+    retired keys, each override replacing the value of its name. FormatError
+    if text is not a JSON object, or has a key that cls lacks or lacks a
+    field that has no default; ValueError if cls refuses a value."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise FormatError(f"not a JSON object, got {type(value).__name__}")
+    for key in retired:
+        value.pop(key, None)
     fields = dataclasses.fields(cls)
-    unknown = set(d) - {f.name for f in fields}
+    unknown = set(value) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING]
+        raise FormatError(f"unknown keys: {sorted(unknown)}")
+    value.update(overrides)
+    missing = [f.name for f in fields if f.name not in value and f.default is dataclasses.MISSING]
     if missing:
-        raise ValueError(f"missing config keys: {missing}")
-    return d
+        raise FormatError(f"missing keys: {missing}")
+    return cls(**value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
     max_iterations: int = 2000
@@ -66,7 +78,7 @@ class TrainConfig:
     loss_variant: str = "search-adaptor"
     gain: str = "standard"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -93,8 +105,29 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        cfg = cls(**check_keys(cls, d))
-        cfg.validate()
-        return cfg
+
+@dataclass(frozen=True)
+class EncoderEndpointConfig:
+    base_url: str
+    auth_token_env_var: str = ""
+    max_batch: int = 100
+    max_concurrent_requests: int = 4
+    retry_limit: int = 3
+    encoder_tag: str = ""
+    request_field: str = "texts"
+    response_field: str = "embeddings"
+    timeout_seconds: float = 60.0
+    backoff_base_seconds: float = 0.5
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_concurrent_requests < 1:
+            raise ValueError("max_concurrent_requests must be >= 1")
+        if self.retry_limit < 0:
+            raise ValueError("retry_limit must be >= 0")
+        if self.timeout_seconds <= 0:
+            raise ValueError("timeout_seconds must be > 0")
+        if self.backoff_base_seconds < 0:
+            raise ValueError("backoff_base_seconds must be >= 0")

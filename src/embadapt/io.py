@@ -32,14 +32,13 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 import requests
 
-from .config import check_field_types, check_keys
+from .config import EncoderEndpointConfig
 from .data import EmbeddingTable, RelevanceSet, TextItem
 from .errors import DataError, FetchError, FormatError
 
@@ -307,38 +306,6 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
         return EmbeddingTable(ids, vectors, encoder_tag)
     except DataError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-@dataclass
-class EncoderEndpointConfig:
-    base_url: str
-    auth_token_env_var: str = ""
-    max_batch: int = 100
-    max_concurrent_requests: int = 4
-    retry_limit: int = 3
-    encoder_tag: str = ""
-    request_field: str = "texts"
-    response_field: str = "embeddings"
-    timeout_seconds: float = 60.0
-    backoff_base_seconds: float = 0.5
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_concurrent_requests < 1:
-            raise ValueError("max_concurrent_requests must be >= 1")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be > 0")
-        if self.backoff_base_seconds < 0:
-            raise ValueError("backoff_base_seconds must be >= 0")
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "EncoderEndpointConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(**check_keys(cls, json.load(f)))
 
 
 def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:

@@ -70,11 +70,6 @@ def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(np.log1p(e), x), e / (1.0 + e)
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe log(1 + e^x), by softplus_sigmoid's formula."""
-    return softplus_sigmoid(x)[0]
-
-
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x scaled to unit length, and their norms. A row whose norm is
     below NORM_EPS (a degenerate row) comes back as a zero unit row, so it

@@ -227,7 +227,6 @@ def train(
     Iteration 0 is evaluated before any update, so the zero-shot model is
     always a selectable checkpoint.
     """
-    cfg.validate()
     model = init_adapter(
         dim=q_table.dim,
         hidden=cfg.hidden,

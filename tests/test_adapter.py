@@ -297,8 +297,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("tag, config, fields, message", [
         (b"enc-\xff", b"{}", {}, "encoder tag is not valid UTF-8"),
-        (b"enc", b'{"seed": 1', {}, "config is not valid JSON"),
-        (b"enc", b"[1, 2]", {}, "config is not a JSON object"),
+        (b"enc", b'{"seed": 1', {}, "invalid config: not valid JSON"),
+        (b"enc", b"[1, 2]", {}, "invalid config: not a JSON object, got list"),
         (b"enc", b'{"use_skip": "no"}', {}, "invalid config: use_skip must be bool"),
         (b"enc", b'{"seed": -1}', {}, "invalid config: seed must be non-negative"),
         (b"enc", b"{}", {"fill": np.nan}, "f network: w1 contains non-finite entries"),

@@ -101,9 +101,9 @@ class TestTrainCommand:
         assert [k for k in default if effective[k] == default[k]] == []
 
     @pytest.mark.parametrize("content, message", [
-        ("[1, 2]", "config must be a JSON object"),
+        ("[1, 2]", "not a JSON object"),
         ('{"batch_size": 1.5}', "batch_size must be int"),
-        ('{"val_corpus_sample": null}', "unknown config keys: ['val_corpus_sample']"),
+        ('{"val_corpus_sample": null}', "unknown keys: ['val_corpus_sample']"),
         ('{"seed": -1}', "seed must be non-negative"),
     ], ids=["list", "float-batch-size", "removed-key", "negative-seed"])
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content, message):
@@ -150,9 +150,9 @@ class TestTrainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sadp", "q.sadp", "rels.tsv"]
 
     @pytest.mark.parametrize("content, reason", [
-        ("alpha = 0.5\n", "Expecting value: line 1 column 1 (char 0)"),
-        ("[1, 2]", "config must be a JSON object, got list"),
-        ('"alpha"', "config must be a JSON object, got str"),
+        ("alpha = 0.5\n", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "not a JSON object, got list"),
+        ('"alpha"', "not a JSON object, got str"),
     ], ids=["not-json", "json-list", "json-string"])
     def test_config_error_names_the_flag_and_the_file(self, tmp_path, capsys, content,
                                                       reason):
@@ -578,6 +578,21 @@ class TestSearchCommand:
         assert main(["search", "--corpus", cp]) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "search requires exactly one of --vector or --text"),
+        (["--vector", "1,0", "--text", "hi"], "search requires exactly one of --vector or --text"),
+        (["--text", "hi"], "--text requires --endpoint-config"),
+        (["--vector", "1,abc"], "--vector must be numbers that float32 holds as finite values"),
+    ], ids=["no-source", "two-sources", "text-without-endpoint", "bad-vector"])
+    def test_flag_rules_checked_before_any_read(self, capsys, monkeypatch, flags, message):
+        calls = []
+        for name in ("read_embeddings", "load_checkpoint", "fetch_embeddings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name: calls.append(name))
+        assert main(["search", "--corpus", "c.sadp", "--model", "m.sadc", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+
     def test_dim_mismatch_rejected(self, tmp_path, capsys):
         cp = str(tmp_path / "c.sadp")
         write_embeddings(EmbeddingTable(["a"], np.eye(1, 3, dtype=np.float32), "t"), cp)
@@ -672,12 +687,12 @@ class TestEmbedCommand:
         assert "wrote 2 embeddings" in capsys.readouterr().out
 
     @pytest.mark.parametrize("config, message", [
-        ({"base_url": ENDPOINT_URL, "bogus": 1}, "unknown config keys: ['bogus']"),
-        ([ENDPOINT_URL], "config must be a JSON object, got list"),
+        ({"base_url": ENDPOINT_URL, "bogus": 1}, "{file}: unknown keys: ['bogus']"),
+        ([ENDPOINT_URL], "{file}: not a JSON object, got list"),
         ({"base_url": ENDPOINT_URL, "max_batch": "10"}, "max_batch must be int, got '10'"),
         ({"base_url": ENDPOINT_URL, "timeout_seconds": float("nan")},
          "timeout_seconds must be finite float, got nan"),
-        ({"encoder_tag": "enc"}, "missing config keys: ['base_url']"),
+        ({"encoder_tag": "enc"}, "{file}: missing keys: ['base_url']"),
         ({"base_url": ENDPOINT_URL, "timeout_seconds": 0}, "timeout_seconds must be > 0"),
         ({"base_url": ENDPOINT_URL, "timeout_seconds": -1.0}, "timeout_seconds must be > 0"),
         ({"base_url": ENDPOINT_URL, "backoff_base_seconds": -0.5},
@@ -699,7 +714,8 @@ class TestEmbedCommand:
         rc = main(["embed", "--items", str(items_path),
                    "--endpoint-config", str(endpoint), "--out", str(out)])
         assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        file = f"--endpoint-config {endpoint}"  # a fault of the file names the flag and the file
+        assert capsys.readouterr() == ("", f"error: {message.format(file=file)}\n")
         assert not out.exists()
 
 
@@ -723,6 +739,68 @@ class TestEmbedCommand:
         assert not out.exists()
 
 
+class TestSettingsFiles:
+    """--config and --endpoint-config files are read by one reader: a fault of
+    the file names the flag and the file, before any input is read or any
+    request is sent."""
+
+    @pytest.mark.parametrize("flag", ["--config", "--endpoint-config"])
+    @pytest.mark.parametrize("content, reason", [
+        (b"alpha = 0.5\n", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[1, 2]", "not a JSON object, got list"),
+        (b'{"bogus": 1}', "unknown keys: ['bogus']"),
+        (None, "No such file or directory"),
+        ("directory", "Is a directory"),
+    ], ids=["not-json", "not-utf8", "json-list", "unknown-key", "missing", "directory"])
+    def test_file_fault_names_the_flag_and_the_file(self, tmp_path, capsys, monkeypatch,
+                                                    flag, content, reason):
+        path = tmp_path / "settings.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        qp, cp, rp = write_task(tmp_path)
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"_id": "a", "text": "first"}\n')
+        calls = []
+        for name in ("read_embeddings", "fetch_embeddings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name: calls.append(name))
+        out = tmp_path / "out"
+        argv = {
+            "--config": ["train", "--queries", qp, "--corpus", cp, "--qrels", rp,
+                         "--out", str(out), "--config", str(path)],
+            "--endpoint-config": ["embed", "--items", str(items), "--endpoint-config", str(path),
+                                  "--out", str(out)],
+        }[flag]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {path}: {reason}\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flags, patience", [
+        (["--patience", "30"], 30),  # the file's eval_every 20 is within the flag's patience
+        (["--eval-every", "5"], 5),  # the flag's eval_every is within the file's patience 5
+    ])
+    def test_file_and_flag_values_are_checked_together(self, tmp_path, flags, patience):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"eval_every": 20, "patience": 5}')
+        args = _build_parser().parse_args([
+            "train", "--queries", "q", "--corpus", "c", "--qrels", "r", "--out", "o",
+            "--config", str(cfg_file), *flags])
+        assert _effective_config(args).patience == patience
+
+    def test_refused_value_is_named_by_its_field(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"patience": 5}')
+        args = ["train", "--queries", "q", "--corpus", "c", "--qrels", "r",
+                "--out", str(tmp_path / "m.sadc"), "--config", str(cfg_file)]
+        assert main([*args, "--eval-every", "10"]) == 1
+        assert capsys.readouterr() == ("", "error: eval_every must be in [1, patience]\n")
+
+
 class TestOutputIsADirectory:
     @pytest.mark.parametrize("command", ["transform", "evaluate", "embed"])
     def test_error_names_the_path_and_leaves_no_temp_file(self, tmp_path, capsys,
@@ -735,8 +813,10 @@ class TestOutputIsADirectory:
         items.write_text('{"_id": "a", "text": "first"}\n')
         endpoint = tmp_path / "endpoint.json"
         endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
-        monkeypatch.setattr("embadapt.cli.fetch_embeddings", lambda items, cfg: (
-            EmbeddingTable(["a"], np.ones((1, 3), dtype=np.float32))))
+        calls = []
+        for name in ("read_embeddings", "fetch_embeddings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name: calls.append(name))
         argv = {
             "transform": ["transform", "--in", qp, "--model", ckpt, "--out", str(target)],
             "evaluate": ["evaluate", "--queries", qp, "--corpus", cp, "--qrels", rp,
@@ -748,6 +828,7 @@ class TestOutputIsADirectory:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {target} is a directory\n")
+        assert calls == []  # the output is refused before any input is read or fetched
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(target.iterdir()) == []
 

@@ -1,0 +1,65 @@
+import dataclasses
+import json
+
+import pytest
+
+from embadapt.config import EncoderEndpointConfig, TrainConfig, from_json
+from embadapt.errors import FormatError
+
+URL = "https://encoder.example/embed"
+
+
+@pytest.mark.parametrize("config", [TrainConfig(), EncoderEndpointConfig(URL)],
+                         ids=["train", "endpoint"])
+def test_fields_cannot_be_assigned(config):
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (TrainConfig, {"seed": -1}, "seed must be non-negative"),
+    (TrainConfig, {"eval_every": 20, "patience": 10}, r"eval_every must be in \[1, patience\]"),
+    (TrainConfig, {"use_skip": 1}, "use_skip must be bool"),
+    (EncoderEndpointConfig, {"base_url": URL, "max_batch": 0}, "max_batch must be >= 1"),
+    (EncoderEndpointConfig, {"base_url": URL, "timeout_seconds": float("inf")},
+     "timeout_seconds must be finite float"),
+], ids=["negative-seed", "eval-every-past-patience", "int-for-bool", "zero-batch",
+        "infinite-timeout"])
+def test_bad_value_refused_when_built(cls, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        from_json(cls, json.dumps(kwargs))
+
+
+class TestFromJson:
+    def test_builds_either_class(self):
+        assert from_json(TrainConfig, '{"seed": 3}') == TrainConfig(seed=3)
+        assert from_json(EncoderEndpointConfig, f'{{"base_url": "{URL}", "max_batch": 7}}') \
+            == EncoderEndpointConfig(URL, max_batch=7)
+
+    def test_overrides_are_checked_with_the_text(self):
+        # the text alone, or the override alone, would be refused
+        text = '{"eval_every": 20, "patience": 5}'
+        assert from_json(TrainConfig, text, patience=30) == TrainConfig(eval_every=20, patience=30)
+        with pytest.raises(ValueError, match="eval_every"):
+            from_json(TrainConfig, '{"patience": 5}', eval_every=10)
+        assert from_json(EncoderEndpointConfig, "{}", base_url=URL) == EncoderEndpointConfig(URL)
+
+    def test_retired_keys_are_dropped(self):
+        text = '{"seed": 3, "val_corpus_sample": 5000}'
+        assert from_json(TrainConfig, text, retired=("val_corpus_sample",)) == TrainConfig(seed=3)
+        with pytest.raises(FormatError, match=r"^unknown keys: \['val_corpus_sample'\]$"):
+            from_json(TrainConfig, text)
+
+    @pytest.mark.parametrize("cls, text, message", [
+        (TrainConfig, '{"seed": 1', "not valid JSON: "),
+        (TrainConfig, '"seed"', "not a JSON object, got str"),
+        (EncoderEndpointConfig, "null", "not a JSON object, got NoneType"),
+        (TrainConfig, '{"seed": 1, "bogus": 2, "also": 3}', r"unknown keys: \['also', 'bogus'\]"),
+        (EncoderEndpointConfig, '{"max_batch": 7}', r"missing keys: \['base_url'\]"),
+    ], ids=["not-json", "string", "null", "unknown-keys", "missing-key"])
+    def test_fault_of_the_text_is_a_format_error(self, cls, text, message):
+        with pytest.raises(FormatError, match=f"^{message}"):
+            from_json(cls, text)

@@ -24,6 +24,7 @@ from embadapt import (
     write_embeddings,
 )
 from embadapt.cli import main
+from embadapt.config import from_json
 from embadapt.data import TextItem
 from embadapt.errors import FetchError, FormatError
 from embadapt.io import (
@@ -601,7 +602,7 @@ class TestFetchEmbeddings:
     def test_config_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
         path.write_text(json.dumps({"base_url": "http://e/", "max_batch": 7}))
-        cfg = EncoderEndpointConfig.from_json_file(path)
+        cfg = from_json(EncoderEndpointConfig, path.read_text())
         assert cfg.max_batch == 7
 
 

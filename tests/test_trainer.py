@@ -467,11 +467,11 @@ class TestTrainConfig:
     ])
     def test_wrongly_typed_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            TrainConfig.from_dict({field: value})
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("hidden", None), ("hidden", 4), ("alpha", 1), ("learning_rate", 0.5),
         ("use_skip", False), ("loss_variant", "ranknet"),
     ])
     def test_value_of_its_type_accepted(self, field, value):
-        assert getattr(TrainConfig.from_dict({field: value}), field) == value
+        assert getattr(TrainConfig(**{field: value}), field) == value
