@@ -138,11 +138,11 @@ class AdapterModel:
         return self.f_corpus_params is not None
 
     def params_for(self, which: str) -> MlpParams:
-        if which == "query" or not self.separate_adapters:
-            return self.f_params
-        if which == "corpus":
+        if which not in ("query", "corpus"):
+            raise ValueError(f"which must be 'query' or 'corpus', got {which!r}")
+        if which == "corpus" and self.separate_adapters:
             return self.f_corpus_params  # type: ignore[return-value]
-        raise ValueError(f"which must be 'query' or 'corpus', got {which!r}")
+        return self.f_params
 
     def trainable(self) -> list[tuple[str, MlpParams]]:
         nets = [("f", self.f_params), ("p", self.p_params)]
@@ -152,30 +152,26 @@ class AdapterModel:
 
 
 def init_adapter(
-    dim: int,
-    hidden: int | None = None,
-    seed: int = 0,
-    use_skip: bool = True,
-    separate_adapters: bool = False,
-    encoder_tag: str = "",
-    config: TrainConfig | None = None,
+    dim: int, *, seed: int = 0, encoder_tag: str = "", config: TrainConfig | None = None
 ) -> AdapterModel:
+    """A model whose layout (hidden width, skip connection, separate corpus
+    network) is config's, TrainConfig() when None; config becomes its
+    config_snapshot, so a checkpoint's config block matches its networks."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    hidden = dim if hidden is None else hidden
-    if hidden < 1:
-        raise ValueError("hidden must be >= 1")
+    config = TrainConfig() if config is None else config
+    hidden = dim if config.hidden is None else config.hidden
     rng = np.random.default_rng(seed)
     f_params = init_mlp(dim, hidden, rng)
     p_params = init_mlp(dim, hidden, rng)
-    f_corpus = init_mlp(dim, hidden, rng) if separate_adapters else None
+    f_corpus = init_mlp(dim, hidden, rng) if config.separate_adapters else None
     return AdapterModel(
         f_params=f_params,
         p_params=p_params,
         f_corpus_params=f_corpus,
-        use_skip=use_skip,
+        use_skip=config.use_skip,
         encoder_tag=encoder_tag,
-        config_snapshot=config if config is not None else TrainConfig(),
+        config_snapshot=config,
     )
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FormatError
@@ -37,13 +38,21 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be {finite}{f.type}, got {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise FormatError(f"repeated keys: {sorted(k for k, n in counts.items() if n > 1)}")
+    return value
+
+
 def from_json(cls, text: str, retired: tuple[str, ...] = (), **overrides):
     """The settings dataclass cls built from the JSON object in text, less the
     retired keys, each override replacing the value of its name. FormatError
-    if text is not a JSON object, or has a key that cls lacks or lacks a
-    field that has no default; ValueError if cls refuses a value."""
+    if text is not a JSON object, repeats a key, or has a key that cls lacks
+    or lacks a field that has no default; ValueError if cls refuses a value."""
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(value, dict):

@@ -64,6 +64,8 @@ def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def _utf8(s: str, what: str) -> bytes:
+    if not isinstance(s, str):
+        raise FormatError(f"{what} {s!r} is {type(s).__name__}, not str")
     try:
         return s.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate
@@ -258,10 +260,10 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     tag = _utf8(table.encoder_tag, "encoder tag")
     _check_length(tag)
     ids = table.ids
-    text = "".join(ids)
     try:
+        text = "".join(ids)
         raw = text.encode("utf-8")
-    except UnicodeEncodeError:  # name the first id that does not encode
+    except (TypeError, UnicodeEncodeError):  # name the first id that is not a str or not UTF-8
         for item_id in ids:
             _utf8(item_id, "id")
         raise

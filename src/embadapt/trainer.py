@@ -227,15 +227,7 @@ def train(
     Iteration 0 is evaluated before any update, so the zero-shot model is
     always a selectable checkpoint.
     """
-    model = init_adapter(
-        dim=q_table.dim,
-        hidden=cfg.hidden,
-        seed=cfg.seed,
-        use_skip=cfg.use_skip,
-        separate_adapters=cfg.separate_adapters,
-        encoder_tag=q_table.encoder_tag,
-        config=cfg,
-    )
+    model = init_adapter(q_table.dim, seed=cfg.seed, encoder_tag=q_table.encoder_tag, config=cfg)
     # the model is applied to both tables, so a table transform wrote is refused
     check_compatible({"query": q_table, "corpus": c_table}, model)
     check_embeddings(q_table, c_table, train_rels, val_rels)

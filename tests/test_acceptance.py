@@ -86,11 +86,11 @@ class TestCriterion2GradientCorrectness:
             rng = np.random.default_rng(seed)
             d, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             n_q, n_c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            model = init_adapter(
-                d, h, seed=seed,
+            model = init_adapter(d, seed=seed, config=TrainConfig(
+                hidden=h,
                 use_skip=seed % 3 != 2,
                 separate_adapters=seed % 3 == 1,
-            )
+            ))
             for _, params in model.trainable():
                 for arr in params.arrays():
                     arr += 0.2 * rng.standard_normal(arr.shape).astype(np.float32)
@@ -382,12 +382,11 @@ class TestCriterion10RoundTrips:
             assert back.encoder_tag == table.encoder_tag
             assert back.vectors.tobytes() == table.vectors.tobytes()
 
-            model = init_adapter(
-                d, hidden=int(rng.integers(1, 16)), seed=trial,
+            model = init_adapter(d, seed=trial, encoder_tag=f"enc-{trial}", config=TrainConfig(
+                hidden=int(rng.integers(1, 16)),
                 use_skip=bool(rng.integers(0, 2)),
                 separate_adapters=bool(rng.integers(0, 2)),
-                encoder_tag=f"enc-{trial}",
-            )
+            ))
             for _, params in model.trainable():
                 for arr in params.arrays():
                     arr += rng.standard_normal(arr.shape).astype(np.float32)

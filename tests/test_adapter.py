@@ -15,7 +15,13 @@ from embadapt import (
     transform,
 )
 from embadapt import adapter
-from embadapt.adapter import mlp_grad, row_blocks, transform_forward, transform_grad
+from embadapt.adapter import (
+    is_identity,
+    mlp_grad,
+    row_blocks,
+    transform_forward,
+    transform_grad,
+)
 from embadapt.errors import FormatError
 
 REL_TOL = 1e-4
@@ -30,29 +36,42 @@ def fd_close(analytic, numeric):
 
 class TestInit:
     def test_identity_at_init_with_skip(self):
-        model = init_adapter(6, 6, seed=0)
+        model = init_adapter(6, seed=0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 6)).astype(np.float32)
         assert np.array_equal(transform(model, x), x)
 
     def test_zero_output_without_skip(self):
-        model = init_adapter(6, 6, seed=0, use_skip=False)
+        model = init_adapter(6, seed=0, config=TrainConfig(use_skip=False))
         x = np.arange(6, dtype=np.float32)
         assert np.array_equal(transform(model, x), np.zeros(6, dtype=np.float32))
 
     def test_deterministic(self):
-        a = init_adapter(8, 4, seed=42)
-        b = init_adapter(8, 4, seed=42)
+        a = init_adapter(8, seed=42, config=TrainConfig(hidden=4))
+        b = init_adapter(8, seed=42, config=TrainConfig(hidden=4))
         for pa, pb in zip(a.f_params.arrays(), b.f_params.arrays()):
             assert np.array_equal(pa, pb)
 
     def test_parameter_count(self):
-        model = init_adapter(4, 4, seed=0)
+        model = init_adapter(4, seed=0)
         count = sum(a.size for a in model.f_params.arrays())
         assert count == 4 * 4 + 4 + 4 * 4 + 4  # == 40
 
+    def test_no_config_is_the_default_config(self):
+        model = init_adapter(5)
+        assert model.config_snapshot == TrainConfig()
+        assert (model.hidden, model.use_skip, model.separate_adapters) == (5, True, False)
+
+    def test_width_is_not_an_argument(self):
+        # a positional width would otherwise become the seed
+        with pytest.raises(TypeError):
+            init_adapter(8, 4)
+        for name in ("hidden", "use_skip", "separate_adapters"):
+            with pytest.raises(TypeError, match=name):
+                init_adapter(8, **{name: 4})
+
     def test_hidden_bounds(self):
-        model = init_adapter(16, 8, seed=3)
+        model = init_adapter(16, seed=3, config=TrainConfig(hidden=8))
         bound = 1.0 / math.sqrt(16)
         assert np.all(np.abs(model.f_params.w1) <= bound)
         assert np.all(model.f_params.w2 == 0.0)
@@ -62,7 +81,7 @@ class TestInit:
 class TestTransform:
     def test_scalar_closed_form(self):
         # 1x1 network: f(x) = w2*tanh(w1*x + b1) + b2
-        model = init_adapter(1, 1, seed=0)
+        model = init_adapter(1, seed=0)
         model.f_params.w1[:] = 1.0
         model.f_params.b1[:] = 0.0
         model.f_params.w2[:] = 1.0
@@ -71,21 +90,34 @@ class TestTransform:
         assert out[0] == pytest.approx(0.5 + math.tanh(0.5), abs=1e-6)
 
     def test_shared_adapter_same_function(self):
-        model = init_adapter(5, 3, seed=9)
+        model = init_adapter(5, seed=9, config=TrainConfig(hidden=3))
         rng = np.random.default_rng(0)
         model.f_params.w2[:] = rng.standard_normal((3, 5)).astype(np.float32)
         x = rng.standard_normal((4, 5)).astype(np.float32)
         assert np.array_equal(transform(model, x, "query"), transform(model, x, "corpus"))
 
     def test_separate_adapters_differ(self):
-        model = init_adapter(5, 3, seed=9, separate_adapters=True)
+        model = init_adapter(5, seed=9, config=TrainConfig(hidden=3, separate_adapters=True))
         rng = np.random.default_rng(0)
         model.f_params.w2[:] = rng.standard_normal((3, 5)).astype(np.float32)
         x = rng.standard_normal((4, 5)).astype(np.float32)
         assert not np.array_equal(transform(model, x, "query"), transform(model, x, "corpus"))
 
+    @pytest.mark.parametrize("separate", [False, True], ids=["shared", "separate"])
+    def test_unknown_side_is_refused(self, separate):
+        model = init_adapter(3, config=TrainConfig(separate_adapters=separate))
+        x = np.ones((2, 3), dtype=np.float32)
+        _, hidden = transform_forward(model, x)
+        message = "which must be 'query' or 'corpus', got 'banana'"
+        with pytest.raises(ValueError, match=message):
+            transform(model, x, "banana")
+        with pytest.raises(ValueError, match=message):
+            is_identity(model, "banana")
+        with pytest.raises(ValueError, match=message):
+            transform_grad(model, x, hidden, x, "banana")
+
     def test_dimension_mismatch(self):
-        model = init_adapter(4, 4, seed=0)
+        model = init_adapter(4, seed=0)
         with pytest.raises(ValueError):
             transform(model, np.zeros(5, dtype=np.float32))
 
@@ -100,7 +132,7 @@ class TestTransform:
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 7
 
     def test_output_is_the_only_full_size_array(self):
-        model = init_adapter(64, 64, seed=0)
+        model = init_adapter(64, seed=0)
         model.f_params.w2[:] = 0.01
         x = np.random.default_rng(0).standard_normal((20000, 64)).astype(np.float32)
         tracemalloc.start()
@@ -117,7 +149,7 @@ class TestTransform:
 class TestTransformGrad:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_mlp_grad_bit_for_bit(self, dtype):
-        model = init_adapter(6, 5, seed=3, separate_adapters=True)
+        model = init_adapter(6, seed=3, config=TrainConfig(hidden=5, separate_adapters=True))
         rng = np.random.default_rng(3)
         for _, params in model.trainable():
             params.w2[:] = 0.3 * rng.standard_normal(params.w2.shape)
@@ -132,7 +164,7 @@ class TestTransformGrad:
                 assert np.array_equal(got, want)
 
     def test_zero_upstream_zero_grads(self):
-        model = init_adapter(4, 3, seed=1)
+        model = init_adapter(4, seed=1, config=TrainConfig(hidden=3))
         x = np.ones((1, 4))
         _, hidden = transform_forward(model, x)
         grads = transform_grad(model, x, hidden, np.zeros((1, 4), dtype=np.float32))
@@ -145,7 +177,7 @@ class TestTransformGrad:
         rng = np.random.default_rng(seed)
         d, h, n = int(rng.integers(2, 8)), int(rng.integers(2, 8)), int(rng.integers(1, 4))
         use_skip = bool(seed % 2)
-        model = init_adapter(d, h, seed=seed, use_skip=use_skip)
+        model = init_adapter(d, seed=seed, config=TrainConfig(hidden=h, use_skip=use_skip))
         # move off the zero-init point so w2/b2 grads are non-trivial
         model.f_params.w2[:] = 0.3 * rng.standard_normal((h, d)).astype(np.float32)
         model.f_params.b2[:] = 0.1 * rng.standard_normal(d).astype(np.float32)
@@ -183,8 +215,8 @@ class TestTransformGrad:
 class TestCheckpoint:
     @staticmethod
     def trained_like_model(seed=5):
-        model = init_adapter(6, 4, seed=seed, encoder_tag="enc-a",
-                             config=TrainConfig(alpha=0.2, seed=seed))
+        model = init_adapter(6, seed=seed, encoder_tag="enc-a",
+                             config=TrainConfig(alpha=0.2, hidden=4, seed=seed))
         rng = np.random.default_rng(seed)
         for _, params in model.trainable():
             for arr in params.arrays():
@@ -208,7 +240,7 @@ class TestCheckpoint:
         assert np.array_equal(transform(model, x), transform(loaded, x))
 
     def test_separate_adapters_round_trip(self, tmp_path):
-        model = init_adapter(4, 4, seed=1, separate_adapters=True, use_skip=False)
+        model = init_adapter(4, seed=1, config=TrainConfig(use_skip=False, separate_adapters=True))
         path = tmp_path / "m.sadc"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
@@ -216,10 +248,27 @@ class TestCheckpoint:
         assert not loaded.use_skip
         assert np.array_equal(loaded.f_corpus_params.w1, model.f_corpus_params.w1)
 
+    @pytest.mark.parametrize("hidden", [None, 3])
+    @pytest.mark.parametrize("use_skip", [True, False], ids=["skip", "no-skip"])
+    @pytest.mark.parametrize("separate", [False, True], ids=["shared", "separate"])
+    def test_config_block_matches_the_networks(self, tmp_path, hidden, use_skip, separate):
+        cfg = TrainConfig(hidden=hidden, use_skip=use_skip, separate_adapters=separate)
+        model = init_adapter(5, seed=1, config=cfg)
+        assert model.config_snapshot is cfg
+        path = tmp_path / "m.sadc"
+        save_checkpoint(model, str(path))
+        loaded = load_checkpoint(str(path))
+        snapshot = loaded.config_snapshot
+        assert snapshot == cfg
+        width = loaded.dim if snapshot.hidden is None else snapshot.hidden
+        assert (loaded.use_skip, loaded.separate_adapters, loaded.hidden) \
+            == (snapshot.use_skip, snapshot.separate_adapters, width) \
+            == (use_skip, separate, 5 if hidden is None else hidden)
+
     @pytest.mark.parametrize("net", ["p", "f_corpus"])
     def test_save_refuses_networks_of_another_shape(self, tmp_path, net):
-        model = init_adapter(4, 3, seed=1, separate_adapters=True)
-        other = init_adapter(4, 5, seed=2, separate_adapters=True)
+        model = init_adapter(4, seed=1, config=TrainConfig(hidden=3, separate_adapters=True))
+        other = init_adapter(4, seed=2, config=TrainConfig(hidden=5, separate_adapters=True))
         setattr(model, f"{net}_params", getattr(other, f"{net}_params"))
         path = tmp_path / "m.sadc"
         with pytest.raises(ValueError, match=f"{net} network is 4x5, f is 4x3"):
@@ -230,7 +279,11 @@ class TestCheckpoint:
         path = tmp_path / "m.sadc"
         with pytest.raises(FormatError,
                            match=r"^encoder tag 't\\udc80' cannot be encoded as UTF-8$"):
-            save_checkpoint(init_adapter(3, 2, seed=0, encoder_tag="t\udc80"), str(path))
+            save_checkpoint(init_adapter(3, seed=0, encoder_tag="t\udc80",
+                                         config=TrainConfig(hidden=2)), str(path))
+        assert not path.exists()
+        with pytest.raises(FormatError, match=r"^encoder tag 5 is int, not str$"):
+            save_checkpoint(init_adapter(3, seed=0, encoder_tag=5), str(path))
         assert not path.exists()
 
     def test_wrong_magic(self, tmp_path):
@@ -284,7 +337,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("model", [
         trained_like_model(),
-        init_adapter(3, 5, seed=2, separate_adapters=True, use_skip=False, encoder_tag=""),
+        init_adapter(3, seed=2,
+                     config=TrainConfig(hidden=5, use_skip=False, separate_adapters=True)),
     ], ids=["shared", "separate-no-skip"])
     def test_layout(self, tmp_path, model):
         path = tmp_path / "m.sadc"
@@ -301,6 +355,7 @@ class TestCheckpoint:
         (b"enc", b"[1, 2]", {}, "invalid config: not a JSON object, got list"),
         (b"enc", b'{"use_skip": "no"}', {}, "invalid config: use_skip must be bool"),
         (b"enc", b'{"seed": -1}', {}, "invalid config: seed must be non-negative"),
+        (b"enc", b'{"seed": 1, "seed": 0}', {}, r"invalid config: repeated keys: \['seed'\]$"),
         (b"enc", b"{}", {"fill": np.nan}, "f network: w1 contains non-finite entries"),
         (b"enc", b"{}", {"fill": np.r_[np.zeros(34), np.inf, np.zeros(16)], "flags": 3},
          "f_corpus network: w1 contains non-finite"),
@@ -309,7 +364,7 @@ class TestCheckpoint:
         (b"enc", b"{}", {"flags": 0xFF}, "unknown flag bits 0xff"),
         (b"enc", b"{}", {"flags": 5}, "unknown flag bits 0x05"),
     ], ids=["tag-not-utf8", "config-not-json", "config-not-object", "config-bad-type",
-            "negative-seed", "nan-weights",
+            "negative-seed", "repeated-key", "nan-weights",
             "inf-in-f-corpus", "dim-0", "hidden-0", "flags-ff", "flag-bit-4"])
     def test_crc_valid_bad_fields_raise_format_error(self, tmp_path, tag, config, fields,
                                                      message):

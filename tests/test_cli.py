@@ -466,7 +466,8 @@ class TestDuplicateIds:
         write_embeddings(EmbeddingTable(["q"], np.ones((1, dim), np.float32), "t"), q)
         rels, model = tmp_path / "rels.tsv", tmp_path / "m.sadc"
         rels.write_text("q\ta\t1\n")
-        save_checkpoint(init_adapter(dim, 2, seed=0, encoder_tag="t"), str(model))
+        save_checkpoint(init_adapter(dim, seed=0, encoder_tag="t", config=TrainConfig(hidden=2)),
+                        str(model))
         out = tmp_path / "out"
         for argv in (["search", "--corpus", str(dup), "--vector", "1,0,0"],
                      ["search", "--corpus", str(dup), "--model", str(model), "--vector", "1,0,0"],
@@ -532,8 +533,9 @@ class TestSearchCommand:
         # print the same bytes
         qp, cp, _ = write_task(tmp_path)
         q = read_embeddings(qp)
-        model = seeded_output_layers(init_adapter(q.dim, seed=1, separate_adapters=separate,
-                                                  encoder_tag=q.encoder_tag), seed=2)
+        model = seeded_output_layers(
+            init_adapter(q.dim, seed=1, encoder_tag=q.encoder_tag,
+                         config=TrainConfig(separate_adapters=separate)), seed=2)
         ckpt, one = str(tmp_path / "m.sadc"), str(tmp_path / "one.sadp")
         save_checkpoint(model, ckpt)
         write_embeddings(EmbeddingTable(["q"], q.vectors[:1], q.encoder_tag), one)
@@ -750,9 +752,11 @@ class TestSettingsFiles:
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[1, 2]", "not a JSON object, got list"),
         (b'{"bogus": 1}', "unknown keys: ['bogus']"),
+        (b'{"seed": 1, "seed": 0}', "repeated keys: ['seed']"),
         (None, "No such file or directory"),
         ("directory", "Is a directory"),
-    ], ids=["not-json", "not-utf8", "json-list", "unknown-key", "missing", "directory"])
+    ], ids=["not-json", "not-utf8", "json-list", "unknown-key", "repeated-key", "missing",
+            "directory"])
     def test_file_fault_names_the_flag_and_the_file(self, tmp_path, capsys, monkeypatch,
                                                     flag, content, reason):
         path = tmp_path / "settings.json"

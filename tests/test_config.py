@@ -59,7 +59,12 @@ class TestFromJson:
         (EncoderEndpointConfig, "null", "not a JSON object, got NoneType"),
         (TrainConfig, '{"seed": 1, "bogus": 2, "also": 3}', r"unknown keys: \['also', 'bogus'\]"),
         (EncoderEndpointConfig, '{"max_batch": 7}', r"missing keys: \['base_url'\]"),
-    ], ids=["not-json", "string", "null", "unknown-keys", "missing-key"])
+        (TrainConfig, '{"seed": 1, "seed": 0}', r"repeated keys: \['seed'\]$"),
+        (EncoderEndpointConfig,
+         '{"max_batch": 1, "base_url": "a", "max_batch": 2, "base_url": "b"}',
+         r"repeated keys: \['base_url', 'max_batch'\]$"),
+    ], ids=["not-json", "string", "null", "unknown-keys", "missing-key", "repeated-key",
+            "repeated-keys"])
     def test_fault_of_the_text_is_a_format_error(self, cls, text, message):
         with pytest.raises(FormatError, match=f"^{message}"):
             from_json(cls, text)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embadapt import EmbeddingTable, RelevanceSet, evaluate, init_adapter, transform
+from embadapt import EmbeddingTable, RelevanceSet, TrainConfig, evaluate, init_adapter, transform
 from embadapt import adapter, evaluation
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
@@ -41,7 +41,7 @@ class TestScoreAll:
         rng = np.random.default_rng(0)
         q = table(["q1", "q2"], rng.standard_normal((2, 8)))
         c = table([f"c{i}" for i in range(5)], rng.standard_normal((5, 8)))
-        model = init_adapter(8, 8, seed=1, encoder_tag="enc")
+        model = init_adapter(8, seed=1, encoder_tag="enc")
         assert np.array_equal(score_all(q, c), score_all(q, c, model))
 
     def test_corpus_permutation_invariance(self):
@@ -63,7 +63,7 @@ class TestScoreAll:
     def test_tag_mismatch_unforced(self):
         q = table(["q"], [[1.0, 0.0]], tag="enc-a")
         c = table(["c"], [[1.0, 0.0]], tag="enc-a")
-        model = init_adapter(2, 2, seed=0, encoder_tag="enc-b")
+        model = init_adapter(2, seed=0, encoder_tag="enc-b")
         with pytest.raises(TagMismatchError):
             score_all(q, c, model)
         score_all(q, c, model, force=True)
@@ -229,7 +229,7 @@ class TestEvaluate:
         q = table(["q1", "q2"], rng.standard_normal((2, 6)))
         c = table([f"c{i}" for i in range(8)], rng.standard_normal((8, 6)))
         rels = RelevanceSet([("q1", "c2", 1.0), ("q2", "c5", 2.0)])
-        model = init_adapter(6, 6, seed=3, encoder_tag="enc")
+        model = init_adapter(6, seed=3, encoder_tag="enc")
         with_model = evaluate(q, c, rels, model)
         without = evaluate(q, c, rels)
         assert with_model.per_query_ndcg == without.per_query_ndcg
@@ -247,7 +247,7 @@ class TestEvaluate:
         triplets = [(qid, c.ids[j], float(rng.integers(1, 3)))
                     for qid in q.ids[:-3] for j in rng.choice(n_c, 3, replace=False)]
         rels = RelevanceSet(triplets)
-        model = init_adapter(8, 8, seed=2, encoder_tag=base.encoder_tag)
+        model = init_adapter(8, seed=2, encoder_tag=base.encoder_tag)
         model.f_params.w2 = rng.standard_normal((8, 8)).astype(np.float32)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * n_c * block)
 
@@ -282,12 +282,13 @@ class TestEvaluate:
         monkeypatch.setattr(adapter, "mlp_forward",
                             lambda params, x: calls.append(len(x)) or forward(params, x))
         for separate in (False, True):
-            fresh = init_adapter(8, 8, seed=1, separate_adapters=separate,
-                                 encoder_tag=q.encoder_tag)
+            fresh = init_adapter(8, seed=1, encoder_tag=q.encoder_tag,
+                                 config=TrainConfig(separate_adapters=separate))
             assert evaluate(q, c, rels, fresh).to_json() == evaluate(q, c, rels).to_json()
         assert calls == []
         # without the skip connection a zero output layer maps every row to 0
-        no_skip = init_adapter(8, 8, seed=1, use_skip=False, encoder_tag=q.encoder_tag)
+        no_skip = init_adapter(8, seed=1, encoder_tag=q.encoder_tag,
+                               config=TrainConfig(use_skip=False))
         assert not score_all(q, c, no_skip).any()
         assert sum(calls) == len(q) + len(c)
 
@@ -324,7 +325,7 @@ class TestBlockedSidePass:
         rng = np.random.default_rng(8)
         rels = RelevanceSet([(qid, c.ids[j], float(rng.integers(1, 3)))
                              for qid in q.ids for j in rng.choice(50, 2, replace=False)])
-        model = init_adapter(8, 8, seed=2, encoder_tag=base.encoder_tag)
+        model = init_adapter(8, seed=2, encoder_tag=base.encoder_tag)
         model.f_params.w2 = rng.standard_normal((8, 8)).astype(np.float32)
         model.f_params.b2 = rng.standard_normal(8).astype(np.float32)
         return q, c, rels, model
@@ -389,8 +390,8 @@ class TestSearchPrecision:
         # bit for bit: the same ids, the same float64 scores and the same nDCG
         q, c, rels = planted_task(n_queries=30, n_corpus=200, dim=16, seed=7)
         model = seeded_output_layers(
-            init_adapter(16, 24, seed=3, separate_adapters=separate,
-                         encoder_tag=q.encoder_tag), seed=5)
+            init_adapter(16, seed=3, encoder_tag=q.encoder_tag,
+                         config=TrainConfig(hidden=24, separate_adapters=separate)), seed=5)
         if block_bytes is not None:
             monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", block_bytes)
             assert len(adapter.row_blocks(len(c), 24)) > 1
@@ -537,8 +538,9 @@ class TestScreen:
         model = None
         if data.draw(st.booleans(), "with model"):
             model = seeded_output_layers(
-                init_adapter(d, seed=0, separate_adapters=data.draw(st.booleans()),
-                             encoder_tag="enc"), data.draw(st.integers(0, 9), "model seed"))
+                init_adapter(d, seed=0, encoder_tag="enc",
+                             config=TrainConfig(separate_adapters=data.draw(st.booleans()))),
+                data.draw(st.integers(0, 9), "model seed"))
             q_adapted = transform(model, q_rows, "query")
             c_adapted = transform(model, c_rows, "corpus")
         else:

@@ -378,6 +378,17 @@ class TestEmbeddingFileV2:
             write_embeddings(table, tmp_path / "t.sadp")
         assert not (tmp_path / "t.sadp").exists()
 
+    @pytest.mark.parametrize("ids, tag, message", [
+        ([1, 2], "t", r"^id 1 is int, not str$"),
+        (["ok", b"raw"], "t", r"^id b'raw' is bytes, not str$"),
+        (["ok"], 5, r"^encoder tag 5 is int, not str$"),
+    ], ids=["int-id", "bytes-id", "int-tag"])
+    def test_string_that_is_not_a_str_refused_on_write(self, tmp_path, ids, tag, message):
+        table = EmbeddingTable(ids, np.ones((len(ids), 2), np.float32), tag)
+        with pytest.raises(FormatError, match=message):
+            write_embeddings(table, tmp_path / "t.sadp")
+        assert not (tmp_path / "t.sadp").exists()
+
     def test_overlong_id_refused_on_write(self, tmp_path):
         table = EmbeddingTable(["x" * 65536], np.ones((1, 2), np.float32))
         with pytest.raises(FormatError, match="65535"):
@@ -616,7 +627,7 @@ def _valid_files():
         table = awkward_table(tag="enc")
         write_embeddings(table, tmp / "v2.sadp")
         write_embeddings_v1(table, tmp / "v1.sadp")
-        model = init_adapter(3, 2, seed=0, encoder_tag="enc", config=TrainConfig(seed=3))
+        model = init_adapter(3, seed=0, encoder_tag="enc", config=TrainConfig(hidden=2, seed=3))
         save_checkpoint(model, str(tmp / "m.sadc"))
         return {name: (tmp / name).read_bytes() for name in ("v1.sadp", "v2.sadp", "m.sadc")}
 

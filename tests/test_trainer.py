@@ -170,7 +170,8 @@ class TestLossAndParamGrads:
         rng = np.random.default_rng(seed)
         d, h = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         n_q, n_c = int(rng.integers(1, 4)), int(rng.integers(2, 6))
-        model = init_adapter(d, h, seed=seed, use_skip=skip, separate_adapters=separate)
+        model = init_adapter(d, seed=seed, config=TrainConfig(hidden=h, use_skip=skip,
+                                                        separate_adapters=separate))
         for _, params in model.trainable():
             for arr in params.arrays():
                 arr += 0.2 * rng.standard_normal(arr.shape).astype(np.float32)
@@ -215,7 +216,7 @@ class TestLossAndParamGrads:
             if getattr(module, "unit_rows", None) is original:
                 monkeypatch.setattr(module, "unit_rows", counted)
         rng = np.random.default_rng(0)
-        model = init_adapter(4, 3, seed=0)
+        model = init_adapter(4, seed=0, config=TrainConfig(hidden=3))
         q, c = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
         grades = np.zeros((2, 5))
         grades[0, 0] = grades[1, 1] = 1.0
@@ -224,7 +225,7 @@ class TestLossAndParamGrads:
 
     def test_one_predictor_forward(self, monkeypatch):
         """The step runs the predictor once, and only through predict_query."""
-        model = init_adapter(4, 3, seed=0)
+        model = init_adapter(4, seed=0, config=TrainConfig(hidden=3))
         calls = []
 
         def counting(name, original):
@@ -280,7 +281,8 @@ class TestStepDtype:
     def test_float32_step_matches_float64(self, batch, variant, separate):
         q32, c32, grades = batch
         assert q32.shape == (128, 64) and c32.shape == (1408, 64) and grades.shape == (128, 1408)
-        model = seeded_output_layers(init_adapter(64, seed=1, separate_adapters=separate), 5)
+        model = seeded_output_layers(
+            init_adapter(64, seed=1, config=TrainConfig(separate_adapters=separate)), 5)
         cfg = TrainConfig(loss_variant=variant)
         loss32, grads32 = loss_and_param_grads(model, q32, c32, grades, cfg)
         loss64, grads64 = loss_and_param_grads(
