@@ -74,12 +74,12 @@ def init_mlp(dim: int, hidden: int, rng: np.random.Generator) -> MlpParams:
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x: (n, d) float32 or float64 -> (mlp(x), tanh activations), both in
-    x's dtype: the float32 parameters are cast to it and the math runs in it.
-    The activations are the tape that mlp_grad consumes."""
-    hidden = x @ params.w1.astype(x.dtype, copy=False)
+    x's dtype, which the math runs in (numpy promotes the float32 parameters
+    to it). The activations are the tape that mlp_grad consumes."""
+    hidden = x @ params.w1
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    out = hidden @ params.w2.astype(x.dtype, copy=False)
+    out = hidden @ params.w2
     out += params.b2
     return out, hidden
 

@@ -182,7 +182,8 @@ def cmd_train(args) -> int:
     model, report = train(q_table, c_table, train_rels, val_rels, cfg)
 
     _atomic_write((args.out, lambda tmp: save_checkpoint(model, tmp)),
-                  (log_path, lambda tmp: Path(tmp).write_text(report.to_jsonl())))
+                  (log_path, lambda tmp: Path(tmp).write_text(report.to_jsonl(),
+                                                              encoding="utf-8")))
 
     zero_shot = report.entries[0].val_ndcg
     print(f"effective config: {json.dumps(cfg.to_dict(), sort_keys=True)}")
@@ -219,7 +220,8 @@ def cmd_evaluate(args) -> int:
     if args.per_query:
         lines = [f"{qid}\t{v:.6f}" for qid, v in sorted(report.per_query_ndcg.items())]
         text = "\n".join(lines) + "\n"
-        _atomic_write((args.per_query, lambda tmp: Path(tmp).write_text(text)))
+        _atomic_write((args.per_query,
+                       lambda tmp: Path(tmp).write_text(text, encoding="utf-8")))
     print(report.to_json() if args.json else report.to_text())
     return 0
 

@@ -27,7 +27,9 @@ class TextItem:
 class RelevanceSet:
     """Sparse positive relevance triplets (query_id, corpus_id, grade).
 
-    Any pair absent from the set has implicit grade 0.
+    Any pair absent from the set has implicit grade 0. A grade-0 row is that
+    same implicit grade, so it is checked and then dropped: it does not make
+    its query a judged query and is never checked against a corpus.
     """
 
     def __init__(self, triplets: Iterable[tuple[str, str, float]]):
@@ -38,6 +40,8 @@ class RelevanceSet:
                 raise DataError(f"non-finite grade for ({qid!r}, {cid!r}): {grade}")
             if grade < 0:
                 raise DataError(f"negative grade for ({qid!r}, {cid!r}): {grade}")
+            if grade == 0.0:
+                continue
             graded = self._by_query.setdefault(qid, {})
             if cid in graded:
                 raise DataError(f"duplicate triplet for ({qid!r}, {cid!r})")
@@ -48,16 +52,17 @@ class RelevanceSet:
 
     @property
     def triplets(self) -> list[tuple[str, str, float]]:
-        """Every (query_id, corpus_id, grade), a query's rows together, in
-        order of each query's first row."""
+        """Every (query_id, corpus_id, grade), each grade positive, a query's
+        rows together, in order of each query's first row."""
         return [(q, c, y) for q, graded in self._by_query.items() for c, y in graded.items()]
 
     @property
     def query_ids(self) -> list[str]:
+        """The queries with at least one positive grade."""
         return list(self._by_query.keys())
 
     def positives_for(self, query_id: str) -> dict[str, float]:
-        return {c: y for c, y in self._by_query.get(query_id, {}).items() if y > 0}
+        return dict(self._by_query.get(query_id, {}))
 
     def restricted_to(self, query_ids: Iterable[str]) -> "RelevanceSet":
         keep = set(query_ids)
@@ -146,7 +151,7 @@ def check_embeddings(
     q_table: EmbeddingTable, c_table: EmbeddingTable, *rel_sets: RelevanceSet
 ) -> None:
     """Raise DataError unless every judged query id is in q_table and every
-    judged corpus id, of any grade, is in c_table."""
+    judged corpus id is in c_table; a RelevanceSet keeps positive grades only."""
     dangling = [
         (qid, cid)
         for rels in rel_sets

@@ -291,7 +291,7 @@ def ranked_lists(
     n_q * n_c, even when every column survives, as on a corpus of one
     repeated row.
     """
-    k = _check_k(k, len(c_table.ids))
+    k = _check_k(k, len(c_table))
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
     q_side = _screen_side(q_table, model, "query")
     c_side = _screen_side(c_table, model, "corpus")

@@ -106,7 +106,8 @@ def load_jsonl_items(path: str | Path) -> list[TextItem]:
 
 
 def load_qrels_tsv(path: str | Path) -> RelevanceSet:
-    """Load TSV relevance judgments; zero-score rows are implicit negatives."""
+    """Load TSV relevance judgments; RelevanceSet drops a zero-score row, the
+    implicit grade 0 of any pair without a row."""
     triplets: list[tuple[str, str, float]] = []
     for lineno, line in _text_lines(path):
         line = line.rstrip("\n").rstrip("\r")
@@ -128,8 +129,6 @@ def load_qrels_tsv(path: str | Path) -> RelevanceSet:
             ) from None
         if not math.isfinite(score):
             raise FormatError(f"{path}:{lineno}: non-finite score {raw_score!r}")
-        if score == 0.0:
-            continue
         triplets.append((qid, cid, score))
     try:
         return RelevanceSet(triplets)

@@ -1,7 +1,9 @@
 """Loss functions over batch score/grade matrices, with analytic gradients.
 
 Gradients here are taken with respect to score matrices and embedding
-matrices only; the trainer chains them through the adapter networks.
+matrices only; the trainer chains them through the adapter networks. Every
+function computes in the float dtype of the arrays it is given and converts
+nothing: trainer.loss_and_param_grads gives the grades its rows' dtype, once.
 """
 
 from __future__ import annotations
@@ -22,42 +24,6 @@ PAIR_BLOCK_FLOATS = 2**15
 EXP_CLAMP = 40.0
 
 
-def _as_float(x) -> np.ndarray:
-    """x as an array of its own float dtype, uncopied; any other input (ints,
-    bools, lists of numbers) becomes float64. Every function here computes in
-    the dtype this gives its input."""
-    x = np.asarray(x)
-    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
-
-
-@dataclass
-class BatchScores:
-    """Dense cosine scores and grades over a (query batch, candidate set).
-    The grades take the scores' float dtype (see _as_float), so a rank loss
-    computes in it."""
-
-    scores: np.ndarray  # (n_q, n_c)
-    grades: np.ndarray  # (n_q, n_c), >= 0
-
-    def __post_init__(self):
-        self.scores = _as_float(self.scores)
-        self.grades = np.asarray(self.grades, dtype=self.scores.dtype)
-        if self.scores.ndim != 2 or self.scores.shape != self.grades.shape:
-            raise ValueError(
-                f"scores {self.scores.shape} and grades {self.grades.shape} disagree"
-            )
-        if np.any(self.grades < 0):
-            raise ValueError("grades must be non-negative")
-
-    @property
-    def n_q(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_c(self) -> int:
-        return self.scores.shape[1]
-
-
 def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(1 + e^x) and 1 / (1 + e^-x), the pairwise kernel's loss term and
     its derivative, from one exponential of x clamped at EXP_CLAMP:
@@ -65,7 +31,6 @@ def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e / (1 + e). Past the clamp both are x and 1 to within e^-EXP_CLAMP,
     below half an ulp in float32 and float64, so they are exact to rounding
     for every finite x and cannot overflow; NaN gives NaN."""
-    x = _as_float(x)
     e = np.exp(np.minimum(x, EXP_CLAMP))
     return np.maximum(np.log1p(e), x), e / (1.0 + e)
 
@@ -76,7 +41,6 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores 0 against everything; a row whose norm overflows x's dtype comes
     back NaN, not as the zero that dividing by an infinite norm would give.
     Each row's result depends on that row alone."""
-    x = _as_float(x)
     norm = np.linalg.norm(x, axis=1)
     unit = x / np.maximum(norm, NORM_EPS)[:, None]
     unit[norm < NORM_EPS] = 0.0
@@ -111,9 +75,8 @@ def cosine_scores_backward(
     (c_unit, c_norm). A degenerate row scores 0 against everything, so its
     gradient is zero.
     """
-    g = _as_float(grad_scores)
-    return (_unit_rows_backward(g @ c_unit, q_unit, q_norm),
-            _unit_rows_backward(g.T @ q_unit, c_unit, c_norm))
+    return (_unit_rows_backward(grad_scores @ c_unit, q_unit, q_norm),
+            _unit_rows_backward(grad_scores.T @ q_unit, c_unit, c_norm))
 
 
 def _unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -133,7 +96,9 @@ def _unit_rows_backward(grad: np.ndarray, unit: np.ndarray, norm: np.ndarray) ->
     return grad
 
 
-def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, np.ndarray]:
+def ranking_loss(
+    scores: np.ndarray, grades: np.ndarray, gap_weighted: bool = True
+) -> tuple[float, np.ndarray]:
     """Pairwise softplus loss, the one kernel for the pairwise variants.
 
     For each query, every candidate pair (j, k) with y_j > y_k contributes
@@ -148,16 +113,17 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
     (r, n_c) block and the queries are added in order, so the result does not
     depend on the grouping.
     """
-    s, y = batch.scores, batch.grades
+    s, y = scores, grades
+    n_q, n_c = s.shape
     # inf for a row without candidates, so it has no rows above its floor
     above = y > np.min(y, axis=1, initial=np.inf, keepdims=True)
     n_above = above.sum(axis=1)
-    per_query = np.zeros(batch.n_q)
+    per_query = np.zeros(n_q)
     grad = np.zeros_like(s)
     for r in np.unique(n_above[n_above > 0]):
         qs = np.nonzero(n_above == r)[0]
-        rows = (np.flatnonzero(above[qs]) % batch.n_c).reshape(len(qs), r)
-        step = max(1, PAIR_BLOCK_FLOATS // (r * batch.n_c))
+        rows = (np.flatnonzero(above[qs]) % n_c).reshape(len(qs), r)
+        step = max(1, PAIR_BLOCK_FLOATS // (r * n_c))
         for b in range(0, len(qs), step):
             at, rws = qs[b : b + step, None], rows[b : b + step]  # (B, 1), (B, r)
             gap = y[at, rws][..., None] - y[at]  # (B, r, 1) - (B, 1, n_c)
@@ -177,13 +143,14 @@ def ranking_loss(batch: BatchScores, gap_weighted: bool = True) -> tuple[float, 
     return total, grad
 
 
-def listwise_loss(batch: BatchScores, temperature: float = 1.0) -> tuple[float, np.ndarray]:
+def listwise_loss(
+    scores: np.ndarray, grades: np.ndarray, temperature: float = 1.0
+) -> tuple[float, np.ndarray]:
     """Per-query softmax cross-entropy of s / temperature against the grade
     distribution y / sum(y); queries without positive grade mass add nothing."""
-    s = batch.scores / temperature
-    y = batch.grades
-    mass = y.sum(axis=1, keepdims=True)
-    target = y / np.where(mass > 0, mass, 1.0)
+    s = scores / temperature
+    mass = grades.sum(axis=1, keepdims=True)
+    target = grades / np.where(mass > 0, mass, 1.0)
     z = s - s.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     total = float(-np.sum(target * log_probs))
@@ -191,10 +158,10 @@ def listwise_loss(batch: BatchScores, temperature: float = 1.0) -> tuple[float, 
     return total, grad
 
 
-def sigmoid_ce_loss(batch: BatchScores) -> tuple[float, np.ndarray]:
+def sigmoid_ce_loss(scores: np.ndarray, grades: np.ndarray) -> tuple[float, np.ndarray]:
     """Pointwise binary cross-entropy on sigmoid(s / tau) vs binarized grades."""
-    s = batch.scores / VARIANT_TEMPERATURE
-    labels = (batch.grades > 0).astype(s.dtype)
+    s = scores / VARIANT_TEMPERATURE
+    labels = (grades > 0).astype(s.dtype)
     # BCE with logits: softplus(s) - label * s, summed.
     plus, sig = softplus_sigmoid(s)
     total = float(np.sum(plus - labels * s))
@@ -213,12 +180,18 @@ _RANK_LOSSES = {
 LOSS_VARIANTS = tuple(_RANK_LOSSES)
 
 
-def rank_loss(batch: BatchScores, variant: str = "search-adaptor") -> tuple[float, np.ndarray]:
-    try:
-        fn = _RANK_LOSSES[variant]
-    except KeyError:
-        raise ValueError(f"unknown loss variant: {variant!r}") from None
-    return fn(batch)
+def rank_loss(
+    scores: np.ndarray, grades: np.ndarray, variant: str = "search-adaptor"
+) -> tuple[float, np.ndarray]:
+    """The rank term of `variant`: (summed loss, its gradient w.r.t. scores).
+
+    scores and grades are (n_q, n_c) arrays of one float dtype, which the
+    kernel computes in; the grades are non-negative, as RelevanceSet makes
+    them. Arrays of other shapes are refused, since some would broadcast. A
+    variant that TrainConfig refuses raises KeyError here."""
+    if scores.ndim != 2 or scores.shape != grades.shape:
+        raise ValueError(f"scores {scores.shape} and grades {grades.shape} disagree")
+    return _RANK_LOSSES[variant](scores, grades)
 
 
 def recovery_loss(
@@ -232,13 +205,12 @@ def recovery_loss(
     value = mean_i ||aq_i - q_i||_1 + mean_j ||ac_j - c_j||_1.
     Returns gradients w.r.t. the adapted matrices.
     """
-    aq, oq, ac, oc = map(_as_float, (adapted_q, orig_q, adapted_c, orig_c))
-    if aq.shape != oq.shape or ac.shape != oc.shape:
+    if adapted_q.shape != orig_q.shape or adapted_c.shape != orig_c.shape:
         raise ValueError("adapted/original shapes disagree")
-    n = max(aq.shape[0], 1)
-    m = max(ac.shape[0], 1)
-    dq = aq - oq
-    dc = ac - oc
+    n = max(adapted_q.shape[0], 1)
+    m = max(adapted_c.shape[0], 1)
+    dq = adapted_q - orig_q
+    dc = adapted_c - orig_c
     value = float(np.abs(dq).sum() / n + np.abs(dc).sum() / m)
     return value, (np.sign(dq) / n, np.sign(dc) / m)
 
@@ -255,8 +227,7 @@ def prediction_loss(
     to its row in adapted_q. value = sum_p y_p * ||aq_{i(p)} - pred_p||_1 / sum_p y_p.
     Returns (value, grad w.r.t. adapted_q, grad w.r.t. predicted_q).
     """
-    aq, pred, y = map(_as_float, (adapted_q, predicted_q, pair_grades))
-    idx = np.asarray(pair_query_idx, dtype=np.intp)
+    aq, pred, idx, y = adapted_q, predicted_q, pair_query_idx, pair_grades
     if pred.shape[0] != idx.shape[0] or pred.shape[0] != y.shape[0]:
         raise ValueError("pair arrays disagree in length")
     grad_q = np.zeros_like(aq)
@@ -294,7 +265,8 @@ class TotalLoss:
 
 
 def total_loss(
-    batch: BatchScores,
+    scores: np.ndarray,
+    grades: np.ndarray,
     variant: str,
     *,
     alpha: float,
@@ -310,7 +282,7 @@ def total_loss(
     regularizers are unchanged. Embedding-space gradients come back
     pre-multiplied by their weights; grad_scores is the raw rank-term gradient.
     """
-    rank_value, grad_scores = rank_loss(batch, variant)
+    rank_value, grad_scores = rank_loss(scores, grades, variant)
     recovery_value, (g_aq, g_ac) = recovery_loss(*recovery_inputs)
     prediction_value, g_q, g_pred = prediction_loss(*prediction_inputs)
     value = rank_value + alpha * recovery_value + beta * prediction_value

@@ -22,13 +22,7 @@ from .config import TrainConfig
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError, TrainingDivergedError
 from .evaluation import SCREEN_NORMS, evaluate
-from .objectives import (
-    BatchScores,
-    cosine_scores_backward,
-    total_loss,
-    unit_rows,
-    unit_scores,
-)
+from .objectives import cosine_scores_backward, total_loss, unit_rows, unit_scores
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -160,21 +154,24 @@ def loss_and_param_grads(
     is: losses -> score/embedding gradients -> adapter and predictor
     parameter gradients. Each backward step reuses the activations, unit
     rows and norms of its forward step. The whole chain computes in
-    the float dtype of q_orig and c_orig, and the gradients come back in it.
+    the float dtype of q_orig and c_orig, and the gradients come back in it:
+    the grades are given that dtype here, and nowhere else.
     """
+    grades = grades.astype(q_orig.dtype, copy=False)
     adapted_q, hidden_q = transform_forward(model, q_orig, "query")
     adapted_c, hidden_c = transform_forward(model, c_orig, "corpus")
     q_unit, q_norm = unit_rows(adapted_q)
     c_unit, c_norm = unit_rows(adapted_c)
-    batch = BatchScores(scores=unit_scores(q_unit, c_unit), grades=grades)
+    scores = unit_scores(q_unit, c_unit)
 
     pair_query_idx, pair_corpus_idx = np.divmod(np.flatnonzero(grades > 0), grades.shape[1])
-    pair_grades = batch.grades[pair_query_idx, pair_corpus_idx]
+    pair_grades = grades[pair_query_idx, pair_corpus_idx]
     pred_in = adapted_c[pair_corpus_idx]
     predicted, hidden_p = predict_query(model, pred_in)
 
     loss = total_loss(
-        batch,
+        scores,
+        grades,
         cfg.loss_variant,
         alpha=cfg.alpha,
         beta=cfg.beta,
@@ -234,15 +231,12 @@ def train(
 
     # each training query's positives, built once for every batch
     positives = {qid: train_rels.positives_for(qid) for qid in train_rels.query_ids}
-    train_qids = sorted(qid for qid, graded in positives.items() if graded)
+    train_qids = sorted(positives)
     if not train_qids:
         raise DataError("training split has no query with a positive relation")
 
-    val_qids = [
-        qid
-        for qid in q_table.ids
-        if val_rels.positives_for(qid)
-    ]
+    val_judged = set(val_rels.query_ids)
+    val_qids = [qid for qid in q_table.ids if qid in val_judged]
     if not val_qids:
         raise DataError("validation split has no query with a positive relation")
 

@@ -32,7 +32,7 @@ from embadapt import (
 from embadapt.adapter import predict_query, transform_forward
 from embadapt.cli import main as cli_main
 from embadapt.evaluation import ndcg_at_k, rank_candidates
-from embadapt.objectives import BatchScores, ranking_loss, softplus_sigmoid, total_loss
+from embadapt.objectives import ranking_loss, softplus_sigmoid, total_loss
 from embadapt.trainer import loss_and_param_grads, _flatten_trainable
 
 from synth import planted_task
@@ -158,7 +158,7 @@ class TestCriterion3RankingLossOracle:
             n_q, n_c = int(rng.integers(1, 6)), int(rng.integers(2, 9))
             scores = rng.standard_normal((n_q, n_c))
             grades = rng.choice([0.0, 0.0, 1.0, 2.0, 3.0], size=(n_q, n_c))
-            value, _ = ranking_loss(BatchScores(scores=scores, grades=grades))
+            value, _ = ranking_loss(scores, grades)
             oracle = brute_force_ranking_loss(scores, grades)
             worst = max(worst, abs(value - oracle))
             assert value == pytest.approx(oracle, abs=1e-6)
@@ -171,18 +171,17 @@ class TestCriterion3RankingLossOracle:
     def test_margins_beyond_the_exponent_clamp(self, dtype, big):
         # every margin is 0, +-big or +-2 big, far past the kernel's clamp of e^margin
         scores = np.array([[-big, big, big, -big], [big, -big, 0.0, big]], dtype=dtype)
-        grades = np.array([[2.0, 0.0, 1.0, 0.0], [1.0, 0.0, 3.0, 0.0]])
+        grades = np.array([[2.0, 0.0, 1.0, 0.0], [1.0, 0.0, 3.0, 0.0]], dtype=dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, grad = ranking_loss(BatchScores(scores=scores, grades=grades))
-        assert value == pytest.approx(
-            brute_force_ranking_loss(scores.astype(np.float64), grades), rel=1e-7)
+            value, grad = ranking_loss(scores, grades)
+        oracle = brute_force_ranking_loss(scores.astype(np.float64), grades.astype(np.float64))
+        assert value == pytest.approx(oracle, rel=1e-7)
         assert np.isfinite(grad).all()
 
         def one_pair(s_relevant, s_other):
-            pair = BatchScores(scores=np.array([[s_relevant, s_other]], dtype=dtype),
-                               grades=np.array([[1.0, 0.0]]))
-            return ranking_loss(pair)
+            return ranking_loss(np.array([[s_relevant, s_other]], dtype=dtype),
+                                np.array([[1.0, 0.0]], dtype=dtype))
 
         for margin in (1000.0, -1000.0):
             value, grad = one_pair(0.0, margin)
@@ -193,23 +192,21 @@ class TestCriterion3RankingLossOracle:
 
 class TestCriterion4LossFixtures:
     def test_hand_computed_values(self):
-        single, _ = ranking_loss(BatchScores(
-            scores=np.array([[0.5, 0.7]]), grades=np.array([[1.0, 0.0]])))
-        graded, _ = ranking_loss(BatchScores(
-            scores=np.array([[0.1, 0.4]]), grades=np.array([[2.0, 1.0]])))
+        single, _ = ranking_loss(np.array([[0.5, 0.7]]), np.array([[1.0, 0.0]]))
+        graded, _ = ranking_loss(np.array([[0.1, 0.4]]), np.array([[2.0, 1.0]]))
 
         margin = math.log(math.exp(0.8) - 1)  # softplus(margin) == 0.8 exactly
         aq = np.array([[1.0, 0.0]])
         oq = np.array([[0.75, 0.25]])
         ac = np.array([[1.0, 1.0]])
         combined = total_loss(
-            BatchScores(scores=np.array([[0.0, margin]]),
-                        grades=np.array([[1.0, 0.0]])),
+            np.array([[0.0, margin]]),
+            np.array([[1.0, 0.0]]),
             "search-adaptor",
             alpha=0.1,
             beta=0.01,
             recovery_inputs=(aq, oq, ac, ac),
-            prediction_inputs=(aq, np.array([[0.5, 0.5]]), [0], [1.0]),
+            prediction_inputs=(aq, np.array([[0.5, 0.5]]), np.array([0]), np.array([1.0])),
         )
 
         checks = {

@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import embadapt
 from embadapt import (
     EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint, transform,
     write_embeddings,
@@ -384,6 +387,24 @@ class TestEvaluateCommand:
         assert len(rows) == report["n_evaluated"]
         for qid, value in rows:
             assert report["per_query_ndcg"][qid] == pytest.approx(float(value), abs=1e-6)
+
+    def test_per_query_file_is_utf8_under_any_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, text files default to ASCII
+        write_embeddings(EmbeddingTable(["q\u00e9"], np.ones((1, 2), np.float32), "t"),
+                         tmp_path / "q.sadp")
+        write_embeddings(EmbeddingTable(["c1", "c2"], np.eye(2, dtype=np.float32), "t"),
+                         tmp_path / "c.sadp")
+        (tmp_path / "rels.tsv").write_text("q\u00e9\tc1\t1\n", encoding="utf-8")
+        src = str(Path(embadapt.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "embadapt.cli", "evaluate",
+             "--queries", "q.sadp", "--corpus", "c.sadp", "--qrels", "rels.tsv",
+             "--per-query", "pq.tsv", "--json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "pq.tsv").read_bytes() == b"q\xc3\xa9\t1.000000\n"
 
     def test_model_flag_equals_transform_then_evaluate(self, tmp_path, capsys):
         # bit for bit: the same --json line and the same --per-query file

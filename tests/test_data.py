@@ -18,7 +18,7 @@ from embadapt.cli import _COMMANDS, _build_parser
 from embadapt.data import TextItem, adapted_tag, as_side, check_compatible
 from embadapt.errors import DataError, FormatError, TagMismatchError
 from embadapt.evaluation import ranked_lists
-from embadapt.io import load_jsonl_items
+from embadapt.io import load_jsonl_items, load_qrels_tsv
 
 
 class TestItemSet:
@@ -56,18 +56,24 @@ class TestRelevanceSet:
             RelevanceSet([("q1", "c1", 1.0), ("q1", "c1", 2.0)])
 
     def test_interleaved_rows_are_kept_per_query(self):
-        rels = RelevanceSet([("q1", "c1", 1.0), ("q2", "c1", 2.0), ("q1", "c2", 0.0)])
+        rels = RelevanceSet([("q1", "c1", 1.0), ("q2", "c1", 2.0), ("q1", "c2", 3.0),
+                             ("q1", "c3", 0.0), ("q3", "c1", 0.0)])
+        # a grade-0 row is the implicit grade 0 of a pair without a row: it is
+        # dropped, and a query with no other row is not a judged query
         assert len(rels) == 3
         assert rels.query_ids == ["q1", "q2"]
-        assert rels.positives_for("q1") == {"c1": 1.0}
+        assert rels.positives_for("q1") == {"c1": 1.0, "c2": 3.0}
         assert rels.positives_for("q2") == {"c1": 2.0}
-        # a query's rows are listed together, the grade-0 row too
-        assert rels.triplets == [("q1", "c1", 1.0), ("q1", "c2", 0.0), ("q2", "c1", 2.0)]
+        assert rels.positives_for("q3") == {}
+        # a query's rows are listed together
+        assert rels.triplets == [("q1", "c1", 1.0), ("q1", "c2", 3.0), ("q2", "c1", 2.0)]
         only_q1 = rels.restricted_to(["q1", "q9"])
-        assert only_q1.triplets == [("q1", "c1", 1.0), ("q1", "c2", 0.0)]
+        assert only_q1.triplets == [("q1", "c1", 1.0), ("q1", "c2", 3.0)]
         assert len(only_q1) == 2 and only_q1.positives_for("q2") == {}
         with pytest.raises(DataError, match=r"duplicate triplet for \('q1', 'c2'\)"):
             RelevanceSet(rels.triplets + [("q1", "c2", 1.0)])
+        # a dropped grade-0 row repeats no pair
+        assert RelevanceSet(rels.triplets + [("q1", "c2", 0.0)]).triplets == rels.triplets
 
     def test_negative_grade_rejected(self):
         with pytest.raises(DataError):
@@ -181,6 +187,17 @@ class TestSplitTrainVal:
         for side in (train, val):
             mine = set(side.query_ids)
             assert side.triplets == [t for t in rels.triplets if t[0] in mine]
+
+    def test_zero_grade_rows_split_as_the_loader_splits(self, tmp_path):
+        # the query qz has only a grade-0 row: it is no judged query for the
+        # library, as for load_qrels_tsv, so both draw the same split
+        rows = [(f"q{i}", f"c{i}", 1.0) for i in range(10)] + [("qz", "c0", 0.0)]
+        path = tmp_path / "qrels.tsv"
+        path.write_text("".join(f"{q}\t{c}\t{y}\n" for q, c, y in rows), encoding="utf-8")
+        library = split_train_val(RelevanceSet(rows), 0.7, seed=0)
+        loader = split_train_val(load_qrels_tsv(path), 0.7, seed=0)
+        assert [side.triplets for side in library] == [side.triplets for side in loader]
+        assert sorted(library[1].query_ids) == ["q0", "q1", "q8"]
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DataError):

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from embadapt.config import TrainConfig
 from embadapt.objectives import (
     LOSS_VARIANTS,
     NORM_EPS,
     PAIR_BLOCK_FLOATS,
-    BatchScores,
     cosine_scores,
     cosine_scores_backward,
     prediction_loss,
@@ -82,14 +82,13 @@ def brute_force_variant_loss(variant, scores, grades):
     return total
 
 
-def per_query_ranking_loss(batch, gap_weighted=True):
+def per_query_ranking_loss(s, y, gap_weighted=True):
     """The pairwise kernel as one loop iteration per query, kept as the
     reference that the blocked ranking_loss must equal bit for bit. It calls
     the kernel's elementwise helper, so it checks the blocking alone."""
-    s, y = batch.scores, batch.grades
     total = 0.0
     grad = np.zeros_like(s)
-    for i in range(batch.n_q):
+    for i in range(len(s)):
         yi, si = y[i], s[i]
         y_min = yi.min() if yi.size else 0.0
         rows = np.nonzero(yi > y_min)[0]
@@ -108,11 +107,12 @@ def per_query_ranking_loss(batch, gap_weighted=True):
 
 
 def random_batch(rng, n_q=None, n_c=None):
+    """(scores, grades), two float64 (n_q, n_c) matrices."""
     n_q = n_q or int(rng.integers(1, 5))
     n_c = n_c or int(rng.integers(2, 7))
     scores = rng.uniform(-1, 1, size=(n_q, n_c))
     grades = rng.choice([0.0, 0.0, 1.0, 2.0], size=(n_q, n_c))
-    return BatchScores(scores=scores, grades=grades)
+    return scores, grades
 
 
 class TestCosine:
@@ -194,29 +194,24 @@ class TestCosine:
 
 class TestRankingLoss:
     def test_single_pair_fixture(self):
-        batch = BatchScores(scores=np.array([[0.5, 0.7]]), grades=np.array([[1.0, 0.0]]))
-        value, _ = ranking_loss(batch)
+        value, _ = ranking_loss(np.array([[0.5, 0.7]]), np.array([[1.0, 0.0]]))
         assert value == pytest.approx(0.79814, abs=1e-5)
 
     def test_graded_pair_fixture(self):
-        batch = BatchScores(scores=np.array([[0.1, 0.4]]), grades=np.array([[2.0, 1.0]]))
-        value, _ = ranking_loss(batch)
+        value, _ = ranking_loss(np.array([[0.1, 0.4]]), np.array([[2.0, 1.0]]))
         assert value == pytest.approx(0.85436, abs=1e-5)
 
     def test_equal_grades_zero(self):
-        batch = BatchScores(scores=np.array([[0.2, -0.1, 0.9]]), grades=np.zeros((1, 3)))
-        value, grad = ranking_loss(batch)
+        value, grad = ranking_loss(np.array([[0.2, -0.1, 0.9]]), np.zeros((1, 3)))
         assert value == 0.0
         assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        batch = random_batch(rng)
-        value, _ = ranking_loss(batch)
-        assert value == pytest.approx(
-            brute_force_ranking_loss(batch.scores, batch.grades), abs=1e-6
-        )
+        scores, grades = random_batch(rng)
+        value, _ = ranking_loss(scores, grades)
+        assert value == pytest.approx(brute_force_ranking_loss(scores, grades), abs=1e-6)
 
     @pytest.mark.parametrize("gap_weighted", [True, False])
     @pytest.mark.parametrize("seed", range(40))
@@ -236,32 +231,28 @@ class TestRankingLoss:
             grades += 1.0  # a non-zero grade floor
         if n_q > 2:
             grades[-1] = 2.0  # every candidate equally graded
-        batch = BatchScores(scores=scores, grades=grades)
-        value, grad = ranking_loss(batch, gap_weighted)
-        ref_value, ref_grad = per_query_ranking_loss(batch, gap_weighted)
+        value, grad = ranking_loss(scores, grades, gap_weighted)
+        ref_value, ref_grad = per_query_ranking_loss(scores, grades, gap_weighted)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("n_q", [0, 3])
     def test_no_candidates(self, n_q):
-        batch = BatchScores(scores=np.zeros((n_q, 0)), grades=np.zeros((n_q, 0)))
-        value, grad = ranking_loss(batch)
+        value, grad = ranking_loss(np.zeros((n_q, 0)), np.zeros((n_q, 0)))
         assert value == 0.0
         assert grad.shape == (n_q, 0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        batch = random_batch(rng, n_q=3, n_c=6)
-        value, _ = ranking_loss(batch)
+        scores, grades = random_batch(rng, n_q=3, n_c=6)
+        value, _ = ranking_loss(scores, grades)
         perm = rng.permutation(6)
-        permuted = BatchScores(scores=batch.scores[:, perm], grades=batch.grades[:, perm])
-        assert ranking_loss(permuted)[0] == pytest.approx(value, abs=1e-12)
+        assert ranking_loss(scores[:, perm], grades[:, perm])[0] == pytest.approx(value, abs=1e-12)
 
     def test_gradient_sign_structure(self):
         # raising the relevant score must lower the loss; raising the
         # irrelevant one must raise it
-        batch = BatchScores(scores=np.array([[0.5, 0.7]]), grades=np.array([[1.0, 0.0]]))
-        _, grad = ranking_loss(batch)
+        _, grad = ranking_loss(np.array([[0.5, 0.7]]), np.array([[1.0, 0.0]]))
         assert grad[0, 0] < 0
         assert grad[0, 1] > 0
 
@@ -269,16 +260,15 @@ class TestRankingLoss:
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_match_fd(self, variant, seed):
         rng = np.random.default_rng(seed)
-        batch = random_batch(rng)
-        _, grad = rank_loss(batch, variant)
-        s = batch.scores
+        s, grades = random_batch(rng)
+        _, grad = rank_loss(s, grades, variant)
         for idx in range(s.size):
             flat = s.ravel()
             orig = flat[idx]
             flat[idx] = orig + FD_STEP
-            plus = rank_loss(BatchScores(s, batch.grades), variant)[0]
+            plus = rank_loss(s, grades, variant)[0]
             flat[idx] = orig - FD_STEP
-            minus = rank_loss(BatchScores(s, batch.grades), variant)[0]
+            minus = rank_loss(s, grades, variant)[0]
             flat[idx] = orig
             assert fd_close(float(grad.ravel()[idx]), (plus - minus) / (2 * FD_STEP))
 
@@ -286,25 +276,35 @@ class TestRankingLoss:
     @pytest.mark.parametrize("seed", range(10))
     def test_variant_matches_brute_force_oracle(self, variant, seed):
         rng = np.random.default_rng(seed)
-        batch = random_batch(rng)
+        scores, grades = random_batch(rng)
+        n_c = scores.shape[1]
         # one row with no positive grade, one where all grades are equal
-        grades = np.vstack([batch.grades, np.zeros(batch.n_c), np.full(batch.n_c, 2.0)])
-        scores = np.vstack([batch.scores, rng.uniform(-1, 1, size=(2, batch.n_c))])
-        value, _ = rank_loss(BatchScores(scores=scores, grades=grades), variant)
+        grades = np.vstack([grades, np.zeros(n_c), np.full(n_c, 2.0)])
+        scores = np.vstack([scores, rng.uniform(-1, 1, size=(2, n_c))])
+        value, _ = rank_loss(scores, grades, variant)
         assert value == pytest.approx(
             brute_force_variant_loss(variant, scores, grades), rel=1e-9, abs=1e-9
         )
 
     def test_ranknet_coincides_for_unit_gap(self):
-        batch = BatchScores(scores=np.array([[0.3, -0.2]]), grades=np.array([[1.0, 0.0]]))
-        assert rank_loss(batch, "ranknet")[0] == pytest.approx(
-            rank_loss(batch, "search-adaptor")[0], abs=1e-12
+        pair = np.array([[0.3, -0.2]]), np.array([[1.0, 0.0]])
+        assert rank_loss(*pair, "ranknet")[0] == pytest.approx(
+            rank_loss(*pair, "search-adaptor")[0], abs=1e-12
         )
 
     def test_unknown_variant(self):
-        batch = random_batch(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="variant"):
-            rank_loss(batch, "nope")
+        # TrainConfig, the one home of the variant, refuses it; rank_loss
+        # finds no kernel for it
+        with pytest.raises(ValueError, match="unknown loss variant: 'nope'"):
+            TrainConfig(loss_variant="nope")
+        with pytest.raises(KeyError, match="nope"):
+            rank_loss(*random_batch(np.random.default_rng(0)), "nope")
+
+    @pytest.mark.parametrize("grades_shape", [(2, 1), (3,), (1, 2, 3)])
+    def test_scores_and_grades_of_other_shapes_refused(self, grades_shape):
+        # (2, 1) grades would broadcast against (2, 3) scores without an error
+        with pytest.raises(ValueError, match=r"scores \(2, 3\) and grades .* disagree"):
+            rank_loss(np.zeros((2, 3)), np.ones(grades_shape))
 
     def test_softplus_overflow_safe(self):
         assert softplus_sigmoid(np.array([1000.0]))[0][0] == pytest.approx(1000.0)
@@ -337,7 +337,7 @@ class TestRankingLoss:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for variant in ("search-adaptor", "ranknet", "sigmoid-ce"):
-                value, grad = rank_loss(BatchScores(scores, grades), variant)
+                value, grad = rank_loss(scores, grades, variant)
                 assert math.isnan(value)
                 assert np.isnan(grad[0]).any() and not np.isnan(grad[1]).any()
 
@@ -379,27 +379,29 @@ class TestRecoveryLoss:
 class TestPredictionLoss:
     def test_perfect_prediction_zero(self):
         aq = np.array([[1.0, 2.0], [3.0, 4.0]])
-        value, gq, gp = prediction_loss(aq, aq[[0, 1]], [0, 1], [1.0, 1.0])
+        value, gq, gp = prediction_loss(aq, aq[[0, 1]], np.array([0, 1]), np.array([1.0, 1.0]))
         assert value == 0.0
         assert np.all(gq == 0.0) and np.all(gp == 0.0)
 
     def test_single_pair_fixture(self):
         value, _, _ = prediction_loss(
-            np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]), [0], [1.0]
+            np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]), np.array([0]), np.array([1.0])
         )
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_weight_pair_contributes_nothing(self):
         aq = np.array([[1.0, 0.0]])
         value_with, _, _ = prediction_loss(
-            aq, np.array([[0.5, 0.5], [9.0, 9.0]]), [0, 0], [1.0, 0.0]
+            aq, np.array([[0.5, 0.5], [9.0, 9.0]]), np.array([0, 0]), np.array([1.0, 0.0])
         )
-        value_without, _, _ = prediction_loss(aq, np.array([[0.5, 0.5]]), [0], [1.0])
+        value_without, _, _ = prediction_loss(
+            aq, np.array([[0.5, 0.5]]), np.array([0]), np.array([1.0]))
         assert value_with == pytest.approx(value_without, rel=1e-12)
 
     def test_no_positive_pairs_returns_zero(self):
         aq = np.ones((2, 3))
-        value, gq, gp = prediction_loss(aq, np.zeros((0, 3)), [], [])
+        value, gq, gp = prediction_loss(
+            aq, np.zeros((0, 3)), np.zeros(0, dtype=np.intp), np.zeros(0))
         assert value == 0.0
         assert np.all(gq == 0.0)
 
@@ -407,44 +409,43 @@ class TestPredictionLoss:
         aq = np.array([[1.0, 0.0], [0.0, 1.0]])
         pred = np.array([[0.0, 0.0], [0.0, 0.0]])
         # grades 3 and 1: value = (3*1 + 1*1) / 4
-        value, _, _ = prediction_loss(aq, pred, [0, 1], [3.0, 1.0])
+        value, _, _ = prediction_loss(aq, pred, np.array([0, 1]), np.array([3.0, 1.0]))
         assert value == pytest.approx(1.0, rel=1e-12)
 
 
 class TestTotalLoss:
     def test_degenerate_weights_equal_rank_loss(self):
         rng = np.random.default_rng(2)
-        batch = random_batch(rng)
-        aq = rng.standard_normal((batch.n_q, 3))
-        ac = rng.standard_normal((batch.n_c, 3))
+        scores, grades = random_batch(rng)
+        aq = rng.standard_normal((scores.shape[0], 3))
+        ac = rng.standard_normal((scores.shape[1], 3))
         out = total_loss(
-            batch,
+            scores,
+            grades,
             "search-adaptor",
             alpha=0.0,
             beta=0.0,
             recovery_inputs=(aq, aq * 2, ac, ac * 2),
-            prediction_inputs=(aq, aq[[0]], [0], [1.0]),
+            prediction_inputs=(aq, aq[[0]], np.array([0]), np.array([1.0])),
         )
-        assert out.value == pytest.approx(ranking_loss(batch)[0], rel=1e-12)
+        assert out.value == pytest.approx(ranking_loss(scores, grades)[0], rel=1e-12)
 
     def test_linear_combination_fixture(self):
         # components engineered to (0.8, 0.5, 1.0); total = 0.8 + 0.05 + 0.01
         target_rank = 0.8
         margin = math.log(math.exp(target_rank) - 1)  # softplus(margin) == 0.8
-        batch = BatchScores(
-            scores=np.array([[0.0, margin]]), grades=np.array([[1.0, 0.0]])
-        )
         aq = np.array([[1.0, 0.0]])
         oq = np.array([[0.75, 0.25]])  # L1 drift 0.5
         ac = np.array([[1.0, 1.0]])
         pred = np.array([[0.5, 0.5]])  # grade-1 pair, L1 error 1.0
         out = total_loss(
-            batch,
+            np.array([[0.0, margin]]),
+            np.array([[1.0, 0.0]]),
             "search-adaptor",
             alpha=0.1,
             beta=0.01,
             recovery_inputs=(aq, oq, ac, ac),
-            prediction_inputs=(aq, pred, [0], [1.0]),
+            prediction_inputs=(aq, pred, np.array([0]), np.array([1.0])),
         )
         assert out.rank_value == pytest.approx(0.8, abs=1e-9)
         assert out.recovery_value == pytest.approx(0.5, abs=1e-9)
@@ -454,48 +455,42 @@ class TestTotalLoss:
     def test_variant_replaces_only_rank_term(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng)
-        aq = rng.standard_normal((batch.n_q, 3))
-        ac = rng.standard_normal((batch.n_c, 3))
+        aq = rng.standard_normal((batch[0].shape[0], 3))
+        ac = rng.standard_normal((batch[0].shape[1], 3))
         kwargs = dict(
             recovery_inputs=(aq, aq * 1.5, ac, ac * 0.5),
-            prediction_inputs=(aq, aq[[0]] * 0.3, [0], [2.0]),
+            prediction_inputs=(aq, aq[[0]] * 0.3, np.array([0]), np.array([2.0])),
         )
-        base = total_loss(batch, "search-adaptor", alpha=0.1, beta=0.01, **kwargs)
-        alt = total_loss(batch, "ranknet", alpha=0.1, beta=0.01, **kwargs)
+        base = total_loss(*batch, "search-adaptor", alpha=0.1, beta=0.01, **kwargs)
+        alt = total_loss(*batch, "ranknet", alpha=0.1, beta=0.01, **kwargs)
         assert alt.recovery_value == pytest.approx(base.recovery_value, rel=1e-12)
         assert alt.prediction_value == pytest.approx(base.prediction_value, rel=1e-12)
-        assert alt.rank_value == pytest.approx(rank_loss(batch, "ranknet")[0], rel=1e-12)
+        assert alt.rank_value == pytest.approx(rank_loss(*batch, "ranknet")[0], rel=1e-12)
 
 
 class TestDtype:
-    """Each function computes in its input's float dtype; integer and list
-    inputs become float64."""
+    """Each function computes in the float dtype of the arrays it is given,
+    the grades given the scores' dtype as loss_and_param_grads gives them."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_results_keep_the_input_dtype(self, dtype):
         rng = np.random.default_rng(2)
         q = rng.standard_normal((3, 4)).astype(dtype)
         c = rng.standard_normal((5, 4)).astype(dtype)
-        grades = rng.choice([0, 1, 2], size=(3, 5)).astype(np.float32)
+        grades = rng.choice([0, 1, 2], size=(3, 5)).astype(dtype)
         grades[:, 0] = 1
         (q_unit, q_norm), (c_unit, c_norm) = unit_rows(q), unit_rows(c)
-        batch = BatchScores(unit_scores(q_unit, c_unit), grades)
-        arrays = [*softplus_sigmoid(q), q_unit, q_norm, batch.scores, batch.grades]
+        scores = unit_scores(q_unit, c_unit)
+        arrays = [*softplus_sigmoid(q), q_unit, q_norm, scores]
         for variant in LOSS_VARIANTS:
-            arrays.append(rank_loss(batch, variant)[1])
-        arrays += cosine_scores_backward(q_unit, q_norm, c_unit, c_norm, rank_loss(batch)[1])
+            arrays.append(rank_loss(scores, grades, variant)[1])
+        arrays += cosine_scores_backward(q_unit, q_norm, c_unit, c_norm,
+                                         rank_loss(scores, grades)[1])
         arrays += recovery_loss(q, q * 2, c, c * 2)[1]
-        arrays += prediction_loss(q, c[:2], [0, 2], grades[[0, 2], 0])[1:]
+        arrays += prediction_loss(q, c[:2], np.array([0, 2]), grades[[0, 2], 0])[1:]
         assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
         # cosine_scores is the dense float64 reference
         assert cosine_scores(q, c).dtype == np.float64
-
-    def test_integer_and_list_inputs_become_float64(self):
-        assert softplus_sigmoid([0, 1])[0].dtype == np.float64
-        assert unit_rows(np.array([[3, 4]]))[0].dtype == np.float64
-        batch = BatchScores([[0.5, -0.5]], np.array([[1, 0]]))
-        assert batch.scores.dtype == batch.grades.dtype == np.float64
-        assert recovery_loss([[1]], [[0]], [[2]], [[0]])[1][0].dtype == np.float64
 
     def test_a_norm_past_the_dtype_makes_a_nan_row(self):
         # 1e20 squared overflows float32: dividing by the infinite norm would

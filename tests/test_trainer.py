@@ -294,6 +294,24 @@ class TestStepDtype:
         for name, value in loss64.components.items():
             assert loss32.components[name] == pytest.approx(value, rel=1e-6)
 
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_grades_take_the_dtype_of_the_rows(self, variant):
+        # multiples of 0.3 round differently in float32 and float64, so a
+        # float64 step that computed with float32 grades would differ from
+        # the same step given float64 grades
+        rng = np.random.default_rng(4)
+        q64, c64 = rng.standard_normal((6, 8)), rng.standard_normal((12, 8))
+        g32 = (0.3 * rng.integers(0, 4, size=(6, 12))).astype(np.float32)
+        g32[np.arange(6), np.arange(6)] = 0.9  # a positive for every query
+        model = seeded_output_layers(init_adapter(8, seed=2, config=TrainConfig(hidden=5)), 6)
+        cfg = TrainConfig(loss_variant=variant)
+        loss, grads = loss_and_param_grads(model, q64, c64, g32, cfg)
+        ref_loss, ref_grads = loss_and_param_grads(model, q64, c64, g32.astype(np.float64), cfg)
+        assert loss.components == ref_loss.components
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.dtype == np.float64 and np.array_equal(g, ref)
+
     def test_train_steps_in_float32(self, monkeypatch):
         # under numpy 2's promotion rules one float64 scalar in the step
         # would make every later array float64
@@ -446,12 +464,23 @@ class TestTrain:
         tr, va = split_train_val(rels, 0.67, seed=0)
         if case == "train-query":  # a training query missing from the query table
             tr = RelevanceSet(tr.triplets + [("ghost-query", "c0", 1.0)])
-        elif case == "judged-corpus-id":  # a grade-0 judged id missing from the corpus
-            tr = RelevanceSet(tr.triplets + [(tr.query_ids[0], "ghost-doc", 0.0)])
+        elif case == "judged-corpus-id":  # a training positive missing from the corpus
+            tr = RelevanceSet(tr.triplets + [(tr.query_ids[0], "ghost-doc", 1.0)])
         else:  # a validation positive missing from the corpus
             va = RelevanceSet(va.triplets + [(va.query_ids[0], "ghost-doc", 1.0)])
         with pytest.raises(DataError, match="missing embeddings"):
             train(q, c, tr, va, TrainConfig(batch_size=4, max_iterations=2, seed=0))
+
+    def test_grade_zero_row_is_not_checked_against_the_corpus(self):
+        # a grade-0 row is no row at all, as for load_qrels_tsv and the CLI
+        q, c, rels = small_dataset()
+        tr, va = split_train_val(rels, 0.67, seed=0)
+        cfg = TrainConfig(batch_size=4, max_iterations=2, eval_every=1, seed=0)
+        _, plain = train(q, c, tr, va, cfg)
+        ghost = (tr.query_ids[0], "ghost-doc", 0.0), ("ghost-query", "c0", 0.0)
+        _, with_zeros = train(q, c, RelevanceSet(tr.triplets + list(ghost)),
+                              RelevanceSet(va.triplets + list(ghost)), cfg)
+        assert with_zeros.to_jsonl() == plain.to_jsonl()
 
 
 class TestTrainConfig:
