@@ -33,15 +33,22 @@ from .io import (
 from .trainer import train
 
 
-def _check_output(path: str, flag: str | None = None) -> None:
-    """Refuse an output path that is a directory or whose directory does not
-    exist, naming the flag when one is given."""
-    where = path if flag is None else f"{flag} {path}"
-    if os.path.isdir(path):
-        raise EmbAdaptError(f"{where} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise EmbAdaptError(f"{where}: no such directory {parent}")
+def _check_outputs(outputs: dict[str, str], inputs: dict[str, str | None]) -> None:
+    """Refuse, naming its flag, an output path that is empty or a directory,
+    whose directory does not exist, or that is an input or another output of
+    the command as an absolute path. Each dict maps a flag to its path, or an
+    input flag not given to None."""
+    taken = {os.path.abspath(path): flag for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
+        where = os.path.abspath(path)
+        if not path:  # open() refuses it, and its abspath is the working directory
+            raise EmbAdaptError(f"{flag} path is empty")
+        if os.path.isdir(path):
+            raise EmbAdaptError(f"{flag} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(where)):
+            raise EmbAdaptError(f"{flag} {path}: no such directory {os.path.dirname(where)}")
+        if taken.setdefault(where, flag) != flag:
+            raise EmbAdaptError(f"{flag} {path} is the {taken[where]} path")
 
 
 def _atomic_write(*outputs: tuple[str, Callable[[str], object]]) -> None:
@@ -49,7 +56,7 @@ def _atomic_write(*outputs: tuple[str, Callable[[str], object]]) -> None:
     path, and once every writer has run the temp files are renamed onto
     their paths. If any step fails, no output and no temp file is left.
 
-    The caller has checked each path with _check_output before reading its
+    The caller has checked each path with _check_outputs before reading its
     inputs. The temp files are made by open(), so each output gets the mode
     that open() gives a new file under the umask (mkstemp would give 0600)."""
     temps: list[str] = []
@@ -139,7 +146,7 @@ def _read_settings(cls, flag: str, path: str, **overrides):
     """from_json(cls, <the UTF-8 file at path>, **overrides); a fault of the
     file, not of a value, is reported as `<flag> <path>: <reason>`."""
     try:
-        return from_json(cls, Path(path).read_text(encoding="utf-8"), **overrides)
+        return from_json(cls, Path(path).read_text(encoding="utf-8-sig"), **overrides)
     except (OSError, UnicodeDecodeError, FormatError) as exc:
         # an OSError's strerror, since its message repeats the path
         raise EmbAdaptError(f"{flag} {path}: {getattr(exc, 'strerror', None) or exc}") from None
@@ -147,7 +154,8 @@ def _read_settings(cls, flag: str, path: str, **overrides):
 
 def cmd_embed(args) -> int:
     # every check comes before the paid requests
-    _check_output(args.out)
+    _check_outputs({"--out": args.out},
+                   {"--items": args.items, "--endpoint-config": args.endpoint_config})
     cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
     items = load_jsonl_items(args.items)
     table = fetch_embeddings(items, cfg)
@@ -170,10 +178,9 @@ def _effective_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     log_path = args.log or args.out + ".log.jsonl"
     # before any input is read, so a run cannot train and then fail to write
-    _check_output(args.out, "--out")
-    _check_output(log_path, "--log")
-    if os.path.abspath(log_path) == os.path.abspath(args.out):
-        raise EmbAdaptError(f"--log {log_path} is the --out path")
+    _check_outputs({"--out": args.out, "--log": log_path},
+                   {"--queries": args.queries, "--corpus": args.corpus, "--qrels": args.qrels,
+                    "--config": args.config})
     cfg = _effective_config(args)
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
@@ -196,7 +203,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _check_output(args.out)
+    _check_outputs({"--out": args.out}, {"--in": args.infile, "--model": args.model})
     table = read_embeddings(args.infile)
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
@@ -210,7 +217,9 @@ def cmd_transform(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.per_query:
-        _check_output(args.per_query)
+        _check_outputs({"--per-query": args.per_query},
+                       {"--queries": args.queries, "--corpus": args.corpus,
+                        "--qrels": args.qrels, "--model": args.model})
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
     rels = load_qrels_tsv(args.qrels)

@@ -7,13 +7,11 @@ File formats:
   - *.sadp and *.sadc share one little-endian frame, read by BlockReader
     and written by write_blocks: a 4-byte magic, the body, then a u32 CRC32
     over everything after the magic.
-  - *.sadp: binary embedding table. Version 2, the only one written: magic
-    b"SADP", header <HQIH (version, count, dim, encoder tag byte length), the
-    UTF-8 tag, then three blocks: count u16 id lengths, all UTF-8 id bytes,
-    and a contiguous count x dim <f4 vector block. Ids are unique and each
-    is valid UTF-8 on its own. Ids and the tag are at most 65535 bytes each.
-    Version 1 (one u16-prefixed id and one vector per record, no checksum)
-    is still read, never written.
+  - *.sadp: binary embedding table, version 2. Magic b"SADP", header <HQIH
+    (version, count, dim, encoder tag byte length), the UTF-8 tag, then
+    three blocks: count u16 id lengths, all UTF-8 id bytes, and a contiguous
+    count x dim <f4 vector block. Ids are unique and each is valid UTF-8 on
+    its own. Ids and the tag are at most 65535 bytes each.
   - *.sadc (adapter.py): checkpoint, version 1. Magic b"SADC", header <HIIB
     (version, dim, hidden, flags: 1 skip, 2 separate adapters), the encoder
     tag and the config JSON each as a u32 byte length plus UTF-8 bytes, then
@@ -48,12 +46,12 @@ BACKOFF_CAP_SECONDS = 60.0
 
 
 def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) pairs of a UTF-8 text file.
+    """(line number, line) pairs of a UTF-8 text file, less a leading BOM.
 
     Bytes that are not UTF-8 raise FormatError naming the line: they decode
     to lone surrogates, which no valid UTF-8 produces and encode() refuses.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.isascii():
                 try:
@@ -219,14 +217,13 @@ class BlockReader:
         self.crc = zlib.crc32(block, self.crc)
         return out
 
-    def end(self, checksum: bool = True) -> int:
-        """Check the stored CRC32, unless the format has none, and refuse
-        trailing bytes. Returns the CRC32 of the body."""
+    def end(self) -> int:
+        """Check the stored CRC32 and refuse trailing bytes. Returns the CRC32
+        of the body."""
         crc = self.crc  # the sum before the stored value is read into it
-        if checksum:
-            (stored,) = self.unpack("<I", "checksum")
-            if stored != crc:
-                raise self.error("checksum mismatch, file corrupted")
+        (stored,) = self.unpack("<I", "checksum")
+        if stored != crc:
+            raise self.error("checksum mismatch, file corrupted")
         if self.left:
             raise self.error(f"{self.left} trailing bytes")
         return crc
@@ -283,25 +280,17 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a .sadp v1 or v2 file; any malformed input raises FormatError."""
+    """Read a .sadp v2 file; any malformed input raises FormatError."""
     with open(path, "rb") as f:
         r = BlockReader(f, path, EMBEDDING_MAGIC)
         version, count, dim, tag_len = r.unpack("<HQIH", "header")
-        if version not in (1, EMBEDDING_VERSION):
+        if version != EMBEDDING_VERSION:
             raise r.error(f"unsupported version {version}")
         encoder_tag = r.string(tag_len, "encoder tag")
-        if version == 1:  # one u16-prefixed id and one vector per record
-            r.need(count * (2 + 4 * dim), f"{count} records of {dim} floats")
-            ids = []
-            vectors = np.empty((count, dim), dtype="<f4")
-            for i in range(count):
-                ids.append(r.string(*r.unpack("<H", "id length"), f"record {i} id"))
-                vectors[i] = np.frombuffer(r.read(4 * dim, f"record {i} vector"), "<f4")
-        else:
-            lengths = np.frombuffer(r.read(2 * count, "id lengths"), dtype="<u2")
-            ids = r.strings(lengths, "ids the id lengths imply")
-            vectors = r.array((count, dim), "vectors")
-        r.end(checksum=version > 1)
+        lengths = np.frombuffer(r.read(2 * count, "id lengths"), dtype="<u2")
+        ids = r.strings(lengths, "ids the id lengths imply")
+        vectors = r.array((count, dim), "vectors")
+        r.end()
     vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     try:
         return EmbeddingTable(ids, vectors, encoder_tag)

@@ -1,21 +1,27 @@
+import contextlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import embadapt
 from embadapt import (
     EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint, transform,
     write_embeddings,
 )
-from embadapt.cli import _build_parser, _effective_config, main
+from embadapt.cli import _build_parser, _effective_config, _read_settings, main
+from embadapt.config import EncoderEndpointConfig
 from embadapt.evaluation import rank_candidates, score_all
 
 from synth import planted_task, seeded_output_layers
@@ -817,6 +823,15 @@ class TestSettingsFiles:
             "--config", str(cfg_file), *flags])
         assert _effective_config(args).patience == patience
 
+    @pytest.mark.parametrize("cls, content", [
+        (TrainConfig, '{"seed": 4}'),
+        (EncoderEndpointConfig, '{"base_url": "https://encoder.example/embed", "max_batch": 4}'),
+    ], ids=["config", "endpoint-config"])
+    def test_leading_bom_is_ignored(self, tmp_path, cls, content):
+        path = tmp_path / "settings.json"
+        path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+        assert _read_settings(cls, "--flag", str(path)) == cls(**json.loads(content))
+
     def test_refused_value_is_named_by_its_field(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"patience": 5}')
@@ -849,13 +864,170 @@ class TestOutputIsADirectory:
             "embed": ["embed", "--items", str(items), "--endpoint-config", str(endpoint),
                       "--out", str(target)],
         }[command]
+        flag = "--per-query" if command == "evaluate" else "--out"
         before = sorted(p.name for p in tmp_path.iterdir())
         capsys.readouterr()
         assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: {target} is a directory\n")
+        assert capsys.readouterr() == ("", f"error: {flag} {target} is a directory\n")
         assert calls == []  # the output is refused before any input is read or fetched
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(target.iterdir()) == []
+
+
+class TestOutputIsAnInput:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--queries", "q.sadp", "--corpus", "c.sadp", "--qrels", "rels.tsv"],
+        ["transform", "--in", "q.sadp", "--model", "m.sadc"],
+        ["embed", "--items", "items.jsonl", "--endpoint-config", "endpoint.json"],
+    ], ids=["train", "transform", "embed"])
+    def test_empty_path_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
+        calls = []
+        for name in ("read_embeddings", "load_checkpoint", "load_qrels_tsv", "load_jsonl_items",
+                     "fetch_embeddings", "_read_settings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --out path is empty\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("command, output, source", [
+        ("embed", "--out", "--items"),
+        ("embed", "--out", "--endpoint-config"),
+        ("train", "--out", "--corpus"),
+        ("train", "--out", "--config"),
+        ("train", "--log", "--qrels"),
+        ("transform", "--out", "--in"),
+        ("transform", "--out", "--model"),
+        ("evaluate", "--per-query", "--qrels"),
+        ("evaluate", "--per-query", "--model"),
+    ])
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command,
+                                             output, source):
+        qp, cp, rp = write_task(tmp_path)
+        ckpt = str(tmp_path / "m.sadc")
+        save_checkpoint(init_adapter(32, seed=1, encoder_tag="synthetic-v1"), ckpt)
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"_id": "a", "text": "first"}\n')
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
+        config = tmp_path / "cfg.json"
+        config.write_text("{}")
+        flags = {
+            "embed": {"--items": items, "--endpoint-config": endpoint, "--out": "e.sadp"},
+            "train": {"--queries": qp, "--corpus": cp, "--qrels": rp, "--config": config,
+                      "--out": "out.sadc", "--log": "out.log"},
+            "transform": {"--in": qp, "--model": ckpt, "--out": "t.sadp"},
+            "evaluate": {"--queries": qp, "--corpus": cp, "--qrels": rp, "--model": ckpt,
+                         "--per-query": "pq.tsv"},
+        }[command]
+        path = f"{tmp_path}/./{Path(flags[source]).name}"  # another spelling of the input
+        flags[output] = path
+        calls = []
+        for name in ("read_embeddings", "load_checkpoint", "load_qrels_tsv", "load_jsonl_items",
+                     "fetch_embeddings", "_read_settings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [command]
+        for flag, value in flags.items():
+            argv += [flag, str(value)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {output} {path} is the {source} path\n")
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# Values that a flag may be given by mistake, each tried alone on an
+# otherwise valid command.
+HOSTILE = ["nan", "inf", "1e308", "-1e308", "-1", "0", str(2**64), "", "abc", "1,,2", "1.5"]
+TRAIN_NUMBERS = ["--alpha", "--beta", "--batch-size", "--max-iters", "--patience", "--lr",
+                 "--neg-ratio", "--hidden", "--seed", "--eval-every", "--val-ratio"]
+HOSTILE_FLAGS = {
+    "train": TRAIN_NUMBERS + ["--queries", "--corpus", "--qrels", "--config", "--out", "--log"],
+    "evaluate": ["--k", "--queries", "--corpus", "--qrels", "--model", "--per-query"],
+    "search": ["--k", "--vector", "--corpus", "--model"],
+    "transform": ["--in", "--model", "--out"],
+}
+PATH_FLAGS = {"--queries", "--corpus", "--qrels", "--config", "--out", "--log", "--model",
+              "--per-query", "--in"}
+PATH_VALUES = ["missing.sadp", "a-dir", "wrong-format"]
+
+
+@st.composite
+def hostile_call(draw):
+    """The argv of a valid call with one flag set to a hostile value."""
+    command = draw(st.sampled_from(sorted(HOSTILE_FLAGS)))
+    flag = draw(st.sampled_from(HOSTILE_FLAGS[command]))
+    values = HOSTILE + PATH_VALUES if flag in PATH_FLAGS else HOSTILE
+    # init_mlp allocates dim x hidden floats, so a width above 64, which
+    # would ask for 8 x 2**64 of them, is left out
+    if flag == "--hidden":
+        values = [v for v in values if v != str(2**64)]
+    value = draw(st.sampled_from(values))
+    if value == "wrong-format":  # a file of another kind
+        value = "c.sadp" if flag in ("--qrels", "--config") else "rels.tsv"
+    flags = {
+        "train": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv",
+                  "--out": "m-out.sadc", "--max-iters": "3", "--eval-every": "1",
+                  "--patience": "3"},
+        "evaluate": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv",
+                     "--k": "10"},
+        "search": {"--corpus": "c.sadp", "--vector": "1,0,0,0,0,0,0,0", "--k": "10"},
+        "transform": {"--in": "q.sadp", "--model": "m.sadc", "--out": "t.sadp"},
+    }[command]
+    flags[flag] = value
+    argv = [command]
+    for name, given_value in flags.items():
+        argv += [name, given_value]
+    return argv
+
+
+class TestHostileFlagValues:
+    """Every command exits 0, exits 2 on an argparse syntax error, or exits 1
+    with one error line and no output; a failed run leaves no file behind."""
+
+    @staticmethod
+    def write_inputs(where: Path) -> None:
+        q, c, rels = planted_task(20, 60, 8)
+        write_embeddings(q, where / "q.sadp")
+        write_embeddings(c, where / "c.sadp")
+        (where / "rels.tsv").write_text(
+            "".join(f"{qid}\t{cid}\t{score:g}\n" for qid, cid, score in rels.triplets),
+            encoding="utf-8")
+        model = init_adapter(8, seed=1, encoder_tag="synthetic-v1")
+        save_checkpoint(seeded_output_layers(model, seed=2), str(where / "m.sadc"))
+        (where / "a-dir").mkdir()
+
+    @settings(deadline=None, max_examples=150, database=None)
+    @given(hostile_call())
+    def test_exit_status_and_output(self, argv):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # the command runs one level down, so a file written beside its
+            # working directory is seen too
+            where = Path(tmp) / "run"
+            where.mkdir()
+            self.write_inputs(where)
+            before = sorted(map(str, Path(tmp).rglob("*")))
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(where)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        rc = main(argv)
+                    except SystemExit as exc:  # argparse refuses the syntax
+                        rc = exc.code
+            finally:
+                os.chdir(cwd)
+            after = sorted(map(str, Path(tmp).rglob("*")))
+        assert rc in (0, 1, 2), (argv, err.getvalue())
+        if rc == 1:
+            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+            assert out.getvalue() == ""
+        if rc != 0:
+            assert after == before, argv
 
 
 class TestOutputMode:
