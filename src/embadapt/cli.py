@@ -18,10 +18,11 @@ from .data import (
     adapted_tag,
     as_side,
     check_compatible,
+    check_ratio,
     split_train_val,
 )
 from .errors import EmbAdaptError, FormatError
-from .evaluation import evaluate, ranked_lists
+from .evaluation import _check_k, evaluate, ranked_lists
 from .io import (
     _as_vectors,
     fetch_embeddings,
@@ -33,16 +34,27 @@ from .io import (
 from .trainer import train
 
 
-def _check_outputs(outputs: dict[str, str], inputs: dict[str, str | None]) -> None:
-    """Refuse, naming its flag, an output path that is empty or a directory,
-    whose directory does not exist, or that is an input or another output of
-    the command as an absolute path. Each dict maps a flag to its path, or an
-    input flag not given to None."""
-    taken = {os.path.abspath(path): flag for flag, path in inputs.items() if path is not None}
-    for flag, path in outputs.items():
-        where = os.path.abspath(path)
+class _In(str):
+    """The type of a path flag whose file the command reads."""
+
+
+class _Out(str):
+    """The type of a path flag whose file the command writes."""
+
+
+def _check_paths(args) -> None:
+    """Refuse, naming its flag, a path flag given empty, and an output path
+    that is a directory, whose directory does not exist, or that is an input
+    or another output of the command as an absolute path."""
+    paths = {"--" + dest.replace("_", "-"): path for dest, path in vars(args).items()
+             if isinstance(path, (_In, _Out))}
+    taken = {os.path.abspath(path): flag for flag, path in paths.items() if isinstance(path, _In)}
+    for flag, path in paths.items():
         if not path:  # open() refuses it, and its abspath is the working directory
             raise EmbAdaptError(f"{flag} path is empty")
+        if isinstance(path, _In):
+            continue
+        where = os.path.abspath(path)
         if os.path.isdir(path):
             raise EmbAdaptError(f"{flag} {path} is a directory")
         if not os.path.isdir(os.path.dirname(where)):
@@ -56,8 +68,8 @@ def _atomic_write(*outputs: tuple[str, Callable[[str], object]]) -> None:
     path, and once every writer has run the temp files are renamed onto
     their paths. If any step fails, no output and no temp file is left.
 
-    The caller has checked each path with _check_outputs before reading its
-    inputs. The temp files are made by open(), so each output gets the mode
+    main has checked each path with _check_paths before any input was read.
+    The temp files are made by open(), so each output gets the mode
     that open() gives a new file under the umask (mkstemp would give 0600)."""
     temps: list[str] = []
     written: list[str] = []
@@ -85,17 +97,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_embed = sub.add_parser("embed", help="fetch embeddings from a remote encoder")
-    p_embed.add_argument("--items", required=True, help="items .jsonl file")
-    p_embed.add_argument("--endpoint-config", required=True, help="endpoint config JSON")
-    p_embed.add_argument("--out", required=True, help="output .sadp file")
+    p_embed.set_defaults(run=cmd_embed)
+    p_embed.add_argument("--items", type=_In, required=True, help="items .jsonl file")
+    p_embed.add_argument("--endpoint-config", type=_In, required=True, help="endpoint config JSON")
+    p_embed.add_argument("--out", type=_Out, required=True, help="output .sadp file")
 
     p_train = sub.add_parser("train", help="train an adapter on qrels")
-    p_train.add_argument("--queries", required=True, help="query embeddings .sadp")
-    p_train.add_argument("--corpus", required=True, help="corpus embeddings .sadp")
-    p_train.add_argument("--qrels", required=True, help="relevance judgments .tsv")
-    p_train.add_argument("--out", required=True, help="output checkpoint path")
-    p_train.add_argument("--log", help="training log JSONL (default: <out>.log.jsonl)")
-    p_train.add_argument("--config", help="TrainConfig JSON file; flags override it")
+    p_train.set_defaults(run=cmd_train)
+    p_train.add_argument("--queries", type=_In, required=True, help="query embeddings .sadp")
+    p_train.add_argument("--corpus", type=_In, required=True, help="corpus embeddings .sadp")
+    p_train.add_argument("--qrels", type=_In, required=True, help="relevance judgments .tsv")
+    p_train.add_argument("--out", type=_Out, required=True, help="output checkpoint path")
+    p_train.add_argument("--log", type=_Out, help="training log JSONL (default: <out>.log.jsonl)")
+    p_train.add_argument("--config", type=_In, help="TrainConfig JSON file; flags override it")
     p_train.add_argument("--val-ratio", type=float, default=0.8,
                          help="train fraction of the query split (default 0.8)")
     p_train.add_argument("--alpha", type=float)
@@ -114,30 +128,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--gain", choices=GAIN_MODES)
 
     p_tf = sub.add_parser("transform", help="apply a checkpoint to an embedding file")
-    p_tf.add_argument("--in", dest="infile", required=True)
-    p_tf.add_argument("--model", required=True)
+    p_tf.set_defaults(run=cmd_transform)
+    p_tf.add_argument("--in", type=_In, required=True)
+    p_tf.add_argument("--model", type=_In, required=True)
     p_tf.add_argument("--which", choices=("query", "corpus"), default="query")
-    p_tf.add_argument("--out", required=True)
+    p_tf.add_argument("--out", type=_Out, required=True)
     p_tf.add_argument("--force", action="store_true")
 
     p_eval = sub.add_parser("evaluate", help="compute nDCG@k against qrels")
-    p_eval.add_argument("--queries", required=True)
-    p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--qrels", required=True)
-    p_eval.add_argument("--model")
+    p_eval.set_defaults(run=cmd_evaluate)
+    p_eval.add_argument("--queries", type=_In, required=True)
+    p_eval.add_argument("--corpus", type=_In, required=True)
+    p_eval.add_argument("--qrels", type=_In, required=True)
+    p_eval.add_argument("--model", type=_In)
     p_eval.add_argument("--k", type=int, default=10)
     p_eval.add_argument("--gain", choices=GAIN_MODES, default="standard")
     p_eval.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_eval.add_argument("--per-query", help="write per-query nDCG TSV here")
+    p_eval.add_argument("--per-query", type=_Out, help="write per-query nDCG TSV here")
     p_eval.add_argument("--force", action="store_true")
 
     p_search = sub.add_parser("search", help="top-k corpus matches for one query")
-    p_search.add_argument("--corpus", required=True)
-    p_search.add_argument("--model")
+    p_search.set_defaults(run=cmd_search)
+    p_search.add_argument("--corpus", type=_In, required=True)
+    p_search.add_argument("--model", type=_In)
     p_search.add_argument("--k", type=int, default=10)
     p_search.add_argument("--vector", help="comma-separated query vector")
     p_search.add_argument("--text", help="query text (requires --endpoint-config)")
-    p_search.add_argument("--endpoint-config")
+    p_search.add_argument("--endpoint-config", type=_In)
     p_search.add_argument("--force", action="store_true")
     return parser
 
@@ -153,9 +170,6 @@ def _read_settings(cls, flag: str, path: str, **overrides):
 
 
 def cmd_embed(args) -> int:
-    # every check comes before the paid requests
-    _check_outputs({"--out": args.out},
-                   {"--items": args.items, "--endpoint-config": args.endpoint_config})
     cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
     items = load_jsonl_items(args.items)
     table = fetch_embeddings(items, cfg)
@@ -170,17 +184,12 @@ def _effective_config(args) -> TrainConfig:
     that is its dest before the fields are checked."""
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
              if getattr(args, f.name) is not None}
-    if args.config:
+    if args.config is not None:
         return _read_settings(TrainConfig, "--config", args.config, **flags)
     return TrainConfig(**flags)
 
 
 def cmd_train(args) -> int:
-    log_path = args.log or args.out + ".log.jsonl"
-    # before any input is read, so a run cannot train and then fail to write
-    _check_outputs({"--out": args.out, "--log": log_path},
-                   {"--queries": args.queries, "--corpus": args.corpus, "--qrels": args.qrels,
-                    "--config": args.config})
     cfg = _effective_config(args)
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
@@ -189,7 +198,7 @@ def cmd_train(args) -> int:
     model, report = train(q_table, c_table, train_rels, val_rels, cfg)
 
     _atomic_write((args.out, lambda tmp: save_checkpoint(model, tmp)),
-                  (log_path, lambda tmp: Path(tmp).write_text(report.to_jsonl(),
+                  (args.log, lambda tmp: Path(tmp).write_text(report.to_jsonl(),
                                                               encoding="utf-8")))
 
     zero_shot = report.entries[0].val_ndcg
@@ -198,13 +207,12 @@ def cmd_train(args) -> int:
     print(f"best validation nDCG@10: {report.best_val_ndcg:.5f} "
           f"at iteration {report.best_iteration} ({report.stop_reason})")
     print(f"checkpoint -> {args.out}")
-    print(f"training log -> {log_path}")
+    print(f"training log -> {args.log}")
     return 0
 
 
 def cmd_transform(args) -> int:
-    _check_outputs({"--out": args.out}, {"--in": args.infile, "--model": args.model})
-    table = read_embeddings(args.infile)
+    table = read_embeddings(getattr(args, "in"))
     model = load_checkpoint(args.model)
     check_compatible({"input": table}, model, args.force)
     adapted = transform(model, table.vectors, args.which)  # refuses non-finite rows
@@ -216,21 +224,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.per_query:
-        _check_outputs({"--per-query": args.per_query},
-                       {"--queries": args.queries, "--corpus": args.corpus,
-                        "--qrels": args.qrels, "--model": args.model})
     q_table = read_embeddings(args.queries)
     c_table = read_embeddings(args.corpus)
     rels = load_qrels_tsv(args.qrels)
-    model = load_checkpoint(args.model) if args.model else None
+    model = load_checkpoint(args.model) if args.model is not None else None
     report = evaluate(q_table, c_table, rels, model, k=args.k,
                       gain=args.gain, force=args.force)
-    if args.per_query:
-        lines = [f"{qid}\t{v:.6f}" for qid, v in sorted(report.per_query_ndcg.items())]
-        text = "\n".join(lines) + "\n"
-        _atomic_write((args.per_query,
-                       lambda tmp: Path(tmp).write_text(text, encoding="utf-8")))
+    if args.per_query is not None:
+        text = "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(report.per_query_ndcg.items()))
+        _atomic_write((args.per_query, lambda tmp: Path(tmp).write_text(text, encoding="utf-8")))
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -247,12 +249,12 @@ def cmd_search(args) -> int:
         query = _as_vectors([values], 1)
         if query is None:
             raise EmbAdaptError("--vector must be numbers that float32 holds as finite values")
-    elif not args.endpoint_config:
+    elif args.endpoint_config is None:
         raise EmbAdaptError("--text requires --endpoint-config")
     else:
         cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
     c_table = read_embeddings(args.corpus)
-    model = load_checkpoint(args.model) if args.model else None
+    model = load_checkpoint(args.model) if args.model is not None else None
     if args.vector is not None:
         # a vector is taken to be a query in the space of the corpus
         q_table = EmbeddingTable(["q"], query, as_side(c_table.encoder_tag, "query"))
@@ -264,15 +266,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "embed": cmd_embed,
-    "train": cmd_train,
-    "transform": cmd_transform,
-    "evaluate": cmd_evaluate,
-    "search": cmd_search,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with '-' as an option, so a vector
@@ -282,7 +275,14 @@ def main(argv=None) -> int:
         argv[i : i + 2] = [f"--vector={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # every path and flag rule is checked here, before any input is read
+        if args.command == "train" and args.log is None:
+            args.log = _Out(args.out + ".log.jsonl")
+        _check_paths(args)
+        for dest, rule in {"k": _check_k, "val_ratio": check_ratio}.items():
+            if dest in vars(args):  # the library's own rule for the flag's value
+                rule(vars(args)[dest])
+        return args.run(args)
     except (EmbAdaptError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .errors import FormatError
 from .objectives import LOSS_VARIANTS
@@ -130,6 +131,13 @@ class EncoderEndpointConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        try:
+            url = urlsplit(self.base_url)
+        except ValueError:  # such as an unclosed IPv6 bracket
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL with a host, "
+                             f"got {self.base_url!r}")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_concurrent_requests < 1:

@@ -226,6 +226,11 @@ def check_compatible(
                                    f"and a model would adapt it twice: {listed('encoder_tag')}")
 
 
+def check_ratio(ratio: float) -> None:
+    if not 0.0 < ratio < 1.0:
+        raise DataError(f"ratio must be in (0, 1), got {ratio}")
+
+
 def split_train_val(
     rels: RelevanceSet, ratio: float, seed: int
 ) -> tuple[RelevanceSet, RelevanceSet]:
@@ -233,8 +238,7 @@ def split_train_val(
 
     All triplets of a query land on the same side. Deterministic given seed.
     """
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"ratio must be in (0, 1), got {ratio}")
+    check_ratio(ratio)
     qids = sorted(rels.query_ids)
     if len(qids) < 2:
         raise DataError("need at least 2 distinct query ids to split")

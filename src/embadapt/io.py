@@ -344,9 +344,10 @@ def _fetch_batch(
     """Embed one batch as an (n, d) float32 array, retrying only failures that
     can succeed on retry.
 
-    Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
-    are retried with exponential backoff, or after an integer Retry-After;
-    any other 4xx raises FetchError at once.
+    Timeouts, connection errors, broken chunked bodies, malformed bodies and
+    HTTP 408, 429 and 5xx are retried with exponential backoff, or after an
+    integer Retry-After; any other 4xx, and any other error of the request,
+    raises FetchError at once.
     """
     span = f"batch [{start}:{start + len(texts)}]"
     last_error: Exception | None = None
@@ -365,9 +366,12 @@ def _fetch_batch(
                 headers=headers,
                 timeout=cfg.timeout_seconds,
             )
-        except Exception as exc:  # noqa: BLE001 - timeouts and connection errors
+        except (requests.Timeout, requests.ConnectionError,
+                requests.exceptions.ChunkedEncodingError) as exc:
             last_error = exc
             continue
+        except Exception as exc:  # noqa: BLE001 - such as InvalidURL, which no retry mends
+            raise FetchError(f"{span} could not be sent, not retried: {exc}") from exc
         status = resp.status_code
         if status >= 400:
             if status < 500 and status not in (408, 429):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import tempfile
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from embadapt import (
     EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint, transform,
     write_embeddings,
 )
-from embadapt.cli import _build_parser, _effective_config, _read_settings, main
+from embadapt.cli import _In, _Out, _build_parser, _effective_config, _read_settings, main
 from embadapt.config import EncoderEndpointConfig
 from embadapt.evaluation import rank_candidates, score_all
 
@@ -726,8 +728,10 @@ class TestEmbedCommand:
         ({"base_url": ENDPOINT_URL, "timeout_seconds": -1.0}, "timeout_seconds must be > 0"),
         ({"base_url": ENDPOINT_URL, "backoff_base_seconds": -0.5},
          "backoff_base_seconds must be >= 0"),
+        ({"base_url": "ftp://x/y"},
+         "base_url must be an http or https URL with a host, got 'ftp://x/y'"),
     ], ids=["unknown-key", "json-list", "wrong-type", "nan-timeout", "no-base-url",
-            "zero-timeout", "negative-timeout", "negative-backoff"])
+            "zero-timeout", "negative-timeout", "negative-backoff", "ftp-base-url"])
     def test_bad_endpoint_config_exits_one(self, tmp_path, capsys, monkeypatch, config,
                                            message):
         items_path = tmp_path / "items.jsonl"
@@ -939,28 +943,91 @@ class TestOutputIsAnInput:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestCheckedBeforeAnyRead:
+    """main checks every path flag and flag rule before a command reads a file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--model", ""], "--model path is empty"),
+        (["evaluate", "--queries", ""], "--queries path is empty"),
+        (["evaluate", "--per-query", ""], "--per-query path is empty"),
+        (["evaluate", "--k", "0"], "k must be >= 1, got 0"),
+        (["search", "--model", ""], "--model path is empty"),
+        (["search", "--k", "0"], "k must be >= 1, got 0"),
+        (["search", "--text", "q", "--endpoint-config", ""], "--endpoint-config path is empty"),
+        (["train", "--config", ""], "--config path is empty"),
+        (["train", "--log", ""], "--log path is empty"),
+        (["train", "--val-ratio", "1.5"], "ratio must be in (0, 1), got 1.5"),
+    ], ids=["evaluate-model", "evaluate-queries", "evaluate-per-query", "evaluate-k",
+            "search-model", "search-k", "search-endpoint-config", "train-config", "train-log",
+            "train-val-ratio"])
+    def test_refused_with_no_file_read_or_written(self, tmp_path, capsys, monkeypatch, argv,
+                                                 message):
+        qp, cp, rp = write_task(tmp_path)
+        ckpt = str(tmp_path / "m.sadc")
+        save_checkpoint(init_adapter(32, seed=1, encoder_tag="synthetic-v1"), ckpt)
+        flags = {
+            "evaluate": {"--queries": qp, "--corpus": cp, "--qrels": rp, "--model": ckpt},
+            "search": {"--corpus": cp, "--model": ckpt, "--vector": ",".join(["1"] * 32)},
+            "train": {"--queries": qp, "--corpus": cp, "--qrels": rp, "--out": "m-out.sadc"},
+        }[argv[0]]
+        if "--text" in argv:
+            del flags["--vector"]
+        flags.update(zip(argv[1::2], argv[2::2]))  # the refused value replaces a valid one
+        calls = []
+        for name in ("read_embeddings", "load_checkpoint", "load_qrels_tsv", "load_jsonl_items",
+                     "fetch_embeddings", "_read_settings"):
+            monkeypatch.setattr(f"embadapt.cli.{name}",
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([argv[0], *(x for flag, value in flags.items() for x in (flag, value))]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # Values that a flag may be given by mistake, each tried alone on an
-# otherwise valid command.
+# otherwise valid call.
 HOSTILE = ["nan", "inf", "1e308", "-1e308", "-1", "0", str(2**64), "", "abc", "1,,2", "1.5"]
-TRAIN_NUMBERS = ["--alpha", "--beta", "--batch-size", "--max-iters", "--patience", "--lr",
-                 "--neg-ratio", "--hidden", "--seed", "--eval-every", "--val-ratio"]
-HOSTILE_FLAGS = {
-    "train": TRAIN_NUMBERS + ["--queries", "--corpus", "--qrels", "--config", "--out", "--log"],
-    "evaluate": ["--k", "--queries", "--corpus", "--qrels", "--model", "--per-query"],
-    "search": ["--k", "--vector", "--corpus", "--model"],
-    "transform": ["--in", "--model", "--out"],
-}
-PATH_FLAGS = {"--queries", "--corpus", "--qrels", "--config", "--out", "--log", "--model",
-              "--per-query", "--in"}
 PATH_VALUES = ["missing.sadp", "a-dir", "wrong-format"]
+# command -> each flag of its parser that takes a free value -> its type: a
+# path role (_In, _Out), int, float, or None for text; flags of fixed choices
+# are left out
+VALUE_FLAGS = {
+    command: {a.option_strings[0]: a.type for a in sub._actions
+              if type(a) is argparse._StoreAction and a.choices is None}
+    for action in _build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    for command, sub in action.choices.items()
+}
+# a valid call of each command, and of each query source of search, by
+# <command>[/<variant>]
+VALID_CALLS = {
+    "embed": {"--items": "items.jsonl", "--endpoint-config": "endpoint.json",
+              "--out": "e-out.sadp"},
+    "train": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv",
+              "--out": "m-out.sadc", "--max-iters": "3", "--eval-every": "1", "--patience": "3"},
+    "evaluate": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv", "--k": "10"},
+    "search/vector": {"--corpus": "c.sadp", "--vector": "1,0,0,0,0,0,0,0", "--k": "10"},
+    "search/text": {"--corpus": "c.sadp", "--text": "a query",
+                    "--endpoint-config": "endpoint.json", "--k": "10"},
+    "transform": {"--in": "q.sadp", "--model": "m.sadc", "--out": "t.sadp"},
+}
+
+
+def command_of(call: str) -> str:
+    return call.partition("/")[0]
+
+
+def is_path(call: str, flag: str) -> bool:
+    return VALUE_FLAGS[command_of(call)][flag] in (_In, _Out)
 
 
 @st.composite
 def hostile_call(draw):
-    """The argv of a valid call with one flag set to a hostile value."""
-    command = draw(st.sampled_from(sorted(HOSTILE_FLAGS)))
-    flag = draw(st.sampled_from(HOSTILE_FLAGS[command]))
-    values = HOSTILE + PATH_VALUES if flag in PATH_FLAGS else HOSTILE
+    """A valid call, one flag of its command and a hostile value for it."""
+    call = draw(st.sampled_from(sorted(VALID_CALLS)))
+    flag = draw(st.sampled_from(sorted(VALUE_FLAGS[command_of(call)])))
+    values = HOSTILE + PATH_VALUES if is_path(call, flag) else HOSTILE
     # init_mlp allocates dim x hidden floats, so a width above 64, which
     # would ask for 8 x 2**64 of them, is left out
     if flag == "--hidden":
@@ -968,25 +1035,19 @@ def hostile_call(draw):
     value = draw(st.sampled_from(values))
     if value == "wrong-format":  # a file of another kind
         value = "c.sadp" if flag in ("--qrels", "--config") else "rels.tsv"
-    flags = {
-        "train": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv",
-                  "--out": "m-out.sadc", "--max-iters": "3", "--eval-every": "1",
-                  "--patience": "3"},
-        "evaluate": {"--queries": "q.sadp", "--corpus": "c.sadp", "--qrels": "rels.tsv",
-                     "--k": "10"},
-        "search": {"--corpus": "c.sadp", "--vector": "1,0,0,0,0,0,0,0", "--k": "10"},
-        "transform": {"--in": "q.sadp", "--model": "m.sadc", "--out": "t.sadp"},
-    }[command]
-    flags[flag] = value
-    argv = [command]
-    for name, given_value in flags.items():
-        argv += [name, given_value]
-    return argv
+    return call, flag, value
+
+
+def fake_fetch(items, cfg):
+    """An encoder that embeds every text as the same 8-dim vector."""
+    return EmbeddingTable([it.id for it in items], np.ones((len(items), 8), np.float32),
+                          cfg.encoder_tag)
 
 
 class TestHostileFlagValues:
     """Every command exits 0, exits 2 on an argparse syntax error, or exits 1
-    with one error line and no output; a failed run leaves no file behind."""
+    with one error line and no output; a failed run leaves no file behind,
+    and an empty path always exits 1."""
 
     @staticmethod
     def write_inputs(where: Path) -> None:
@@ -999,10 +1060,15 @@ class TestHostileFlagValues:
         model = init_adapter(8, seed=1, encoder_tag="synthetic-v1")
         save_checkpoint(seeded_output_layers(model, seed=2), str(where / "m.sadc"))
         (where / "a-dir").mkdir()
+        (where / "items.jsonl").write_text('{"_id": "a", "text": "first"}\n', encoding="utf-8")
+        (where / "endpoint.json").write_text(
+            json.dumps({"base_url": ENDPOINT_URL, "encoder_tag": "synthetic-v1"}),
+            encoding="utf-8")
 
-    @settings(deadline=None, max_examples=150, database=None)
-    @given(hostile_call())
-    def test_exit_status_and_output(self, argv):
+    def check(self, call: str, flag: str, value: str) -> None:
+        """Run the valid call with flag set to value, and check the outcome."""
+        flags = {**VALID_CALLS[call], flag: value}
+        argv = [command_of(call), *(x for name, given in flags.items() for x in (name, given))]
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             # the command runs one level down, so a file written beside its
@@ -1014,7 +1080,8 @@ class TestHostileFlagValues:
             out, err = io.StringIO(), io.StringIO()
             os.chdir(where)
             try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        mock.patch("embadapt.cli.fetch_embeddings", fake_fetch):
                     try:
                         rc = main(argv)
                     except SystemExit as exc:  # argparse refuses the syntax
@@ -1023,11 +1090,24 @@ class TestHostileFlagValues:
                 os.chdir(cwd)
             after = sorted(map(str, Path(tmp).rglob("*")))
         assert rc in (0, 1, 2), (argv, err.getvalue())
+        if value == "" and is_path(call, flag):
+            assert rc == 1, argv
         if rc == 1:
             assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
             assert out.getvalue() == ""
         if rc != 0:
             assert after == before, argv
+
+    @settings(deadline=None, max_examples=150, database=None)
+    @given(hostile_call())
+    def test_exit_status_and_output(self, call):
+        self.check(*call)
+
+    @pytest.mark.parametrize("call, flag", [(call, flag) for call in sorted(VALID_CALLS)
+                                            for flag in VALUE_FLAGS[command_of(call)]
+                                            if is_path(call, flag)])
+    def test_empty_path_exits_one(self, call, flag):
+        self.check(call, flag, "")
 
 
 class TestOutputMode:

@@ -33,6 +33,14 @@ def test_bad_value_refused_when_built(cls, kwargs, message):
         from_json(cls, json.dumps(kwargs))
 
 
+@pytest.mark.parametrize("base_url", ["nope", "ftp://x/y", "http://"])
+def test_base_url_that_cannot_be_requested_refused(base_url):
+    with pytest.raises(ValueError, match=f"^base_url must be an http or https URL with a host, "
+                                         f"got '{base_url}'$"):
+        EncoderEndpointConfig(base_url)
+    assert EncoderEndpointConfig(URL).base_url == URL
+
+
 class TestFromJson:
     def test_builds_either_class(self):
         assert from_json(TrainConfig, '{"seed": 3}') == TrainConfig(seed=3)

@@ -14,7 +14,7 @@ from embadapt import (
     train,
     write_embeddings,
 )
-from embadapt.cli import _COMMANDS, _build_parser
+from embadapt.cli import _build_parser
 from embadapt.data import TextItem, adapted_tag, as_side, check_compatible
 from embadapt.errors import DataError, FormatError, TagMismatchError
 from embadapt.evaluation import ranked_lists
@@ -211,7 +211,7 @@ class TestSplitTrainVal:
 def run_command(argv):
     """A CLI command with its error raised, not turned into exit status 1."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return args.run(args)
 
 
 def cli_search(tmp_path, monkeypatch, q, c, model, force):

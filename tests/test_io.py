@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 from embadapt import (
@@ -399,8 +400,9 @@ class FakeSession:
     """Deterministic stand-in for requests.Session."""
 
     def __init__(self, dim=4, fail_first=0, dim_by_batch=None, fail_status=503,
-                 fail_headers=None, body=None):
+                 fail_headers=None, body=None, raise_first=None):
         self.dim = dim
+        self.raise_first = raise_first  # when set, raised by the first post
         self.body = body  # when set, the "embeddings" field of every response
         self.fail_first = fail_first
         self.fail_status = fail_status
@@ -413,6 +415,9 @@ class FakeSession:
         with self._lock:
             batch_no = len(self.calls)
             self.calls.append(json["texts"])
+            if self.raise_first is not None:
+                error, self.raise_first = self.raise_first, None
+                raise error
             if self.fail_first > 0:
                 self.fail_first -= 1
                 return FakeResponse({}, self.fail_status, self.fail_headers)
@@ -549,6 +554,25 @@ class TestFetchEmbeddings:
             assert 0.0005 <= sleeps[0] <= 0.0015
         else:
             assert sleeps[0] == slept
+
+    @pytest.mark.parametrize("error, calls", [
+        (requests.Timeout("read timed out"), 2),
+        (requests.ConnectionError("connection refused"), 2),
+        (requests.exceptions.InvalidURL("no host supplied"), 1),
+    ], ids=["timeout", "connection-error", "invalid-url"])
+    def test_only_transport_failures_retried(self, monkeypatch, error, calls):
+        sleeps = []
+        monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
+        session = FakeSession(raise_first=error)
+        if calls == 1:  # a ValueError too, which no retry mends
+            with pytest.raises(FetchError, match=r"^batch \[0:10\] could not be sent, not "
+                                                 r"retried: no host supplied$"):
+                fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+        else:
+            assert len(fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10),
+                                        session=session)) == 10
+        assert len(session.calls) == calls
+        assert len(sleeps) == calls - 1
 
     def test_exhausted_retries_name_batch_range(self):
         session = FakeSession(fail_first=100)
