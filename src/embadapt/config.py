@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urlsplit
@@ -138,6 +139,16 @@ class EncoderEndpointConfig:
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL with a host, "
                              f"got {self.base_url!r}")
+        # http.client refuses a space or a control character, and a path with
+        # a non-ASCII character, only when it sends the first request
+        if re.search(r"[^\x21-\x7e]", self.base_url):
+            raise ValueError(f"base_url must be printable ASCII with no spaces, "
+                             f"got {self.base_url!r}")
+        try:
+            url.port
+        except ValueError:
+            raise ValueError(f"base_url port must be a number in [0, 65535], "
+                             f"got {self.base_url!r}") from None
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_concurrent_requests < 1:

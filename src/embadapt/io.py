@@ -31,10 +31,9 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .config import EncoderEndpointConfig
 from .data import EmbeddingTable, RelevanceSet, TextItem
@@ -309,12 +308,42 @@ def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"}
 
 
-def _retry_after_seconds(resp) -> float | None:
+def _retry_after_seconds(headers) -> float | None:
     """An integer Retry-After header in seconds, capped at BACKOFF_CAP_SECONDS."""
-    value = resp.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     if not (value.isascii() and value.isdigit()):
         return None
     return min(BACKOFF_CAP_SECONDS, float(value))
+
+
+def _post(url: str, body: bytes, headers: dict[str, str],
+          timeout: float) -> tuple[int, Mapping[str, str], bytes]:
+    """POST body to url; returns the status, the headers and the body of the
+    response.
+
+    An HTTP error status is returned, with an empty body, not raised. Every
+    failure of the transport is an OSError: a response cut short or garbled
+    raises ConnectionError. The headers go to url alone, never to the target
+    of a redirect. The HTTP modules are imported here, so that only a command
+    that fetches loads them.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, method="POST")
+    for name, value in headers.items():
+        request.add_unredirected_header(name, value)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.headers, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.headers, b""
+    except http.client.InvalidURL:  # such as a redirect to a port that is not a number
+        raise
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"response cut short or garbled: {exc!r}") from exc
 
 
 def _as_vectors(embeddings, n: int) -> np.ndarray | None:
@@ -335,7 +364,6 @@ def _as_vectors(embeddings, n: int) -> np.ndarray | None:
 
 
 def _fetch_batch(
-    session,
     cfg: EncoderEndpointConfig,
     headers: dict[str, str],
     texts: list[str],
@@ -344,12 +372,14 @@ def _fetch_batch(
     """Embed one batch as an (n, d) float32 array, retrying only failures that
     can succeed on retry.
 
-    Timeouts, connection errors, broken chunked bodies, malformed bodies and
-    HTTP 408, 429 and 5xx are retried with exponential backoff, or after an
-    integer Retry-After; any other 4xx, and any other error of the request,
-    raises FetchError at once.
+    Any OSError from _post (a timeout, a connection refused or dropped, a
+    response cut short or garbled), a malformed body and HTTP 408, 429 and
+    5xx are retried with exponential backoff, or after an integer
+    Retry-After. Any other status outside 2xx, a 307 or 308 redirect among
+    them, and any other error raise FetchError at once.
     """
     span = f"batch [{start}:{start + len(texts)}]"
+    body = json.dumps({cfg.request_field: texts}).encode()
     last_error: Exception | None = None
     delay: float | None = None  # the Retry-After of the last response, if any
     for attempt in range(cfg.retry_limit + 1):
@@ -360,28 +390,22 @@ def _fetch_batch(
             time.sleep(delay)
             delay = None
         try:
-            resp = session.post(
-                cfg.base_url,
-                json={cfg.request_field: texts},
-                headers=headers,
-                timeout=cfg.timeout_seconds,
-            )
-        except (requests.Timeout, requests.ConnectionError,
-                requests.exceptions.ChunkedEncodingError) as exc:
+            status, resp_headers, content = _post(cfg.base_url, body, headers,
+                                                  cfg.timeout_seconds)
+        except OSError as exc:
             last_error = exc
             continue
-        except Exception as exc:  # noqa: BLE001 - such as InvalidURL, which no retry mends
+        except Exception as exc:  # noqa: BLE001 - such as a ValueError, which no retry mends
             raise FetchError(f"{span} could not be sent, not retried: {exc}") from exc
-        status = resp.status_code
-        if status >= 400:
+        if not 200 <= status < 300:
             if status < 500 and status not in (408, 429):
                 raise FetchError(f"{span} refused with HTTP {status}, not retried")
             last_error = FetchError(f"HTTP {status}")
-            delay = _retry_after_seconds(resp)
+            delay = _retry_after_seconds(resp_headers)
             continue
         # a malformed body may be transient
         try:
-            embeddings = resp.json()[cfg.response_field]
+            embeddings = json.loads(content)[cfg.response_field]
         except (ValueError, KeyError, TypeError) as exc:
             last_error = exc
             continue
@@ -395,11 +419,7 @@ def _fetch_batch(
     )
 
 
-def fetch_embeddings(
-    items: Sequence[TextItem],
-    cfg: EncoderEndpointConfig,
-    session=None,
-) -> EmbeddingTable:
+def fetch_embeddings(items: Sequence[TextItem], cfg: EncoderEndpointConfig) -> EmbeddingTable:
     """Embed items via the remote endpoint.
 
     Requests are batched at cfg.max_batch, issued with bounded concurrency,
@@ -410,10 +430,7 @@ def fetch_embeddings(
     """
     if not items:
         raise FetchError("no items to embed")
-    owns_session = session is None
-    if owns_session:
-        session = requests.Session()
-    headers = _auth_headers(cfg)
+    headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
     batches = [
         (start, [it.text for it in items[start : start + cfg.max_batch]])
         for start in range(0, len(items), cfg.max_batch)
@@ -425,18 +442,14 @@ def fetch_embeddings(
         if failed.is_set():
             return None
         try:
-            return _fetch_batch(session, cfg, headers, texts, start)
+            return _fetch_batch(cfg, headers, texts, start)
         except BaseException:
             failed.set()
             raise
 
-    try:
-        with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
-            futures = [pool.submit(fetch, texts, start) for start, texts in batches]
-            results = [fut.result() for fut in futures]
-    finally:
-        if owns_session:
-            session.close()
+    with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
+        futures = [pool.submit(fetch, texts, start) for start, texts in batches]
+        results = [fut.result() for fut in futures]
     dims = {batch.shape[1] for batch in results}
     if len(dims) != 1:
         raise FetchError(f"inconsistent embedding dimensions across batches: {sorted(dims)}")

@@ -1,6 +1,9 @@
 """The public surface: the top-level names and the README's library example."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import embadapt
@@ -31,6 +34,19 @@ def test_top_level_names():
     assert sorted(embadapt.__all__) == sorted(TOP_LEVEL)
     for name in TOP_LEVEL:
         assert callable(getattr(embadapt, name))
+
+
+def test_import_loads_no_http_module():
+    # only embed and search --text send a request: the encoder client imports
+    # the HTTP modules when it posts, so no other command pays for them
+    src = str(Path(embadapt.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, embadapt.cli; print([m for m in "
+            "('requests', 'urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def library_example() -> str:

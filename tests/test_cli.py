@@ -673,7 +673,7 @@ class TestSearchCommand:
         endpoint.write_text(json.dumps({"base_url": "https://encoder.example/embed",
                                         "encoder_tag": "enc-a"}))
 
-        def fake_fetch(items, cfg, session=None):
+        def fake_fetch(items, cfg):
             return EmbeddingTable([it.id for it in items],
                                   np.array([[0.0, 1.0]], dtype=np.float32), cfg.encoder_tag)
 
@@ -701,7 +701,7 @@ class TestEmbedCommand:
             "encoder_tag": "fake-v1",
         }))
 
-        def fake_fetch(items, cfg, session=None):
+        def fake_fetch(items, cfg):
             assert [it.id for it in items] == ["a", "b"]
             assert cfg.encoder_tag == "fake-v1"
             vecs = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -730,8 +730,18 @@ class TestEmbedCommand:
          "backoff_base_seconds must be >= 0"),
         ({"base_url": "ftp://x/y"},
          "base_url must be an http or https URL with a host, got 'ftp://x/y'"),
+        ({"base_url": "http://h:abc/"},
+         "base_url port must be a number in [0, 65535], got 'http://h:abc/'"),
+        ({"base_url": "http://h:99999/"},
+         "base_url port must be a number in [0, 65535], got 'http://h:99999/'"),
+        ({"base_url": "http://h/a b"},
+         "base_url must be printable ASCII with no spaces, got 'http://h/a b'"),
+        ({"base_url": "http://h/\x7f"},
+         "base_url must be printable ASCII with no spaces, got 'http://h/\\x7f'"),
     ], ids=["unknown-key", "json-list", "wrong-type", "nan-timeout", "no-base-url",
-            "zero-timeout", "negative-timeout", "negative-backoff", "ftp-base-url"])
+            "zero-timeout", "negative-timeout", "negative-backoff", "ftp-base-url",
+            "port-not-a-number", "port-out-of-range", "space-in-base-url",
+            "control-character-in-base-url"])
     def test_bad_endpoint_config_exits_one(self, tmp_path, capsys, monkeypatch, config,
                                            message):
         items_path = tmp_path / "items.jsonl"
@@ -739,7 +749,7 @@ class TestEmbedCommand:
         endpoint = tmp_path / "endpoint.json"
         endpoint.write_text(json.dumps(config))
 
-        def no_fetch(items, cfg, session=None):
+        def no_fetch(items, cfg):
             raise AssertionError("a refused config must not reach the encoder")
 
         monkeypatch.setattr("embadapt.cli.fetch_embeddings", no_fetch)
@@ -759,7 +769,7 @@ class TestEmbedCommand:
         endpoint = tmp_path / "endpoint.json"
         endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL}))
 
-        def no_fetch(items, cfg, session=None):
+        def no_fetch(items, cfg):
             raise AssertionError("refused items must not reach the encoder")
 
         monkeypatch.setattr("embadapt.cli.fetch_embeddings", no_fetch)

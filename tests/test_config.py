@@ -41,6 +41,23 @@ def test_base_url_that_cannot_be_requested_refused(base_url):
     assert EncoderEndpointConfig(URL).base_url == URL
 
 
+@pytest.mark.parametrize("base_url, message", [
+    ("http://h:abc/", "port must be a number in [0, 65535]"),
+    ("http://h:99999/", "port must be a number in [0, 65535]"),
+    ("http://h/a b", "must be printable ASCII with no spaces"),
+    (" http://h/", "must be printable ASCII with no spaces"),
+    ("http://h/\tx", "must be printable ASCII with no spaces"),
+    ("http://h/\x00", "must be printable ASCII with no spaces"),
+    ("http://h/caf\u00e9", "must be printable ASCII with no spaces"),
+])
+def test_base_url_that_http_client_cannot_send_refused(base_url, message):
+    # urlsplit strips a leading space and drops a tab, so the raw string is checked
+    with pytest.raises(ValueError) as exc:
+        EncoderEndpointConfig(base_url)
+    assert str(exc.value) == f"base_url {message}, got {base_url!r}"
+    assert EncoderEndpointConfig("http://h:8080/a%20b").base_url == "http://h:8080/a%20b"
+
+
 class TestFromJson:
     def test_builds_either_class(self):
         assert from_json(TrainConfig, '{"seed": 3}') == TrainConfig(seed=3)

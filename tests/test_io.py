@@ -1,3 +1,4 @@
+import http.server
 import itertools
 import json
 import os
@@ -6,12 +7,12 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import urllib.error
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 from embadapt import (
@@ -382,22 +383,13 @@ class TestEmbeddingFileV2:
         assert read_embeddings(tmp_path / "t.sadp").ids == ok.ids
 
 
-class FakeResponse:
-    def __init__(self, payload, status=200, headers=None):
-        self._payload = payload
-        self.status_code = status
-        self.headers = headers or {}
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"HTTP {self.status_code}")
-
-    def json(self):
-        return self._payload
+def reply(payload, status=200, headers=None):
+    """A response as io._post returns it: status, headers and JSON body bytes."""
+    return status, headers or {}, json.dumps(payload).encode()
 
 
-class FakeSession:
-    """Deterministic stand-in for requests.Session."""
+class FakeEncoder:
+    """Deterministic stand-in for io._post."""
 
     def __init__(self, dim=4, fail_first=0, dim_by_batch=None, fail_status=503,
                  fail_headers=None, body=None, raise_first=None):
@@ -411,24 +403,28 @@ class FakeSession:
         self.calls = []
         self._lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def __call__(self, url, body, headers, timeout):
+        texts = json.loads(body)["texts"]
         with self._lock:
             batch_no = len(self.calls)
-            self.calls.append(json["texts"])
+            self.calls.append(texts)
             if self.raise_first is not None:
                 error, self.raise_first = self.raise_first, None
                 raise error
             if self.fail_first > 0:
                 self.fail_first -= 1
-                return FakeResponse({}, self.fail_status, self.fail_headers)
+                return reply({}, self.fail_status, self.fail_headers)
         if self.body is not None:
-            return FakeResponse({"embeddings": self.body})
+            return reply({"embeddings": self.body})
         dim = self.dim if self.dim_by_batch is None else self.dim_by_batch[batch_no]
-        vectors = [[float(len(t))] * dim for t in json["texts"]]
-        return FakeResponse({"embeddings": vectors})
+        return reply({"embeddings": [[float(len(t))] * dim for t in texts]})
 
-    def close(self):
-        pass
+
+def serve(monkeypatch, encoder=None):
+    """Make encoder (a fresh FakeEncoder by default) answer every POST."""
+    encoder = encoder or FakeEncoder()
+    monkeypatch.setattr("embadapt.io._post", encoder)
+    return encoder
 
 
 def endpoint_cfg(**kw):
@@ -449,75 +445,70 @@ def make_items(n):
 
 
 class TestFetchEmbeddings:
-    def test_batching_is_ceiling_division(self):
-        session = FakeSession()
-        table = fetch_embeddings(make_items(250), endpoint_cfg(), session=session)
-        assert len(session.calls) == 3
-        assert sorted(len(c) for c in session.calls) == [50, 100, 100]
+    def test_batching_is_ceiling_division(self, monkeypatch):
+        encoder = serve(monkeypatch)
+        table = fetch_embeddings(make_items(250), endpoint_cfg())
+        assert len(encoder.calls) == 3
+        assert sorted(len(c) for c in encoder.calls) == [50, 100, 100]
         assert len(table) == 250
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, monkeypatch):
+        serve(monkeypatch)
         items = make_items(37)
-        table = fetch_embeddings(items, endpoint_cfg(max_batch=10), session=FakeSession())
+        table = fetch_embeddings(items, endpoint_cfg(max_batch=10))
         assert table.ids == [it.id for it in items]
         assert table.vectors[:, 0].tolist() == [float(len(it.text)) for it in items]
 
-    def test_dimension_mismatch_across_batches(self):
-        session = FakeSession(dim_by_batch=[768, 512, 768])
+    def test_dimension_mismatch_across_batches(self, monkeypatch):
+        serve(monkeypatch, FakeEncoder(dim_by_batch=[768, 512, 768]))
         with pytest.raises(FetchError, match="dimension"):
-            fetch_embeddings(
-                make_items(250),
-                endpoint_cfg(max_concurrent_requests=1),
-                session=session,
-            )
+            fetch_embeddings(make_items(250), endpoint_cfg(max_concurrent_requests=1))
 
-    def test_transient_failure_retried(self):
-        session = FakeSession(fail_first=2)
+    def test_transient_failure_retried(self, monkeypatch):
+        serve(monkeypatch, FakeEncoder(fail_first=2))
         table = fetch_embeddings(
             make_items(30),
             endpoint_cfg(max_batch=10, max_concurrent_requests=1),
-            session=session,
         )
         assert len(table) == 30
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
-    def test_client_error_not_retried(self, status):
-        session = FakeSession(fail_first=100, fail_status=status)
+    def test_client_error_not_retried(self, monkeypatch, status):
+        encoder = serve(monkeypatch, FakeEncoder(fail_first=100, fail_status=status))
         with pytest.raises(FetchError, match=rf"\[0:10\].*HTTP {status}"):
-            fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
-        assert len(session.calls) == 1
+            fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10))
+        assert len(encoder.calls) == 1
 
     @pytest.mark.parametrize("status, sent", [(404, 1), (503, 3)])
-    def test_no_batch_sent_after_one_failed(self, status, sent):
+    def test_no_batch_sent_after_one_failed(self, monkeypatch, status, sent):
         # one request at a time: batch [0:5] fails, at once (404) or after its
         # 2 retries (503), and none of the other 9 batches is sent
-        session = FakeSession(fail_first=sent, fail_status=status)
+        encoder = serve(monkeypatch, FakeEncoder(fail_first=sent, fail_status=status))
         with pytest.raises(FetchError, match=rf"\[0:5\].*HTTP {status}"):
-            fetch_embeddings(make_items(50),
-                             endpoint_cfg(max_batch=5, max_concurrent_requests=1),
-                             session=session)
-        assert len(session.calls) == sent
+            fetch_embeddings(make_items(50), endpoint_cfg(max_batch=5, max_concurrent_requests=1))
+        assert len(encoder.calls) == sent
 
     @pytest.mark.parametrize("failing_call", [0, 7, 60])
-    def test_skipped_batches_never_hide_the_error(self, failing_call):
+    def test_skipped_batches_never_hide_the_error(self, monkeypatch, failing_call):
         # 16 threads on 200 one-item batches, switching often: the error read
         # is a failed batch's, never the None of a batch skipped after it
-        class FailOnce(FakeSession):
-            def post(self, url, json=None, headers=None, timeout=None):
+        class FailOnce(FakeEncoder):
+            def __call__(self, url, body, headers, timeout):
+                texts = json.loads(body)["texts"]
                 with self._lock:
                     call = len(self.calls)
-                    self.calls.append(json["texts"])
+                    self.calls.append(texts)
                 if call == failing_call:
-                    return FakeResponse({}, 404)
-                return FakeResponse({"embeddings": [[1.0] * 4 for _ in json["texts"]]})
+                    return reply({}, 404)
+                return reply({"embeddings": [[1.0] * 4 for _ in texts]})
 
-        session, raised = FailOnce(), []
+        serve(monkeypatch, FailOnce())
+        raised = []
 
         def run():
             try:
                 fetch_embeddings(make_items(200),
-                                 endpoint_cfg(max_batch=1, max_concurrent_requests=16),
-                                 session=session)
+                                 endpoint_cfg(max_batch=1, max_concurrent_requests=16))
             except Exception as exc:  # noqa: BLE001 - asserted below
                 raised.append(exc)
 
@@ -534,11 +525,11 @@ class TestFetchEmbeddings:
         assert "refused with HTTP 404" in str(raised[0])
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
-    def test_retryable_status_retried(self, status):
-        session = FakeSession(fail_first=1, fail_status=status)
-        table = fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+    def test_retryable_status_retried(self, monkeypatch, status):
+        encoder = serve(monkeypatch, FakeEncoder(fail_first=1, fail_status=status))
+        table = fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10))
         assert len(table) == 10
-        assert len(session.calls) == 2
+        assert len(encoder.calls) == 2
 
     @pytest.mark.parametrize(
         "header, slept", [("7", 7.0), ("1000", BACKOFF_CAP_SECONDS), ("soon", None)]
@@ -546,9 +537,9 @@ class TestFetchEmbeddings:
     def test_retry_after_honoured_and_capped(self, monkeypatch, header, slept):
         sleeps = []
         monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
-        session = FakeSession(fail_first=1, fail_status=429,
-                              fail_headers={"Retry-After": header})
-        fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+        serve(monkeypatch, FakeEncoder(fail_first=1, fail_status=429,
+                                       fail_headers={"Retry-After": header}))
+        fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10))
         assert len(sleeps) == 1
         if slept is None:  # not an integer: exponential backoff with jitter
             assert 0.0005 <= sleeps[0] <= 0.0015
@@ -556,32 +547,28 @@ class TestFetchEmbeddings:
             assert sleeps[0] == slept
 
     @pytest.mark.parametrize("error, calls", [
-        (requests.Timeout("read timed out"), 2),
-        (requests.ConnectionError("connection refused"), 2),
-        (requests.exceptions.InvalidURL("no host supplied"), 1),
-    ], ids=["timeout", "connection-error", "invalid-url"])
+        (TimeoutError("timed out"), 2),
+        (ConnectionRefusedError(111, "Connection refused"), 2),
+        (urllib.error.URLError(OSError("Name or service not known")), 2),
+        (ValueError("unknown url type: 'nope'"), 1),
+    ], ids=["timeout", "connection-error", "url-error", "invalid-url"])
     def test_only_transport_failures_retried(self, monkeypatch, error, calls):
         sleeps = []
         monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
-        session = FakeSession(raise_first=error)
-        if calls == 1:  # a ValueError too, which no retry mends
+        encoder = serve(monkeypatch, FakeEncoder(raise_first=error))
+        if calls == 1:  # not an OSError: no retry mends it
             with pytest.raises(FetchError, match=r"^batch \[0:10\] could not be sent, not "
-                                                 r"retried: no host supplied$"):
-                fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10), session=session)
+                                                 r"retried: unknown url type: 'nope'$"):
+                fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10))
         else:
-            assert len(fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10),
-                                        session=session)) == 10
-        assert len(session.calls) == calls
+            assert len(fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10))) == 10
+        assert len(encoder.calls) == calls
         assert len(sleeps) == calls - 1
 
-    def test_exhausted_retries_name_batch_range(self):
-        session = FakeSession(fail_first=100)
+    def test_exhausted_retries_name_batch_range(self, monkeypatch):
+        serve(monkeypatch, FakeEncoder(fail_first=100))
         with pytest.raises(FetchError, match=r"\[0:10\]"):
-            fetch_embeddings(
-                make_items(10),
-                endpoint_cfg(max_batch=10, retry_limit=1),
-                session=session,
-            )
+            fetch_embeddings(make_items(10), endpoint_cfg(max_batch=10, retry_limit=1))
 
     @pytest.mark.parametrize("body", [
         [1.0, 2.0], [["1", "2"], ["3", "4"]], [[True, False], [1, 2]], "ab", [[1, None], [2, 3]],
@@ -590,13 +577,12 @@ class TestFetchEmbeddings:
             "beyond-float64", "beyond-float32", "ragged", "empty-vectors"])
     def test_malformed_embeddings_retried_then_refused(self, body, tmp_path, capsys,
                                                        monkeypatch):
-        session = FakeSession(body=body)
+        encoder = serve(monkeypatch, FakeEncoder(body=body))
         with pytest.raises(FetchError, match=r"\[0:2\] failed after 2 attempts: "
                                              r"'embeddings' is not 2 lists of numbers"):
-            fetch_embeddings(make_items(2), endpoint_cfg(retry_limit=1), session=session)
-        assert len(session.calls) == 2
+            fetch_embeddings(make_items(2), endpoint_cfg(retry_limit=1))
+        assert len(encoder.calls) == 2
         # the CLI reports it on one error line
-        monkeypatch.setattr("embadapt.io.requests.Session", lambda: FakeSession(body=body))
         items = tmp_path / "items.jsonl"
         items.write_text('{"_id": "a", "text": "x"}\n{"_id": "b", "text": "y"}\n')
         endpoint = tmp_path / "endpoint.json"
@@ -610,18 +596,139 @@ class TestFetchEmbeddings:
         assert not out.exists()
 
     def test_auth_env_var(self, monkeypatch):
+        serve(monkeypatch)
         cfg = endpoint_cfg(auth_token_env_var="EMB_TOKEN")
         monkeypatch.delenv("EMB_TOKEN", raising=False)
         with pytest.raises(FetchError, match="EMB_TOKEN"):
-            fetch_embeddings(make_items(1), cfg, session=FakeSession())
+            fetch_embeddings(make_items(1), cfg)
         monkeypatch.setenv("EMB_TOKEN", "secret")
-        fetch_embeddings(make_items(1), cfg, session=FakeSession())
+        fetch_embeddings(make_items(1), cfg)
 
     def test_config_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
         path.write_text(json.dumps({"base_url": "http://e/", "max_batch": 7}))
         cfg = from_json(EncoderEndpointConfig, path.read_text())
         assert cfg.max_batch == 7
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """An HTTP server on 127.0.0.1 that answers each request with the next step
+    of its script and records ("METHOD /path", headers, body) of each in seen.
+    Yields (script, seen, sleeps, url), with time.sleep patched to append to
+    sleeps. A step is (status, headers, body bytes), and a Content-Length in
+    its headers longer than the body cuts the body short. The step "close"
+    closes the connection without a response; "slow" answers nothing until
+    the test ends."""
+    script, seen, sleeps = [], [], []
+    done = threading.Event()
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            seen.append((f"{self.command} {self.path}", self.headers, body))
+            step = script.pop(0)
+            if step == "slow":
+                done.wait(30)
+            if step in ("close", "slow"):
+                return
+            status, headers, payload = step
+            self.send_response(status)
+            for name, value in {"Content-Length": str(len(payload)), **headers}.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(payload)
+
+        do_GET = do_POST
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # server_close joins every handler thread
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield script, seen, sleeps, f"http://127.0.0.1:{server.server_address[1]}/embed"
+    finally:
+        done.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def embeddings_of(texts):
+    return reply({"embeddings": [[float(len(t)), 1.0] for t in texts]})
+
+
+class TestPostOverLoopback:
+    """fetch_embeddings through the real io._post, against a local server."""
+
+    def test_request_as_the_server_sees_it(self, loopback, monkeypatch):
+        script, seen, sleeps, url = loopback
+        monkeypatch.setenv("EMB_TOKEN", "secret")
+        items = [TextItem("a", "caf\u00e9"), TextItem("b", "x y")]
+        script.append(embeddings_of(["caf\u00e9", "x y"]))
+        table = fetch_embeddings(items, endpoint_cfg(base_url=url,
+                                                     auth_token_env_var="EMB_TOKEN"))
+        assert table.vectors.tolist() == [[4.0, 1.0], [3.0, 1.0]]
+        [(request, headers, body)] = seen
+        assert request == "POST /embed"
+        assert body == b'{"texts": ["caf\\u00e9", "x y"]}'
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer secret"
+        assert sleeps == []
+
+    @pytest.mark.parametrize("first, slept", [
+        ((429, {"Retry-After": "7"}, b""), 7.0),
+        ((503, {}, b""), None),
+        ((200, {}, b"not json"), None),
+        ("close", None),
+        ((200, {"Content-Length": "100"}, b'{"embeddings": [['), None),
+        ("slow", None),
+    ], ids=["429-retry-after", "503", "not-json", "closed", "cut-short", "slow"])
+    def test_retried_then_answered(self, loopback, first, slept):
+        script, seen, sleeps, url = loopback
+        script.extend([first, embeddings_of(["x", "yy"])])
+        table = fetch_embeddings([TextItem("a", "x"), TextItem("b", "yy")],
+                                 endpoint_cfg(base_url=url, timeout_seconds=0.2))
+        assert table.vectors.tolist() == [[1.0, 1.0], [2.0, 1.0]]
+        assert len(seen) == 2 and seen[0][2] == seen[1][2]
+        assert len(sleeps) == 1
+        if slept is None:  # exponential backoff with jitter
+            assert 0.0005 <= sleeps[0] <= 0.0015
+        else:
+            assert sleeps[0] == slept
+
+    @pytest.mark.parametrize("status, headers", [(400, {}), (307, {"Location": "/other"})],
+                             ids=["400", "307-redirect"])
+    def test_refused_at_once(self, loopback, status, headers):
+        script, seen, sleeps, url = loopback
+        script.append((status, headers, b"no"))
+        with pytest.raises(FetchError, match=rf"^batch \[0:1\] refused with HTTP {status}, "
+                                             r"not retried$"):
+            fetch_embeddings(make_items(1), endpoint_cfg(base_url=url))
+        assert len(seen) == 1 and sleeps == []
+
+    def test_redirect_followed_as_get_without_authorization(self, loopback, monkeypatch):
+        script, seen, sleeps, url = loopback
+        monkeypatch.setenv("EMB_TOKEN", "secret")
+        script.extend([(302, {"Location": "/moved"}, b""), embeddings_of(["x"])])
+        fetch_embeddings(make_items(1), endpoint_cfg(base_url=url, auth_token_env_var="EMB_TOKEN"))
+        assert [request for request, _, _ in seen] == ["POST /embed", "GET /moved"]
+        assert seen[0][1]["Authorization"] == "Bearer secret"
+        assert "Authorization" not in seen[1][1]
+
+    def test_every_attempt_failed_names_the_last_cause(self, loopback):
+        script, seen, sleeps, url = loopback
+        script.extend(["close"] * 3)
+        with pytest.raises(FetchError, match=r"^batch \[0:1\] failed after 3 attempts: "
+                                             r"response cut short or garbled: "
+                                             r"RemoteDisconnected"):
+            fetch_embeddings(make_items(1), endpoint_cfg(base_url=url))
+        assert len(seen) == 3 and len(sleeps) == 2
 
 
 FUZZ = settings(deadline=None, max_examples=150, database=None)
