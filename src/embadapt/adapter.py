@@ -9,8 +9,11 @@ never uses a skip connection.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -26,6 +29,10 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")
 # evaluation's pass over each side: 341 rows at d=384, 2048 rows at d=64
 # (transform's float32 blocks fill half of it)
 ROW_BLOCK_BYTES = 1 << 20
+# the most threads that map_blocks runs blocks on
+MAX_WORKERS = 8
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -203,6 +210,34 @@ def row_blocks(n: int, width: int, budget: int | None = None) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def workers() -> int:
+    """The threads that map_blocks may use: the CPUs this process may run on
+    (os.cpu_count() where the platform cannot tell), at most MAX_WORKERS."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        n = os.cpu_count() or 1
+    return min(MAX_WORKERS, n)
+
+
+def map_blocks(fn: Callable[[slice], T], blocks: list[slice]) -> list[T]:
+    """[fn(rows) for rows in blocks], run on up to workers() threads and
+    returned in block order; with one worker or one block it is that plain
+    loop and starts no thread. The first exception raised, in block order,
+    is raised here.
+
+    fn runs on a worker thread, where numpy's products, sorts and
+    elementwise kernels release the interpreter lock. So fn writes only its
+    own rows, sets its own np.errstate (which is per thread), and calls no
+    function that perfbench/tracer.py wraps, whose span stack is shared.
+    """
+    n = min(workers(), len(blocks))
+    if n <= 1:
+        return [fn(rows) for rows in blocks]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, blocks))
+
+
 def is_identity(model: AdapterModel, which: str) -> bool:
     """True when transform(model, x, which) equals x: the skip connection is
     on and the side's output layer is all zero, as init_adapter leaves it."""
@@ -219,19 +254,25 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     batch runs through the network in row blocks (see row_blocks), so the
     output is the only full-size array built. An output that is not all
     finite, as when a finite model overflows float32, raises DataError.
+    The blocks run on the threads of map_blocks; each block's product has
+    the shape it has in a plain loop, so the output does not depend on the
+    number of threads.
     """
     x = np.asarray(x)
     batch = x[None, :] if x.ndim == 1 else x
     if batch.ndim != 2 or batch.shape[1] != model.dim:
         raise ValueError(f"input has shape {x.shape}, expected (*, {model.dim})")
     out = np.empty(batch.shape, dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(len(batch), max(model.dim, model.hidden)):
+
+    def forward(rows: slice) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
             out[rows], _ = transform_forward(
                 model, np.asarray(batch[rows], dtype=np.float32), which)
-            # checked while the block is in cache
-            if not np.isfinite(out[rows]).all():
-                raise DataError(f"the adapted {which} embeddings are not all finite in float32")
+        # checked while the block is in cache
+        if not np.isfinite(out[rows]).all():
+            raise DataError(f"the adapted {which} embeddings are not all finite in float32")
+
+    map_blocks(forward, row_blocks(len(batch), max(model.dim, model.hidden)))
     return out[0] if x.ndim == 1 else out
 
 

@@ -8,15 +8,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import AdapterModel, is_identity, row_blocks, transform
+from .adapter import AdapterModel, is_identity, map_blocks, row_blocks, transform, workers
 from .config import check_gain
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
 from .objectives import NORM_EPS, cosine_scores, unit_rows
 
-# a query block's budget at 8 bytes a (query, column) pair, which its float32
-# screen scores take half of: 32 MiB is 209 queries against a 20k corpus; also
-# the float64 unit rows of one rescoring chunk, a side
+# the query blocks' budget at 8 bytes a (query, column) pair, which their
+# float32 screen scores take half of, shared by the workers of map_blocks: 32
+# MiB is 209 queries against a 20k corpus on one worker, 104 a block on two;
+# also the float64 unit rows of the rescoring chunks, a side
 SCORE_BLOCK_BYTES = 32 << 20
 # norms whose float32 squares are screened: neither they nor the products
 # with a unit row overflow float32, and gradual underflow stays far below
@@ -75,9 +76,9 @@ def score_all(
 
 def _check_k(k: int | None, n: float = math.inf) -> int | None:
     """k, or None when k is None or at least n, the number of candidates:
-    a k that keeps them all. ValueError for a k below 1."""
+    a k that keeps them all. DataError for a k below 1."""
     if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise DataError(f"k must be >= 1, got {k}")
     return None if k is None or k >= n else k
 
 
@@ -239,15 +240,17 @@ def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.
     return np.divmod(pairs, n_c)
 
 
-def _rescore(q_rows: np.ndarray, c_rows: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _rescore(
+    q_rows: np.ndarray, c_rows: np.ndarray, r: np.ndarray, j: np.ndarray, budget: int
+) -> np.ndarray:
     """Float64 cosine of each pair of rows (q_rows[r], c_rows[j]): both rows
     normalised by unit_rows, multiplied and summed, then clipped to [-1, 1].
     A pair's score depends on its two rows alone. r is ascending and takes
     every value between its ends, so a chunk of pairs normalises each of its
-    query rows once; the chunks' float64 unit rows hold at most
-    SCORE_BLOCK_BYTES a side."""
+    query rows once; the chunks' float64 unit rows hold at most budget bytes
+    a side."""
     scores = np.empty(len(r))
-    step = max(1, SCORE_BLOCK_BYTES // (8 * q_rows.shape[1]))
+    step = max(1, budget // (8 * q_rows.shape[1]))
     for lo in range(0, len(r), step):
         qr, cr = r[lo : lo + step], j[lo : lo + step]
         pairs = unit_rows(q_rows[qr[0] : qr[-1] + 1].astype(np.float64))[0][qr - qr[0]]
@@ -284,25 +287,34 @@ def ranked_lists(
     bits. A pair's score depends on its two rows alone, so the survivors
     beyond those within screen_bound of t change no output.
 
-    No float64 copy of either side is built. A query block holds at most
-    SCORE_BLOCK_BYTES of float32 screen scores and survivor indices at 8
-    bytes a pair (one query at least), and the survivors are rescored in
-    chunks of the same size, so memory grows with the corpus size, not with
-    n_q * n_c, even when every column survives, as on a corpus of one
-    repeated row.
+    Both sides are adapted once, on the calling thread; the query blocks
+    then run on the threads of map_blocks and are returned in block order.
+    A block's entries do not depend on its size, so neither do the lists on
+    the number of threads.
+
+    No float64 copy of either side is built. With w workers, a query block
+    holds at most SCORE_BLOCK_BYTES / w of float32 screen scores and
+    survivor indices at 8 bytes a pair (one query at least), and its
+    survivors are rescored in chunks of the same size, so the blocks in
+    flight hold SCORE_BLOCK_BYTES in all and memory grows with the corpus
+    size, not with n_q * n_c, even when every column survives, as on a
+    corpus of one repeated row.
     """
     k = _check_k(k, len(c_table))
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
     q_side = _screen_side(q_table, model, "query")
     c_side = _screen_side(c_table, model, "corpus")
     qids, cids = q_table.ids, c_table.ids
-    lists = []
-    for rows in row_blocks(len(qids), max(1, len(cids)), SCORE_BLOCK_BYTES):
+    budget = SCORE_BLOCK_BYTES // workers()
+
+    def rank_block(rows: slice) -> list[RankedList]:
         r, j = _screen(q_side, c_side, rows, k)
-        scores = _rescore(q_side[0][rows], c_side[0], r, j)
-        entries = _rank(cids, r, j, scores, k, rows.stop - rows.start)
-        lists.extend(map(RankedList, qids[rows], entries))
-    return lists
+        scores = _rescore(q_side[0][rows], c_side[0], r, j, budget)
+        return list(map(RankedList, qids[rows],
+                        _rank(cids, r, j, scores, k, rows.stop - rows.start)))
+
+    blocks = row_blocks(len(qids), max(1, len(cids)), budget)
+    return [ranked for lists in map_blocks(rank_block, blocks) for ranked in lists]
 
 
 def ndcg_at_k(

@@ -321,13 +321,17 @@ def _post(url: str, body: bytes, headers: dict[str, str],
     """POST body to url; returns the status, the headers and the body of the
     response.
 
-    An HTTP error status is returned, with an empty body, not raised. Every
-    failure of the transport is an OSError: a response cut short or garbled
-    raises ConnectionError. The headers go to url alone, never to the target
-    of a redirect. The HTTP modules are imported here, so that only a command
+    An HTTP error status is returned, with an empty body, not raised. A TLS
+    failure other than a dropped connection, such as a certificate that
+    fails verification or a server that does not speak TLS, raises
+    FetchError, since no retry mends it. Every other failure of the
+    transport is an OSError: a response cut short or garbled raises
+    ConnectionError. The headers go to url alone, never to the target of a
+    redirect. The HTTP modules are imported here, so that only a command
     that fetches loads them.
     """
     import http.client
+    import ssl
     import urllib.error
     import urllib.request
 
@@ -340,6 +344,10 @@ def _post(url: str, body: bytes, headers: dict[str, str],
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.headers, b""
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, ssl.SSLError) and not isinstance(exc.reason, ssl.SSLEOFError):
+            raise FetchError(f"TLS failure: {exc.reason}") from exc
+        raise
     except http.client.InvalidURL:  # such as a redirect to a port that is not a number
         raise
     except http.client.HTTPException as exc:
@@ -376,7 +384,8 @@ def _fetch_batch(
     response cut short or garbled), a malformed body and HTTP 408, 429 and
     5xx are retried with exponential backoff, or after an integer
     Retry-After. Any other status outside 2xx, a 307 or 308 redirect among
-    them, and any other error raise FetchError at once.
+    them, and any other error, a TLS failure among them, raise FetchError
+    at once.
     """
     span = f"batch [{start}:{start + len(texts)}]"
     body = json.dumps({cfg.request_field: texts}).encode()

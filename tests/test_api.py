@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import embadapt
 from embadapt import write_embeddings
+from embadapt.data import check_ratio
+from embadapt.errors import EmbAdaptError
+from embadapt.evaluation import _check_k
 
 from synth import planted_task
 
@@ -47,6 +52,18 @@ def test_import_loads_no_http_module():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("rule, value, message", [
+    (_check_k, 0, "k must be >= 1, got 0"),
+    (check_ratio, 1.5, "ratio must be in (0, 1), got 1.5"),
+], ids=["k", "ratio"])
+def test_flag_rules_raise_a_package_error(rule, value, message):
+    # the rules behind --k and --val-ratio: a library caller that catches
+    # EmbAdaptError catches a bad value of either
+    with pytest.raises(EmbAdaptError) as raised:
+        rule(value)
+    assert str(raised.value) == message
 
 
 def library_example() -> str:

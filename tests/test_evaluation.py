@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,12 @@ from synth import planted_task, seeded_output_layers
 
 def table(ids, vecs, tag="enc"):
     return EmbeddingTable(ids, np.asarray(vecs, dtype=np.float32), tag)
+
+
+def pin_workers(monkeypatch, n):
+    """Run map_blocks on n workers, as a process allowed n CPUs does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    assert adapter.workers() == n
 
 
 def lexsort_oracle(q_rows, c_rows, cids, k):
@@ -100,13 +108,13 @@ class TestTopK:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(DataError, match="k must be >= 1"):
             rank_candidates(["c1", "c2"], np.array([0.5, 0.9]), k)
         q = table(["q"], [[1.0, 0.0]])
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(DataError, match="k must be >= 1"):
             ranked_lists(q, table(["c"], [[1.0, 0.0]]), k=k)
         # checked before any scoring: the dim mismatch is never reached
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(DataError, match="k must be >= 1"):
             evaluate(q, table(["c"], [[1.0, 0.0, 0.0]]), RelevanceSet([("q", "c", 1.0)]), k=k)
 
 
@@ -343,6 +351,7 @@ class TestBlockedSidePass:
         # a budget of 39 queries' scores cuts 40 queries into 20 and 20, not
         # 39 and a 1-row remainder, which BLAS would round differently
         q, c, rels = planted_task(n_queries=40, n_corpus=50, dim=8, seed=4)
+        pin_workers(monkeypatch, 1)
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 39)
         blocks = []
         original = evaluation._screen
@@ -376,6 +385,103 @@ class TestBlockedSidePass:
         # the tied rows still score equally, so each tie is ordered by id
         scores = many[2]
         assert np.array_equal(scores[:, :25], scores[:, 25:])
+
+
+class TestWorkerPool:
+    """transform's row blocks and ranked_lists' query blocks run on the
+    threads of map_blocks; no output depends on how many there are."""
+
+    @staticmethod
+    def pools(monkeypatch):
+        """The worker count of each pool that map_blocks starts, as a list."""
+        started = []
+        executor = adapter.ThreadPoolExecutor
+        monkeypatch.setattr(adapter, "ThreadPoolExecutor",
+                            lambda max_workers: started.append(max_workers)
+                            or executor(max_workers))
+        return started
+
+    @staticmethod
+    def case(name):
+        if name == "ties":  # ties that span blocks, a model with a bias
+            return TestBlockedSidePass.task()
+        q, c, rels = planted_task(n_queries=24, n_corpus=60, dim=8, seed=9)
+        q_rows, c_rows = q.vectors.copy(), c.vectors.copy()
+        # degenerate rows (zero, and a norm below NORM_EPS) and wild ones
+        # (norms outside SCREEN_NORMS) on both sides
+        c_rows[3], c_rows[17], c_rows[40], c_rows[50] = 0.0, 1e-13, 1e-11, 1e20
+        q_rows[2], q_rows[5], q_rows[7] = 1e-11, 1e20, 0.0
+        q = EmbeddingTable(q.ids, q_rows, q.encoder_tag)
+        c = EmbeddingTable(c.ids, c_rows, c.encoder_tag)
+        # a fresh adapter is the identity, so the rows are scored as they are
+        model = init_adapter(8, seed=1, encoder_tag=q.encoder_tag) if name == "identity" else None
+        return q, c, rels, model
+
+    @staticmethod
+    def outputs(q, c, rels, model):
+        def bits(lists):
+            return [(r.query_id, [(cid, s.hex()) for cid, s in r.entries]) for r in lists]
+
+        values = [bits(ranked_lists(q, c, model, k=3)), bits(ranked_lists(q, c, model)),
+                  evaluate(q, c, rels, model, k=3).to_json()]
+        if model is not None:
+            values += [transform(model, t.vectors, which).tobytes()
+                       for t, which in ((q, "query"), (c, "corpus"))]
+        return values
+
+    @pytest.mark.parametrize("per_block", [1, 7], ids=["one-query-blocks", "7-query-blocks"])
+    @pytest.mark.parametrize("name", ["ties", "wild", "identity"])
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, name, per_block):
+        q, c, rels, model = self.case(name)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * per_block)
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)  # 7 rows a block
+        started = self.pools(monkeypatch)
+        pin_workers(monkeypatch, 1)
+        one = self.outputs(q, c, rels, model)
+        assert started == []
+        for n in (2, 3):
+            pin_workers(monkeypatch, n)
+            assert self.outputs(q, c, rels, model) == one
+        assert set(started) == {2, 3}
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # the workers write disjoint rows of one output and read shared sides
+        q, c, rels, model = self.case("ties")
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 2)
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)
+        pin_workers(monkeypatch, 1)
+        one = self.outputs(q, c, rels, model)
+        pin_workers(monkeypatch, adapter.MAX_WORKERS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self.outputs(q, c, rels, model) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        q, c, rels = planted_task(n_queries=5, n_corpus=40, dim=8, seed=1)
+        model = seeded_output_layers(init_adapter(8, seed=0, encoder_tag=q.encoder_tag), 2)
+        pin_workers(monkeypatch, 2)
+        started = self.pools(monkeypatch)
+        ranked_lists(q, c, model, k=3)
+        evaluate(q, c, rels, model)
+        transform(model, c.vectors, "corpus")
+        assert started == []
+
+    def test_a_non_finite_block_is_refused_on_any_worker_count(self, monkeypatch):
+        # an infinite row in the last of 8 row blocks: the network turns it
+        # into inf and NaN, under each worker's own np.errstate
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)
+        model = seeded_output_layers(init_adapter(8, seed=0), 3)
+        x = np.random.default_rng(0).standard_normal((50, 8)).astype(np.float32)
+        x[45] = np.inf
+        for n in (1, 2):
+            pin_workers(monkeypatch, n)
+            with pytest.raises(DataError, match="^the adapted corpus embeddings are not all "
+                                                "finite in float32$"):
+                transform(model, x, "corpus")
 
 
 class TestSearchPrecision:
@@ -488,34 +594,39 @@ class TestScreen:
         q = table([f"q{i:03d}" for i in range(n_q)], rng.standard_normal((n_q, 4)))
         ids = [f"c{i:04d}" for i in rng.permutation(n_c)]
         c = table(ids, np.tile(rng.standard_normal((1, 4)), (n_c, 1)))
-        block = 8 * n_c * 8  # 8 queries a block
-        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
-        kept = []
+        block = 8 * n_c * 8  # 8 queries a block on one worker, 4 on each of two
         screen = evaluation._screen
+        for workers in (1, 2):
+            per_block = 8 // workers
+            pin_workers(monkeypatch, workers)
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
+            kept = []
 
-        def spy(*args):
-            r, j = screen(*args)
-            # every pair of the block's 8 queries, in (query, column) order
-            kept.append(np.array_equal(r * n_c + j, np.arange(8 * n_c)))
-            return r, j
+            def spy(*args):
+                r, j = screen(*args)
+                # every pair of the block's queries, in (query, column) order
+                kept.append(np.array_equal(r * n_c + j, np.arange(per_block * n_c)))
+                return r, j
 
-        monkeypatch.setattr(evaluation, "_screen", spy)
-        ranked_lists(q, c, k=3)
-        assert len(kept) == n_q // 8 and all(kept)
-        monkeypatch.undo()
-        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
-        tracemalloc.start()
-        try:
-            lists = ranked_lists(q, c, k=3)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        for r in lists:
-            assert [cid for cid, _ in r.entries] == sorted(ids)[:3]
-            assert len({s for _, s in r.entries}) == 1
-        # beyond the lists returned: the scores of every pair would take 50
-        # blocks, their float64 unit rows 200
-        assert peak - kept < 12 * block
+            monkeypatch.setattr(evaluation, "_screen", spy)
+            ranked_lists(q, c, k=3)
+            assert len(kept) == n_q // per_block and all(kept)
+            monkeypatch.undo()
+            pin_workers(monkeypatch, workers)
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block)
+            tracemalloc.start()
+            try:
+                lists = ranked_lists(q, c, k=3)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            for r in lists:
+                assert [cid for cid, _ in r.entries] == sorted(ids)[:3]
+                assert len({s for _, s in r.entries}) == 1
+            # beyond the lists returned: the scores of every pair would take 50
+            # blocks, their float64 unit rows 200; two workers share one budget
+            assert peak - kept < 12 * block
+            monkeypatch.undo()
 
     @settings(deadline=None, max_examples=40, database=None)
     @given(st.data())

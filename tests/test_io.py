@@ -619,11 +619,23 @@ def loopback(monkeypatch):
     sleeps. A step is (status, headers, body bytes), and a Content-Length in
     its headers longer than the body cuts the body short. The step "close"
     closes the connection without a response; "slow" answers nothing until
-    the test ends."""
+    the test ends; "plain" answers a connection in plain HTTP before reading
+    a request, as a server that does not speak TLS answers a TLS client's
+    hello, records ("plain", None, b"") and reads until the client hangs
+    up."""
     script, seen, sleeps = [], [], []
     done = threading.Event()
 
     class Handler(http.server.BaseHTTPRequestHandler):
+        def handle(self):
+            if script[:1] != ["plain"]:
+                return super().handle()
+            seen.append((script.pop(0), None, b""))
+            self.wfile.write(b"HTTP/1.0 400 Bad Request\r\n\r\n")
+            self.request.settimeout(5)
+            while self.request.recv(4096):
+                pass
+
         def do_POST(self):
             body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
             seen.append((f"{self.command} {self.path}", self.headers, body))
@@ -720,6 +732,17 @@ class TestPostOverLoopback:
         assert [request for request, _, _ in seen] == ["POST /embed", "GET /moved"]
         assert seen[0][1]["Authorization"] == "Bearer secret"
         assert "Authorization" not in seen[1][1]
+
+    def test_tls_failure_is_not_retried(self, loopback):
+        # https:// to a server that answers in plain HTTP: the handshake
+        # fails the same way on every attempt
+        script, seen, sleeps, url = loopback
+        script.extend(["plain"] * 3)
+        with pytest.raises(FetchError, match=r"^batch \[0:1\] could not be sent, not retried: "
+                                             r"TLS failure: \[SSL"):
+            fetch_embeddings(make_items(1), endpoint_cfg(base_url=url.replace("http:", "https:"),
+                                                         retry_limit=2))
+        assert len(seen) == 1 and sleeps == []
 
     def test_every_attempt_failed_names_the_last_cause(self, loopback):
         script, seen, sleeps, url = loopback
