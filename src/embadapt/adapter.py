@@ -13,7 +13,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -210,9 +210,33 @@ def row_blocks(n: int, width: int, budget: int | None = None) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def blas_on_one_thread(environ: Mapping[str, str] = os.environ) -> bool:
+    """True when BLAS runs each product on one thread: the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS that is set
+    says 1. Unset, OpenBLAS and MKL start one thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(name, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+# read once, as BLAS reads those variables once, when numpy loads it
+BLAS_ONE_THREAD = blas_on_one_thread()
+
+
 def workers() -> int:
-    """The threads that map_blocks may use: the CPUs this process may run on
-    (os.cpu_count() where the platform cannot tell), at most MAX_WORKERS."""
+    """The threads that transform and ranked_lists run their blocks on.
+
+    With BLAS on one thread (BLAS_ONE_THREAD), one per CPU this process may
+    run on (os.cpu_count() where the platform cannot tell), at most
+    MAX_WORKERS. Otherwise 1: BLAS's own threads already share each product
+    among the CPUs, and blocks on threads of their own as well made
+    evaluate 45 % slower on 2 CPUs. A CPU time quota, as a container may
+    set, is not read.
+    """
+    if not BLAS_ONE_THREAD:
+        return 1
     try:
         n = len(os.sched_getaffinity(0))
     except AttributeError:  # macOS, Windows
@@ -220,22 +244,29 @@ def workers() -> int:
     return min(MAX_WORKERS, n)
 
 
-def map_blocks(fn: Callable[[slice], T], blocks: list[slice]) -> list[T]:
-    """[fn(rows) for rows in blocks], run on up to workers() threads and
-    returned in block order; with one worker or one block it is that plain
-    loop and starts no thread. The first exception raised, in block order,
-    is raised here.
+def map_blocks(fn: Callable[[slice], T], blocks: list[slice], n_workers: int) -> list[T]:
+    """[fn(rows) for rows in blocks], run on up to n_workers threads (a
+    caller passes workers()) and returned in block order; with one worker or
+    one block it is that plain loop and starts no thread. The first
+    exception raised, in block order, is raised here.
 
     fn runs on a worker thread, where numpy's products, sorts and
-    elementwise kernels release the interpreter lock. So fn writes only its
-    own rows, sets its own np.errstate (which is per thread), and calls no
-    function that perfbench/tracer.py wraps, whose span stack is shared.
+    elementwise kernels release the interpreter lock, under the caller's
+    np.errstate (which is per thread), as in the plain loop. So fn writes
+    only its own rows and calls no function that perfbench/tracer.py wraps,
+    whose span stack is shared.
     """
-    n = min(workers(), len(blocks))
+    n = min(n_workers, len(blocks))
     if n <= 1:
         return [fn(rows) for rows in blocks]
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def run(rows: slice) -> T:
+        with np.errstate(**state):
+            return fn(rows)
+
     with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, blocks))
+        return list(pool.map(run, blocks))
 
 
 def is_identity(model: AdapterModel, which: str) -> bool:
@@ -256,7 +287,9 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     finite, as when a finite model overflows float32, raises DataError.
     The blocks run on the threads of map_blocks; each block's product has
     the shape it has in a plain loop, so the output does not depend on the
-    number of threads.
+    number of threads. Each thread holds one block's temporaries, at most
+    1.5 * ROW_BLOCK_BYTES (ROW_BLOCK_BYTES for float32 input), so memory
+    beyond the output grows with workers(), not with the batch.
     """
     x = np.asarray(x)
     batch = x[None, :] if x.ndim == 1 else x
@@ -272,7 +305,7 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
         if not np.isfinite(out[rows]).all():
             raise DataError(f"the adapted {which} embeddings are not all finite in float32")
 
-    map_blocks(forward, row_blocks(len(batch), max(model.dim, model.hidden)))
+    map_blocks(forward, row_blocks(len(batch), max(model.dim, model.hidden)), workers())
     return out[0] if x.ndim == 1 else out
 
 

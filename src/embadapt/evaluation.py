@@ -305,7 +305,8 @@ def ranked_lists(
     q_side = _screen_side(q_table, model, "query")
     c_side = _screen_side(c_table, model, "corpus")
     qids, cids = q_table.ids, c_table.ids
-    budget = SCORE_BLOCK_BYTES // workers()
+    n_workers = workers()
+    budget = SCORE_BLOCK_BYTES // n_workers
 
     def rank_block(rows: slice) -> list[RankedList]:
         r, j = _screen(q_side, c_side, rows, k)
@@ -314,7 +315,7 @@ def ranked_lists(
                         _rank(cids, r, j, scores, k, rows.stop - rows.start)))
 
     blocks = row_blocks(len(qids), max(1, len(cids)), budget)
-    return [ranked for lists in map_blocks(rank_block, blocks) for ranked in lists]
+    return [ranked for lists in map_blocks(rank_block, blocks, n_workers) for ranked in lists]
 
 
 def ndcg_at_k(

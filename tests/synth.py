@@ -9,9 +9,11 @@ recovers a large nDCG margin.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from embadapt import EmbeddingTable, RelevanceSet
+from embadapt import EmbeddingTable, RelevanceSet, adapter
 
 
 def _random_rotation(dim: int, strength: float, rng: np.random.Generator) -> np.ndarray:
@@ -58,3 +60,11 @@ def seeded_output_layers(model, seed: int):
         params.w2[...] = rng.normal(0.0, 0.5 / np.sqrt(params.hidden), params.w2.shape)
         params.b2[...] = rng.normal(0.0, 0.05, params.b2.shape)
     return model
+
+
+def pin_workers(monkeypatch, n: int) -> None:
+    """Run the blocks of transform and ranked_lists on n workers, as a
+    process allowed n CPUs does with BLAS on one thread."""
+    monkeypatch.setattr(adapter, "BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    assert adapter.workers() == n

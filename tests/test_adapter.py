@@ -24,6 +24,8 @@ from embadapt.adapter import (
 )
 from embadapt.errors import FormatError
 
+from synth import pin_workers
+
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
 FD_STEP = 1e-4
@@ -131,19 +133,24 @@ class TestTransform:
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 7
 
-    def test_output_is_the_only_full_size_array(self):
+    def test_output_is_the_only_full_size_array(self, monkeypatch):
         model = init_adapter(64, seed=0)
         model.f_params.w2[:] = 0.01
-        x = np.random.default_rng(0).standard_normal((20000, 64)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            out = transform(model, x, "corpus")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # float32, the dtype that an embedding file stores
-        assert out.dtype == np.float32 and out.shape == x.shape
-        assert peak < 1.5 * out.nbytes
+        x = np.random.default_rng(0).standard_normal((50000, 64)).astype(np.float32)
+        for n in (1, adapter.MAX_WORKERS):
+            pin_workers(monkeypatch, n)
+            tracemalloc.start()
+            try:
+                out = transform(model, x, "corpus")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # float32, the dtype that an embedding file stores
+            assert out.dtype == np.float32 and out.shape == x.shape
+            # each worker holds one row block of 2000 rows, its float32
+            # activations and output: a bound that grows with the workers
+            # and stays below a second array of 50000 rows
+            assert peak - out.nbytes < 1.1 * n * adapter.ROW_BLOCK_BYTES < out.nbytes
 
 
 class TestTransformGrad:

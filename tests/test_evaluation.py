@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import tracemalloc
 
@@ -13,17 +12,11 @@ from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
 from embadapt.objectives import unit_rows
 
-from synth import planted_task, seeded_output_layers
+from synth import pin_workers, planted_task, seeded_output_layers
 
 
 def table(ids, vecs, tag="enc"):
     return EmbeddingTable(ids, np.asarray(vecs, dtype=np.float32), tag)
-
-
-def pin_workers(monkeypatch, n):
-    """Run map_blocks on n workers, as a process allowed n CPUs does."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    assert adapter.workers() == n
 
 
 def lexsort_oracle(q_rows, c_rows, cids, k):
@@ -469,6 +462,59 @@ class TestWorkerPool:
         evaluate(q, c, rels, model)
         transform(model, c.vectors, "corpus")
         assert started == []
+
+    @pytest.mark.parametrize("environ, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"MKL_NUM_THREADS": " 1 "}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "2"}, False),
+    ], ids=["unset", "openblas", "mkl", "omp", "openblas-first", "omp-2"])
+    def test_blas_on_one_thread(self, environ, one):
+        assert adapter.blas_on_one_thread(environ) is one
+
+    def test_threaded_blas_keeps_the_plain_loop(self, monkeypatch):
+        # BLAS's own threads share each product among the CPUs
+        q, c, rels, model = self.case("ties")
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 2)
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)
+        pin_workers(monkeypatch, 4)
+        monkeypatch.setattr(adapter, "BLAS_ONE_THREAD", False)
+        assert adapter.workers() == 1
+        started = self.pools(monkeypatch)
+        self.outputs(q, c, rels, model)
+        assert started == []
+
+    def test_blocks_run_under_the_callers_errstate(self, monkeypatch):
+        # np.errstate is per thread; each worker takes the caller's, so a
+        # floating-point error is handled as in the plain loop
+        blocks = adapter.row_blocks(6, 1, 8)
+
+        def underflow(rows):
+            return np.full(rows.stop - rows.start, 1e-300) * 1e-300
+
+        def outcome(fn, *args):
+            with np.errstate(under="raise"):
+                try:
+                    return fn(*args).tobytes()
+                except FloatingPointError as exc:
+                    return str(exc)
+
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)
+        model = seeded_output_layers(init_adapter(8, seed=0), 3)
+        tiny = np.full((50, 8), 1e-37, dtype=np.float32)
+        outcomes = []
+        for n in (1, 2):
+            with np.errstate(all="raise", under="warn"):
+                assert adapter.map_blocks(lambda rows: np.geterr(), blocks, n) == [np.geterr()] * 6
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+                adapter.map_blocks(underflow, blocks, n)
+            # products that may underflow float32 in BLAS, where the flags
+            # are the platform's: the same outcome on one worker or two
+            pin_workers(monkeypatch, n)
+            outcomes.append(outcome(transform, model, tiny, "corpus"))
+        assert outcomes[0] == outcomes[1]
 
     def test_a_non_finite_block_is_refused_on_any_worker_count(self, monkeypatch):
         # an infinite row in the last of 8 row blocks: the network turns it
