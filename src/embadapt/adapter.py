@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -210,14 +211,30 @@ def row_blocks(n: int, width: int, budget: int | None = None) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def blas_on_one_thread(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when BLAS runs each product on one thread: the first of
-    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS that is set
-    says 1. Unset, OpenBLAS and MKL start one thread per CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(name, "").strip()
-        if value:
-            return value == "1"
+def _blas_name() -> str:
+    """numpy's BLAS, lower case; "openblas" where numpy cannot say (< 1.25)."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (AttributeError, KeyError, TypeError):
+        return "openblas"
+
+
+BLAS = _blas_name()
+# the variables a BLAS reads its thread count from, the first one set first
+THREAD_VARIABLES = {"openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
+def blas_on_one_thread(environ: Mapping[str, str] = os.environ, blas: str = BLAS) -> bool:
+    """True when the BLAS named blas runs each product on one thread: the
+    first of its THREAD_VARIABLES that C's atoi reads as a positive integer
+    ("01" is 1; "", "0" and "x" pass on) is 1. With none set, OpenBLAS and
+    MKL start a thread per CPU; another BLAS's threads are not known."""
+    names = next((names for family, names in THREAD_VARIABLES.items() if family in blas), ())
+    for name in names:
+        digits = re.match(r"\s*([+-]?\d+)", environ.get(name, ""), re.ASCII)
+        if digits and int(digits[1]) > 0:
+            return int(digits[1]) == 1
     return False
 
 
@@ -267,13 +284,6 @@ def map_blocks(fn: Callable[[slice], T], blocks: list[slice], n_workers: int) ->
 
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(run, blocks))
-
-
-def is_identity(model: AdapterModel, which: str) -> bool:
-    """True when transform(model, x, which) equals x: the skip connection is
-    on and the side's output layer is all zero, as init_adapter leaves it."""
-    params = model.params_for(which)
-    return model.use_skip and not params.w2.any() and not params.b2.any()
 
 
 def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.ndarray:

@@ -22,7 +22,7 @@ from .data import (
     split_train_val,
 )
 from .errors import EmbAdaptError, FormatError
-from .evaluation import _check_k, evaluate, ranked_lists
+from .evaluation import check_k, evaluate, ranked_lists
 from .io import (
     _as_vectors,
     fetch_embeddings,
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         if args.command == "train" and args.log is None:
             args.log = _Out(args.out + ".log.jsonl")
         _check_paths(args)
-        for dest, rule in {"k": _check_k, "val_ratio": check_ratio}.items():
+        for dest, rule in {"k": check_k, "val_ratio": check_ratio}.items():
             if dest in vars(args):  # the library's own rule for the flag's value
                 rule(vars(args)[dest])
         return args.run(args)

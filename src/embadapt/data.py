@@ -70,7 +70,7 @@ class RelevanceSet:
 
 
 class EmbeddingTable:
-    """id-indexed dense float32 vectors from a frozen encoder."""
+    """id-indexed dense float32 vectors from a frozen encoder, one row at least."""
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray, encoder_tag: str = ""):
         # keep an array that asarray has just made, or a read-only one that owns
@@ -83,6 +83,8 @@ class EmbeddingTable:
             raise DataError("vectors must be a 2-D array")
         if len(ids) != vectors.shape[0]:
             raise DataError("ids and vectors disagree in length")
+        if not len(ids):
+            raise DataError("an embedding table needs at least one row")
         if vectors.shape[1] < 1:
             raise DataError("embedding dimension must be positive")
         if not np.all(np.isfinite(vectors)):

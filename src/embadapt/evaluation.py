@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import AdapterModel, is_identity, map_blocks, row_blocks, transform, workers
+from .adapter import AdapterModel, map_blocks, row_blocks, transform, workers
 from .config import check_gain
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
@@ -55,11 +55,8 @@ class RetrievalReport:
 
 
 def _rows(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
-    """The float32 rows that transform writes for the `which` side, or the
-    table's own rows, uncopied, when model is None or the identity."""
-    if model is None or is_identity(model, which):
-        return table.vectors
-    return transform(model, table.vectors, which)
+    """The rows transform writes for the `which` side, or, with no model, the table's own."""
+    return table.vectors if model is None else transform(model, table.vectors, which)
 
 
 def score_all(
@@ -74,25 +71,24 @@ def score_all(
     return cosine_scores(_rows(q_table, model, "query"), _rows(c_table, model, "corpus"))
 
 
-def _check_k(k: int | None, n: float = math.inf) -> int | None:
-    """k, or None when k is None or at least n, the number of candidates:
-    a k that keeps them all. DataError for a k below 1."""
+def check_k(k: int | None, n: float = math.inf) -> float:
+    """The entries a top k of n keeps: n for k None, else min(k, n). DataError for k < 1."""
     if k is not None and k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    return None if k is None or k >= n else k
+    return n if k is None else min(k, n)
 
 
 def _rank(
-    cids: list[str], r: np.ndarray, j: np.ndarray, scores: np.ndarray, k: int | None, n_q: int
+    cids: list[str], r: np.ndarray, j: np.ndarray, scores: np.ndarray, k: int, n_q: int
 ) -> list[list[tuple[str, float]]]:
     """Each of n_q queries' top k of its candidates (cids[j], score), for the
     candidate pairs (query r, column j) with those scores: by descending
-    score, ties broken by ascending id in Python string order. k=None keeps
-    every candidate.
+    score, ties broken by ascending id in Python string order.
 
     One np.lexsort orders all the pairs by (query, -score, id rank), where
     the id rank is taken among the columns in j; each query's run is then
-    cut at k.
+    cut at k. The id ranks come from a Python sort of the distinct columns'
+    names, one reference a column.
     """
     cols, inverse = np.unique(j, return_inverse=True)
     names = [cids[c] for c in cols.tolist()]
@@ -101,9 +97,8 @@ def _rank(
     order = np.lexsort((id_rank[inverse.reshape(-1)], -scores, r))
     starts = np.searchsorted(r[order], np.arange(n_q))
     counts = np.diff(starts, append=len(order))
-    if k is not None:
-        order = order[np.arange(len(order)) - np.repeat(starts, counts) < k]
-        counts = np.minimum(counts, k)
+    order = order[np.arange(len(order)) - np.repeat(starts, counts) < k]
+    counts = np.minimum(counts, k)
     entries = list(zip([cids[c] for c in j[order].tolist()], scores[order].tolist()))
     ends = np.cumsum(counts).tolist()
     return [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -114,13 +109,12 @@ def rank_candidates(
 ) -> list[tuple[str, float]]:
     """Top k candidates by descending score, ties broken by ascending id:
     the first k of np.lexsort((ids, -scores)) for finite scores, with ids
-    compared in Python string order (see _rank). k=None, or k at least the
-    number of candidates, returns the full order.
+    compared in Python string order (see _rank). k=None keeps every
+    candidate, as a k at or beyond their number does.
     """
     scores = np.asarray(scores)
     n = len(scores)
-    k = _check_k(k, n)
-    return _rank(corpus_ids, np.zeros(n, dtype=np.intp), np.arange(n), scores, k, 1)[0]
+    return _rank(corpus_ids, np.zeros(n, np.intp), np.arange(n), scores, check_k(k, n), 1)[0]
 
 
 def screen_bound(d: int) -> float:
@@ -189,12 +183,12 @@ def _screen_side(
     return rows, scale, wild
 
 
-def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _screen(q_side, c_side, rows: slice, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The (query, column) pairs that the queries in rows rescore, as two
     arrays in ascending (query, column) order, with each query counted from
     rows.start: the columns whose float32 cosine is at least the query's
-    floor, each wild column, and every column of a wild query. With k None,
-    as ranked_lists passes a k at least the corpus size, every column.
+    floor, each wild column, and every column of a wild query. With k = n_c,
+    the largest k that ranked_lists passes, every column survives.
 
     The floor is a lower bound on the k-th screen score t, less
     screen_bound. Column j < m * G belongs to the strided group j mod G,
@@ -213,8 +207,6 @@ def _screen(q_side, c_side, rows: slice, k: int | None) -> tuple[np.ndarray, np.
     q_rows, q_scale, q_wild = q_side
     c_rows, c_scale, c_wild = c_side
     n_q, n_c = rows.stop - rows.start, len(c_rows)
-    if k is None:
-        return np.divmod(np.arange(n_q * n_c), n_c)
     with np.errstate(over="ignore", invalid="ignore"):
         screen = (q_rows[rows] * q_scale[rows, None]) @ c_rows.T
         screen *= c_scale
@@ -280,27 +272,27 @@ def ranked_lists(
     derives why no other column can be in the float64 top k or tie its k-th
     score. Only the survivors are scored in float64, from their rows
     normalised as unit_rows does, and one lexsort orders the block's
-    survivors (see _rank). k=None, or a k at least the corpus size, ranks
-    every column. The top k is therefore the first k of a float64
-    lexsort of every column, and each score is a float64 product of the two
-    unit rows, which may differ from score_all's matrix product in the last
-    bits. A pair's score depends on its two rows alone, so the survivors
-    beyond those within screen_bound of t change no output.
+    survivors (see _rank). k=None, as any k at or beyond the corpus size,
+    takes the same path with k = n_c, whose floor keeps every column. The
+    top k is therefore the first k of a float64 lexsort of every column;
+    each score is a float64 product of the two unit rows, which may differ
+    from score_all's matrix product in the last bits, and depends on its two
+    rows alone, so the survivors beyond those within screen_bound of t
+    change no output.
 
     Both sides are adapted once, on the calling thread; the query blocks
-    then run on the threads of map_blocks and are returned in block order.
-    A block's entries do not depend on its size, so neither do the lists on
-    the number of threads.
+    then run on the threads of map_blocks, in block order. A block's entries
+    do not depend on its size, so neither do the lists on the thread count.
 
     No float64 copy of either side is built. With w workers, a query block
     holds at most SCORE_BLOCK_BYTES / w of float32 screen scores and
     survivor indices at 8 bytes a pair (one query at least), and its
-    survivors are rescored in chunks of the same size, so the blocks in
-    flight hold SCORE_BLOCK_BYTES in all and memory grows with the corpus
-    size, not with n_q * n_c, even when every column survives, as on a
-    corpus of one repeated row.
+    survivors are rescored in chunks of the same size. Beside that budget,
+    _rank holds one reference a distinct surviving column, up to n_c a block
+    in flight on a corpus of one repeated row, where every column survives.
+    So memory grows with the corpus size, not with n_q * n_c.
     """
-    k = _check_k(k, len(c_table))
+    k = check_k(k, len(c_table))
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
     q_side = _screen_side(q_table, model, "query")
     c_side = _screen_side(c_table, model, "corpus")
@@ -314,7 +306,7 @@ def ranked_lists(
         return list(map(RankedList, qids[rows],
                         _rank(cids, r, j, scores, k, rows.stop - rows.start)))
 
-    blocks = row_blocks(len(qids), max(1, len(cids)), budget)
+    blocks = row_blocks(len(qids), len(cids), budget)
     return [ranked for lists in map_blocks(rank_block, blocks, n_workers) for ranked in lists]
 
 
@@ -334,7 +326,7 @@ def ndcg_at_k(
     paper-literal gain, 0 under standard. Both DCGs are added left to right
     in one loop, not by sum(), which rounds otherwise from Python 3.12 on.
     """
-    _check_k(k)
+    check_k(k)
     check_gain(gain)
     ideal = sorted((y for y in grades.values() if y > 0), reverse=True)[:k]
     if not ideal:
@@ -367,7 +359,7 @@ def evaluate(
     sort of every corpus row (screen_bound says why). The sides are adapted
     by transform, so the report equals, bit for bit, evaluate without a
     model over the tables that transform writes."""
-    _check_k(k)
+    check_k(k)
     check_gain(gain)
     check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
     per_query: dict[str, float] = {}

@@ -250,8 +250,6 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
     Round-trips bit-exactly via read_embeddings.
     """
-    if len(table) == 0:
-        raise FormatError("refusing to write an empty embedding table")
     tag = _utf8(table.encoder_tag, "encoder tag")
     _check_length(tag)
     ids = table.ids

@@ -100,11 +100,8 @@ def make_batch(
     pos_rows = c_table.row_indices(list(column))
     pool_size = len(c_table) - len(pos_rows)
     n_neg = min(ratio * len(pos_rows), pool_size)
-    neg_rows = (
-        _pool_rows(pos_rows, rng.choice(pool_size, size=n_neg, replace=False))
-        if n_neg > 0
-        else np.empty(0, dtype=np.intp)
-    )
+    # a draw of none, from an empty pool, takes nothing from rng's stream
+    neg_rows = _pool_rows(pos_rows, rng.choice(pool_size, size=n_neg, replace=False))
     grades = np.zeros((len(query_ids), len(pos_rows) + n_neg), dtype=np.float32)
     for i, graded in enumerate(batch):
         for cid, y in graded.items():
@@ -249,18 +246,18 @@ def train(
     # for _check_params to refuse.
     hi = SCREEN_NORMS[1]
     step_dtype = np.float32 if all(
-        -hi <= table.vectors.min(initial=0) and table.vectors.max(initial=0) <= hi
+        -hi <= table.vectors.min() and table.vectors.max() <= hi
         for table in (q_table, c_table)
     ) else np.float64
 
     rng = np.random.default_rng(cfg.seed)
     val_q_table = q_table.subset(val_qids)
 
-    def validate_now() -> float:
-        report = evaluate(val_q_table, c_table, val_rels, model, k=10, gain=cfg.gain)
-        return report.mean_ndcg
+    def validate_now(applied: AdapterModel | None) -> float:
+        return evaluate(val_q_table, c_table, val_rels, applied, k=10, gain=cfg.gain).mean_ndcg
 
-    report = TrainReport(best_val_ndcg=validate_now())
+    # untrained, with the skip connection, the model is the identity (init_mlp)
+    report = TrainReport(best_val_ndcg=validate_now(None if model.use_skip else model))
     report.entries.append(EvalLogEntry(0, None, None, None, None, report.best_val_ndcg))
     flat_params = _flatten_trainable(model)
     best_params = [p.copy() for p in flat_params]
@@ -288,7 +285,7 @@ def train(
         _check_params(model, iteration)
 
         if iteration % cfg.eval_every == 0 or iteration == cfg.max_iterations:
-            val_ndcg = validate_now()
+            val_ndcg = validate_now(model)
             report.entries.append(
                 EvalLogEntry(
                     iteration,

@@ -16,7 +16,6 @@ from embadapt import (
 )
 from embadapt import adapter
 from embadapt.adapter import (
-    is_identity,
     mlp_grad,
     row_blocks,
     transform_forward,
@@ -113,8 +112,6 @@ class TestTransform:
         message = "which must be 'query' or 'corpus', got 'banana'"
         with pytest.raises(ValueError, match=message):
             transform(model, x, "banana")
-        with pytest.raises(ValueError, match=message):
-            is_identity(model, "banana")
         with pytest.raises(ValueError, match=message):
             transform_grad(model, x, hidden, x, "banana")
 

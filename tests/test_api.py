@@ -12,7 +12,7 @@ import embadapt
 from embadapt import write_embeddings
 from embadapt.data import check_ratio
 from embadapt.errors import EmbAdaptError
-from embadapt.evaluation import _check_k
+from embadapt.evaluation import check_k
 
 from synth import planted_task
 
@@ -55,7 +55,7 @@ def test_import_loads_no_http_module():
 
 
 @pytest.mark.parametrize("rule, value, message", [
-    (_check_k, 0, "k must be >= 1, got 0"),
+    (check_k, 0, "k must be >= 1, got 0"),
     (check_ratio, 1.5, "ratio must be in (0, 1), got 1.5"),
 ], ids=["k", "ratio"])
 def test_flag_rules_raise_a_package_error(rule, value, message):

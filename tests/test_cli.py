@@ -513,6 +513,28 @@ class TestDuplicateIds:
                 "dup.sadp", "m.sadc", "q.sadp", "rels.tsv"]
 
 
+class TestFileOfNoRows:
+    def test_every_reader_refuses_a_file_of_no_rows(self, tmp_path, capsys):
+        # a well-formed file, CRC included, whose header counts 0 rows: the
+        # reader refuses it, as no embedding table has fewer than one row
+        empty = tmp_path / "empty.sadp"
+        body = struct.pack("<HQIH", 2, 0, 3, 1) + b"t"
+        empty.write_bytes(b"SADP" + body + struct.pack("<I", zlib.crc32(body)))
+        q = tmp_path / "q.sadp"
+        write_embeddings(EmbeddingTable(["q"], np.ones((1, 3), np.float32), "t"), q)
+        rels = tmp_path / "rels.tsv"
+        rels.write_text("q\tq\t1\n")
+        for argv in (["search", "--corpus", str(empty), "--vector", "1,0,0"],
+                     ["evaluate", "--queries", str(empty), "--corpus", str(q),
+                      "--qrels", str(rels)],
+                     ["evaluate", "--queries", str(q), "--corpus", str(empty),
+                      "--qrels", str(rels)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {empty}: an embedding table needs at least one row\n"
+
+
 class TestSearchCommand:
     def test_vector_search_ranks_by_cosine(self, tmp_path, capsys):
         ids = ["a", "b", "c"]

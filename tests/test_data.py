@@ -147,6 +147,10 @@ class TestEmbeddingTable:
             with pytest.raises(DataError, match="do not match the table's float32 \\(2, 3\\)"):
                 table._with_rows(bad, "enc")
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError, match="at least one row"):
+            EmbeddingTable([], np.zeros((0, 4)))
+
     def test_ragged_dim_rejected(self):
         with pytest.raises(DataError):
             EmbeddingTable(["a", "b"], np.ones((1, 4), dtype=np.float32))

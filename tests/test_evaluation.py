@@ -1,6 +1,10 @@
+import glob
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,22 +280,16 @@ class TestEvaluate:
                 assert report.per_query_ndcg[r.query_id] == ndcg_at_k(
                     r.entries, rels.positives_for(r.query_id), k)
 
-    def test_identity_model_skips_the_network(self, monkeypatch):
+    def test_identity_model_equals_no_model(self):
         q, c, rels = planted_task(n_queries=30, n_corpus=200, dim=8, seed=4)
-        calls = []
-        forward = adapter.mlp_forward
-        monkeypatch.setattr(adapter, "mlp_forward",
-                            lambda params, x: calls.append(len(x)) or forward(params, x))
         for separate in (False, True):
             fresh = init_adapter(8, seed=1, encoder_tag=q.encoder_tag,
                                  config=TrainConfig(separate_adapters=separate))
             assert evaluate(q, c, rels, fresh).to_json() == evaluate(q, c, rels).to_json()
-        assert calls == []
         # without the skip connection a zero output layer maps every row to 0
         no_skip = init_adapter(8, seed=1, encoder_tag=q.encoder_tag,
                                config=TrainConfig(use_skip=False))
         assert not score_all(q, c, no_skip).any()
-        assert sum(calls) == len(q) + len(c)
 
     def test_tables_from_different_encoders_refused_unless_forced(self):
         q = table(["q1"], [[1.0, 0.0]], tag="enc-a")
@@ -463,16 +461,94 @@ class TestWorkerPool:
         transform(model, c.vectors, "corpus")
         assert started == []
 
-    @pytest.mark.parametrize("environ, one", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"MKL_NUM_THREADS": " 1 "}, True),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
-        ({"OMP_NUM_THREADS": "2"}, False),
-    ], ids=["unset", "openblas", "mkl", "omp", "openblas-first", "omp-2"])
-    def test_blas_on_one_thread(self, environ, one):
-        assert adapter.blas_on_one_thread(environ) is one
+    @pytest.mark.parametrize("k_of", [lambda n: None, lambda n: n, lambda n: n + 5,
+                                      lambda n: 2**64], ids=["None", "n_c", "n_c+5", "2**64"])
+    @pytest.mark.parametrize("name", ["ties", "wild", "identity"])
+    def test_a_k_at_or_beyond_the_corpus_ranks_every_column(self, monkeypatch, name, k_of):
+        # k=None and every k from the corpus size on take the screen with
+        # k = n_c, whose floor keeps every column: the float64 lexsort of all
+        q, c, rels, model = self.case(name)
+        k = k_of(len(c))
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * len(c) * 7)
+        q_rows, c_rows = (t.vectors if model is None else transform(model, t.vectors, which)
+                          for t, which in ((q, "query"), (c, "corpus")))
+        expected = lexsort_oracle(q_rows, c_rows, c.ids, len(c))
+        for n in (1, 2):
+            pin_workers(monkeypatch, n)
+            lists = ranked_lists(q, c, model, k=k)
+            assert [r.query_id for r in lists] == q.ids
+            assert [[(cid, s.hex()) for cid, s in r.entries] for r in lists] == [
+                [(cid, s.hex()) for cid, s in entries] for entries in expected]
+
+    @pytest.mark.parametrize("environ, blas, one", [
+        ({}, "scipy-openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", True),
+        ({"MKL_NUM_THREADS": " 1 "}, "mkl", True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, "openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, "openblas", False),
+        ({"OMP_NUM_THREADS": "2"}, "openblas", False),
+        # numpy's bundled OpenBLAS reads GOTO_NUM_THREADS, not MKL_NUM_THREADS
+        ({"MKL_NUM_THREADS": "1"}, "scipy-openblas", False),
+        ({"GOTO_NUM_THREADS": "1"}, "scipy-openblas", True),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "scipy-openblas", False),
+        # a value counts when atoi reads a positive integer from it
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "-2", "OMP_NUM_THREADS": "1"}, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, "scipy-openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "01"}, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": " +1x", "OMP_NUM_THREADS": "2"}, "scipy-openblas", True),
+        # MKL reads MKL_NUM_THREADS, then OMP_NUM_THREADS
+        ({"OPENBLAS_NUM_THREADS": "1"}, "mkl", False),
+        ({"MKL_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, "mkl", True),
+        ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "mkl", False),
+        # another BLAS: its threads are not known, so the pool stays off
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+         "accelerate", False),
+        # the benchmark's setting
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+         "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+         "mkl", True),
+    ], ids=["unset", "openblas", "mkl", "omp", "openblas-first", "omp-2", "openblas-ignores-mkl",
+            "goto", "goto-before-omp", "zero-falls-through", "negative-falls-through",
+            "not-a-number-falls-through", "leading-zero", "atoi-prefix", "mkl-ignores-openblas",
+            "mkl-omp", "mkl-first", "other-blas", "benchmark-openblas", "benchmark-mkl"])
+    def test_blas_on_one_thread(self, environ, blas, one):
+        assert adapter.blas_on_one_thread(environ, blas) is one
+
+    @pytest.mark.parametrize("environ", [
+        {"MKL_NUM_THREADS": "1"},
+        {"GOTO_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "01"},
+        {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    ], ids=["mkl", "goto", "zero-then-omp", "leading-zero", "benchmark"])
+    def test_gate_agrees_with_the_bundled_openblas(self, environ):
+        # a fresh process reads the thread count that numpy's OpenBLAS took
+        # from its environment, and the gate's verdict on the same variables
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "*openblas*"))
+        if not libs or "openblas" not in adapter.BLAS or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs numpy's bundled OpenBLAS and two CPUs")
+        code = ("import ctypes, sys; from embadapt import adapter; lib = ctypes.CDLL(sys.argv[1]); "
+                "get = next(getattr(lib, f) for f in ('scipy_openblas_get_num_threads64_', "
+                "'openblas_get_num_threads64_', 'openblas_get_num_threads') if hasattr(lib, f)); "
+                "get.argtypes, get.restype = [], ctypes.c_int; "
+                "print(get(), adapter.BLAS_ONE_THREAD)")
+        src = str(Path(adapter.__file__).resolve().parents[1])
+        env = {name: value for name, value in os.environ.items()
+               if not name.endswith("_NUM_THREADS")}
+        env.update(environ, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, libs[0]], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        threads, one = done.stdout.split()
+        assert (threads == "1") is (one == "True")
+
+    def test_blas_name_where_numpy_cannot_report_it(self, monkeypatch):
+        # before numpy 1.25 show_config takes no mode; its wheels bundle OpenBLAS
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert adapter._blas_name() == "openblas"
 
     def test_threaded_blas_keeps_the_plain_loop(self, monkeypatch):
         # BLAS's own threads share each product among the CPUs

@@ -2,6 +2,7 @@ import http.server
 import itertools
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -235,9 +236,12 @@ class TestEmbeddingFile:
             read_embeddings(path)
 
     def test_empty_table_refused(self, tmp_path):
-        empty = EmbeddingTable([], np.zeros((0, 4), dtype=np.float32))
-        with pytest.raises(FormatError, match="empty"):
-            write_embeddings(empty, tmp_path / "e.sadp")
+        # a well-formed file of no rows, CRC included: a table has one row at least
+        path = tmp_path / "empty.sadp"
+        path.write_bytes(sadp_v2([], np.zeros((0, 4))))
+        message = f"{path}: an embedding table needs at least one row"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_embeddings(path)
 
 
 class TestEmbeddingFileV2:

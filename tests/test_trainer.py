@@ -16,7 +16,7 @@ from embadapt import (
 )
 from embadapt.errors import DataError, TagMismatchError, TrainingDivergedError
 from embadapt.objectives import LOSS_VARIANTS
-from embadapt import trainer
+from embadapt import adapter, trainer
 from embadapt.trainer import _flatten_trainable, loss_and_param_grads, make_batch
 
 from synth import planted_task, seeded_output_layers
@@ -92,8 +92,10 @@ class TestMakeBatch:
     def test_negatives_capped_at_corpus(self):
         rels = RelevanceSet([("q0", "c0", 1.0), ("q1", "c1", 1.0)])
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         candidates, _ = batch_ids(rels, ["q0", "q1"], ["c0", "c1"], 10, rng)
         assert sorted(candidates) == ["c0", "c1"]
+        assert rng.bit_generator.state == state  # an empty pool draws no number
 
     def test_positives_always_included(self):
         rels = RelevanceSet([(f"q{i}", f"c{i}", 1.0) for i in range(5)])
@@ -366,6 +368,37 @@ class TestTrain:
         zero_shot = evaluate(val_q, c, va, k=10).mean_ndcg
         assert report.entries[0].iteration == 0
         assert report.entries[0].val_ndcg == pytest.approx(zero_shot, abs=1e-12)
+
+    @pytest.mark.parametrize("use_skip", [True, False], ids=["skip", "no-skip"])
+    def test_zero_shot_validation_runs_the_network_only_without_skip(self, monkeypatch,
+                                                                      use_skip):
+        # with the skip connection the untrained model is the identity, so
+        # iteration 0 ranks the tables' own rows; without it the model is run
+        q, c, rels = small_dataset(seed=2)
+        tr, va = split_train_val(rels, 0.67, seed=0)
+        forwards = []
+        forward = adapter.mlp_forward
+        monkeypatch.setattr(adapter, "mlp_forward",
+                            lambda params, x: forwards.append(len(x)) or forward(params, x))
+        validations = []
+        validate = trainer.evaluate
+
+        def counted(*args, **kwargs):
+            before = len(forwards)
+            report = validate(*args, **kwargs)
+            validations.append(len(forwards) - before)
+            return report
+
+        monkeypatch.setattr(trainer, "evaluate", counted)
+        cfg = TrainConfig(batch_size=4, max_iterations=2, patience=2, eval_every=1, seed=0,
+                          use_skip=use_skip)
+        _, report = train(q, c, tr, va, cfg)
+        val_q = q.subset([qid for qid in q.ids if va.positives_for(qid)])
+        assert (validations[0] == 0) is use_skip
+        assert all(validations[1:]) and len(validations) == 3
+        untrained = init_adapter(q.dim, seed=0, encoder_tag=q.encoder_tag, config=cfg)
+        zero_shot = evaluate(val_q, c, va, None if use_skip else untrained).mean_ndcg
+        assert report.entries[0].val_ndcg == zero_shot
 
     def test_best_is_max_of_log(self):
         q, c, rels = small_dataset(seed=3)
