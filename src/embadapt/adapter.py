@@ -33,6 +33,7 @@ ROW_BLOCK_BYTES = 1 << 20
 # the most threads that map_blocks runs blocks on
 MAX_WORKERS = 8
 
+S = TypeVar("S")
 T = TypeVar("T")
 
 
@@ -261,7 +262,7 @@ def workers() -> int:
     return min(MAX_WORKERS, n)
 
 
-def map_blocks(fn: Callable[[slice], T], blocks: list[slice], n_workers: int) -> list[T]:
+def map_blocks(fn: Callable[[S], T], blocks: list[S], n_workers: int) -> list[T]:
     """[fn(rows) for rows in blocks], run on up to n_workers threads (a
     caller passes workers()) and returned in block order; with one worker or
     one block it is that plain loop and starts no thread. The first
@@ -278,7 +279,7 @@ def map_blocks(fn: Callable[[slice], T], blocks: list[slice], n_workers: int) ->
         return [fn(rows) for rows in blocks]
     state = dict(np.geterr(), call=np.geterrcall())
 
-    def run(rows: slice) -> T:
+    def run(rows: S) -> T:
         with np.errstate(**state):
             return fn(rows)
 
@@ -308,15 +309,21 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     out = np.empty(batch.shape, dtype=np.float32)
 
     def forward(rows: slice) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[rows], _ = transform_forward(
-                model, np.asarray(batch[rows], dtype=np.float32), which)
-        # checked while the block is in cache
-        if not np.isfinite(out[rows]).all():
-            raise DataError(f"the adapted {which} embeddings are not all finite in float32")
+        out[rows] = adapt_block(model, np.asarray(batch[rows], dtype=np.float32), which)
 
     map_blocks(forward, row_blocks(len(batch), max(model.dim, model.hidden)), workers())
     return out[0] if x.ndim == 1 else out
+
+
+def adapt_block(model: AdapterModel, block: np.ndarray, which: str) -> np.ndarray:
+    """transform's network on one float32 row block of its blocks (see
+    row_blocks), as a new float32 array; DataError unless it is all finite.
+    Traced by no benchmark span, so a worker of map_blocks may call it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = transform_forward(model, block, which)[0]  # the activations freed at once
+    if not np.isfinite(out).all():  # checked while the block is in cache
+        raise DataError(f"the adapted {which} embeddings are not all finite in float32")
+    return out
 
 
 def transform_grad(

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+import zlib
 from collections.abc import Callable
 from pathlib import Path
 
-from .adapter import load_checkpoint, save_checkpoint, transform
+from .adapter import (
+    adapt_block,
+    load_checkpoint,
+    map_blocks,
+    row_blocks,
+    save_checkpoint,
+    workers,
+)
 from .config import GAIN_MODES, LOSS_VARIANTS, EncoderEndpointConfig, TrainConfig, from_json
 from .data import (
     EmbeddingTable,
@@ -18,13 +27,19 @@ from .data import (
     adapted_tag,
     as_side,
     check_compatible,
+    check_finite,
     check_ratio,
+    check_shape,
+    check_unique,
     split_train_val,
 )
-from .errors import EmbAdaptError, FormatError
+from .errors import DataError, EmbAdaptError, FormatError
 from .evaluation import check_k, evaluate, ranked_lists
 from .io import (
+    EmbeddingFile,
+    EmbeddingWriter,
     _as_vectors,
+    crc32_combine,
     fetch_embeddings,
     load_jsonl_items,
     load_qrels_tsv,
@@ -212,15 +227,116 @@ def cmd_train(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    table = read_embeddings(getattr(args, "in"))
-    model = load_checkpoint(args.model)
-    check_compatible({"input": table}, model, args.force)
-    adapted = transform(model, table.vectors, args.which)  # refuses non-finite rows
-    tag = adapted_tag(table.encoder_tag, args.which, model.checkpoint_crc)
-    out_table = table._with_rows(adapted, tag)  # nothing else holds adapted
-    _atomic_write((args.out, lambda tmp: write_embeddings(out_table, tmp)))
-    print(f"wrote {len(out_table)} adapted ({args.which}) embeddings -> {args.out}")
+    path = getattr(args, "in")
+    with open(path, "rb") as f:
+        src = EmbeddingFile(f, path)  # a fault of the header is raised here
+        _atomic_write((args.out, lambda tmp: _stream_transform(src, args.model, args.which,
+                                                               args.force, tmp)))
+    print(f"wrote {src.count} adapted ({args.which}) embeddings -> {args.out}")
     return 0
+
+
+# The faults that _stream_transform records, in the order in which
+# read_embeddings, load_checkpoint, check_compatible, transform and
+# write_embeddings, run one after another, would raise them.
+(_IDS, _SIZE, _END, _SHAPE, _FINITE, _UNIQUE,
+ _MODEL, _COMPATIBLE, _OUTPUT, _TAG, _KINDS) = range(11)
+
+
+def _stream_transform(src: EmbeddingFile, model_path: str, which: str, force: bool,
+                      out_path: str) -> None:
+    """Write the rows of src, adapted as `which` by the checkpoint at
+    model_path, as a .sadp file at out_path.
+
+    The vector block is streamed in transform's row blocks (so each product
+    has transform's shape and bits) on the threads of map_blocks: each block
+    is read at its offset, its CRC32 taken and its rows checked, then it is
+    adapted, checked again, and written at its offset with its CRC32 taken.
+    The ids are checked as one more task beside the blocks, and their bytes
+    are copied as they are. The calling thread folds the CRC32s in block
+    order. Every check of the in-memory path is made; the first fault in
+    that path's order is raised once every block has been read, and after
+    a fault is known a block is only read and checked. Memory beyond the id
+    block is the blocks in flight.
+    """
+    faults: list[Exception | None] = [None] * _KINDS  # the first of each kind
+
+    def table_check(kind: int, check, *args) -> None:
+        # one of EmbeddingTable's checks, whose DataError read_embeddings reports as the file's
+        try:
+            check(*args)
+        except DataError as exc:
+            faults[kind] = src.error(str(exc))
+
+    def check_ids() -> None:
+        try:
+            ids = src.ids()
+        except FormatError as exc:
+            faults[_IDS] = exc
+        else:
+            table_check(_UNIQUE, check_unique, ids)
+
+    try:
+        src.check_size()
+    except FormatError as exc:
+        faults[_SIZE] = exc
+    table_check(_SHAPE, check_shape, src.count, src.dim)
+    model = writer = None
+    try:
+        model = load_checkpoint(model_path)
+    except (EmbAdaptError, OSError) as exc:
+        faults[_MODEL] = exc
+    else:
+        try:
+            check_compatible({"input": src}, model, force)
+        except EmbAdaptError as exc:
+            faults[_COMPATIBLE] = exc
+        try:
+            writer = EmbeddingWriter(src.count, src.dim,
+                                     adapted_tag(src.encoder_tag, which, model.checkpoint_crc))
+        except FormatError as exc:
+            faults[_TAG] = exc
+
+    def stream(rows: slice) -> tuple[int, int | None]:
+        """The CRC32s of one block as read and as written, None when not written."""
+        block = src.read_rows(rows)
+        crc = zlib.crc32(block)
+        if faults[_FINITE] is None:
+            table_check(_FINITE, check_finite, block)
+        if any(faults[:_OUTPUT]):
+            return crc, None
+        try:
+            adapted = adapt_block(model, block, which)
+        except DataError as exc:
+            faults[_OUTPUT] = exc
+            return crc, None
+        return crc, None if any(faults) else writer.write_rows(rows, adapted)
+
+    width = max(1, src.dim, model.hidden if model is not None else 0)
+    blocks = [] if faults[_SIZE] else row_blocks(src.count, width)
+    sizes = [4 * src.dim * (rows.stop - rows.start) for rows in blocks]
+
+    def fold(crcs) -> int:
+        """The CRC32 of the whole vector block from those of its blocks."""
+        crc = 0
+        for part, size in zip(crcs, sizes):
+            crc = crc32_combine(crc, part, size)
+        return crc
+
+    with open(out_path, "wb") as out:
+        if not any(faults):
+            writer.start(out, src.id_lengths, src.id_bytes)
+        tasks = [check_ids, *(functools.partial(stream, rows) for rows in blocks)]
+        crcs = map_blocks(lambda task: task(), tasks, workers())[1:]
+        if faults[_SIZE] is None:
+            try:
+                src.check_end(fold(read for read, _ in crcs))
+            except FormatError as exc:
+                faults[_END] = exc
+        for fault in faults:
+            if fault is not None:
+                raise fault
+        writer.finish(fold(written for _, written in crcs))
 
 
 def cmd_evaluate(args) -> int:

@@ -69,6 +69,30 @@ class RelevanceSet:
         return RelevanceSet((q, c, y) for q, c, y in self.triplets if q in keep)
 
 
+def check_shape(count: int, dim: int) -> None:
+    """An embedding table's rule for its shape: one row at least, dim >= 1."""
+    if not count:
+        raise DataError("an embedding table needs at least one row")
+    if dim < 1:
+        raise DataError("embedding dimension must be positive")
+
+
+def check_finite(vectors: np.ndarray) -> None:
+    """An embedding table's rule for its rows: every component finite."""
+    if not np.all(np.isfinite(vectors)):
+        raise DataError("embedding vectors must be finite")
+
+
+def check_unique(ids: list[str]) -> None:
+    """An embedding table's rule for its ids; names the first repeated one."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for item_id in ids:
+            if item_id in seen:
+                raise DataError(f"duplicate embedding id: {item_id!r}")
+            seen.add(item_id)
+
+
 class EmbeddingTable:
     """id-indexed dense float32 vectors from a frozen encoder, one row at least."""
 
@@ -83,19 +107,10 @@ class EmbeddingTable:
             raise DataError("vectors must be a 2-D array")
         if len(ids) != vectors.shape[0]:
             raise DataError("ids and vectors disagree in length")
-        if not len(ids):
-            raise DataError("an embedding table needs at least one row")
-        if vectors.shape[1] < 1:
-            raise DataError("embedding dimension must be positive")
-        if not np.all(np.isfinite(vectors)):
-            raise DataError("embedding vectors must be finite")
+        check_shape(*vectors.shape)
+        check_finite(vectors)
         self._ids = list(ids)
-        if len(set(self._ids)) != len(self._ids):
-            seen: set[str] = set()
-            for item_id in self._ids:
-                if item_id in seen:
-                    raise DataError(f"duplicate embedding id: {item_id!r}")
-                seen.add(item_id)
+        check_unique(self._ids)
         self._vectors = vectors
         self._vectors.flags.writeable = False
         self.encoder_tag = encoder_tag
@@ -131,19 +146,6 @@ class EmbeddingTable:
 
     def rows_for(self, item_ids: Sequence[str]) -> np.ndarray:
         return self._vectors[self.row_indices(item_ids)]
-
-    def _with_rows(self, vectors: np.ndarray, encoder_tag: str) -> "EmbeddingTable":
-        """A table of this table's ids, sharing their checked list, and of
-        `vectors`, kept uncopied and made read-only. Only their dtype and
-        shape are checked: the caller vouches that the rows are finite, as
-        transform's output is, and that nothing else writes to them."""
-        if vectors.dtype != np.float32 or vectors.shape != self._vectors.shape:
-            raise DataError(f"rows {vectors.dtype} {vectors.shape} do not match "
-                            f"the table's float32 {self._vectors.shape}")
-        vectors.flags.writeable = False
-        table = object.__new__(EmbeddingTable)
-        table._ids, table._vectors, table.encoder_tag = self._ids, vectors, encoder_tag
-        return table
 
     def subset(self, item_ids: Sequence[str]) -> "EmbeddingTable":
         return EmbeddingTable(list(item_ids), self.rows_for(item_ids), self.encoder_tag)
@@ -194,8 +196,9 @@ def check_compatible(
     tables: dict[str, EmbeddingTable], model=None, force: bool = False
 ) -> None:
     """Raise DataError unless the named tables, and the model when one is
-    given, share one dim. The model is read only through `dim` and
-    `encoder_tag`, and is the one that will be applied to the tables.
+    given, share one dim. Tables and model are read only through `dim` and
+    `encoder_tag` (transform passes an open io.EmbeddingFile as its table),
+    and the model is the one that will be applied to the tables.
 
     Unless force is set, raise TagMismatchError unless:
     - they share one encoder tag once transform's mark is set aside;

@@ -4,9 +4,10 @@ File formats:
   - queries.jsonl / corpus.jsonl: one object per line, BEIR-style
     {"_id": ..., "text": ..., "title": ...}.
   - qrels.tsv: query-id<TAB>corpus-id<TAB>score, optional header row.
-  - *.sadp and *.sadc share one little-endian frame, read by BlockReader
-    and written by write_blocks: a 4-byte magic, the body, then a u32 CRC32
-    over everything after the magic.
+  - *.sadp and *.sadc share one little-endian frame, read by BlockReader: a
+    4-byte magic, the body, then a u32 CRC32 over everything after the
+    magic. write_blocks writes a .sadc; EmbeddingFile and EmbeddingWriter
+    are the one reader and the one writer of the .sadp layout.
   - *.sadp: binary embedding table, version 2. Magic b"SADP", header <HQIH
     (version, count, dim, encoder tag byte length), the UTF-8 tag, then
     three blocks: count u16 id lengths, all UTF-8 id bytes, and a contiguous
@@ -20,6 +21,7 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -171,35 +173,20 @@ class BlockReader:
         self.crc = zlib.crc32(raw, self.crc)
         return raw
 
+    def skip(self, n: int, what: str) -> None:
+        """Count n bytes as read that the caller reads at their offset itself,
+        and whose CRC32 it folds into crc (see EmbeddingFile)."""
+        self.need(n, what)
+        self.left -= n
+
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def string(self, n: int, what: str) -> str:
         """One UTF-8 string of n bytes."""
-        return self._decode(self.read(n, what), what)
+        return self.decode(self.read(n, what), what)
 
-    def strings(self, lengths: np.ndarray, what: str) -> list[str]:
-        """UTF-8 strings of the given byte lengths, stored back to back, each
-        valid UTF-8 on its own. The block is decoded and split once, not
-        string by string."""
-        ends = np.cumsum(lengths, dtype=np.int64)
-        if not len(ends):
-            return []
-        raw = self.read(int(ends[-1]), what)
-        self._decode(raw, what)
-        starts = ends[:-1]
-        # no string may start inside a character, on a continuation byte
-        first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
-        split = np.flatnonzero(first & 0xC0 == 0x80)
-        if len(split):
-            raise self.error(f"{what} is not valid UTF-8: the string at index "
-                             f"{int(split[0]) + 1} starts inside a character")
-        # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a surrogate,
-        # so a 0xFF put between the strings decodes to the one U+DCFF there is
-        marked = np.insert(np.frombuffer(raw, dtype=np.uint8), starts, 0xFF).tobytes()
-        return marked.decode("utf-8", "surrogateescape").split("\udcff")
-
-    def _decode(self, raw: bytes, what: str) -> str:
+    def decode(self, raw: bytes, what: str) -> str:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -239,19 +226,205 @@ def write_blocks(path: str | Path, magic: bytes, blocks: Iterable) -> None:
         f.write(struct.pack("<I", crc))
 
 
+_CRC32_POLY = 0xEDB88320  # the CRC32 polynomial, bit-reflected as zlib keeps it
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo the CRC32 polynomial, both bit-reflected; a is not 0
+    (zlib's multmodp)."""
+    m, p = 1 << 31, 0
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+
+
+# x**(2**k) modulo the polynomial for k in 0..31; x**(2**32) is x again
+_X2N = [1 << 30]
+for _ in range(31):
+    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _crc32_shift(length: int) -> int:
+    """x**(8 * length) modulo the polynomial, the operator that carries a
+    CRC32 past length bytes (zlib's x2nmodp(length, 3)). Cached: the blocks
+    of one file have at most two lengths."""
+    p, k = 1 << 31, 3  # p is x**0
+    while length:
+        if length & 1:
+            p = _multmodp(_X2N[k & 31], p)
+        length >>= 1
+        k += 1
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """zlib.crc32(a + b) from crc1 = zlib.crc32(a), crc2 = zlib.crc32(b) and
+    len2 = len(b), as zlib's crc32_combine computes it, which Python's zlib
+    module does not offer."""
+    return _multmodp(_crc32_shift(len2), crc1) ^ crc2
+
+
+# the lock of a seek and a read or write where the platform has no
+# positional read (os.preadv) or write (os.pwrite)
+_SEEK_LOCK = threading.Lock()
+
+
+def _read_at(f: BinaryIO, buf: np.ndarray, offset: int) -> int:
+    """Fill the C-contiguous array buf from the bytes at offset of f, from any
+    thread. Returns the bytes read: fewer only at the end of the file."""
+    view = buf.reshape(-1).view(np.uint8)
+    done = 0
+    while done < len(view):
+        if hasattr(os, "preadv"):
+            n = os.preadv(f.fileno(), [view[done:]], offset + done)
+        else:
+            with _SEEK_LOCK:
+                f.seek(offset + done)
+                n = f.readinto(view[done:])
+        if not n:
+            break
+        done += n
+    return done
+
+
+def _write_at(f: BinaryIO, data, offset: int) -> None:
+    """Write the bytes-like data at offset of f, from any thread."""
+    view = memoryview(data).cast("B")
+    while len(view):
+        if hasattr(os, "pwrite"):
+            n = os.pwrite(f.fileno(), view, offset)
+        else:
+            with _SEEK_LOCK:
+                f.seek(offset)
+                n = f.write(view)
+        view, offset = view[n:], offset + n
+
+
 def _check_length(raw: bytes) -> None:
     if len(raw) > 0xFFFF:
         raise FormatError(f"string {raw[:40]!r}... is {len(raw)} bytes, "
                           "over the format's limit of 65535")
 
 
+class EmbeddingFile:
+    """An open .sadp file, the one reader of the layout.
+
+    Opening parses the header, the encoder tag and the id lengths, and reads
+    the id bytes undecoded, each read checked as BlockReader checks it. The
+    rest is read as the caller chooses, and read_embeddings checks it in
+    this order: ids() decodes the ids; check_size() refuses a file too short
+    for the vector block and the checksum; read_rows() reads rows of the
+    vector block at their offset, from any thread; check_end() takes the
+    CRC32 of the whole vector block, checks the stored CRC32 and refuses
+    trailing bytes. A file of no rows, a dim of 0, rows that are not finite
+    and repeated ids are the checks of EmbeddingTable, done after these.
+    """
+
+    def __init__(self, f: BinaryIO, path: str | Path):
+        self._f = f
+        self._r = r = BlockReader(f, path, EMBEDDING_MAGIC)
+        version, self.count, self.dim, tag_len = r.unpack("<HQIH", "header")
+        if version != EMBEDDING_VERSION:
+            raise r.error(f"unsupported version {version}")
+        self.encoder_tag = r.string(tag_len, "encoder tag")
+        self.id_lengths = r.read(2 * self.count, "id lengths")
+        self._lengths = np.frombuffer(self.id_lengths, dtype="<u2")
+        self.id_bytes = r.read(int(self._lengths.sum(dtype=np.int64)),
+                               "ids the id lengths imply")
+        self.vectors_at = f.tell()
+        self.nbytes = 4 * self.count * self.dim  # of the vector block
+        self.error = r.error
+
+    def ids(self) -> list[str]:
+        """The ids, each valid UTF-8 on its own. The id bytes are decoded and
+        split once, not id by id."""
+        what, raw = "ids the id lengths imply", self.id_bytes
+        if not self.count:
+            return []
+        self._r.decode(raw, what)
+        starts = np.cumsum(self._lengths, dtype=np.int64)[:-1]
+        # no id may start inside a character, on a continuation byte
+        first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
+        split = np.flatnonzero(first & 0xC0 == 0x80)
+        if len(split):
+            raise self.error(f"{what} is not valid UTF-8: the string at index "
+                             f"{int(split[0]) + 1} starts inside a character")
+        # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a surrogate,
+        # so a 0xFF put between the ids decodes to the one U+DCFF there is
+        marked = np.insert(np.frombuffer(raw, dtype=np.uint8), starts, 0xFF).tobytes()
+        return marked.decode("utf-8", "surrogateescape").split("\udcff")
+
+    def check_size(self) -> None:
+        """Refuse a file too short for the vector block and the checksum."""
+        self._r.skip(self.nbytes, "vectors")
+        self._r.need(4, "checksum")
+
+    def read_rows(self, rows: slice) -> np.ndarray:
+        """A fresh (rows, dim) <f4 array of the given rows of the vector block;
+        any thread may call it once check_size has passed."""
+        out = np.empty((rows.stop - rows.start, self.dim), dtype="<f4")
+        if _read_at(self._f, out, self.vectors_at + 4 * self.dim * rows.start) != out.nbytes:
+            raise self.error("truncated file while reading vectors")
+        return out
+
+    def check_end(self, vector_crc: int) -> None:
+        """Check the stored CRC32, given the CRC32 of the whole vector block,
+        and refuse trailing bytes."""
+        self._r.crc = crc32_combine(self._r.crc, vector_crc, self.nbytes)
+        self._f.seek(self.vectors_at + self.nbytes)
+        self._r.end()
+
+
+class EmbeddingWriter:
+    """Writes one .sadp file, the one writer of the layout.
+
+    Made from the header's fields, and refusing an encoder tag that the
+    layout cannot hold, before any file is touched. start() writes the
+    magic, the header, the encoder tag and the id block (id lengths and id
+    bytes, as EmbeddingFile reads them); write_rows() writes rows of the
+    vector block at their offset, from any thread; finish() writes the
+    CRC32, given that of the whole vector block.
+    """
+
+    def __init__(self, count: int, dim: int, encoder_tag: str):
+        tag = _utf8(encoder_tag, "encoder tag")
+        _check_length(tag)
+        self._head = struct.pack("<HQIH", EMBEDDING_VERSION, count, dim, len(tag)) + tag
+        self._dim = dim
+        self.nbytes = 4 * count * dim  # of the vector block
+
+    def start(self, f: BinaryIO, id_lengths: bytes, id_bytes: bytes) -> None:
+        self._f = f
+        offset = 0
+        for block in (EMBEDDING_MAGIC + self._head, id_lengths, id_bytes):
+            _write_at(f, block, offset)
+            offset += len(block)
+        self.crc = zlib.crc32(id_bytes, zlib.crc32(id_lengths, zlib.crc32(self._head)))
+        self.vectors_at = offset
+
+    def write_rows(self, rows: slice, block: np.ndarray) -> int:
+        """Write block, the float32 rows `rows`, at their offset; returns the
+        CRC32 of its bytes."""
+        raw = np.ascontiguousarray(block, dtype="<f4").reshape(-1).view(np.uint8)
+        _write_at(self._f, raw, self.vectors_at + 4 * self._dim * rows.start)
+        return zlib.crc32(raw)
+
+    def finish(self, vector_crc: int) -> None:
+        crc = crc32_combine(self.crc, vector_crc, self.nbytes)
+        _write_at(self._f, struct.pack("<I", crc), self.vectors_at + self.nbytes)
+
+
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Persist an embedding table as .sadp v2, one write per block.
+    """Persist an embedding table as .sadp v2 through EmbeddingWriter.
 
     Round-trips bit-exactly via read_embeddings.
     """
-    tag = _utf8(table.encoder_tag, "encoder tag")
-    _check_length(tag)
+    writer = EmbeddingWriter(len(table), table.dim, table.encoder_tag)
     ids = table.ids
     try:
         text = "".join(ids)
@@ -267,32 +440,25 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
         lengths = np.diff(np.append(lead, len(raw))[ends], prepend=0)
     if lengths.max() > 0xFFFF:
         _check_length(ids[int(lengths.argmax())].encode("utf-8"))
-    vectors = np.ascontiguousarray(table.vectors, dtype="<f4")
-    write_blocks(path, EMBEDDING_MAGIC, (
-        struct.pack("<HQIH", EMBEDDING_VERSION, len(table), table.dim, len(tag)) + tag,
-        lengths.astype("<u2"),
-        raw,
-        memoryview(vectors).cast("B"),
-    ))
+    with open(path, "wb") as f:
+        writer.start(f, lengths.astype("<u2").tobytes(), raw)
+        writer.finish(writer.write_rows(slice(0, len(table)), table.vectors))
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a .sadp v2 file; any malformed input raises FormatError."""
+    """Read a .sadp v2 file through EmbeddingFile; any malformed input raises
+    FormatError."""
     with open(path, "rb") as f:
-        r = BlockReader(f, path, EMBEDDING_MAGIC)
-        version, count, dim, tag_len = r.unpack("<HQIH", "header")
-        if version != EMBEDDING_VERSION:
-            raise r.error(f"unsupported version {version}")
-        encoder_tag = r.string(tag_len, "encoder tag")
-        lengths = np.frombuffer(r.read(2 * count, "id lengths"), dtype="<u2")
-        ids = r.strings(lengths, "ids the id lengths imply")
-        vectors = r.array((count, dim), "vectors")
-        r.end()
+        src = EmbeddingFile(f, path)
+        ids = src.ids()
+        src.check_size()
+        vectors = src.read_rows(slice(0, src.count))
+        src.check_end(zlib.crc32(vectors))
     vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     try:
-        return EmbeddingTable(ids, vectors, encoder_tag)
+        return EmbeddingTable(ids, vectors, src.encoder_tag)
     except DataError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise src.error(str(exc)) from exc
 
 
 def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -19,14 +20,17 @@ from hypothesis import given, settings, strategies as st
 
 import embadapt
 from embadapt import (
-    EmbeddingTable, TrainConfig, init_adapter, read_embeddings, save_checkpoint, transform,
-    write_embeddings,
+    EmbeddingTable, TrainConfig, init_adapter, load_checkpoint, read_embeddings, save_checkpoint,
+    transform, write_embeddings,
 )
+from embadapt import adapter
 from embadapt.cli import _In, _Out, _build_parser, _effective_config, _read_settings, main
 from embadapt.config import EncoderEndpointConfig
+from embadapt.data import adapted_tag, check_compatible
+from embadapt.errors import EmbAdaptError
 from embadapt.evaluation import rank_candidates, score_all
 
-from synth import planted_task, seeded_output_layers
+from synth import pin_workers, planted_task, seeded_output_layers
 
 
 ENDPOINT_URL = "https://encoder.example/embed"
@@ -259,30 +263,78 @@ class TestTransformCommand:
         crc = zlib.crc32(Path(ckpt).read_bytes()[4:-4])
         assert adapted.encoder_tag == f"{original.encoder_tag}@adapted:query:{crc:08x}"
 
-    def test_writes_the_transform_output_without_a_copy(self, tmp_path, monkeypatch):
-        from embadapt import cli
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_peak_memory_is_the_blocks_in_flight(self, tmp_path, monkeypatch, dim, n_workers):
+        # neither the input's rows nor the adapted rows are ever held whole
+        n = 16_000
+        path, ckpt, out = tmp_path / "c.sadp", str(tmp_path / "m.sadc"), tmp_path / "out.sadp"
+        rows = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
+        write_embeddings(EmbeddingTable([f"d{i}" for i in range(n)], rows, "t"), path)
+        del rows
+        save_checkpoint(seeded_output_layers(init_adapter(dim, seed=1, encoder_tag="t"), seed=2),
+                        ckpt)
+        pin_workers(monkeypatch, n_workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["transform", "--in", str(path), "--model", ckpt, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * adapter.ROW_BLOCK_BYTES * adapter.workers()
 
+    def test_same_bytes_without_positional_reads_and_writes(self, tmp_path, monkeypatch):
+        # where the platform has no os.preadv or os.pwrite, a seek and a read
+        # or write under a lock take their place
         qp, _, _ = write_task(tmp_path)
         ckpt = str(tmp_path / "m.sadc")
         save_checkpoint(seeded_output_layers(init_adapter(32, seed=1, encoder_tag="synthetic-v1"),
                                              seed=2), ckpt)
-        made, written = [], []
+        pin_workers(monkeypatch, 2)
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 8 * 32 * 5)  # blocks of 4 or 5 rows
+        outs = [str(tmp_path / f"out{i}.sadp") for i in range(2)]
+        assert main(["transform", "--in", qp, "--model", ckpt, "--out", outs[0]]) == 0
+        monkeypatch.delattr(os, "preadv")
+        monkeypatch.delattr(os, "pwrite")
+        assert main(["transform", "--in", qp, "--model", ckpt, "--out", outs[1]]) == 0
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+        write_embeddings(read_embeddings(qp), tmp_path / "copy.sadp")
+        assert (tmp_path / "copy.sadp").read_bytes() == Path(qp).read_bytes()
 
-        def transform_and_keep(*args):
-            made.append(transform(*args))
-            return made[-1]
-
-        def keep_and_write(table, path):
-            written.append(table)
-            write_embeddings(table, path)
-
-        monkeypatch.setattr(cli, "transform", transform_and_keep)
-        monkeypatch.setattr(cli, "write_embeddings", keep_and_write)
+    def test_many_workers_with_a_short_switch_interval(self, tmp_path, monkeypatch):
+        # more workers than CPUs, switching threads often: every block's
+        # CRC32 and every fault still reach the calling thread
+        n = 300
+        vectors = np.random.default_rng(0).standard_normal((n, 4)).astype(np.float32)
+        ids = [f"id{i}" for i in range(n)]
+        (tmp_path / "in.sadp").write_bytes(sadp_bytes(ids, vectors, b"t"))
+        vectors[-1, 0] = np.nan
+        (tmp_path / "nan.sadp").write_bytes(sadp_bytes(ids, vectors, b"t"))
+        model = seeded_output_layers(
+            init_adapter(4, seed=1, encoder_tag="t", config=TrainConfig(hidden=4)), seed=2)
+        save_checkpoint(model, str(tmp_path / "m.sadc"))
+        model.f_params.w1[...], model.f_params.b1[...], model.f_params.w2[...] = 0, 1, 2e38
+        save_checkpoint(model, str(tmp_path / "overflow.sadc"))
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 8 * 4 * 3)  # 100 blocks of 3 rows
+        pin_workers(monkeypatch, adapter.MAX_WORKERS)
+        args = [str(tmp_path / "in.sadp"), str(tmp_path / "m.sadc"), "query", False]
+        ref = str(tmp_path / "ref.sadp")
+        assert in_memory_transform(*args, ref)[0] == 0
         out = str(tmp_path / "out.sadp")
-        assert main(["transform", "--in", qp, "--model", ckpt, "--out", out]) == 0
-        [table] = written
-        assert table.vectors is made[0] and table.vectors.dtype == np.float32
-        assert not table.vectors.flags.writeable
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert run_main(["transform", "--in", args[0], "--model", args[1],
+                                 "--out", out])[0] == 0
+                assert Path(out).read_bytes() == Path(ref).read_bytes()
+                # the overflow shows in every block, the NaN in the last only
+                assert run_main(["transform", "--in", str(tmp_path / "nan.sadp"), "--model",
+                                 str(tmp_path / "overflow.sadc"), "--out", out]) == (
+                    1, "", f"error: {tmp_path / 'nan.sadp'}: embedding vectors must be finite\n")
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_tag_mismatch_fails_without_force(self, tmp_path, capsys):
         rc, ckpt, (qp, _, _) = run_train(tmp_path)
@@ -299,6 +351,109 @@ class TestTransformCommand:
                    "--out", out, "--force"])
         assert rc == 0
         assert os.path.exists(out)
+
+
+def sadp_bytes(ids, vectors, tag: bytes) -> bytes:
+    """A .sadp file with a valid CRC32, written by hand."""
+    raw = [item_id.encode("utf-8") for item_id in ids]
+    vectors = np.asarray(vectors, dtype="<f4")
+    body = (struct.pack("<HQIH", 2, len(ids), vectors.shape[1], len(tag)) + tag
+            + struct.pack(f"<{len(ids)}H", *map(len, raw)) + b"".join(raw) + vectors.tobytes())
+    return b"SADP" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def in_memory_transform(in_path, model_path, which, force, out_path):
+    """transform as read_embeddings, load_checkpoint, check_compatible,
+    adapter.transform and write_embeddings one after another, reported as
+    main reports it: (exit code, stdout, stderr)."""
+    try:
+        table = read_embeddings(in_path)
+        model = load_checkpoint(model_path)
+        check_compatible({"input": table}, model, force)
+        adapted = transform(model, table.vectors, which)
+        tag = adapted_tag(table.encoder_tag, which, model.checkpoint_crc)
+        write_embeddings(EmbeddingTable(table.ids, adapted, tag), out_path)
+    except (EmbAdaptError, OSError, ValueError) as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, f"wrote {len(table)} adapted ({which}) embeddings -> {out_path}\n", ""
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+REGIONS = ("header", "tag", "id lengths", "ids", "vectors", "checksum")
+DAMAGE = st.one_of(
+    st.none(),
+    st.tuples(st.just("flip"), st.sampled_from(REGIONS), st.integers(0, 2**16),
+              st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(1, 600)),
+    st.tuples(st.just("trailing"), st.binary(min_size=1, max_size=8)),
+)
+DEFECTS = ("duplicate id", "NaN in the last block", "foreign tag", "wrong dim", "overflow",
+           "corrupt checkpoint")
+
+
+class TestStreamedTransformEqualsInMemory:
+    """transform streams the file in row blocks and must exit, print and
+    write as the in-memory path does: the same first fault, in that path's
+    order, however the blocks are spread over the workers."""
+
+    @settings(deadline=None, max_examples=80, database=None)
+    @given(defects=st.sets(st.sampled_from(DEFECTS), max_size=2), damage=DAMAGE,
+           which=st.sampled_from(["query", "corpus"]), force=st.booleans())
+    def test_same_exit_code_messages_and_files(self, defects, damage, which, force):
+        n, dim = 23, 5 if "wrong dim" in defects else 4
+        ids = [f"id{i}" for i in range(n)]
+        if "duplicate id" in defects:
+            ids[17] = ids[3]
+        vectors = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
+        if "NaN in the last block" in defects:
+            vectors[-1, 1] = np.nan
+        tag = b"other" if "foreign tag" in defects else b"t"
+        data = bytearray(sadp_bytes(ids, vectors, tag))
+        if damage is not None and damage[0] == "flip":
+            _, region, at, mask = damage
+            sizes = [16, len(tag), 2 * n, sum(map(len, ids)), 4 * n * dim, 4]
+            start = 4 + sum(sizes[: REGIONS.index(region)])
+            data[start + at % sizes[REGIONS.index(region)]] ^= mask
+        elif damage is not None and damage[0] == "truncate":
+            del data[max(0, len(data) - damage[1]):]
+        elif damage is not None:
+            data += damage[1]
+        model = seeded_output_layers(
+            init_adapter(4, seed=1, encoder_tag="t", config=TrainConfig(hidden=4)), seed=2)
+        if "overflow" in defects:  # every adapted component is about 6e38
+            model.f_params.w1[...], model.f_params.b1[...], model.f_params.w2[...] = 0, 1, 2e38
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            (tmp / "in.sadp").write_bytes(data)
+            save_checkpoint(model, str(tmp / "m.sadc"))
+            if "corrupt checkpoint" in defects:
+                checkpoint = bytearray((tmp / "m.sadc").read_bytes())
+                checkpoint[-1] ^= 1
+                (tmp / "m.sadc").write_bytes(checkpoint)
+            (tmp / "ref").mkdir()
+            (tmp / "run").mkdir()
+            # blocks of 4 or 5 rows, in both paths
+            mp.setattr(adapter, "ROW_BLOCK_BYTES", 8 * 4 * 5)
+            args = [str(tmp / "in.sadp"), str(tmp / "m.sadc"), which, force]
+            ref_out, out = str(tmp / "ref" / "out.sadp"), str(tmp / "run" / "out.sadp")
+            rc, stdout, stderr = in_memory_transform(*args, ref_out)
+            for n_workers in (1, 2):
+                pin_workers(mp, n_workers)
+                got = run_main(["transform", "--in", args[0], "--model", args[1], "--which", which,
+                                "--out", out, *(["--force"] if force else [])])
+                assert got[0] == rc
+                assert got[1] == stdout.replace(ref_out, out)
+                assert got[2].split("\n")[0] == stderr.split("\n")[0]
+                if rc == 0:
+                    assert Path(out).read_bytes() == Path(ref_out).read_bytes()
+                    os.unlink(out)
+                assert list((tmp / "run").iterdir()) == []
 
 
 class TestProvenance:

@@ -135,18 +135,6 @@ class TestEmbeddingTable:
         with pytest.raises(DataError):
             EmbeddingTable(["a"], np.array([[1.0, np.nan]], dtype=np.float32))
 
-    def test_with_rows_shares_the_checked_ids(self):
-        table = EmbeddingTable(["a", "b"], np.ones((2, 3), np.float32), "enc")
-        rows = np.zeros((2, 3), np.float32)
-        other = table._with_rows(rows, "enc@x")
-        assert other._ids is table._ids and other.ids == ["a", "b"]
-        assert other.vectors is rows and not rows.flags.writeable
-        assert other.encoder_tag == "enc@x" and other.row_indices(["b"]).tolist() == [1]
-        for bad in (np.zeros((3, 3), np.float32), np.zeros((2, 4), np.float32),
-                    np.zeros((2, 3))):
-            with pytest.raises(DataError, match="do not match the table's float32 \\(2, 3\\)"):
-                table._with_rows(bad, "enc")
-
     def test_no_rows_rejected(self):
         with pytest.raises(DataError, match="at least one row"):
             EmbeddingTable([], np.zeros((0, 4)))

@@ -30,9 +30,11 @@ from embadapt.cli import main
 from embadapt.config import from_json
 from embadapt.data import TextItem
 from embadapt.errors import FetchError, FormatError
+from embadapt.adapter import row_blocks
 from embadapt.io import (
     BACKOFF_CAP_SECONDS,
     EncoderEndpointConfig,
+    crc32_combine,
     fetch_embeddings,
     load_jsonl_items,
 )
@@ -242,6 +244,26 @@ class TestEmbeddingFile:
         message = f"{path}: an embedding table needs at least one row"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_embeddings(path)
+
+
+class TestCrc32Combine:
+    @settings(deadline=None, max_examples=200, database=None)
+    @given(st.binary(max_size=300), st.binary(max_size=300), st.integers(0, 2**32 - 1))
+    def test_equals_the_crc_of_the_concatenation(self, a, b, seed):
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+        # a running CRC32 from a seed value, as a file's header starts one
+        assert (crc32_combine(zlib.crc32(a, seed), zlib.crc32(b), len(b))
+                == zlib.crc32(a + b, seed))
+
+    @settings(deadline=None, max_examples=30, database=None)
+    @given(st.integers(1, 3000), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_row_block_parts_fold_to_the_whole(self, n, dim, seed):
+        rows = np.random.default_rng(seed).standard_normal((n, dim)).astype("<f4")
+        crc = 0
+        for block in row_blocks(n, dim, budget=8 * dim * 97):  # blocks of 97 or 98 rows
+            part = rows[block].tobytes()
+            crc = crc32_combine(crc, zlib.crc32(part), len(part))
+        assert crc == zlib.crc32(rows.tobytes())
 
 
 class TestEmbeddingFileV2:
@@ -660,9 +682,16 @@ def loopback(monkeypatch):
         def log_message(self, *args):
             pass
 
+    errors = []
+
+    class Server(http.server.ThreadingHTTPServer):
+        def handle_error(self, request, client_address):
+            # the default prints the traceback to stderr, outside any test's capture
+            errors.append(sys.exc_info()[1])
+
     monkeypatch.setattr("embadapt.io.time.sleep", sleeps.append)
     monkeypatch.setenv("no_proxy", "*")
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server = Server(("127.0.0.1", 0), Handler)
     server.daemon_threads = False  # server_close joins every handler thread
     thread = threading.Thread(target=server.serve_forever, args=(0.01,))
     thread.start()
@@ -671,8 +700,14 @@ def loopback(monkeypatch):
     finally:
         done.set()
         server.shutdown()
-        thread.join()
+        thread.join(timeout=30)
         server.server_close()
+    assert not thread.is_alive()
+    # the "close", "plain" and "slow" steps end in the client hanging up; any
+    # other error of a handler, such as a request the script has no step
+    # for, fails the test
+    unexpected = [exc for exc in errors if not isinstance(exc, ConnectionError)]
+    assert not unexpected, f"the server's handlers raised {unexpected!r}"
 
 
 def embeddings_of(texts):
