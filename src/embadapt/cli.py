@@ -4,22 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
-import zlib
 from collections.abc import Callable
 from pathlib import Path
 
-from .adapter import (
-    adapt_block,
-    load_checkpoint,
-    map_blocks,
-    row_blocks,
-    save_checkpoint,
-    workers,
-)
+from .adapter import AdapterModel, adapt_block, load_checkpoint, save_checkpoint
 from .config import GAIN_MODES, LOSS_VARIANTS, EncoderEndpointConfig, TrainConfig, from_json
 from .data import (
     EmbeddingTable,
@@ -27,23 +18,20 @@ from .data import (
     adapted_tag,
     as_side,
     check_compatible,
-    check_finite,
     check_ratio,
-    check_shape,
-    check_unique,
     split_train_val,
 )
-from .errors import DataError, EmbAdaptError, FormatError
-from .evaluation import check_k, evaluate, ranked_lists
+from .errors import EmbAdaptError, FormatError
+from .evaluation import check_k, evaluate, ranked_lists, read_side
 from .io import (
     EmbeddingFile,
     EmbeddingWriter,
     _as_vectors,
-    crc32_combine,
     fetch_embeddings,
     load_jsonl_items,
     load_qrels_tsv,
     read_embeddings,
+    scan_embeddings,
     write_embeddings,
 )
 from .trainer import train
@@ -226,126 +214,79 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path: str | None) -> tuple[AdapterModel | None, Exception | None]:
+    """load_checkpoint(path), None for no path, and its fault, which the
+    caller raises where the serial path (every input read in turn) would."""
+    if path is None:
+        return None, None
+    try:
+        return load_checkpoint(path), None
+    except (EmbAdaptError, OSError) as exc:
+        return None, exc
+
+
 def cmd_transform(args) -> int:
     path = getattr(args, "in")
+    model, fault = _load_model(args.model)
     with open(path, "rb") as f:
         src = EmbeddingFile(f, path)  # a fault of the header is raised here
-        _atomic_write((args.out, lambda tmp: _stream_transform(src, args.model, args.which,
+        _atomic_write((args.out, lambda tmp: _stream_transform(src, model, fault, args.which,
                                                                args.force, tmp)))
     print(f"wrote {src.count} adapted ({args.which}) embeddings -> {args.out}")
     return 0
 
 
-# The faults that _stream_transform records, in the order in which
-# read_embeddings, load_checkpoint, check_compatible, transform and
-# write_embeddings, run one after another, would raise them.
-(_IDS, _SIZE, _END, _SHAPE, _FINITE, _UNIQUE,
- _MODEL, _COMPATIBLE, _OUTPUT, _TAG, _KINDS) = range(11)
+def _stream_transform(src: EmbeddingFile, model: AdapterModel | None, fault: Exception | None,
+                      which: str, force: bool, out_path: str) -> None:
+    """Write the rows of src, adapted as `which` by model, as a .sadp file at
+    out_path; fault is the model's, from _load_model.
 
-
-def _stream_transform(src: EmbeddingFile, model_path: str, which: str, force: bool,
-                      out_path: str) -> None:
-    """Write the rows of src, adapted as `which` by the checkpoint at
-    model_path, as a .sadp file at out_path.
-
-    The vector block is streamed in transform's row blocks (so each product
-    has transform's shape and bits) on the threads of map_blocks: each block
-    is read at its offset, its CRC32 taken and its rows checked, then it is
-    adapted, checked again, and written at its offset with its CRC32 taken.
-    The ids are checked as one more task beside the blocks, and their bytes
-    are copied as they are. The calling thread folds the CRC32s in block
-    order. Every check of the in-memory path is made; the first fault in
-    that path's order is raised once every block has been read, and after
-    a fault is known a block is only read and checked. Memory beyond the id
-    block is the blocks in flight.
+    The stage of scan_embeddings adapts each row block (transform's blocks,
+    so each product has transform's shape and bits), checks the output, and
+    writes it at its offset; the id bytes are copied as they are. The
+    faults come in the order in which read_embeddings, load_checkpoint,
+    check_compatible, transform and write_embeddings, run one after another,
+    would raise them: the reader's, then the model's, then the others.
     """
-    faults: list[Exception | None] = [None] * _KINDS  # the first of each kind
-
-    def table_check(kind: int, check, *args) -> None:
-        # one of EmbeddingTable's checks, whose DataError read_embeddings reports as the file's
-        try:
-            check(*args)
-        except DataError as exc:
-            faults[kind] = src.error(str(exc))
-
-    def check_ids() -> None:
-        try:
-            ids = src.ids()
-        except FormatError as exc:
-            faults[_IDS] = exc
-        else:
-            table_check(_UNIQUE, check_unique, ids)
-
-    try:
-        src.check_size()
-    except FormatError as exc:
-        faults[_SIZE] = exc
-    table_check(_SHAPE, check_shape, src.count, src.dim)
-    model = writer = None
-    try:
-        model = load_checkpoint(model_path)
-    except (EmbAdaptError, OSError) as exc:
-        faults[_MODEL] = exc
-    else:
+    writer = tag_fault = None
+    if fault is None:
         try:
             check_compatible({"input": src}, model, force)
         except EmbAdaptError as exc:
-            faults[_COMPATIBLE] = exc
+            fault = exc
         try:
             writer = EmbeddingWriter(src.count, src.dim,
                                      adapted_tag(src.encoder_tag, which, model.checkpoint_crc))
         except FormatError as exc:
-            faults[_TAG] = exc
-
-    def stream(rows: slice) -> tuple[int, int | None]:
-        """The CRC32s of one block as read and as written, None when not written."""
-        block = src.read_rows(rows)
-        crc = zlib.crc32(block)
-        if faults[_FINITE] is None:
-            table_check(_FINITE, check_finite, block)
-        if any(faults[:_OUTPUT]):
-            return crc, None
-        try:
-            adapted = adapt_block(model, block, which)
-        except DataError as exc:
-            faults[_OUTPUT] = exc
-            return crc, None
-        return crc, None if any(faults) else writer.write_rows(rows, adapted)
-
-    width = max(1, src.dim, model.hidden if model is not None else 0)
-    blocks = [] if faults[_SIZE] else row_blocks(src.count, width)
-    sizes = [4 * src.dim * (rows.stop - rows.start) for rows in blocks]
-
-    def fold(crcs) -> int:
-        """The CRC32 of the whole vector block from those of its blocks."""
-        crc = 0
-        for part, size in zip(crcs, sizes):
-            crc = crc32_combine(crc, part, size)
-        return crc
+            tag_fault = exc
 
     with open(out_path, "wb") as out:
-        if not any(faults):
-            writer.start(out, src.id_lengths, src.id_bytes)
-        tasks = [check_ids, *(functools.partial(stream, rows) for rows in blocks)]
-        crcs = map_blocks(lambda task: task(), tasks, workers())[1:]
-        if faults[_SIZE] is None:
-            try:
-                src.check_end(fold(read for read, _ in crcs))
-            except FormatError as exc:
-                faults[_END] = exc
-        for fault in faults:
-            if fault is not None:
-                raise fault
-        writer.finish(fold(written for _, written in crcs))
+        def start():
+            if writer is not None:
+                writer.start(out, src.id_lengths, src.id_bytes)
+
+            def stage(rows: slice, block) -> None:
+                adapted = adapt_block(model, block, which)
+                if writer is not None:
+                    writer.write_rows(rows, adapted)
+            return stage
+
+        width = max(src.dim, model.hidden if model is not None else 0)
+        _, output_fault = scan_embeddings(src, width, start if fault is None else None)
+        for exc in (fault, output_fault, tag_fault):
+            if exc is not None:
+                raise exc
+        writer.finish()
 
 
 def cmd_evaluate(args) -> int:
-    q_table = read_embeddings(args.queries)
-    c_table = read_embeddings(args.corpus)
+    model, fault = _load_model(args.model)
+    q_side = read_side(args.queries, model, "query")
+    c_side = read_side(args.corpus, model, "corpus")
     rels = load_qrels_tsv(args.qrels)
-    model = load_checkpoint(args.model) if args.model is not None else None
-    report = evaluate(q_table, c_table, rels, model, k=args.k,
-                      gain=args.gain, force=args.force)
+    if fault is not None:
+        raise fault
+    report = evaluate(q_side, c_side, rels, model, k=args.k, gain=args.gain, force=args.force)
     if args.per_query is not None:
         text = "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(report.per_query_ndcg.items()))
         _atomic_write((args.per_query, lambda tmp: Path(tmp).write_text(text, encoding="utf-8")))
@@ -369,14 +310,16 @@ def cmd_search(args) -> int:
         raise EmbAdaptError("--text requires --endpoint-config")
     else:
         cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
-    c_table = read_embeddings(args.corpus)
-    model = load_checkpoint(args.model) if args.model is not None else None
+    model, fault = _load_model(args.model)
+    c_side = read_side(args.corpus, model, "corpus")
+    if fault is not None:
+        raise fault
     if args.vector is not None:
         # a vector is taken to be a query in the space of the corpus
-        q_table = EmbeddingTable(["q"], query, as_side(c_table.encoder_tag, "query"))
+        q_table = EmbeddingTable(["q"], query, as_side(c_side.encoder_tag, "query"))
     else:  # the paid request comes after every local input has been read
         q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
-    [ranked] = ranked_lists(q_table, c_table, model, k=args.k, force=args.force)
+    [ranked] = ranked_lists(q_table, c_side, model, k=args.k, force=args.force)
     for cid, score in ranked.entries:
         print(f"{cid}\t{score:.6f}")
     return 0

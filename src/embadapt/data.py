@@ -6,7 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def check_finite(vectors: np.ndarray) -> None:
         raise DataError("embedding vectors must be finite")
 
 
-def check_unique(ids: list[str]) -> None:
+def check_unique(ids: Sequence[str]) -> None:
     """An embedding table's rule for its ids; names the first repeated one."""
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
@@ -91,6 +91,104 @@ def check_unique(ids: list[str]) -> None:
             if item_id in seen:
                 raise DataError(f"duplicate embedding id: {item_id!r}")
             seen.add(item_id)
+
+
+# the fingerprint of a string of bytes b is sum(b[t] * FP_BASE**t) modulo
+# 2**64, xor its length times FP_LENGTH; FP_BASE is odd, so it has an inverse
+FP_BASE, FP_LENGTH = 0x9E3779B97F4A7C15, 0xD6E8FEB86659FD93
+# the bytes of whole strings fingerprinted at once, or the longest string
+FP_CHUNK = 1 << 14
+
+
+def fingerprints(raw: bytes, ends: np.ndarray) -> np.ndarray:
+    """The uint64 fingerprint of each string of raw, those that end at the
+    ascending offsets ends (int64), the first starting at 0: equal strings
+    have equal fingerprints.
+
+    Each chunk of whole strings, FP_CHUNK bytes at most unless one string
+    is longer, takes one prefix sum of byte * FP_BASE**offset; a string's
+    fingerprint is the difference of two sums shifted back to its start.
+    So memory beyond the result is a few uint64 arrays of one chunk, and
+    the work is numpy's, which runs without the interpreter lock.
+    """
+    starts = np.concatenate([[0], ends[:-1]])
+    lengths = ends - starts
+    span = min(max(FP_CHUNK, int(lengths.max(initial=0))), len(raw))
+    # FP_BASE**t and FP_BASE**-t up to a chunk's length (uint64 products wrap)
+    steps = np.full((2, span + 1), [[FP_BASE], [pow(FP_BASE, -1, 2**64)]], np.uint64)
+    steps[:, 0] = 1
+    powers, inverse = np.cumprod(steps, axis=1)
+    out = np.empty(len(ends), np.uint64)
+    sums = np.zeros(span + 1, np.uint64)
+    lo = 0
+    while lo < len(ends):
+        first = int(starts[lo])
+        hi = int(np.searchsorted(ends, first + span, side="right"))
+        size = int(ends[hi - 1]) - first
+        chunk = np.frombuffer(raw, np.uint8, size, first).astype(np.uint64)
+        chunk *= powers[:size]
+        np.cumsum(chunk, out=sums[1 : size + 1])
+        at, to = starts[lo:hi] - first, ends[lo:hi] - first
+        out[lo:hi] = (sums[to] - sums[at]) * inverse[at]
+        lo = hi
+    out ^= lengths.astype(np.uint64) * np.uint64(FP_LENGTH)
+    return out
+
+
+class IdBlock(Sequence[str]):
+    """The ids of a .sadp file as it stores them: one block of UTF-8 bytes,
+    split by their lengths, each valid UTF-8 on its own (io checks it). An
+    id is decoded when it is asked for; iterating decodes them all in one
+    pass, and they are kept from then on."""
+
+    def __init__(self, raw: bytes, lengths: np.ndarray):
+        self._raw = raw
+        self._ends = np.cumsum(lengths, dtype=np.int64)
+        self._all: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._all is not None:
+            return self._all[i]
+        i = range(len(self))[i]  # an IndexError past either end
+        start = int(self._ends[i - 1]) if i else 0
+        return self._raw[start : int(self._ends[i])].decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        if self._all is None:
+            # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a
+            # surrogate, so a 0xFF put between the ids decodes to the one U+DCFF there is
+            marked = np.insert(np.frombuffer(self._raw, np.uint8), self._ends[:-1], 0xFF)
+            text = marked.tobytes().decode("utf-8", "surrogateescape")
+            self._all = text.split("\udcff") if len(self) else []
+        return iter(self._all)
+
+    def check_unique(self) -> None:
+        """check_unique on the bytes: the same verdict and message, with no id
+        decoded unless it is repeated. Sorted fingerprints find the candidates
+        at numpy's speed; ids of equal fingerprint are compared byte for byte."""
+        fp = fingerprints(self._raw, self._ends)
+        ordered = np.sort(fp)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return
+        order = np.argsort(fp, kind="stable")  # the ids of one fingerprint in file order
+        same = fp[order][1:] == fp[order][:-1]
+        shared = order[np.concatenate([same, [False]]) | np.concatenate([[False], same])]
+        starts = np.concatenate([[0], self._ends[:-1]])
+        seen: set[bytes] = set()
+        first = len(self)
+        # a repeated id follows its first instance in its fingerprint's run
+        for i in shared.tolist():
+            raw = self._raw[int(starts[i]) : int(self._ends[i])]
+            if raw in seen:
+                first = min(first, i)
+            seen.add(raw)
+        if first < len(self):
+            raise DataError(f"duplicate embedding id: {self[first]!r}")
 
 
 class EmbeddingTable:
@@ -109,11 +207,19 @@ class EmbeddingTable:
             raise DataError("ids and vectors disagree in length")
         check_shape(*vectors.shape)
         check_finite(vectors)
-        self._ids = list(ids)
+        self._ids: Sequence[str] = tuple(ids)
         check_unique(self._ids)
         self._vectors = vectors
         self._vectors.flags.writeable = False
         self.encoder_tag = encoder_tag
+
+    @classmethod
+    def _checked(cls, ids: IdBlock, vectors: np.ndarray, encoder_tag: str) -> "EmbeddingTable":
+        """A table of the ids and the read-only rows of a .sadp file, which
+        io's reader has checked as __init__ checks a table's."""
+        table = cls.__new__(cls)
+        table._ids, table._vectors, table.encoder_tag = ids, vectors, encoder_tag
+        return table
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -134,6 +240,12 @@ class EmbeddingTable:
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
+
+    @property
+    def names(self) -> Sequence[str]:
+        """The ids, uncopied and read-only; a table read from a file decodes
+        only those asked for (see IdBlock)."""
+        return self._ids
 
     @property
     def vectors(self) -> np.ndarray:

@@ -5,13 +5,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .adapter import AdapterModel, map_blocks, row_blocks, transform, workers
+from .adapter import AdapterModel, adapt_block, map_blocks, row_blocks, transform, workers
 from .config import check_gain
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
+from .io import EmbeddingFile, Stage, scan_embeddings
 from .objectives import NORM_EPS, cosine_scores, unit_rows
 
 # the query blocks' budget at 8 bytes a (query, column) pair, which their
@@ -54,9 +58,103 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _rows(table: EmbeddingTable, model: AdapterModel | None, which: str) -> np.ndarray:
-    """The rows transform writes for the `which` side, or, with no model, the table's own."""
-    return table.vectors if model is None else transform(model, table.vectors, which)
+def _screen_rows(
+    model: AdapterModel | None, block: np.ndarray, which: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A float32 row block's rows as transform writes them for the `which`
+    side (the block itself with no model), and their float32 squared norms.
+    Each row's square depends on that row alone, so the blocks give the bits
+    of one pass over the whole side. Calls no traced name, so a worker of
+    map_blocks may run it."""
+    if model is not None:
+        block = adapt_block(model, block, which)
+    with np.errstate(over="ignore"):
+        return block, np.einsum("ij,ij->i", block, block)
+
+
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One side of a ranking: a table's names, encoder tag and dim, and the
+    float32 rows that ranked_lists scores for it, those that transform
+    writes for `which` with `model` (the table's own rows with no model),
+    with their float32 squared norms. fault is the adapt's DataError, which
+    ranked_lists raises in its place, after check_compatible. read_side
+    builds one from a file without holding the file's rows whole; rows and
+    squares are None when the stage did not run, because a fault that
+    check_compatible raises (a dim the model does not share) comes first."""
+
+    names: Sequence[str]
+    encoder_tag: str
+    dim: int
+    rows: np.ndarray | None
+    squares: np.ndarray | None
+    model: AdapterModel | None
+    which: str
+    fault: DataError | None = None
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @cached_property
+    def _index(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    def __contains__(self, item_id: str) -> bool:
+        return item_id in self._index
+
+    @classmethod
+    def of(cls, table: EmbeddingTable, model: AdapterModel | None, which: str) -> "Side":
+        """A table's side, built in transform's row blocks on the threads of
+        map_blocks; the adapt's DataError is raised."""
+        x = table.vectors
+        rows = x if model is None else np.empty_like(x)
+        squares = np.empty(len(x), dtype=np.float32)
+
+        def run(at: slice) -> None:
+            adapted, squares[at] = _screen_rows(model, x[at], which)
+            if model is not None:
+                rows[at] = adapted
+
+        width = max(table.dim, model.hidden if model is not None else 0)
+        map_blocks(run, row_blocks(len(x), width), workers())
+        return cls(table.names, table.encoder_tag, table.dim, rows, squares, model, which)
+
+
+def read_side(path: str | Path, model: AdapterModel | None, which: str) -> Side:
+    """The Side of read_embeddings(path) for model and which, built by
+    io.scan_embeddings with an adapt-and-norm stage: each block is read,
+    checked and turned into its rows and squares on a worker, so the file's
+    rows are never held whole beside them. The reader's faults are raised;
+    the adapt's is kept in the Side. No stage runs for a model whose dim the
+    file does not share."""
+    rows: list[np.ndarray] = []  # the side's rows and squares, once the file's size has passed
+
+    def start() -> Stage:
+        rows.extend([np.empty((src.count, src.dim), dtype=np.float32),
+                     np.empty(src.count, dtype=np.float32)])
+
+        def stage(at: slice, block: np.ndarray) -> None:
+            rows[0][at], rows[1][at] = _screen_rows(model, block, which)
+        return stage
+
+    with open(path, "rb") as f:
+        src = EmbeddingFile(f, path)
+        runs = model is None or model.dim == src.dim
+        width = max(src.dim, model.hidden if model is not None else 0)
+        names, fault = scan_embeddings(src, width, start if runs else None)
+    return Side(names, src.encoder_tag, src.dim, *(rows or [None, None]), model, which, fault)
+
+
+def _side(table: EmbeddingTable | Side, model: AdapterModel | None, which: str) -> Side:
+    """The Side that ranked_lists scores for a table, or a Side given, which
+    must have been built for this model and side; raises the adapt's fault."""
+    if not isinstance(table, Side):
+        return Side.of(table, model, which)
+    if table.model is not model or (model is not None and table.which != which):
+        raise ValueError(f"the {which} side was built for another model or side")
+    if table.fault is not None:
+        raise table.fault
+    return table
 
 
 def score_all(
@@ -65,10 +163,12 @@ def score_all(
     model: AdapterModel | None = None,
     force: bool = False,
 ) -> np.ndarray:
-    """Dense (n_q, n_c) float64 cosine score matrix on the rows of _rows:
-    the dense reference for the top k that ranked_lists returns."""
+    """Dense (n_q, n_c) float64 cosine score matrix on the rows that
+    transform writes (the tables' own rows with no model): the dense
+    reference for the top k that ranked_lists returns."""
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    return cosine_scores(_rows(q_table, model, "query"), _rows(c_table, model, "corpus"))
+    return cosine_scores(*(t.vectors if model is None else transform(model, t.vectors, which)
+                           for t, which in ((q_table, "query"), (c_table, "corpus"))))
 
 
 def check_k(k: int | None, n: float = math.inf) -> float:
@@ -160,20 +260,16 @@ def screen_bound(d: int) -> float:
     return 2.0 * (m32 / (1.0 - m32) + m64 / (1.0 - m64))
 
 
-def _screen_side(
-    table: EmbeddingTable, model: AdapterModel | None, which: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of _rows, their screen scales, and the rows the screen
-    cannot score.
+def _screen_side(side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A side's rows, their screen scales, and the rows the screen cannot
+    score, from the side's squared norms.
 
     A row's scale is its float32 inverse norm when that norm lies in
     SCREEN_NORMS. Any other row takes its norm from unit_rows: a degenerate
     one (norm below NORM_EPS) has scale 0, so it screens as 0 as it scores;
     the rest are wild, with scale 0, and are always rescored.
     """
-    rows = _rows(table, model, which)
-    with np.errstate(over="ignore"):
-        squares = np.einsum("ij,ij->i", rows, rows)
+    rows, squares = side.rows, side.squares
     lo, hi = SCREEN_NORMS
     tame = (squares >= lo * lo) & (squares <= hi * hi)
     scale = np.zeros(len(rows), dtype=np.float32)
@@ -252,8 +348,8 @@ def _rescore(
 
 
 def ranked_lists(
-    q_table: EmbeddingTable,
-    c_table: EmbeddingTable,
+    q_table: EmbeddingTable | Side,
+    c_table: EmbeddingTable | Side,
     model: AdapterModel | None = None,
     k: int | None = None,
     force: bool = False,
@@ -280,9 +376,14 @@ def ranked_lists(
     rows alone, so the survivors beyond those within screen_bound of t
     change no output.
 
-    Both sides are adapted once, on the calling thread; the query blocks
-    then run on the threads of map_blocks, in block order. A block's entries
-    do not depend on its size, so neither do the lists on the thread count.
+    Each side is adapted and its squared norms taken once, in transform's
+    row blocks on the threads of map_blocks (see Side.of); a Side given, as
+    read_side builds from a file, is used as it is, and its adapt's fault
+    is raised after check_compatible, the query's first. The query blocks
+    then run on the threads of map_blocks, in block order. A block's
+    entries do not depend on its size, so neither do the lists on the
+    thread count. Names are read from the sides uncopied, so a table read
+    from a file decodes only the surviving columns' ids and the queries'.
 
     No float64 copy of either side is built. With w workers, a query block
     holds at most SCORE_BLOCK_BYTES / w of float32 screen scores and
@@ -294,9 +395,9 @@ def ranked_lists(
     """
     k = check_k(k, len(c_table))
     check_compatible({"query": q_table, "corpus": c_table}, model, force)
-    q_side = _screen_side(q_table, model, "query")
-    c_side = _screen_side(c_table, model, "corpus")
-    qids, cids = q_table.ids, c_table.ids
+    q, c = _side(q_table, model, "query"), _side(c_table, model, "corpus")
+    q_side, c_side = _screen_side(q), _screen_side(c)
+    qids, cids = q.names, c.names
     n_workers = workers()
     budget = SCORE_BLOCK_BYTES // n_workers
 
@@ -344,8 +445,8 @@ def ndcg_at_k(
 
 
 def evaluate(
-    q_table: EmbeddingTable,
-    c_table: EmbeddingTable,
+    q_table: EmbeddingTable | Side,
+    c_table: EmbeddingTable | Side,
     rels: RelevanceSet,
     model: AdapterModel | None = None,
     k: int = 10,
@@ -358,10 +459,11 @@ def evaluate(
     float32, rescored in float64, and equal to the first k of a float64
     sort of every corpus row (screen_bound says why). The sides are adapted
     by transform, so the report equals, bit for bit, evaluate without a
-    model over the tables that transform writes."""
+    model over the tables that transform writes. Either table may be a
+    Side built for model (see ranked_lists)."""
     check_k(k)
     check_gain(gain)
-    check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
+    check_embeddings(q_table, c_table, rels.restricted_to(q_table.names))
     per_query: dict[str, float] = {}
     n_skipped = 0
     for ranked in ranked_lists(q_table, c_table, model, k, force):

@@ -7,7 +7,8 @@ File formats:
   - *.sadp and *.sadc share one little-endian frame, read by BlockReader: a
     4-byte magic, the body, then a u32 CRC32 over everything after the
     magic. write_blocks writes a .sadc; EmbeddingFile and EmbeddingWriter
-    are the one reader and the one writer of the .sadp layout.
+    are the one reader and the one writer of the .sadp layout, and
+    scan_embeddings is the one block pipeline that every .sadp read runs.
   - *.sadp: binary embedding table, version 2. Magic b"SADP", header <HQIH
     (version, count, dim, encoder tag byte length), the UTF-8 tag, then
     three blocks: count u16 id lengths, all UTF-8 id bytes, and a contiguous
@@ -33,12 +34,12 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import EncoderEndpointConfig
-from .data import EmbeddingTable, RelevanceSet, TextItem
+from .data import EmbeddingTable, IdBlock, RelevanceSet, TextItem, check_finite, check_shape
 from .errors import DataError, FetchError, FormatError
 
 EMBEDDING_MAGIC = b"SADP"
@@ -316,13 +317,11 @@ class EmbeddingFile:
 
     Opening parses the header, the encoder tag and the id lengths, and reads
     the id bytes undecoded, each read checked as BlockReader checks it. The
-    rest is read as the caller chooses, and read_embeddings checks it in
-    this order: ids() decodes the ids; check_size() refuses a file too short
-    for the vector block and the checksum; read_rows() reads rows of the
-    vector block at their offset, from any thread; check_end() takes the
-    CRC32 of the whole vector block, checks the stored CRC32 and refuses
-    trailing bytes. A file of no rows, a dim of 0, rows that are not finite
-    and repeated ids are the checks of EmbeddingTable, done after these.
+    rest is read by scan_embeddings: ids() checks that each id is UTF-8;
+    check_size() refuses a file too short for the vector block and the
+    checksum; read_rows() reads rows of the vector block at their offset,
+    from any thread; check_end() takes the CRC32 of the whole vector block,
+    checks the stored CRC32 and refuses trailing bytes.
     """
 
     def __init__(self, f: BinaryIO, path: str | Path):
@@ -340,24 +339,22 @@ class EmbeddingFile:
         self.nbytes = 4 * self.count * self.dim  # of the vector block
         self.error = r.error
 
-    def ids(self) -> list[str]:
-        """The ids, each valid UTF-8 on its own. The id bytes are decoded and
-        split once, not id by id."""
+    def ids(self) -> IdBlock:
+        """The ids, undecoded, once each is checked to be valid UTF-8 on its
+        own: the whole block is (only bytes past ASCII need decoding for
+        that), and no id starts inside a character, on a continuation byte."""
         what, raw = "ids the id lengths imply", self.id_bytes
-        if not self.count:
-            return []
+        ids = IdBlock(raw, self._lengths)
+        if raw.isascii():
+            return ids
         self._r.decode(raw, what)
         starts = np.cumsum(self._lengths, dtype=np.int64)[:-1]
-        # no id may start inside a character, on a continuation byte
         first = np.frombuffer(raw, dtype=np.uint8)[starts[starts < len(raw)]]
         split = np.flatnonzero(first & 0xC0 == 0x80)
         if len(split):
             raise self.error(f"{what} is not valid UTF-8: the string at index "
                              f"{int(split[0]) + 1} starts inside a character")
-        # 0xFF is in no valid UTF-8 and no valid UTF-8 decodes to a surrogate,
-        # so a 0xFF put between the ids decodes to the one U+DCFF there is
-        marked = np.insert(np.frombuffer(raw, dtype=np.uint8), starts, 0xFF).tobytes()
-        return marked.decode("utf-8", "surrogateescape").split("\udcff")
+        return ids
 
     def check_size(self) -> None:
         """Refuse a file too short for the vector block and the checksum."""
@@ -380,6 +377,99 @@ class EmbeddingFile:
         self._r.end()
 
 
+def fold_crc32(parts: Iterable[tuple[int, int]]) -> int:
+    """The CRC32 of consecutive blocks from the (CRC32, byte length) of each."""
+    crc = 0
+    for part, size in parts:
+        crc = crc32_combine(crc, part, size)
+    return crc
+
+
+# The faults of a .sadp read, in the order in which read_embeddings raises
+# them: the ids' UTF-8, the file's size, its checksum or trailing bytes, a
+# table of no rows or no columns, rows that are not finite, a repeated id.
+_IDS, _SIZE, _END, _SHAPE, _FINITE, _UNIQUE, _STAGE = range(7)
+
+# a stage takes the rows of a block and the block, checked
+Stage = Callable[[slice, np.ndarray], None]
+
+
+def scan_embeddings(src: EmbeddingFile, width: int, start: Callable[[], Stage] | None = None
+                    ) -> tuple[IdBlock, DataError | None]:
+    """The one block pipeline of every .sadp read: the rows of src in
+    adapter.row_blocks(count, width), on the threads of map_blocks.
+
+    A worker reads each block at its offset, takes its CRC32, checks that it
+    is finite, and passes it to the stage, a function of (rows, block) that
+    start() returns once the file's size and shape have passed; start()
+    allocates what the stage fills, and with no start there is no stage. One
+    more task checks the ids on their bytes: UTF-8, then uniqueness
+    (IdBlock.check_unique). The calling thread folds the blocks' CRC32s in
+    block order and checks the file's end.
+
+    Every fault is recorded, and the first of the reader's faults in
+    read_embeddings' order is raised once every block has been read; after
+    a fault is known a block is only read and checked. A stage's DataError,
+    one message whatever the block, is returned, not raised, since the
+    caller ranks it among its own checks. Returns the checked ids and the
+    stage's fault. Memory beyond the id block and what start() allocates is
+    the blocks in flight.
+    """
+    from .adapter import map_blocks, row_blocks, workers  # adapter imports this module
+
+    faults: list[Exception | None] = [None] * (_STAGE + 1)
+    ids: list[IdBlock] = []
+
+    def table_check(kind: int, check, *args) -> None:
+        # one of EmbeddingTable's checks, whose DataError a read reports as the file's
+        try:
+            check(*args)
+        except DataError as exc:
+            faults[kind] = src.error(str(exc))
+
+    def check_ids() -> None:
+        try:
+            ids.append(src.ids())
+        except FormatError as exc:
+            faults[_IDS] = exc
+        else:
+            table_check(_UNIQUE, ids[0].check_unique)
+
+    try:
+        src.check_size()
+    except FormatError as exc:
+        faults[_SIZE] = exc
+    table_check(_SHAPE, check_shape, src.count, src.dim)
+    stage = start() if start is not None and not any(faults) else None
+
+    def scan(rows: slice) -> int:
+        """The block's CRC32."""
+        block = src.read_rows(rows)
+        crc = zlib.crc32(block)
+        if faults[_FINITE] is None:
+            table_check(_FINITE, check_finite, block)
+        if stage is not None and not any(faults):
+            try:
+                stage(rows, block)
+            except DataError as exc:
+                faults[_STAGE] = exc
+        return crc
+
+    blocks = [] if faults[_SIZE] else row_blocks(src.count, max(1, width))
+    tasks = [check_ids, *(functools.partial(scan, rows) for rows in blocks)]
+    crcs = map_blocks(lambda task: task(), tasks, workers())[1:]
+    if faults[_SIZE] is None:
+        try:
+            src.check_end(fold_crc32((crc, 4 * src.dim * (rows.stop - rows.start))
+                                     for crc, rows in zip(crcs, blocks)))
+        except FormatError as exc:
+            faults[_END] = exc
+    for fault in faults[:_STAGE]:
+        if fault is not None:
+            raise fault
+    return ids[0], faults[_STAGE]
+
+
 class EmbeddingWriter:
     """Writes one .sadp file, the one writer of the layout.
 
@@ -387,8 +477,8 @@ class EmbeddingWriter:
     layout cannot hold, before any file is touched. start() writes the
     magic, the header, the encoder tag and the id block (id lengths and id
     bytes, as EmbeddingFile reads them); write_rows() writes rows of the
-    vector block at their offset, from any thread; finish() writes the
-    CRC32, given that of the whole vector block.
+    vector block at their offset, from any thread, and keeps their CRC32;
+    finish() folds those in row order and writes the file's CRC32.
     """
 
     def __init__(self, count: int, dim: int, encoder_tag: str):
@@ -406,15 +496,18 @@ class EmbeddingWriter:
             offset += len(block)
         self.crc = zlib.crc32(id_bytes, zlib.crc32(id_lengths, zlib.crc32(self._head)))
         self.vectors_at = offset
+        self._parts: dict[int, tuple[int, int]] = {}  # first row -> (CRC32, bytes)
 
-    def write_rows(self, rows: slice, block: np.ndarray) -> int:
-        """Write block, the float32 rows `rows`, at their offset; returns the
+    def write_rows(self, rows: slice, block: np.ndarray) -> None:
+        """Write block, the float32 rows `rows`, at their offset, and keep the
         CRC32 of its bytes."""
         raw = np.ascontiguousarray(block, dtype="<f4").reshape(-1).view(np.uint8)
         _write_at(self._f, raw, self.vectors_at + 4 * self._dim * rows.start)
-        return zlib.crc32(raw)
+        self._parts[rows.start] = zlib.crc32(raw), len(raw)
 
-    def finish(self, vector_crc: int) -> None:
+    def finish(self) -> None:
+        """Write the CRC32, once write_rows has written every row."""
+        vector_crc = fold_crc32(self._parts[row] for row in sorted(self._parts))
         crc = crc32_combine(self.crc, vector_crc, self.nbytes)
         _write_at(self._f, struct.pack("<I", crc), self.vectors_at + self.nbytes)
 
@@ -442,23 +535,25 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
         _check_length(ids[int(lengths.argmax())].encode("utf-8"))
     with open(path, "wb") as f:
         writer.start(f, lengths.astype("<u2").tobytes(), raw)
-        writer.finish(writer.write_rows(slice(0, len(table)), table.vectors))
+        writer.write_rows(slice(0, len(table)), table.vectors)
+        writer.finish()
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a .sadp v2 file through EmbeddingFile; any malformed input raises
-    FormatError."""
+    """Read a .sadp v2 file through scan_embeddings, whose stage collects the
+    blocks into the table's rows; any malformed input raises FormatError.
+    The ids stay undecoded until asked for (see IdBlock)."""
+    vectors: list[np.ndarray] = []
+
+    def collect() -> Stage:
+        vectors.append(np.empty((src.count, src.dim), dtype=np.float32))
+        return vectors[0].__setitem__  # vectors[rows] = block
+
     with open(path, "rb") as f:
         src = EmbeddingFile(f, path)
-        ids = src.ids()
-        src.check_size()
-        vectors = src.read_rows(slice(0, src.count))
-        src.check_end(zlib.crc32(vectors))
-    vectors.flags.writeable = False  # nothing else holds it: the table keeps it uncopied
-    try:
-        return EmbeddingTable(ids, vectors, src.encoder_tag)
-    except DataError as exc:
-        raise src.error(str(exc)) from exc
+        ids, _ = scan_embeddings(src, src.dim, collect)
+    vectors[0].flags.writeable = False  # nothing else holds it: the table keeps it uncopied
+    return EmbeddingTable._checked(ids, vectors[0], src.encoder_tag)
 
 
 def _auth_headers(cfg: EncoderEndpointConfig) -> dict[str, str]:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import embadapt
 from embadapt import (
@@ -26,9 +27,10 @@ from embadapt import (
 from embadapt import adapter
 from embadapt.cli import _In, _Out, _build_parser, _effective_config, _read_settings, main
 from embadapt.config import EncoderEndpointConfig
-from embadapt.data import adapted_tag, check_compatible
-from embadapt.errors import EmbAdaptError
-from embadapt.evaluation import rank_candidates, score_all
+from embadapt.data import adapted_tag, as_side, check_compatible, check_embeddings
+from embadapt.errors import DataError, EmbAdaptError
+from embadapt.evaluation import evaluate, rank_candidates, ranked_lists, score_all
+from embadapt.io import BlockReader, load_qrels_tsv
 
 from synth import pin_workers, planted_task, seeded_output_layers
 
@@ -362,12 +364,51 @@ def sadp_bytes(ids, vectors, tag: bytes) -> bytes:
     return b"SADP" + body + struct.pack("<I", zlib.crc32(body))
 
 
+def serial_read(path):
+    """read_embeddings as one serial pass, each fault raised where it is met:
+    the header, the ids checked and decoded, the vectors, the checksum and
+    trailing bytes, then EmbeddingTable's checks (shape, finite, unique)."""
+    with open(path, "rb") as f:
+        r = BlockReader(f, path, b"SADP")
+        version, count, dim, tag_len = r.unpack("<HQIH", "header")
+        if version != 2:
+            raise r.error(f"unsupported version {version}")
+        tag = r.string(tag_len, "encoder tag")
+        lengths = struct.unpack(f"<{count}H", r.read(2 * count, "id lengths"))
+        what = "ids the id lengths imply"
+        raw = r.read(sum(lengths), what)
+        r.decode(raw, what)
+        ends = list(itertools.accumulate(lengths))
+        for i, start in enumerate(ends[:-1], start=1):
+            if start < len(raw) and raw[start] & 0xC0 == 0x80:
+                raise r.error(f"{what} is not valid UTF-8: the string at index {i} "
+                              "starts inside a character")
+        ids = [raw[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
+        vectors = r.array((count, dim), "vectors")
+        r.end()
+    try:
+        return EmbeddingTable(ids, vectors, tag)
+    except DataError as exc:
+        raise r.error(str(exc)) from exc
+
+
+def reported(run):
+    """run() reported as main reports it: (exit code, stdout, stderr)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            run()
+    except (EmbAdaptError, OSError, ValueError) as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, out.getvalue(), ""
+
+
 def in_memory_transform(in_path, model_path, which, force, out_path):
-    """transform as read_embeddings, load_checkpoint, check_compatible,
+    """transform as serial_read, load_checkpoint, check_compatible,
     adapter.transform and write_embeddings one after another, reported as
     main reports it: (exit code, stdout, stderr)."""
     try:
-        table = read_embeddings(in_path)
+        table = serial_read(in_path)
         model = load_checkpoint(model_path)
         check_compatible({"input": table}, model, force)
         adapted = transform(model, table.vectors, which)
@@ -452,6 +493,180 @@ class TestStreamedTransformEqualsInMemory:
                 assert got[2].split("\n")[0] == stderr.split("\n")[0]
                 if rc == 0:
                     assert Path(out).read_bytes() == Path(ref_out).read_bytes()
+                    os.unlink(out)
+                assert list((tmp / "run").iterdir()) == []
+
+
+def adapted_tables(q_table, c_table, model, force):
+    """The checks of ranked_lists with a model, then the two tables that
+    transform writes, the query's first: the model's ranking is the ranking
+    of these without one (so their tags are not checked again)."""
+    check_compatible({"query": q_table, "corpus": c_table}, model, force)
+    if model is None:
+        return q_table, c_table
+    return [EmbeddingTable(t.ids, transform(model, t.vectors, which), t.encoder_tag)
+            for t, which in ((q_table, "query"), (c_table, "corpus"))]
+
+
+def in_memory_search(corpus, model_path, vector, k, force):
+    """search as serial_read, load_checkpoint, transform and ranked_lists
+    over in-memory tables, one after another, reported as main reports it."""
+    def run():
+        c_table = serial_read(corpus)
+        model = load_checkpoint(model_path) if model_path is not None else None
+        query = np.array([[float(x) for x in vector.split(",")]], np.float32)
+        q_table = EmbeddingTable(["q"], query, as_side(c_table.encoder_tag, "query"))
+        [ranked] = ranked_lists(*adapted_tables(q_table, c_table, model, force), k=k,
+                                force=True)
+        for cid, score in ranked.entries:
+            print(f"{cid}\t{score:.6f}")
+    return reported(run)
+
+
+def in_memory_evaluate(queries, corpus, qrels, model_path, force, per_query):
+    """evaluate --json --per-query as serial_read twice, load_qrels_tsv,
+    load_checkpoint, transform and evaluate over in-memory tables, one after
+    another."""
+    def run():
+        q_table, c_table = serial_read(queries), serial_read(corpus)
+        rels = load_qrels_tsv(qrels)
+        model = load_checkpoint(model_path) if model_path is not None else None
+        check_embeddings(q_table, c_table, rels.restricted_to(q_table.ids))
+        report = evaluate(*adapted_tables(q_table, c_table, model, force), rels, force=True)
+        Path(per_query).write_text("".join(f"{qid}\t{v:.6f}\n" for qid, v in
+                                           sorted(report.per_query_ndcg.items())))
+        print(report.to_json())
+    return reported(run)
+
+
+def read_outcome(path):
+    """A read's outcome: the exception's type and message, or the table."""
+    try:
+        table = read_embeddings(path)
+    except Exception as exc:  # noqa: BLE001 - compared with the oracle's
+        return type(exc), str(exc)
+    return table.ids, table.vectors.tobytes(), table.encoder_tag
+
+
+def serial_outcome(path):
+    try:
+        table = serial_read(path)
+    except Exception as exc:  # noqa: BLE001 - compared with the reader's
+        return type(exc), str(exc)
+    return table.ids, table.vectors.tobytes(), table.encoder_tag
+
+
+def damaged(ids, vectors, tag, damage):
+    """The bytes of a .sadp file with one damage of DAMAGE done to them."""
+    data = bytearray(sadp_bytes(ids, vectors, tag))
+    if damage is not None and damage[0] == "flip":
+        _, region, at, mask = damage
+        sizes = [16, len(tag), 2 * len(ids), sum(len(i.encode()) for i in ids),
+                 vectors.nbytes, 4]
+        start = 4 + sum(sizes[: REGIONS.index(region)])
+        data[start + at % sizes[REGIONS.index(region)]] ^= mask
+    elif damage is not None and damage[0] == "truncate":
+        del data[max(0, len(data) - damage[1]):]
+    elif damage is not None:
+        data += damage[1]
+    return bytes(data)
+
+
+FILE_DEFECTS = ("duplicate id", "NaN in the last block", "foreign tag", "wrong dim")
+MODEL_DEFECTS = ("overflow", "corrupt checkpoint")
+
+
+def case(command, defects, with_model=True, defective="corpus", damage=None,
+         damaged_file="corpus", force=False):
+    """One example of TestEveryReadEqualsTheSerialPath, by name."""
+    return example(command=command, with_model=with_model, defects=defects,
+                   defective=defective, damage=damage, damaged_file=damaged_file, force=force)
+
+
+class TestEveryReadEqualsTheSerialPath:
+    """read_embeddings, search and evaluate read each file through the one
+    block pipeline, on the workers, and must return, exit, print and write
+    as the serial path does: every input read in turn, then the in-memory
+    ranking. With a model, the first fault in that path's order is raised,
+    the query's adapt fault before the corpus's."""
+
+    @settings(deadline=None, max_examples=200, database=None)
+    # two faults at once, in one file or in two, and the faults that only a
+    # model's set-up can raise
+    @case("search", {"overflow"})
+    @case("evaluate", {"overflow"})
+    @case("evaluate", {"overflow", "NaN in the last block"}, force=True)
+    @case("search", {"corrupt checkpoint", "duplicate id"}, damaged_file="queries")
+    @case("search", {"corrupt checkpoint"}, defective="queries", damaged_file="queries")
+    @case("search", {"wrong dim", "overflow"}, force=True)
+    @case("evaluate", {"corrupt checkpoint", "foreign tag"}, defective="queries",
+          damage=("flip", "vectors", 7, 1))
+    @case("evaluate", {"wrong dim", "duplicate id"}, with_model=False, defective="queries",
+          damage=("truncate", 3))
+    @case("read", {"NaN in the last block", "duplicate id"}, with_model=False,
+          damage=("flip", "checksum", 0, 1))
+    @given(command=st.sampled_from(["read", "search", "evaluate"]), with_model=st.booleans(),
+           defects=st.sets(st.sampled_from(FILE_DEFECTS + MODEL_DEFECTS), max_size=2),
+           defective=st.sampled_from(["queries", "corpus"]), damage=DAMAGE,
+           damaged_file=st.sampled_from(["queries", "corpus"]), force=st.booleans())
+    def test_same_outcome_at_one_and_two_workers(self, command, with_model, defects, defective,
+                                                 damage, damaged_file, force):
+        rng = np.random.default_rng(0)
+        files = {}
+        for name, n, prefix in (("queries", 13, "q"), ("corpus", 23, "c")):
+            hit = name == defective
+            ids = [f"{prefix}{i}" for i in range(n)]
+            if hit and "duplicate id" in defects:
+                ids[17 % n] = ids[3]
+            dim = 5 if hit and "wrong dim" in defects else 4
+            vectors = rng.standard_normal((n, dim)).astype(np.float32)
+            if hit and "NaN in the last block" in defects:
+                vectors[-1, 1] = np.nan
+            tag = b"other" if hit and "foreign tag" in defects else b"t"
+            files[name] = damaged(ids, vectors, tag, damage if name == damaged_file else None)
+        model = seeded_output_layers(
+            init_adapter(4, seed=1, encoder_tag="t", config=TrainConfig(hidden=4)), seed=2)
+        if "overflow" in defects:  # every adapted component, query and corpus, is about 6e38
+            model.f_params.w1[...], model.f_params.b1[...], model.f_params.w2[...] = 0, 1, 2e38
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            for name, data in files.items():
+                (tmp / f"{name}.sadp").write_bytes(data)
+            save_checkpoint(model, str(tmp / "m.sadc"))
+            if "corrupt checkpoint" in defects:
+                checkpoint = bytearray((tmp / "m.sadc").read_bytes())
+                checkpoint[-1] ^= 1
+                (tmp / "m.sadc").write_bytes(checkpoint)
+            (tmp / "rels.tsv").write_text("".join(f"q{i}\tc{2 * i}\t1\n" for i in range(6)))
+            (tmp / "ref").mkdir()
+            (tmp / "run").mkdir()
+            mp.setattr(adapter, "ROW_BLOCK_BYTES", 8 * 4 * 5)  # blocks of 4 or 5 rows
+            queries, corpus = str(tmp / "queries.sadp"), str(tmp / "corpus.sadp")
+            model_path = str(tmp / "m.sadc") if with_model else None
+            flags = [*(["--model", model_path] if with_model else []),
+                     *(["--force"] if force else [])]
+            vector = "0.5,-1,2,0.25"
+            ref_out, out = tmp / "ref" / "pq.tsv", tmp / "run" / "pq.tsv"
+            if command == "read":
+                expected = [serial_outcome(queries), serial_outcome(corpus)]
+            elif command == "search":
+                expected = in_memory_search(corpus, model_path, vector, 10, force)
+                argv = ["search", "--corpus", corpus, "--vector", vector, *flags]
+            else:
+                expected = in_memory_evaluate(queries, corpus, str(tmp / "rels.tsv"), model_path,
+                                              force, ref_out)
+                argv = ["evaluate", "--queries", queries, "--corpus", corpus, "--qrels",
+                        str(tmp / "rels.tsv"), "--json", "--per-query", str(out), *flags]
+            for n_workers in (1, 2):
+                pin_workers(mp, n_workers)
+                if command == "read":
+                    assert [read_outcome(queries), read_outcome(corpus)] == expected
+                    continue
+                rc, stdout, stderr = run_main(argv)
+                assert (rc, stdout) == expected[:2]
+                assert stderr.split("\n")[0] == expected[2].split("\n")[0]
+                if rc == 0 and command == "evaluate":
+                    assert out.read_bytes() == ref_out.read_bytes()
                     os.unlink(out)
                 assert list((tmp / "run").iterdir()) == []
 
@@ -702,6 +917,43 @@ class TestSearchCommand:
         assert [r[0] for r in rows] == ["a", "b"]
         assert float(rows[0][1]) == pytest.approx(1.0)
         assert float(rows[1][1]) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_decodes_only_the_surviving_names(self, tmp_path, capsys, monkeypatch, with_model):
+        # the corpus's ids stay bytes: the ranking decodes the names of the
+        # columns that survive the screen, and nothing else
+        from embadapt import data, evaluation
+
+        q, c, _ = planted_task(n_queries=4, n_corpus=3000, dim=16, seed=2)
+        cp, ckpt = str(tmp_path / "c.sadp"), str(tmp_path / "m.sadc")
+        write_embeddings(c, cp)
+        save_checkpoint(seeded_output_layers(init_adapter(16, seed=1, encoder_tag=c.encoder_tag),
+                                             seed=2), ckpt)
+        decoded, survivors = set(), set()
+        getitem, screen = data.IdBlock.__getitem__, evaluation._screen
+
+        def counted_getitem(block, i):
+            decoded.update(range(len(block))[i] if isinstance(i, slice) else [i])
+            return getitem(block, i)
+
+        def bulk(block):
+            raise AssertionError("every id decoded")
+
+        def recorded(*args):
+            r, j = screen(*args)
+            survivors.update(j.tolist())
+            return r, j
+
+        monkeypatch.setattr(data.IdBlock, "__getitem__", counted_getitem)
+        monkeypatch.setattr(data.IdBlock, "__iter__", bulk)
+        monkeypatch.setattr(evaluation, "_screen", recorded)
+        vector = ",".join(map(repr, q.vectors[0].tolist()))
+        argv = ["search", "--corpus", cp, "--vector", vector, "--k", "5"]
+        assert main(argv + (["--model", ckpt] if with_model else [])) == 0
+        printed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(printed) == 5
+        assert decoded <= survivors and len(survivors) < 100
+        assert {c.ids[i] for i in decoded} >= set(printed)
 
     def test_vector_with_negative_first_component(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

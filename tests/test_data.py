@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embadapt import (
     EmbeddingTable,
@@ -15,7 +16,10 @@ from embadapt import (
     write_embeddings,
 )
 from embadapt.cli import _build_parser
-from embadapt.data import TextItem, adapted_tag, as_side, check_compatible
+from embadapt import data
+from embadapt.data import (
+    FP_CHUNK, IdBlock, TextItem, adapted_tag, as_side, check_compatible, check_unique,
+)
 from embadapt.errors import DataError, FormatError, TagMismatchError
 from embadapt.evaluation import ranked_lists
 from embadapt.io import load_jsonl_items, load_qrels_tsv
@@ -142,6 +146,82 @@ class TestEmbeddingTable:
     def test_ragged_dim_rejected(self):
         with pytest.raises(DataError):
             EmbeddingTable(["a", "b"], np.ones((1, 4), dtype=np.float32))
+
+
+def id_block(ids):
+    encoded = [i.encode("utf-8") for i in ids]
+    return IdBlock(b"".join(encoded), np.array([len(e) for e in encoded], dtype="<u2"))
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+# empty ids, non-ASCII ids, ids that differ only by trailing NULs, and ids of
+# the format's largest length, 65535 bytes, in one character width or two
+ID_TEXTS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["", "\x00", "\x00\x00", "a", "a\x00", "a\x00\x00", "\u00e9", "\u00e9\x00",
+                     "\U0001f600", "x" * 65535, "x" * 65534 + "\x00", "\u00e9" * 32767 + "x"]))
+
+
+class TestIdBlock:
+    """IdBlock keeps a file's id bytes and checks their uniqueness on the
+    bytes, with the verdict and the message of check_unique."""
+
+    @settings(deadline=None, max_examples=200, database=None)
+    @given(ids=st.lists(ID_TEXTS, min_size=1, max_size=30),
+           repeat=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+           collide=st.booleans())
+    def test_check_equals_check_unique(self, ids, repeat, collide):
+        if repeat is not None:  # a copy of an earlier id, at any position
+            at = repeat[1] % (len(ids) + 1)
+            ids.insert(at, ids[repeat[0] % max(at, 1)] if at else ids[0])
+        block = id_block(ids)
+        assert list(block) == ids
+        assert [block[i] for i in range(-len(ids), len(ids))] == ids + ids
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:  # every id of one fingerprint: only the bytes tell them apart
+                mp.setattr(data, "fingerprints", lambda raw, ends: np.zeros(len(ends), np.uint64))
+            assert verdict(id_block(ids).check_unique) == verdict(check_unique, ids)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_first_repeat_across_chunks(self, monkeypatch, collide):
+        # 20000 ids of 8 bytes span three FP_CHUNKs; the repeat named is the
+        # first in file order, wherever its earlier copy lies
+        if collide:
+            monkeypatch.setattr(data, "fingerprints", lambda raw, ends: np.zeros(len(ends),
+                                                                                np.uint64))
+        ids = [f"id{i:06d}" for i in range(20000)]
+        assert sum(map(len, ids)) > 2 * FP_CHUNK
+        assert verdict(id_block(ids).check_unique) is None
+        for first, later in ((0, 1), (5, 8191), (8191, 8192), (100, 19999), (19998, 19999)):
+            copy = list(ids)
+            copy[later] = copy[first]
+            copy[-1] = copy[0]  # a later repeat never hides the first
+            message = verdict(check_unique, copy)
+            assert message == f"duplicate embedding id: {copy[later]!r}"
+            assert verdict(id_block(copy).check_unique) == message
+
+    def test_fingerprints_do_not_depend_on_the_chunks(self):
+        ids = [("x" * (i % 300)) + str(i) for i in range(2000)]
+        block = id_block(ids)
+        whole = data.fingerprints(block._raw, block._ends)
+        one = [data.fingerprints(i.encode(), np.array([len(i.encode())]))[0] for i in ids]
+        assert whole.tolist() == [int(f) for f in one]
+        assert len(set(one)) == len(ids)
+
+    def test_an_id_is_decoded_only_when_asked(self, monkeypatch):
+        block = id_block(["a", "b\u00e9", "c"])
+        assert block[1] == "b\u00e9" and block[-1] == "c" and block[1:] == ["b\u00e9", "c"]
+        with pytest.raises(IndexError):
+            block[3]
+        assert block._all is None
+        assert list(block) == ["a", "b\u00e9", "c"] and block._all is not None
 
 
 class TestSplitTrainVal:

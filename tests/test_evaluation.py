@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embadapt import EmbeddingTable, RelevanceSet, TrainConfig, evaluate, init_adapter, transform
+from embadapt import (
+    EmbeddingTable, RelevanceSet, TrainConfig, evaluate, init_adapter, transform, write_embeddings,
+)
 from embadapt import adapter, evaluation
 from embadapt.errors import DataError, TagMismatchError
 from embadapt.evaluation import ndcg_at_k, rank_candidates, ranked_lists, score_all
@@ -337,6 +339,32 @@ class TestBlockedSidePass:
         return (evaluate(q, c, rels, model, k=5).per_query_ndcg,
                 [[cid for cid, _ in r.entries] for r in ranked_lists(q, c, model, k=20)],
                 *values)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_sides_read_from_files_rank_as_the_tables(self, tmp_path, monkeypatch, with_model):
+        # read_side builds, block by block as it reads, the side that the
+        # ranking builds from a table; a side read for another model is refused
+        q, c, rels, model = self.task()
+        model = model if with_model else None
+        monkeypatch.setattr(adapter, "ROW_BLOCK_BYTES", 7 * 8 * 8)  # 7 rows a block
+        pin_workers(monkeypatch, 2)
+        for t, name in ((q, "q.sadp"), (c, "c.sadp")):
+            write_embeddings(t, tmp_path / name)
+        q_side = evaluation.read_side(tmp_path / "q.sadp", model, "query")
+        c_side = evaluation.read_side(tmp_path / "c.sadp", model, "corpus")
+        for side, t, which in ((q_side, q, "query"), (c_side, c, "corpus")):
+            built = evaluation.Side.of(t, model, which)
+            assert side.rows.tobytes() == built.rows.tobytes()
+            assert side.squares.tobytes() == built.squares.tobytes()
+
+        def ranking(q, c):
+            return (evaluate(q, c, rels, model, k=5).per_query_ndcg,
+                    [r.entries for r in ranked_lists(q, c, model, k=20)])
+
+        assert ranking(q_side, c_side) == ranking(q, c)
+        other = init_adapter(8, seed=5, encoder_tag=q.encoder_tag)
+        with pytest.raises(ValueError, match="^the query side was built for another model"):
+            ranked_lists(q_side, c_side, other)
 
     def test_query_blocks_are_near_equal(self, monkeypatch):
         # a budget of 39 queries' scores cuts 40 queries into 20 and 20, not

@@ -26,6 +26,7 @@ from embadapt import (
     save_checkpoint,
     write_embeddings,
 )
+from embadapt import io as embadapt_io
 from embadapt.cli import main
 from embadapt.config import from_json
 from embadapt.data import TextItem
@@ -740,11 +741,22 @@ class TestPostOverLoopback:
         ((200, {"Content-Length": "100"}, b'{"embeddings": [['), None),
         ("slow", None),
     ], ids=["429-retry-after", "503", "not-json", "closed", "cut-short", "slow"])
-    def test_retried_then_answered(self, loopback, first, slept):
+    def test_retried_then_answered(self, loopback, monkeypatch, first, slept):
         script, seen, sleeps, url = loopback
         script.extend([first, embeddings_of(["x", "yy"])])
+        # only the attempt that the "slow" step stalls waits out the short
+        # timeout; every other one gets as long as a loaded machine may need
+        timeouts, post = [], embadapt_io._post
+
+        def timed_post(url, body, headers, timeout):
+            timeouts.append(timeout)
+            short = first == "slow" and len(timeouts) == 1
+            return post(url, body, headers, timeout if short else 30.0)
+
+        monkeypatch.setattr(embadapt_io, "_post", timed_post)
         table = fetch_embeddings([TextItem("a", "x"), TextItem("b", "yy")],
                                  endpoint_cfg(base_url=url, timeout_seconds=0.2))
+        assert timeouts == [0.2, 0.2]  # the configured timeout reaches every attempt
         assert table.vectors.tolist() == [[1.0, 1.0], [2.0, 1.0]]
         assert len(seen) == 2 and seen[0][2] == seen[1][2]
         assert len(sleeps) == 1
