@@ -14,7 +14,7 @@ import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -262,11 +262,12 @@ def workers() -> int:
     return min(MAX_WORKERS, n)
 
 
-def map_blocks(fn: Callable[[S], T], blocks: list[S], n_workers: int) -> list[T]:
+def map_blocks(fn: Callable[[S], T], blocks: Sequence[S], n_workers: int) -> list[T]:
     """[fn(rows) for rows in blocks], run on up to n_workers threads (a
-    caller passes workers()) and returned in block order; with one worker or
-    one block it is that plain loop and starts no thread. The first
-    exception raised, in block order, is raised here.
+    caller passes workers(); fetch_embeddings, its request limit) and
+    returned in block order; with one worker or one block it is that plain
+    loop and starts no thread. The first exception raised, in block order,
+    is raised here.
 
     fn runs on a worker thread, where numpy's products, sorts and
     elementwise kernels release the interpreter lock, under the caller's
@@ -311,8 +312,14 @@ def transform(model: AdapterModel, x: np.ndarray, which: str = "query") -> np.nd
     def forward(rows: slice) -> None:
         out[rows] = adapt_block(model, np.asarray(batch[rows], dtype=np.float32), which)
 
-    map_blocks(forward, row_blocks(len(batch), max(model.dim, model.hidden)), workers())
+    map_blocks(forward, row_blocks(len(batch), block_width(model.dim, model)), workers())
     return out[0] if x.ndim == 1 else out
+
+
+def block_width(dim: int, model: AdapterModel | None) -> int:
+    """The width by which row_blocks cuts rows of dim columns that model
+    adapts (None for rows used as they are): the widest layer they pass."""
+    return max(dim, model.hidden if model is not None else 0)
 
 
 def adapt_block(model: AdapterModel, block: np.ndarray, which: str) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .adapter import AdapterModel, adapt_block, load_checkpoint, save_checkpoint
+from .adapter import AdapterModel, adapt_block, block_width, load_checkpoint, save_checkpoint
 from .config import GAIN_MODES, LOSS_VARIANTS, EncoderEndpointConfig, TrainConfig, from_json
 from .data import (
     EmbeddingTable,
@@ -22,7 +22,7 @@ from .data import (
     split_train_val,
 )
 from .errors import EmbAdaptError, FormatError
-from .evaluation import check_k, evaluate, ranked_lists, read_side
+from .evaluation import RankedList, Side, check_k, evaluate, ranked_lists, read_side
 from .io import (
     EmbeddingFile,
     EmbeddingWriter,
@@ -214,78 +214,68 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path: str | None) -> tuple[AdapterModel | None, Exception | None]:
-    """load_checkpoint(path), None for no path, and its fault, which the
-    caller raises where the serial path (every input read in turn) would."""
-    if path is None:
-        return None, None
-    try:
-        return load_checkpoint(path), None
-    except (EmbAdaptError, OSError) as exc:
-        return None, exc
-
-
 def cmd_transform(args) -> int:
     path = getattr(args, "in")
-    model, fault = _load_model(args.model)
-    with open(path, "rb") as f:
-        src = EmbeddingFile(f, path)  # a fault of the header is raised here
-        _atomic_write((args.out, lambda tmp: _stream_transform(src, model, fault, args.which,
-                                                               args.force, tmp)))
-    print(f"wrote {src.count} adapted ({args.which}) embeddings -> {args.out}")
+    try:
+        count = _stream_transform(path, args)
+    except (EmbAdaptError, OSError) as exc:
+        exc.with_traceback(None)  # its frames, and the blocks and model they hold, are freed
+        # the serial path (read_embeddings, load_checkpoint, check_compatible,
+        # transform, write_embeddings) raises its first fault, the input streamed
+        with open(path, "rb") as f:
+            src = EmbeddingFile(f, path)
+            scan_embeddings(src, src.dim)
+        model = load_checkpoint(args.model)
+        check_compatible({"input": src}, model, args.force)
+        with open(path, "rb") as f:  # a stage that only adapts
+            scan_embeddings(EmbeddingFile(f, path), block_width(src.dim, model),
+                            lambda: lambda rows, block: adapt_block(model, block, args.which))
+        EmbeddingWriter(src.count, src.dim,
+                        adapted_tag(src.encoder_tag, args.which, model.checkpoint_crc))
+        raise
+    print(f"wrote {count} adapted ({args.which}) embeddings -> {args.out}")
     return 0
 
 
-def _stream_transform(src: EmbeddingFile, model: AdapterModel | None, fault: Exception | None,
-                      which: str, force: bool, out_path: str) -> None:
-    """Write the rows of src, adapted as `which` by model, as a .sadp file at
-    out_path; fault is the model's, from _load_model.
+def _stream_transform(path: str, args) -> int:
+    """Write the rows of the file at path, adapted as --which by --model, to
+    --out, and return their count. The stage of scan_embeddings adapts each
+    row block (transform's blocks, so each product has transform's shape and
+    bits), checks it, and writes it at its offset; the id bytes are copied."""
+    model = load_checkpoint(args.model)
+    with open(path, "rb") as f:
+        src = EmbeddingFile(f, path)
+        check_compatible({"input": src}, model, args.force)
+        writer = EmbeddingWriter(src.count, src.dim, adapted_tag(src.encoder_tag, args.which,
+                                                                 model.checkpoint_crc))
 
-    The stage of scan_embeddings adapts each row block (transform's blocks,
-    so each product has transform's shape and bits), checks the output, and
-    writes it at its offset; the id bytes are copied as they are. The
-    faults come in the order in which read_embeddings, load_checkpoint,
-    check_compatible, transform and write_embeddings, run one after another,
-    would raise them: the reader's, then the model's, then the others.
-    """
-    writer = tag_fault = None
-    if fault is None:
-        try:
-            check_compatible({"input": src}, model, force)
-        except EmbAdaptError as exc:
-            fault = exc
-        try:
-            writer = EmbeddingWriter(src.count, src.dim,
-                                     adapted_tag(src.encoder_tag, which, model.checkpoint_crc))
-        except FormatError as exc:
-            tag_fault = exc
+        def write(tmp: str) -> None:
+            with open(tmp, "wb") as out:
+                def start():
+                    writer.start(out, src.id_lengths, src.id_bytes)
+                    return lambda rows, block: writer.write_rows(
+                        rows, adapt_block(model, block, args.which))
 
-    with open(out_path, "wb") as out:
-        def start():
-            if writer is not None:
-                writer.start(out, src.id_lengths, src.id_bytes)
+                scan_embeddings(src, block_width(src.dim, model), start)
+                writer.finish()
 
-            def stage(rows: slice, block) -> None:
-                adapted = adapt_block(model, block, which)
-                if writer is not None:
-                    writer.write_rows(rows, adapted)
-            return stage
-
-        width = max(src.dim, model.hidden if model is not None else 0)
-        _, output_fault = scan_embeddings(src, width, start if fault is None else None)
-        for exc in (fault, output_fault, tag_fault):
-            if exc is not None:
-                raise exc
-        writer.finish()
+        _atomic_write((args.out, write))
+    return src.count
 
 
 def cmd_evaluate(args) -> int:
-    model, fault = _load_model(args.model)
-    q_side = read_side(args.queries, model, "query")
-    c_side = read_side(args.corpus, model, "corpus")
-    rels = load_qrels_tsv(args.qrels)
-    if fault is not None:
-        raise fault
+    try:
+        model = load_checkpoint(args.model) if args.model is not None else None
+        q_side = read_side(args.queries, model, "query")
+        c_side = read_side(args.corpus, model, "corpus")
+        rels = load_qrels_tsv(args.qrels)
+    except (EmbAdaptError, OSError):
+        # the serial path raises its first fault: every input read in turn, then the library's
+        q_table, c_table = read_embeddings(args.queries), read_embeddings(args.corpus)
+        rels = load_qrels_tsv(args.qrels)
+        model = load_checkpoint(args.model) if args.model is not None else None
+        evaluate(q_table, c_table, rels, model, k=args.k, gain=args.gain, force=args.force)
+        raise
     report = evaluate(q_side, c_side, rels, model, k=args.k, gain=args.gain, force=args.force)
     if args.per_query is not None:
         text = "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(report.per_query_ndcg.items()))
@@ -310,17 +300,24 @@ def cmd_search(args) -> int:
         raise EmbAdaptError("--text requires --endpoint-config")
     else:
         cfg = _read_settings(EncoderEndpointConfig, "--endpoint-config", args.endpoint_config)
-    model, fault = _load_model(args.model)
-    c_side = read_side(args.corpus, model, "corpus")
-    if fault is not None:
-        raise fault
-    if args.vector is not None:
-        # a vector is taken to be a query in the space of the corpus
-        q_table = EmbeddingTable(["q"], query, as_side(c_side.encoder_tag, "query"))
-    else:  # the paid request comes after every local input has been read
-        q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
-    [ranked] = ranked_lists(q_table, c_side, model, k=args.k, force=args.force)
-    for cid, score in ranked.entries:
+
+    def rank(corpus: EmbeddingTable | Side, model: AdapterModel | None) -> RankedList:
+        if args.vector is not None:
+            # a vector is taken to be a query in the space of the corpus
+            q_table = EmbeddingTable(["q"], query, as_side(corpus.encoder_tag, "query"))
+        else:  # the paid request comes after every local input has been read
+            q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
+        return ranked_lists(q_table, corpus, model, k=args.k, force=args.force)[0]
+
+    try:
+        model = load_checkpoint(args.model) if args.model is not None else None
+        c_side = read_side(args.corpus, model, "corpus")
+    except (EmbAdaptError, OSError):
+        # the serial path raises its first fault: the corpus read, the checkpoint, the ranking
+        c_table = read_embeddings(args.corpus)
+        rank(c_table, load_checkpoint(args.model) if args.model is not None else None)
+        raise
+    for cid, score in rank(c_side, model).entries:
         print(f"{cid}\t{score:.6f}")
     return 0
 

@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapter import AdapterModel, adapt_block, map_blocks, row_blocks, transform, workers
+from .adapter import (AdapterModel, adapt_block, block_width, map_blocks, row_blocks,
+                      transform, workers)
 from .config import check_gain
 from .data import EmbeddingTable, RelevanceSet, check_compatible, check_embeddings
 from .errors import DataError
@@ -77,20 +78,16 @@ class Side:
     """One side of a ranking: a table's names, encoder tag and dim, and the
     float32 rows that ranked_lists scores for it, those that transform
     writes for `which` with `model` (the table's own rows with no model),
-    with their float32 squared norms. fault is the adapt's DataError, which
-    ranked_lists raises in its place, after check_compatible. read_side
-    builds one from a file without holding the file's rows whole; rows and
-    squares are None when the stage did not run, because a fault that
-    check_compatible raises (a dim the model does not share) comes first."""
+    with their float32 squared norms. read_side builds one from a file
+    without holding the file's rows whole."""
 
     names: Sequence[str]
     encoder_tag: str
     dim: int
-    rows: np.ndarray | None
-    squares: np.ndarray | None
+    rows: np.ndarray
+    squares: np.ndarray
     model: AdapterModel | None
     which: str
-    fault: DataError | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -115,8 +112,7 @@ class Side:
             if model is not None:
                 rows[at] = adapted
 
-        width = max(table.dim, model.hidden if model is not None else 0)
-        map_blocks(run, row_blocks(len(x), width), workers())
+        map_blocks(run, row_blocks(len(x), block_width(table.dim, model)), workers())
         return cls(table.names, table.encoder_tag, table.dim, rows, squares, model, which)
 
 
@@ -124,9 +120,9 @@ def read_side(path: str | Path, model: AdapterModel | None, which: str) -> Side:
     """The Side of read_embeddings(path) for model and which, built by
     io.scan_embeddings with an adapt-and-norm stage: each block is read,
     checked and turned into its rows and squares on a worker, so the file's
-    rows are never held whole beside them. The reader's faults are raised;
-    the adapt's is kept in the Side. No stage runs for a model whose dim the
-    file does not share."""
+    rows are never held whole beside them. A model whose dim the file does
+    not share is refused before any block is read; then the reader's faults
+    are raised, and then the adapt's."""
     rows: list[np.ndarray] = []  # the side's rows and squares, once the file's size has passed
 
     def start() -> Stage:
@@ -139,21 +135,18 @@ def read_side(path: str | Path, model: AdapterModel | None, which: str) -> Side:
 
     with open(path, "rb") as f:
         src = EmbeddingFile(f, path)
-        runs = model is None or model.dim == src.dim
-        width = max(src.dim, model.hidden if model is not None else 0)
-        names, fault = scan_embeddings(src, width, start if runs else None)
-    return Side(names, src.encoder_tag, src.dim, *(rows or [None, None]), model, which, fault)
+        check_compatible({which: src}, model, force=True)
+        names = scan_embeddings(src, block_width(src.dim, model), start)
+    return Side(names, src.encoder_tag, src.dim, *rows, model, which)
 
 
 def _side(table: EmbeddingTable | Side, model: AdapterModel | None, which: str) -> Side:
     """The Side that ranked_lists scores for a table, or a Side given, which
-    must have been built for this model and side; raises the adapt's fault."""
+    must have been built for this model and side."""
     if not isinstance(table, Side):
         return Side.of(table, model, which)
     if table.model is not model or (model is not None and table.which != which):
         raise ValueError(f"the {which} side was built for another model or side")
-    if table.fault is not None:
-        raise table.fault
     return table
 
 
@@ -378,8 +371,7 @@ def ranked_lists(
 
     Each side is adapted and its squared norms taken once, in transform's
     row blocks on the threads of map_blocks (see Side.of); a Side given, as
-    read_side builds from a file, is used as it is, and its adapt's fault
-    is raised after check_compatible, the query's first. The query blocks
+    read_side builds from a file, is used as it is. The query blocks
     then run on the threads of map_blocks, in block order. A block's
     entries do not depend on its size, so neither do the lists on the
     thread count. Names are read from the sides uncopied, so a table read

@@ -32,7 +32,6 @@ import struct
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -385,17 +384,17 @@ def fold_crc32(parts: Iterable[tuple[int, int]]) -> int:
     return crc
 
 
-# The faults of a .sadp read, in the order in which read_embeddings raises
+# The faults of a .sadp read, in the order in which scan_embeddings raises
 # them: the ids' UTF-8, the file's size, its checksum or trailing bytes, a
-# table of no rows or no columns, rows that are not finite, a repeated id.
+# table of no rows or no columns, rows not finite, a repeated id, a stage's.
 _IDS, _SIZE, _END, _SHAPE, _FINITE, _UNIQUE, _STAGE = range(7)
 
 # a stage takes the rows of a block and the block, checked
 Stage = Callable[[slice, np.ndarray], None]
 
 
-def scan_embeddings(src: EmbeddingFile, width: int, start: Callable[[], Stage] | None = None
-                    ) -> tuple[IdBlock, DataError | None]:
+def scan_embeddings(src: EmbeddingFile, width: int,
+                    start: Callable[[], Stage] | None = None) -> IdBlock:
     """The one block pipeline of every .sadp read: the rows of src in
     adapter.row_blocks(count, width), on the threads of map_blocks.
 
@@ -407,13 +406,11 @@ def scan_embeddings(src: EmbeddingFile, width: int, start: Callable[[], Stage] |
     (IdBlock.check_unique). The calling thread folds the blocks' CRC32s in
     block order and checks the file's end.
 
-    Every fault is recorded, and the first of the reader's faults in
-    read_embeddings' order is raised once every block has been read; after
-    a fault is known a block is only read and checked. A stage's DataError,
-    one message whatever the block, is returned, not raised, since the
-    caller ranks it among its own checks. Returns the checked ids and the
-    stage's fault. Memory beyond the id block and what start() allocates is
-    the blocks in flight.
+    Every fault is recorded, and once every block has been read the first
+    of the reader's faults in read_embeddings' order is raised, else a
+    stage's DataError, one message whatever the block; after a fault is
+    known a block is only read and checked. Returns the checked ids. Memory
+    beyond the id block and what start() allocates is the blocks in flight.
     """
     from .adapter import map_blocks, row_blocks, workers  # adapter imports this module
 
@@ -464,10 +461,10 @@ def scan_embeddings(src: EmbeddingFile, width: int, start: Callable[[], Stage] |
                                      for crc, rows in zip(crcs, blocks)))
         except FormatError as exc:
             faults[_END] = exc
-    for fault in faults[:_STAGE]:
+    for fault in faults:
         if fault is not None:
             raise fault
-    return ids[0], faults[_STAGE]
+    return ids[0]
 
 
 class EmbeddingWriter:
@@ -551,7 +548,7 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
 
     with open(path, "rb") as f:
         src = EmbeddingFile(f, path)
-        ids, _ = scan_embeddings(src, src.dim, collect)
+        ids = scan_embeddings(src, src.dim, collect)
     vectors[0].flags.writeable = False  # nothing else holds it: the table keeps it uncopied
     return EmbeddingTable._checked(ids, vectors[0], src.encoder_tag)
 
@@ -690,34 +687,32 @@ def _fetch_batch(
 def fetch_embeddings(items: Sequence[TextItem], cfg: EncoderEndpointConfig) -> EmbeddingTable:
     """Embed items via the remote endpoint.
 
-    Requests are batched at cfg.max_batch, issued with bounded concurrency,
-    and retried with exponential backoff. Either a full table is returned or
-    an error is raised; partial results are never surfaced. Once a batch has
-    failed, no batch that has not started is sent, and the error raised is
-    that of the first failed batch in item order.
+    Requests are batched at cfg.max_batch, issued on at most
+    cfg.max_concurrent_requests threads of adapter.map_blocks, and retried
+    with exponential backoff. Either a full table is returned or an error is
+    raised; partial results are never surfaced. Once a batch has failed, no
+    batch that has not started is sent, and the error raised is that of the
+    first failed batch in item order.
     """
+    from .adapter import map_blocks  # adapter imports this module
+
     if not items:
         raise FetchError("no items to embed")
     headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
-    batches = [
-        (start, [it.text for it in items[start : start + cfg.max_batch]])
-        for start in range(0, len(items), cfg.max_batch)
-    ]
     failed = threading.Event()
 
-    def fetch(texts: list[str], start: int) -> np.ndarray | None:
+    def fetch(start: int) -> np.ndarray | None:
         # batches start in item order, so a skipped batch comes after a failed one
         if failed.is_set():
             return None
         try:
+            texts = [it.text for it in items[start : start + cfg.max_batch]]
             return _fetch_batch(cfg, headers, texts, start)
         except BaseException:
             failed.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
-        futures = [pool.submit(fetch, texts, start) for start, texts in batches]
-        results = [fut.result() for fut in futures]
+    results = map_blocks(fetch, range(0, len(items), cfg.max_batch), cfg.max_concurrent_requests)
     dims = {batch.shape[1] for batch in results}
     if len(dims) != 1:
         raise FetchError(f"inconsistent embedding dimensions across batches: {sorted(dims)}")

@@ -267,24 +267,36 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("dim", [64, 256])
-    def test_peak_memory_is_the_blocks_in_flight(self, tmp_path, monkeypatch, dim, n_workers):
-        # neither the input's rows nor the adapted rows are ever held whole
+    def test_peak_memory_is_the_blocks_in_flight(self, tmp_path, monkeypatch, capsys, dim,
+                                                 n_workers):
+        # neither the input's rows nor the adapted rows are ever held whole,
+        # nor the input's rows when a model's output overflows float32 and
+        # the serial path's checks are replayed to find the first fault
         n = 16_000
-        path, ckpt, out = tmp_path / "c.sadp", str(tmp_path / "m.sadc"), tmp_path / "out.sadp"
+        path = tmp_path / "c.sadp"
         rows = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
         write_embeddings(EmbeddingTable([f"d{i}" for i in range(n)], rows, "t"), path)
         del rows
-        save_checkpoint(seeded_output_layers(init_adapter(dim, seed=1, encoder_tag="t"), seed=2),
-                        ckpt)
+        model = seeded_output_layers(init_adapter(dim, seed=1, encoder_tag="t"), seed=2)
+        save_checkpoint(model, str(tmp_path / "m.sadc"))
+        model.f_params.w1[...], model.f_params.b1[...], model.f_params.w2[...] = 0, 1, 2e38
+        save_checkpoint(model, str(tmp_path / "overflow.sadc"))
         pin_workers(monkeypatch, n_workers)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(["transform", "--in", str(path), "--model", ckpt, "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 4 * adapter.ROW_BLOCK_BYTES * adapter.workers()
+        for name, rc in (("m", 0), ("overflow", 1)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(["transform", "--in", str(path), "--model",
+                             str(tmp_path / f"{name}.sadc"),
+                             "--out", str(tmp_path / f"{name}.sadp")]) == rc
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 4 * adapter.ROW_BLOCK_BYTES * adapter.workers()
+        err = capsys.readouterr().err
+        assert err == "error: the adapted query embeddings are not all finite in float32\n"
+        assert not (tmp_path / "overflow.sadp").exists()
+        assert list(tmp_path.glob(".tmp-*.part")) == []
 
     def test_same_bytes_without_positional_reads_and_writes(self, tmp_path, monkeypatch):
         # where the platform has no os.preadv or os.pwrite, a seek and a read
@@ -1116,6 +1128,42 @@ class TestSearchCommand:
         else:
             assert rc == 1
             assert "'enc-a'" in err and "'enc-b'" in err
+
+
+    @pytest.mark.parametrize("fault, fetches", [
+        ("flipped vector byte", 0), ("corrupt checkpoint", 0), ("overflow", 1)])
+    def test_text_query_fetched_where_the_serial_path_fetches(self, tmp_path, capsys,
+                                                              monkeypatch, fault, fetches):
+        # the paid request comes after the corpus and the checkpoint are read,
+        # and before the ranking adapts the query and then the corpus
+        cp, ckpt = tmp_path / "c.sadp", tmp_path / "m.sadc"
+        write_embeddings(EmbeddingTable(["a", "b", "c"], np.eye(3, 4, dtype=np.float32), "t"), cp)
+        model = init_adapter(4, seed=0, encoder_tag="t")
+        if fault == "overflow":  # finite parameters, an output beyond float32
+            model.f_params.b1[...] = 100.0
+            model.f_params.w2[...] = 1e38
+        save_checkpoint(model, str(ckpt))
+        damaged, at = {"flipped vector byte": (cp, -5), "corrupt checkpoint": (ckpt, -1)}.get(
+            fault, (None, None))
+        if damaged is not None:  # the last vector byte, or the stored CRC32
+            data = bytearray(damaged.read_bytes())
+            data[at] ^= 1
+            damaged.write_bytes(data)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": ENDPOINT_URL, "encoder_tag": "t"}))
+        calls = []
+
+        def fake_fetch(items, cfg):
+            calls.append(items)
+            return EmbeddingTable(["q"], np.eye(1, 4, dtype=np.float32), cfg.encoder_tag)
+
+        monkeypatch.setattr("embadapt.cli.fetch_embeddings", fake_fetch)
+        assert main(["search", "--corpus", str(cp), "--model", str(ckpt), "--text", "hello",
+                     "--endpoint-config", str(endpoint)]) == 1
+        assert len(calls) == fetches
+        assert capsys.readouterr() == ("", "error: " + (
+            f"{damaged}: checksum mismatch, file corrupted" if damaged is not None
+            else "the adapted query embeddings are not all finite in float32") + "\n")
 
 
 class TestEmbedCommand:

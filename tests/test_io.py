@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import types
 import urllib.error
 import zlib
 from pathlib import Path
@@ -514,6 +515,34 @@ class TestFetchEmbeddings:
         with pytest.raises(FetchError, match=rf"\[0:5\].*HTTP {status}"):
             fetch_embeddings(make_items(50), endpoint_cfg(max_batch=5, max_concurrent_requests=1))
         assert len(encoder.calls) == sent
+
+    def test_no_batch_sent_after_one_failed_while_another_is_in_flight(self, monkeypatch):
+        # two threads: batch [1:2] is refused while [0:1] is in flight, and
+        # [0:1] is answered only once the failure is recorded, so neither
+        # thread may send a later batch
+        recorded = threading.Event()
+
+        class Recording(threading.Event):  # the failure event of fetch_embeddings
+            def set(self):
+                super().set()
+                recorded.set()
+
+        class HoldFirst(FakeEncoder):
+            def __call__(self, url, body, headers, timeout):
+                texts = json.loads(body)["texts"]
+                with self._lock:
+                    self.calls.append(texts)
+                if texts == ["xx"]:  # item 1
+                    return reply({}, 404)
+                recorded.wait(timeout=10)
+                return reply({"embeddings": [[1.0] * 4 for _ in texts]})
+
+        encoder = serve(monkeypatch, HoldFirst())
+        monkeypatch.setattr(embadapt_io, "threading", types.SimpleNamespace(Event=Recording))
+        with pytest.raises(FetchError, match=r"^batch \[1:2\] refused with HTTP 404"):
+            fetch_embeddings(make_items(40), endpoint_cfg(max_batch=1, max_concurrent_requests=2))
+        assert recorded.is_set()
+        assert sorted(encoder.calls) == [["x"], ["xx"]]
 
     @pytest.mark.parametrize("failing_call", [0, 7, 60])
     def test_skipped_batches_never_hide_the_error(self, monkeypatch, failing_call):
