@@ -9,6 +9,7 @@ import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 from .adapter import AdapterModel, adapt_block, block_width, load_checkpoint, save_checkpoint
 from .config import GAIN_MODES, LOSS_VARIANTS, EncoderEndpointConfig, TrainConfig, from_json
@@ -35,6 +36,8 @@ from .io import (
     write_embeddings,
 )
 from .trainer import train
+
+T = TypeVar("T")
 
 
 class _In(str):
@@ -214,27 +217,42 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _or_serial_fault(fused: Callable[[], T], serial: Callable[[], object]) -> T:
+    """fused(), or, if it raises EmbAdaptError or OSError, the first fault of
+    serial(), the serial path's replay, else that fault again. The replay runs
+    after the handler, the fault's traceback dropped: it keeps no frame of
+    fused() alive, nor the blocks, model or sides that frame holds."""
+    try:
+        return fused()
+    except (EmbAdaptError, OSError) as exc:
+        fault = exc
+    fault.__traceback__ = None
+    serial()
+    raise fault
+
+
 def cmd_transform(args) -> int:
     path = getattr(args, "in")
-    try:
-        count = _stream_transform(path, args)
-    except (EmbAdaptError, OSError) as exc:
-        exc.with_traceback(None)  # its frames, and the blocks and model they hold, are freed
-        # the serial path (read_embeddings, load_checkpoint, check_compatible,
-        # transform, write_embeddings) raises its first fault, the input streamed
-        with open(path, "rb") as f:
-            src = EmbeddingFile(f, path)
-            scan_embeddings(src, src.dim)
-        model = load_checkpoint(args.model)
-        check_compatible({"input": src}, model, args.force)
-        with open(path, "rb") as f:  # a stage that only adapts
-            scan_embeddings(EmbeddingFile(f, path), block_width(src.dim, model),
-                            lambda: lambda rows, block: adapt_block(model, block, args.which))
-        EmbeddingWriter(src.count, src.dim,
-                        adapted_tag(src.encoder_tag, args.which, model.checkpoint_crc))
-        raise
+    count = _or_serial_fault(lambda: _stream_transform(path, args),
+                             lambda: _replay_transform(path, args))
     print(f"wrote {count} adapted ({args.which}) embeddings -> {args.out}")
     return 0
+
+
+def _replay_transform(path: str, args) -> None:
+    """The checks of the serial path (read_embeddings, load_checkpoint,
+    check_compatible, transform, write_embeddings) in its order, the input
+    streamed: a scan with no stage, then one whose stage only adapts."""
+    with open(path, "rb") as f:
+        src = EmbeddingFile(f, path)
+        scan_embeddings(src, src.dim)
+    model = load_checkpoint(args.model)
+    check_compatible({"input": src}, model, args.force)
+    with open(path, "rb") as f:
+        scan_embeddings(EmbeddingFile(f, path), block_width(src.dim, model),
+                        lambda: lambda rows, block: adapt_block(model, block, args.which))
+    EmbeddingWriter(src.count, src.dim, adapted_tag(src.encoder_tag, args.which,
+                                                    model.checkpoint_crc))
 
 
 def _stream_transform(path: str, args) -> int:
@@ -264,18 +282,16 @@ def _stream_transform(path: str, args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
+    def fused() -> tuple[AdapterModel | None, Side, Side, RelevanceSet]:
         model = load_checkpoint(args.model) if args.model is not None else None
-        q_side = read_side(args.queries, model, "query")
-        c_side = read_side(args.corpus, model, "corpus")
-        rels = load_qrels_tsv(args.qrels)
-    except (EmbAdaptError, OSError):
-        # the serial path raises its first fault: every input read in turn, then the library's
-        q_table, c_table = read_embeddings(args.queries), read_embeddings(args.corpus)
-        rels = load_qrels_tsv(args.qrels)
-        model = load_checkpoint(args.model) if args.model is not None else None
-        evaluate(q_table, c_table, rels, model, k=args.k, gain=args.gain, force=args.force)
-        raise
+        return (model, read_side(args.queries, model, "query"),
+                read_side(args.corpus, model, "corpus"), load_qrels_tsv(args.qrels))
+
+    model, q_side, c_side, rels = _or_serial_fault(fused, lambda: evaluate(
+        # the serial path: every input read in turn, then the library's checks
+        read_embeddings(args.queries), read_embeddings(args.corpus), load_qrels_tsv(args.qrels),
+        load_checkpoint(args.model) if args.model is not None else None,
+        k=args.k, gain=args.gain, force=args.force))
     report = evaluate(q_side, c_side, rels, model, k=args.k, gain=args.gain, force=args.force)
     if args.per_query is not None:
         text = "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(report.per_query_ndcg.items()))
@@ -309,14 +325,13 @@ def cmd_search(args) -> int:
             q_table = fetch_embeddings([TextItem(id="q", text=args.text)], cfg)
         return ranked_lists(q_table, corpus, model, k=args.k, force=args.force)[0]
 
-    try:
+    def fused() -> tuple[AdapterModel | None, Side]:
         model = load_checkpoint(args.model) if args.model is not None else None
-        c_side = read_side(args.corpus, model, "corpus")
-    except (EmbAdaptError, OSError):
-        # the serial path raises its first fault: the corpus read, the checkpoint, the ranking
-        c_table = read_embeddings(args.corpus)
-        rank(c_table, load_checkpoint(args.model) if args.model is not None else None)
-        raise
+        return model, read_side(args.corpus, model, "corpus")
+
+    model, c_side = _or_serial_fault(fused, lambda: rank(  # the serial path, in its order
+        read_embeddings(args.corpus),
+        load_checkpoint(args.model) if args.model is not None else None))
     for cid, score in rank(c_side, model).entries:
         print(f"{cid}\t{score:.6f}")
     return 0

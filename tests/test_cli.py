@@ -682,6 +682,39 @@ class TestEveryReadEqualsTheSerialPath:
                     os.unlink(out)
                 assert list((tmp / "run").iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["search", "evaluate"])
+    def test_replay_keeps_no_side_of_the_fused_reads(self, tmp_path, monkeypatch, command):
+        # the replay reads every input whole again, so nothing of the fused
+        # reads, their sides among it, may be kept alive beside it: the run
+        # that meets the fault peaks within half the corpus' rows of the
+        # clean run, below a second copy of them. One worker, so that each
+        # run holds the same blocks in flight.
+        rng = np.random.default_rng(0)
+        dim = 64
+        for name, n in (("q", 8), ("c", 16_000)):
+            write_embeddings(EmbeddingTable([f"{name}{i}" for i in range(n)], rng.standard_normal(
+                (n, dim)).astype(np.float32), "t"), tmp_path / f"{name}.sadp")
+        data = bytearray((tmp_path / "c.sadp").read_bytes())
+        data[-5] ^= 1  # the last vector byte
+        (tmp_path / "bad.sadp").write_bytes(data)
+        (tmp_path / "rels.tsv").write_text("q0\tc0\t1\n")
+        save_checkpoint(seeded_output_layers(init_adapter(dim, seed=1, encoder_tag="t"), seed=2),
+                        str(tmp_path / "m.sadc"))
+        pin_workers(monkeypatch, 1)
+        peaks = []
+        query = (["--vector", ",".join(["0.5"] * dim)] if command == "search" else
+                 ["--queries", str(tmp_path / "q.sadp"), "--qrels", str(tmp_path / "rels.tsv")])
+        for name, rc in (("c", 0), ("bad", 1)):
+            argv = [command, "--corpus", str(tmp_path / f"{name}.sadp"), "--model",
+                    str(tmp_path / "m.sadc"), *query]
+            tracemalloc.start()
+            try:
+                assert run_main(argv)[0] == rc
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 16_000 * dim * 4 // 2
+
 
 class TestProvenance:
     """transform marks its output with the side and the checkpoint's CRC32,
